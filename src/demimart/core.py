@@ -100,36 +100,53 @@ def summarize(samples) -> SummaryStats:
 class RunningStats:
     """Streaming (count, mean, M2) accumulator with associative merging.
 
-    Chunk reductions combine through the pairwise update, so merging chunk
-    statistics is order-independent up to floating-point roundoff.
+    Chunk reductions combine through the pairwise update (Chan, Golub &
+    LeVeque 1979), so merging chunk statistics is order-independent up to
+    floating-point roundoff.  Updating with K rows of m samples (a (K, m)
+    matrix or a list of K vectors) tracks K statistics at once: mean and m2
+    then hold K-vectors.
     """
 
     count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
+    mean: float | np.ndarray = 0.0
+    m2: float | np.ndarray = 0.0
 
-    def update(self, samples: np.ndarray) -> None:
-        arr = np.asarray(samples, dtype=np.float64)
-        if arr.size == 0:
+    def update(self, samples) -> None:
+        """Fold in m samples, or K rows of m samples each."""
+        if len(samples) == 0:
             return
-        if not np.all(np.isfinite(arr)):
+        single = np.ndim(samples[0]) == 0
+        rows = [samples] if single else samples
+        bmean = np.empty(len(rows))
+        bm2 = np.empty(len(rows))
+        # row by row, so each row is still in cache for its deviation pass
+        for i, row in enumerate(rows):
+            arr = np.asarray(row, dtype=np.float64)
+            bmean[i] = arr.mean()
+            bm2[i] = np.square(arr - bmean[i]).sum()
+        # a NaN or infinite sample makes its row's mean non-finite, so checking
+        # the K means covers every sample
+        if not np.all(np.isfinite(bmean)):
             raise ValueError("samples must be finite")
-        bmean = float(arr.mean())
-        bm2 = float(np.square(arr - bmean).sum())
-        self._combine(int(arr.size), bmean, bm2)
+        if single:
+            self._combine(len(samples), float(bmean[0]), float(bm2[0]))
+        else:
+            self._combine(len(rows[0]), bmean, bm2)
 
     def merge(self, other: "RunningStats") -> None:
         if other.count:
             self._combine(other.count, other.mean, other.m2)
 
-    def _combine(self, n: int, bmean: float, bm2: float) -> None:
+    def _combine(self, n: int, bmean, bm2) -> None:
+        # elementwise on arrays; never in place, because the first batch's
+        # arrays may be shared with the accumulator they were merged from
         if self.count == 0:
             self.count, self.mean, self.m2 = n, bmean, bm2
             return
         total = self.count + n
         delta = bmean - self.mean
-        self.mean += delta * n / total
-        self.m2 += bm2 + delta * delta * self.count * n / total
+        self.mean = self.mean + delta * n / total
+        self.m2 = self.m2 + (bm2 + delta * delta * self.count * n / total)
         self.count = total
 
     def to_summary(self) -> SummaryStats:

@@ -25,6 +25,7 @@ __all__ = [
     "certify_indicator_monotonicity",
     "evaluate",
     "evaluate_batch",
+    "evaluate_prefixes",
     "sample_battery",
 ]
 
@@ -69,6 +70,12 @@ class MonotoneTestFunction:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
+        if not all(math.isfinite(w) for w in self.weights):
+            raise ValueError("weights must be finite")
+        if not all(math.isfinite(c) for c in self.shifts):
+            raise ValueError("shifts must be finite")
+        if math.isnan(self.floor) or math.isnan(self.ceiling):
+            raise ValueError("floor and ceiling must not be NaN")
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
         if self.floor > self.ceiling:
@@ -95,31 +102,58 @@ def evaluate(f: MonotoneTestFunction, prefix) -> float:
 
 
 def evaluate_batch(f: MonotoneTestFunction, prefixes: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation over an (m, j) prefix matrix."""
+    """Vectorized evaluation over an (m, j) prefix matrix; NaN inputs are rejected."""
     p = np.asarray(prefixes, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] == 0:
         raise ValueError("prefixes must be a (paths, j) matrix with j >= 1")
     if np.isnan(p).any():
         raise ValueError("NaN in prefix")
-    j = p.shape[1]
+    return evaluate_prefixes(f, p.T)[-1].copy()
+
+
+def evaluate_prefixes(f: MonotoneTestFunction, paths: np.ndarray) -> np.ndarray:
+    """Values of f at every prefix length of a time-major (j, m) path matrix.
+
+    Row i holds f(s_1..s_{i+1}) for each of the m paths, so one pass serves
+    every prefix: running sums for the weighted kinds, a running max for the
+    threshold kind.  The result may be a view of ``paths``.  Inputs are not
+    scanned for NaN; callers check each matrix once (evaluate_batch does).
+    """
+    j, m = paths.shape
     if f.kind == "constant_one":
-        return np.ones(p.shape[0])
+        return np.ones((j, m))
     if f.kind == "last_coordinate":
-        return p[:, -1].astype(np.float64, copy=True)
+        return paths
     if f.kind == "coordinate_max_threshold":
         c1 = f.shifts[0] if f.shifts else 0.0
-        return (p.max(axis=1) >= c1).astype(np.float64)
+        running_max = _accumulate_rows(np.maximum, paths, np.empty((j, m)))
+        return (running_max >= c1).astype(np.float64)
     k = min(len(f.weights), j)
-    w = np.asarray(f.weights[:k], dtype=np.float64)
-    if f.kind == "linear_nonneg":
-        if k == 0:
-            return np.zeros(p.shape[0])
-        return p[:, :k] @ w
-    # clipped_linear
-    c = np.zeros(k)
-    c[: min(len(f.shifts), k)] = f.shifts[: min(len(f.shifts), k)]
-    raw = (p[:, :k] - c) @ w if k else np.zeros(p.shape[0])
-    return np.clip(raw, f.floor, f.ceiling)
+    out = np.zeros((j, m))
+    if k:
+        head = paths[:k]
+        if f.kind == "clipped_linear":
+            c = np.zeros((k, 1))
+            c[: len(f.shifts[:k]), 0] = f.shifts[:k]
+            head = head - c
+        w = np.asarray(f.weights[:k], dtype=np.float64)[:, None]
+        _accumulate_rows(np.add, head * w, out[:k])
+        out[k:] = out[k - 1]
+    if f.kind == "clipped_linear":
+        np.clip(out, f.floor, f.ceiling, out=out)
+    return out
+
+
+def _accumulate_rows(op, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``op.accumulate(rows, axis=0, out=out)`` as one vector op per row.
+
+    Same operations in the same order, so the same bits; numpy's own axis-0
+    accumulate is several times slower on a short, wide matrix.
+    """
+    out[0] = rows[0]
+    for i in range(1, rows.shape[0]):
+        op(out[i - 1], rows[i], out=out[i])
+    return out
 
 
 def sample_battery(

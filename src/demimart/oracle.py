@@ -37,7 +37,8 @@ _BLOCK = 1 << 16
 
 
 class KahanSum:
-    """Compensated accumulator; 2^24 additions stay well inside 1e-12."""
+    """Compensated accumulator, elementwise on arrays; 2^24 additions stay
+    well inside 1e-12."""
 
     __slots__ = ("total", "_c")
 
@@ -164,23 +165,23 @@ def fold_expectations(
 ) -> list[float]:
     """Streaming exact expectations for every statistic at once.
 
-    ``functionals`` maps a path-matrix block to a list of per-path vectors;
-    each statistic is folded with Kahan compensation and the total
-    probability is verified to be 1 within 1e-12.
+    ``functionals`` maps a path-matrix block to a (K, block) statistic
+    matrix, or a list of K per-path vectors; the K statistics are folded
+    together with Kahan compensation and the total probability is verified
+    to be 1 within 1e-12.
     """
-    sums: list[KahanSum] | None = None
+    sums = KahanSum()
     total = KahanSum()
+    blocks = 0
     for paths, probs in iter_blocks(chain):
         stats = functionals(paths)
-        if sums is None:
-            sums = [KahanSum() for _ in stats]
-        for acc, stat in zip(sums, stats):
-            acc.add(float(np.dot(probs, np.asarray(stat, dtype=np.float64))))
+        sums.add(np.array([np.dot(probs, np.asarray(s, np.float64)) for s in stats]))
         total.add(float(np.sum(probs)))
-    if sums is None:
+        blocks += 1
+    if not blocks:
         raise ValueError("chain produced no outcomes")
     _check_total(total.total)
-    return [acc.total for acc in sums]
+    return sums.total.tolist()
 
 
 def exact_demi_check(table: OutcomeTable, j: int, f: MonotoneTestFunction) -> float:

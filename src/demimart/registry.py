@@ -34,7 +34,7 @@ from .core import (
 from .monotone import (
     COUNTEREXAMPLE,
     certify_indicator_monotonicity,
-    evaluate_batch,
+    evaluate_prefixes,
     sample_battery,
 )
 from .oracle import fold_expectations
@@ -81,12 +81,12 @@ class CheckMeta:
 class CheckSet:
     """Statistics for one registry entry.
 
-    ``evaluate`` maps an (m, horizon) path matrix to one vector per meta, in
-    the same order.
+    ``evaluate`` maps an (m, horizon) path matrix to a (K, m) statistic
+    matrix, or a list of K per-path vectors, with row k belonging to metas[k].
     """
 
     metas: tuple[CheckMeta, ...]
-    evaluate: Callable[[np.ndarray], list[np.ndarray]]
+    evaluate: Callable[[np.ndarray], np.ndarray | list[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -213,25 +213,44 @@ def _require_bounded(rule: StoppingRule, horizon: int, name: str = "stopping") -
 # ---------------------------------------------------------------------------
 
 
-def _build_definition(inst: Instance, nonneg: bool) -> CheckSet:
-    n = inst.spec.horizon
-    _require(n >= 2, "generator.horizon", "definition check needs horizon >= 2")
-    battery = _battery(inst, nonneg, default_size=32)
+def _battery_stats(battery, weights: np.ndarray, prefixes: np.ndarray) -> np.ndarray:
+    """Statistic matrix weights[r] * f(prefix rows 0..r) for every row r and
+    battery member f, ordered row-major by (r, f).
+
+    ``prefixes`` is a time-major (rows, m) matrix, scanned for NaN once;
+    ``weights`` broadcasts against it.
+    """
+    if np.isnan(prefixes).any():
+        raise ValueError("NaN in prefix")
+    rows, m = prefixes.shape
+    stats = np.empty((rows, len(battery), m))
+    for i, f in enumerate(battery):
+        np.multiply(weights, evaluate_prefixes(f, prefixes), out=stats[:, i])
+    return stats.reshape(rows * len(battery), m)
+
+
+def _projection_checkset(battery, n: int, name_prefix: str, transform=None) -> CheckSet:
+    """E[(M_{j+1} - M_j) f(M_1..M_j)] >= 0 for every j < n and battery f,
+    with M = transform(S) applied to the time-major chunk (identity if None)."""
     metas = tuple(
-        CheckMeta(f"j={j}|{f.label}", 0.0, ">=")
+        CheckMeta(f"{name_prefix}j={j}|{f.label}", 0.0, ">=")
         for j in range(1, n)
         for f in battery
     )
 
-    def evaluate(paths: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for j in range(1, n):
-            step = paths[:, j] - paths[:, j - 1]
-            for f in battery:
-                out.append(step * evaluate_batch(f, paths[:, :j]))
-        return out
+    def evaluate(paths: np.ndarray) -> np.ndarray:
+        s = np.ascontiguousarray(paths.T)
+        if transform is not None:
+            s = transform(s)
+        return _battery_stats(battery, s[1:] - s[:-1], s[:-1])
 
     return CheckSet(metas, evaluate)
+
+
+def _build_definition(inst: Instance, nonneg: bool) -> CheckSet:
+    n = inst.spec.horizon
+    _require(n >= 2, "generator.horizon", "definition check needs horizon >= 2")
+    return _projection_checkset(_battery(inst, nonneg, default_size=32), n, "")
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +307,11 @@ def _build_t21(inst: Instance) -> CheckSet:
         CheckMeta(f"E[(S_M - S_tau) {f.label}(S_tau)]", 0.0, ">=") for f in battery
     )
 
-    def evaluate(paths: np.ndarray) -> list[np.ndarray]:
+    def evaluate(paths: np.ndarray) -> np.ndarray:
         tau = _taus(rule, paths)
         s_tau = _values_at(paths, tau)
         gap = paths[:, m_bound - 1] - s_tau
-        prefix = s_tau[:, None]
-        return [gap * evaluate_batch(f, prefix) for f in battery]
+        return _battery_stats(battery, gap, s_tau[None, :])
 
     return CheckSet(metas, evaluate)
 
@@ -339,14 +357,13 @@ def _build_t23(inst: Instance) -> CheckSet:
         CheckMeta(f"E[(S_tau2 - S_tau1) {f.label}(S_tau1)]", 0.0, ">=") for f in battery
     )
 
-    def evaluate(paths: np.ndarray) -> list[np.ndarray]:
+    def evaluate(paths: np.ndarray) -> np.ndarray:
         t1 = _taus(rule1, paths)
         t2 = _taus(rule2, paths)
         if np.any(t2 < t1):
             raise PreconditionError("stopping", "tau1 <= tau2 violated on a path")
-        gap = _values_at(paths, t2) - _values_at(paths, t1)
-        prefix = _values_at(paths, t1)[:, None]
-        return [gap * evaluate_batch(f, prefix) for f in battery]
+        s_t1 = _values_at(paths, t1)
+        return _battery_stats(battery, _values_at(paths, t2) - s_t1, s_t1[None, :])
 
     return CheckSet(metas, evaluate)
 
@@ -588,23 +605,13 @@ def _c410_precheck(inst: Instance) -> dict[str, CheckSet]:
     if n < 2:
         return {}
     battery = _battery(inst, nonneg=True, default_size=12)
-    metas = tuple(
-        CheckMeta(f"transformed j={j}|{f.label}", 0.0, ">=")
-        for j in range(1, n)
-        for f in battery
-    )
-    steps = np.arange(1, n + 1, dtype=np.float64)
+    steps = np.arange(1, n + 1, dtype=np.float64)[:, None]
 
-    def evaluate(paths: np.ndarray) -> list[np.ndarray]:
-        m = np.exp(theta * paths - h_slope * steps)
-        out = []
-        for j in range(1, n):
-            step = m[:, j] - m[:, j - 1]
-            for f in battery:
-                out.append(step * evaluate_batch(f, m[:, :j]))
-        return out
+    def transform(s: np.ndarray) -> np.ndarray:
+        return np.exp(theta * s - h_slope * steps)
 
-    return {"demisub_precheck": CheckSet(metas, evaluate)}
+    checkset = _projection_checkset(battery, n, "transformed ", transform)
+    return {"demisub_precheck": checkset}
 
 
 def _build_wald_first(inst: Instance) -> CheckSet:
@@ -981,20 +988,21 @@ def _run_checkset(
         raise PreconditionError("mode", f"unknown mode {mode!r}")
     if paths < 1:
         raise PreconditionError("paths", "paths must be >= 1")
-    accs = [RunningStats() for _ in checkset.metas]
+    acc = RunningStats()
     done = 0
     chunk_index = 0
     while done < paths:
         m = min(CHUNK_PATHS, paths - done)
         block = gen.sample_paths(inst.spec, m, derive_stream(inst.seed, chunk_index))
         stats = checkset.evaluate(block)
-        for acc, stat in zip(accs, stats):
-            acc.update(np.asarray(stat, dtype=np.float64))
+        acc.update(stats)
+        # release this chunk before the next one is drawn and evaluated
+        del block, stats
         done += m
         chunk_index += 1
     results = [
-        _mc_result(acc, meta, tolerance_z, paths)
-        for acc, meta in zip(accs, checkset.metas)
+        _mc_result(RunningStats(acc.count, mean, m2), meta, tolerance_z, paths)
+        for mean, m2, meta in zip(acc.mean.tolist(), acc.m2.tolist(), checkset.metas)
     ]
     return _aggregate(theorem_id, results, exact=False), results
 

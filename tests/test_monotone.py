@@ -4,17 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demimart.core import derive_stream
 from demimart.generators import generate, iid_spec, rademacher
 from demimart.monotone import (
     CERTIFIED_BY_CONSTRUCTION,
     COUNTEREXAMPLE,
+    KINDS,
     SAMPLED_OK,
     MonotoneTestFunction,
     certify_indicator_monotonicity,
     evaluate,
     evaluate_batch,
+    evaluate_prefixes,
     sample_battery,
 )
 from demimart.stopping import deterministic, first_passage_down, first_passage_up, jump_if_high
@@ -61,6 +65,82 @@ class TestEvaluate:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             MonotoneTestFunction("linear_nonneg", weights=(-1.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            MonotoneTestFunction("linear_nonneg", weights=(1.0, bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_shifts_rejected(self, bad):
+        with pytest.raises(ValueError, match="shifts must be finite"):
+            MonotoneTestFunction("coordinate_max_threshold", shifts=(bad,))
+
+    @pytest.mark.parametrize("bounds", [dict(floor=math.nan), dict(ceiling=math.nan)])
+    def test_nan_floor_or_ceiling_rejected(self, bounds):
+        with pytest.raises(ValueError, match="NaN"):
+            MonotoneTestFunction("clipped_linear", weights=(1.0,), **bounds)
+
+    def test_infinite_clip_bounds_are_the_defaults(self):
+        f = MonotoneTestFunction("clipped_linear", weights=(1.0,))
+        assert (f.floor, f.ceiling) == (-math.inf, math.inf)
+        assert evaluate(f, [-1e300]) == -1e300
+
+
+def _evaluate_batch_reference(f, prefixes):
+    """Row-major evaluation of one prefix length: the definition the
+    time-major evaluator must reproduce."""
+    p = np.asarray(prefixes, dtype=np.float64)
+    j = p.shape[1]
+    if f.kind == "constant_one":
+        return np.ones(p.shape[0])
+    if f.kind == "last_coordinate":
+        return p[:, -1].copy()
+    if f.kind == "coordinate_max_threshold":
+        c1 = f.shifts[0] if f.shifts else 0.0
+        return (p.max(axis=1) >= c1).astype(np.float64)
+    k = min(len(f.weights), j)
+    w = np.asarray(f.weights[:k], dtype=np.float64)
+    if f.kind == "linear_nonneg":
+        return p[:, :k] @ w if k else np.zeros(p.shape[0])
+    c = np.zeros(k)
+    c[: min(len(f.shifts), k)] = f.shifts[: min(len(f.shifts), k)]
+    raw = (p[:, :k] - c) @ w if k else np.zeros(p.shape[0])
+    return np.clip(raw, f.floor, f.ceiling)
+
+
+_coords = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+
+
+@st.composite
+def _function_and_paths(draw):
+    kind = draw(st.sampled_from(KINDS))
+    weights = tuple(draw(st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=10)))
+    shifts = tuple(draw(st.lists(_coords, max_size=10)))
+    floor = draw(_coords)
+    ceiling = floor + draw(st.floats(min_value=0.0, max_value=50.0))
+    f = MonotoneTestFunction(kind, weights, shifts, floor, ceiling)
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=9))
+    rows = draw(st.lists(st.lists(_coords, min_size=n, max_size=n), min_size=m, max_size=m))
+    return f, np.array(rows)
+
+
+class TestTimeMajorEvaluation:
+    @given(_function_and_paths())
+    @settings(max_examples=300, deadline=None)
+    def test_every_prefix_matches_row_major_reference(self, case):
+        """Row j-1 of the time-major evaluation is f on S_1..S_j, for weight
+        vectors longer and shorter than j."""
+        f, paths = case
+        values = evaluate_prefixes(f, np.ascontiguousarray(paths.T))
+        assert values.shape == paths.shape[::-1]
+        for j in range(1, paths.shape[1] + 1):
+            ref = _evaluate_batch_reference(f, paths[:, :j])
+            # every term w_i (s_i - c_i) is at most 100 w_i in size
+            scale = max(1.0, 100.0 * sum(f.weights))
+            for got in (values[j - 1], evaluate_batch(f, paths[:, :j])):
+                assert np.all(np.abs(got - ref) <= 1e-12 * scale), (f, j)
 
 
 class TestBattery:

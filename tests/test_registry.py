@@ -1,10 +1,12 @@
 """Verification driver: preconditions, exact/Monte-Carlo agreement, verdicts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from demimart.core import CHUNK_PATHS
 from demimart.generators import (
     adversarial_spec,
     bernoulli,
@@ -15,7 +17,10 @@ from demimart.generators import (
     uniform,
 )
 from demimart.registry import (
+    Instance,
     PreconditionError,
+    _c410_precheck,
+    _run_checkset,
     all_entries,
     check_definition,
     lookup,
@@ -256,3 +261,206 @@ class TestDefinitionBattery:
         """The constant -1 member turns positive drift into a violation."""
         report = check_definition(BERN6, "demimartingale", seed=9)
         assert report.verdict == "FAIL"
+
+
+class TestBatteryMemory:
+    @staticmethod
+    def _traced_peak(paths: int) -> int:
+        tracemalloc.start()
+        try:
+            verify_detailed(
+                "Def1.2-demi",
+                RAD6,
+                params={"battery_size": 4},
+                mode="monte_carlo",
+                paths=paths,
+                seed=3,
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_chunk_statistics_released_before_next_chunk(self):
+        """A second chunk must not hold the first chunk's statistics."""
+        one = self._traced_peak(CHUNK_PATHS)
+        two = self._traced_peak(2 * CHUNK_PATHS)
+        assert two <= 1.25 * one, (one, two)
+
+
+def _c410_precheck_run():
+    inst = Instance(
+        spec=iid_spec(rademacher(), 4),
+        rule=capped(first_passage_up(1.0), 4),
+        rule2=None,
+        params={"theta": 0.3, "battery_size": 4},
+        seed=24,
+    )
+    (checkset,) = _c410_precheck(inst).values()
+    return _run_checkset("C4.10:demisub_precheck", inst, checkset, "monte_carlo", 5000, 3.0)
+
+
+PINNED_RUNS = {
+    "def_demi_mc": lambda: verify_detailed(
+        "Def1.2-demi",
+        shared_shock_spec(rademacher(), rademacher(), 4),
+        params={"battery_size": 6},
+        mode="monte_carlo",
+        paths=CHUNK_PATHS + 4000,
+        seed=21,
+    )[:2],
+    "def_demisub_mc": lambda: verify_detailed(
+        "Def1.2-demisub",
+        iid_spec(bernoulli(0.3), 4),
+        params={"battery_size": 6},
+        mode="monte_carlo",
+        paths=5000,
+        seed=22,
+    )[:2],
+    "c410_precheck_mc": _c410_precheck_run,
+    "t21_mc": lambda: verify_detailed(
+        "T2.1",
+        iid_spec(bernoulli(0.5), 6),
+        rule=jump_if_high(2, 1.0, 3, 4),
+        params={"battery_size": 6},
+        mode="monte_carlo",
+        paths=5000,
+        seed=25,
+    )[:2],
+    "t23_mc": lambda: verify_detailed(
+        "T2.3",
+        RAD6,
+        rule=deterministic(2),
+        rule2=deterministic(5),
+        params={"battery_size": 4},
+        mode="monte_carlo",
+        paths=5000,
+        seed=26,
+    )[:2],
+    "def_demi_exact": lambda: verify_detailed(
+        "Def1.2-demi",
+        shared_shock_spec(rademacher(), rademacher(), 5),
+        params={"battery_size": 8},
+        mode="exact",
+        seed=23,
+    )[:2],
+}
+
+# Per-check (name, mean, stderr, verdict) of PINNED_RUNS, recorded from the
+# row-major evaluator with one RunningStats per check; the first run spans
+# two chunks.
+PINNED = {
+    'def_demi_mc': ('PASS', [
+        ('j=1|f0:one', 0.008484813621721123, 0.005366748975012434, 'PASS'),
+        ('j=1|f1:last', 1.0066728025770824, 0.0065829345022426974, 'PASS'),
+        ('j=1|f2:minus_one', -0.008484813621721123, 0.005366748975012434, 'PASS'),
+        ('j=1|f3:linear', 0.2088986999539807, 0.001366051070298391, 'PASS'),
+        ('j=1|f4:clipped', -0.0008858909054302808, 0.0005603368937320733, 'PASS'),
+        ('j=1|f5:threshold', 0.25394040497008746, 0.0025251879353665398, 'PASS'),
+        ('j=2|f0:one', 0.008139668660837552, 0.005349464346022179, 'PASS'),
+        ('j=2|f1:last', 1.9947653014265991, 0.010701098558070674, 'PASS'),
+        ('j=2|f2:minus_one', -0.008139668660837552, 0.005349464346022179, 'PASS'),
+        ('j=2|f3:linear', 3.250980103888633, 0.01745737343453233, 'PASS'),
+        ('j=2|f4:clipped', -0.0008498546652093878, 0.0005585322229038295, 'PASS'),
+        ('j=2|f5:threshold', 0.37721468016566956, 0.0029670379323775533, 'PASS'),
+        ('j=3|f0:one', 0.009865393465255407, 0.0053539054482616396, 'PASS'),
+        ('j=3|f1:last', 2.9882075471698113, 0.014674054873423055, 'PASS'),
+        ('j=3|f2:minus_one', -0.009865393465255407, 0.0053539054482616396, 'PASS'),
+        ('j=3|f3:linear', 7.275037430740912, 0.03640737151909016, 'PASS'),
+        ('j=3|f4:clipped', -0.001030035866313852, 0.0005589959139475495, 'PASS'),
+        ('j=3|f5:threshold', 0.43994477680625865, 0.0031417190066923076, 'PASS'),
+    ]),
+    'def_demisub_mc': ('PASS', [
+        ('j=1|f0:one', 0.298, 0.0064689697413036935, 'PASS'),
+        ('j=1|f1:threshold', 0.0, 0.0, 'PASS'),
+        ('j=1|f2:clipped', 1.2315934719999997, 0.026735372160923348, 'PASS'),
+        ('j=1|f3:threshold', 0.09, 0.0040476260518149485, 'PASS'),
+        ('j=1|f4:clipped', 0.0, 0.0, 'PASS'),
+        ('j=1|f5:threshold', 0.298, 0.0064689697413036935, 'PASS'),
+        ('j=2|f0:one', 0.3, 0.006481388869705017, 'PASS'),
+        ('j=2|f1:threshold', 0.028, 0.0023332999930938056, 'PASS'),
+        ('j=2|f2:clipped', 1.2398592, 0.02678669872960455, 'PASS'),
+        ('j=2|f3:threshold', 0.1538, 0.005102383645294889, 'PASS'),
+        ('j=2|f4:clipped', 0.0, 0.0, 'PASS'),
+        ('j=2|f5:threshold', 0.3, 0.006481388869705017, 'PASS'),
+        ('j=3|f0:one', 0.308, 0.006529603904175894, 'PASS'),
+        ('j=3|f1:threshold', 0.068, 0.0035605807878925345, 'PASS'),
+        ('j=3|f2:clipped', 1.2729221119999998, 0.026985964909828002, 'PASS'),
+        ('j=3|f3:threshold', 0.2038, 0.0056973330533490974, 'PASS'),
+        ('j=3|f4:clipped', 0.0, 0.0, 'PASS'),
+        ('j=3|f5:threshold', 0.308, 0.006529603904175894, 'PASS'),
+    ]),
+    'c410_precheck_mc': ('PASS', [
+        ('transformed j=1|f0:one', 0.0473429321159639, 0.004660572045227027, 'PASS'),
+        ('transformed j=1|f1:threshold', 0.0473429321159639, 0.004660572045227027, 'PASS'),
+        ('transformed j=1|f2:clipped', 0.031017432119755495, 0.0030534436840111653, 'PASS'),
+        ('transformed j=1|f3:threshold', 0.0473429321159639, 0.004660572045227027, 'PASS'),
+        ('transformed j=2|f0:one', 0.04368621523855916, 0.0050766014867435275, 'PASS'),
+        ('transformed j=2|f1:threshold', 0.04368621523855916, 0.0050766014867435275, 'PASS'),
+        ('transformed j=2|f2:clipped', 0.01688839436572684, 0.0029062507454926476, 'PASS'),
+        ('transformed j=2|f3:threshold', 0.04368621523855916, 0.0050766014867435275, 'PASS'),
+        ('transformed j=3|f0:one', 0.0532319972965627, 0.005508718224453583, 'PASS'),
+        ('transformed j=3|f1:threshold', 0.0532319972965627, 0.005508718224453583, 'PASS'),
+        ('transformed j=3|f2:clipped', 0.0215768842945855, 0.0031522970319447442, 'PASS'),
+        ('transformed j=3|f3:threshold', 0.0532319972965627, 0.005508718224453583, 'PASS'),
+    ]),
+    't21_mc': ('PASS', [
+        ('E[(S_M - S_tau) f0:one(S_tau)]', 0.366, 0.006813081800237198, 'PASS'),
+        ('E[(S_M - S_tau) f1:threshold(S_tau)]', 0.366, 0.006813081800237198, 'PASS'),
+        ('E[(S_M - S_tau) f2:clipped(S_tau)]', 0.413161296, 0.007690988268688565, 'PASS'),
+        ('E[(S_M - S_tau) f3:threshold(S_tau)]', 0.2358, 0.006003905510272064, 'PASS'),
+        ('E[(S_M - S_tau) f4:clipped(S_tau)]', 0.28226047423552003, 0.005450097337920205, 'PASS'),
+        ('E[(S_M - S_tau) f5:threshold(S_tau)]', 0.366, 0.006813081800237198, 'PASS'),
+    ]),
+    't23_mc': ('PASS', [
+        ('E[(S_tau2 - S_tau1) f0:one(S_tau1)]', -0.0112, 0.0243526902559972, 'PASS'),
+        ('E[(S_tau2 - S_tau1) f1:threshold(S_tau1)]', -0.0028, 0.012245342856953285, 'PASS'),
+        ('E[(S_tau2 - S_tau1) f2:clipped(S_tau1)]', -0.003333292730320001, 0.01457761154477083, 'PASS'),
+        ('E[(S_tau2 - S_tau1) f3:threshold(S_tau1)]', 0.0, 0.0, 'PASS'),
+    ]),
+    'def_demi_exact': ('PASS', [
+        ('j=1|f0:one', 0.0, 0.0, 'PASS'),
+        ('j=1|f1:last', 1.0, 0.0, 'PASS'),
+        ('j=1|f2:minus_one', 0.0, 0.0, 'PASS'),
+        ('j=1|f3:linear', 0.38131, 0.0, 'PASS'),
+        ('j=1|f4:clipped', 0.31988594567325, 0.0, 'PASS'),
+        ('j=1|f5:threshold', 0.25, 0.0, 'PASS'),
+        ('j=1|f6:linear', 0.105366, 0.0, 'PASS'),
+        ('j=1|f7:clipped', 0.04763198675274996, 0.0, 'PASS'),
+        ('j=2|f0:one', 0.0, 0.0, 'PASS'),
+        ('j=2|f1:last', 2.0, 0.0, 'PASS'),
+        ('j=2|f2:minus_one', 0.0, 0.0, 'PASS'),
+        ('j=2|f3:linear', 2.271204, 0.0, 'PASS'),
+        ('j=2|f4:clipped', 0.3511978315565, 0.0, 'PASS'),
+        ('j=2|f5:threshold', 0.375, 0.0, 'PASS'),
+        ('j=2|f6:linear', 0.5474680000000001, 0.0, 'PASS'),
+        ('j=2|f7:clipped', 0.5843538749999999, 0.0, 'PASS'),
+        ('j=3|f0:one', 0.0, 0.0, 'PASS'),
+        ('j=3|f1:last', 3.0, 0.0, 'PASS'),
+        ('j=3|f2:minus_one', 0.0, 0.0, 'PASS'),
+        ('j=3|f3:linear', 7.060971, 0.0, 'PASS'),
+        ('j=3|f4:clipped', 1.11301823498075, 0.0, 'PASS'),
+        ('j=3|f5:threshold', 0.4375, 0.0, 'PASS'),
+        ('j=3|f6:linear', 1.657822, 0.0, 'PASS'),
+        ('j=3|f7:clipped', 0.679062427398375, 0.0, 'PASS'),
+        ('j=4|f0:one', 0.0, 0.0, 'PASS'),
+        ('j=4|f1:last', 4.0, 0.0, 'PASS'),
+        ('j=4|f2:minus_one', 0.0, 0.0, 'PASS'),
+        ('j=4|f3:linear', 12.328211, 0.0, 'PASS'),
+        ('j=4|f4:clipped', 1.1441735153975312, 0.0, 'PASS'),
+        ('j=4|f5:threshold', 0.46875, 0.0, 'PASS'),
+        ('j=4|f6:linear', 17.242674, 0.0, 'PASS'),
+        ('j=4|f7:clipped', 0.6817461874999999, 0.0, 'PASS'),
+    ]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_battery_results_match_pinned_values(key):
+    report, results = PINNED_RUNS[key]()
+    verdict, pinned = PINNED[key]
+    assert report.verdict == verdict
+    assert [r.name for r in results] == [p[0] for p in pinned]
+    for r, (name, mean, stderr, check_verdict) in zip(results, pinned):
+        assert abs(r.stats.mean - mean) <= 1e-12 * max(1.0, abs(mean)), name
+        assert abs(r.stats.stderr - stderr) <= 1e-12 * stderr, name
+        assert r.verdict == check_verdict, name
