@@ -17,7 +17,7 @@ import numpy as np
 from . import generators as gen
 from .bounds import bernstein_tail
 from .core import CHUNK_PATHS, DEFAULT_TOLERANCE_Z, RunningStats, derive_stream
-from .oracle import fold_expectations
+from .oracle import fold_terminal
 
 __all__ = [
     "ECF_T_GRID",
@@ -99,27 +99,15 @@ def _with_horizon(spec: gen.GeneratorSpec, n: int) -> gen.GeneratorSpec:
     return replace(spec, horizon=n)
 
 
-def _row_sums(inc: np.ndarray) -> np.ndarray:
-    # integer increment lattices sum much faster in int64
-    if inc.dtype.kind in "iu":
-        return inc.sum(axis=1, dtype=np.int64).astype(np.float64)
-    return inc.sum(axis=1, dtype=np.float64)
-
-
-def _final_sums(spec: gen.GeneratorSpec, paths: int, seed: int, chunk_base: int) -> np.ndarray:
-    """Sample S_n only (row sums of increments; no path materialization)."""
-    out = np.empty(paths, dtype=np.float64)
+def _final_sum_chunks(spec: gen.GeneratorSpec, paths: int, seed: int, chunk_base: int):
+    """Yield sampled S_n chunk by chunk (no path matrix is built)."""
     done = 0
     chunk = 0
     while done < paths:
         m = min(CHUNK_PATHS, paths - done)
-        inc = gen.sample_increments(spec, m, derive_stream(seed, chunk_base + chunk))
-        out[done : done + m] = _row_sums(inc)
+        yield gen.sample_final_sums(spec, m, derive_stream(seed, chunk_base + chunk))
         done += m
         chunk += 1
-    if spec.offset:
-        out += spec.offset
-    return out
 
 
 def clt_diagnose(
@@ -138,7 +126,7 @@ def clt_diagnose(
     diags = []
     for i, n in enumerate(n_grid):
         sub = _with_horizon(spec, n)
-        s_n = _final_sums(sub, paths, seed, chunk_base=i << 32)
+        s_n = np.concatenate(list(_final_sum_chunks(sub, paths, seed, chunk_base=i << 32)))
         sigma = gen.sigma_n_exact(sub)
         sigma_exact = sigma is not None
         if sigma is None:
@@ -275,20 +263,13 @@ def _tail_probability(
         chain = gen.to_chain(spec)
     except ValueError:
         chain = None
-    if chain is not None and chain.outcome_count <= gen.ENUMERATION_CAP:
-        (value,) = fold_expectations(
+    if chain is not None:
+        (value,) = fold_terminal(
             chain, lambda p: [(np.abs(p[:, -1]) >= threshold).astype(np.float64)]
         )
         return float(value), 0.0, True
     rs = RunningStats()
-    done = 0
-    chunk = 0
-    while done < paths:
-        m = min(CHUNK_PATHS, paths - done)
-        inc = gen.sample_increments(spec, m, derive_stream(seed, chunk_base + chunk))
-        s_n = _row_sums(inc) + spec.offset
+    for s_n in _final_sum_chunks(spec, paths, seed, chunk_base):
         rs.update((np.abs(s_n) >= threshold).astype(np.float64))
-        done += m
-        chunk += 1
     stats = rs.to_summary()
     return stats.mean, stats.stderr, False

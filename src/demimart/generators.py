@@ -32,6 +32,7 @@ __all__ = [
     "increment_bound",
     "iid_spec",
     "rademacher",
+    "sample_final_sums",
     "sample_increments",
     "sample_paths",
     "shared_shock_spec",
@@ -365,6 +366,31 @@ def sample_paths(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) ->
     """Draw an (n_paths, horizon) matrix of partial-sum paths S_1..S_n."""
     inc = sample_increments(spec, n_paths, rng)
     s = np.cumsum(inc, axis=1, dtype=np.float64)
+    if spec.offset:
+        s += spec.offset
+    return s
+
+
+def _row_sums(inc: np.ndarray) -> np.ndarray:
+    # integer increment lattices sum exactly, and much faster, in int64
+    if inc.dtype.kind in "iu":
+        return inc.sum(axis=1, dtype=np.int64).astype(np.float64)
+    return inc.sum(axis=1, dtype=np.float64)
+
+
+def sample_final_sums(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw S_n alone for n_paths paths, from the draws ``sample_paths`` makes.
+
+    No partial-sum matrix is built.  Integer-valued draws sum exactly, so on
+    lattice families this equals ``sample_paths(...)[:, -1]`` bit for bit; a
+    centered family subtracts n * mean once from the inner sum, so its S_n
+    stays on the shifted lattice (the step-by-step sum drifts off it by ulps).
+    """
+    if spec.family == "centered_partial_sum":
+        inner = sample_final_sums(spec.inner, n_paths, rng)
+        s = inner - spec.horizon * _inner_step_mean(spec.inner)
+    else:
+        s = _row_sums(sample_increments(spec, n_paths, rng))
     if spec.offset:
         s += spec.offset
     return s

@@ -4,7 +4,8 @@ Ground truth for every Monte-Carlo check: expectations, tail probabilities,
 and the defining projection statistic are computed by walking the full
 product space of increment outcomes.  Enumeration streams fixed-size blocks
 (no full outcome list is materialized above the block cap) and combines
-probabilities with Kahan-compensated summation.
+probabilities with Kahan-compensated summation.  Statistics of S_n alone
+fold over the law of S_n instead, convolved from the integer step law.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ __all__ = [
     "exact_demi_check",
     "exact_expectation",
     "fold_expectations",
+    "fold_terminal",
     "iter_blocks",
+    "terminal_law",
 ]
 
 # Outcome tables above this size are never materialized; use fold_expectations.
@@ -160,6 +163,48 @@ def exact_expectation(table: OutcomeTable, functional: Callable) -> float:
     return float(np.dot(table.probabilities, stat))
 
 
+def _integer_atoms(support) -> list[tuple[int, float]]:
+    atoms = [(int(v), p) for v, p in support]
+    if any(k != v for (k, _), (v, _) in zip(atoms, support)):
+        raise ValueError("terminal law needs integer-valued atoms")
+    return atoms
+
+
+def terminal_law(chain: DiscreteChainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms of S_n and their probabilities, without enumerating paths.
+
+    The integer step law is convolved n times and mixed over the shared
+    component.  Each atom is float(K) - drift * n + offset for its integer
+    sum K, the operations that give the last column of ``iter_blocks``, so
+    atoms equal the enumerated S_n bit for bit.  Zero-probability atoms are
+    dropped.  Raises ValueError for non-integer atoms and for alternating
+    coupling.
+    """
+    if chain.coupling != "independent":
+        raise ValueError("terminal law needs independent coupling")
+    n = chain.horizon
+    steps = _integer_atoms(chain.increment_support)
+    shared = _integer_atoms(chain.shared_component or ((0.0, 1.0),))
+    lo = min(k for k, _ in steps)
+    step_pmf = np.zeros(max(k for k, _ in steps) - lo + 1)
+    for k, p in steps:
+        step_pmf[k - lo] += p
+    base = np.ones(1)
+    for _ in range(n):
+        base = np.convolve(base, step_pmf)
+    # S_n = n * lo + j + n * w for index j of base and shared atom w
+    w_lo = min(w for w, _ in shared)
+    pmf = np.zeros(base.size + n * (max(w for w, _ in shared) - w_lo))
+    for w, p in shared:
+        start = n * (w - w_lo)
+        pmf[start : start + base.size] += p * base
+    (keep,) = np.nonzero(pmf)
+    values = (n * (lo + w_lo) + keep).astype(np.float64) - chain.drift * n + chain.offset
+    probs = pmf[keep]
+    _check_total(math.fsum(probs.tolist()))
+    return values, probs
+
+
 def fold_expectations(
     chain: DiscreteChainSpec, functionals: Callable
 ) -> list[float]:
@@ -170,10 +215,24 @@ def fold_expectations(
     together with Kahan compensation and the total probability is verified
     to be 1 within 1e-12.
     """
+    return _fold(iter_blocks(chain), functionals)
+
+
+def fold_terminal(
+    chain: DiscreteChainSpec, functionals: Callable
+) -> list[float]:
+    """``fold_expectations`` for statistics that read only S_n = paths[:, -1]:
+    ``functionals`` sees an (atoms, 1) matrix of the atoms of ``terminal_law``.
+    """
+    values, probs = terminal_law(chain)
+    return _fold([(values[:, None], probs)], functionals)
+
+
+def _fold(outcome_blocks, functionals: Callable) -> list[float]:
     sums = KahanSum()
     total = KahanSum()
     blocks = 0
-    for paths, probs in iter_blocks(chain):
+    for paths, probs in outcome_blocks:
         stats = functionals(paths)
         sums.add(np.array([np.dot(probs, np.asarray(s, np.float64)) for s in stats]))
         total.add(float(np.sum(probs)))

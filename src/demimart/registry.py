@@ -37,7 +37,7 @@ from .monotone import (
     evaluate_prefixes,
     sample_battery,
 )
-from .oracle import fold_expectations
+from .oracle import fold_expectations, fold_terminal
 from .stopping import StoppingRule
 
 __all__ = [
@@ -129,6 +129,9 @@ class RegistryEntry:
     build: Callable[[Instance], CheckSet] | None = None
     direct: Callable[[Instance], list[tuple[CheckMeta, float, int]]] | None = None
     extra_checksets: Callable[[Instance], dict[str, CheckSet]] | None = None
+    # the main checkset reads only S_n = paths[:, -1], so both modes run it
+    # on the law of S_n alone: exact atoms, or sampled S_n as an (m, 1) matrix
+    terminal_only: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -825,6 +828,7 @@ def _entry_list() -> list[RegistryEntry]:
             "P(S_n >= t) <= exp(-t^2/(2(V_n + tC/3))), two-sided doubled",
             required_params=("t",),
             build=lambda inst: _build_bernstein(inst, "the concentration bound"),
+            terminal_only=True,
         ),
         RegistryEntry(
             "C4.10-exp-stopped",
@@ -873,6 +877,7 @@ def _entry_list() -> list[RegistryEntry]:
             "increment families",
             required_params=("t",),
             build=lambda inst: _build_bernstein(inst, "the associated-sum bound"),
+            terminal_only=True,
         ),
     ]
 
@@ -972,13 +977,15 @@ def _run_checkset(
     mode: str,
     paths: int,
     tolerance_z: float,
+    terminal_only: bool = False,
 ) -> tuple[VerificationReport, list[CheckResult]]:
     if mode == "exact":
         try:
             chain = gen.to_chain(inst.spec)
         except ValueError as exc:
             raise PreconditionError("mode", f"exact mode unavailable: {exc}") from exc
-        values = fold_expectations(chain, checkset.evaluate)
+        fold = fold_terminal if terminal_only else fold_expectations
+        values = fold(chain, checkset.evaluate)
         results = [
             _exact_result(v, meta, chain.outcome_count)
             for v, meta in zip(values, checkset.metas)
@@ -988,12 +995,13 @@ def _run_checkset(
         raise PreconditionError("mode", f"unknown mode {mode!r}")
     if paths < 1:
         raise PreconditionError("paths", "paths must be >= 1")
+    sample = _sample_terminal if terminal_only else gen.sample_paths
     acc = RunningStats()
     done = 0
     chunk_index = 0
     while done < paths:
         m = min(CHUNK_PATHS, paths - done)
-        block = gen.sample_paths(inst.spec, m, derive_stream(inst.seed, chunk_index))
+        block = sample(inst.spec, m, derive_stream(inst.seed, chunk_index))
         stats = checkset.evaluate(block)
         acc.update(stats)
         # release this chunk before the next one is drawn and evaluated
@@ -1005,6 +1013,10 @@ def _run_checkset(
         for mean, m2, meta in zip(acc.mean.tolist(), acc.m2.tolist(), checkset.metas)
     ]
     return _aggregate(theorem_id, results, exact=False), results
+
+
+def _sample_terminal(spec: gen.GeneratorSpec, m: int, rng) -> np.ndarray:
+    return gen.sample_final_sums(spec, m, rng)[:, None]
 
 
 def verify_detailed(
@@ -1046,7 +1058,7 @@ def verify_detailed(
 
     checkset = entry.build(inst)
     report, results = _run_checkset(
-        entry.theorem_id, inst, checkset, mode, paths, tolerance_z
+        entry.theorem_id, inst, checkset, mode, paths, tolerance_z, entry.terminal_only
     )
     extras: dict[str, VerificationReport] = {}
     if entry.extra_checksets is not None:

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -243,3 +244,27 @@ class TestSuiteCommand:
         assert main(["suite", str(d)]) == 3
         out = capsys.readouterr().out
         assert "PASS" in out and "ERROR" in out
+
+
+class TestShippedSuite:
+    """The shipped configs are the CI gate: their aggregate is pinned."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_aggregate_matches_golden(self, tmp_path, capsys):
+        out = tmp_path / "agg.json"
+        assert main(["suite", str(self.ROOT / "configs"), "--out", str(out)]) == 0
+        agg = json.loads(out.read_text())
+        for row in agg["experiments"]:
+            del row["runtime_ms"]
+        text = json.dumps(agg, sort_keys=True, indent=2) + "\n"
+        golden = (self.ROOT / "tests" / "data" / "suite_aggregate.json").read_text()
+        assert text == golden
+
+    def test_every_probe_fails(self, tmp_path, capsys):
+        probes = self.ROOT / "configs" / "probes"
+        out = tmp_path / "probes.json"
+        assert main(["suite", str(probes), "--out", str(out)]) == 1
+        rows = json.loads(out.read_text())["experiments"]
+        assert len(rows) == len(list(probes.glob("*.cfg"))) > 0
+        assert all(row["verdict"] == "FAIL" for row in rows), rows

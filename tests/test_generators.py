@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demimart.core import derive_stream
 from demimart.generators import (
@@ -21,6 +23,7 @@ from demimart.generators import (
     mean_s1,
     path_min_bound,
     rademacher,
+    sample_final_sums,
     sample_paths,
     shared_shock_spec,
     sigma_n_exact,
@@ -117,6 +120,26 @@ class TestSampling:
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(ValueError, match="PSD"):
             gaussian_assoc_spec(bad, 2)
+
+    @given(
+        st.integers(min_value=0, max_value=2**63),
+        st.integers(min_value=0, max_value=1000),
+        st.integers(min_value=1, max_value=150),
+        st.sampled_from(["rademacher", "bernoulli", "shock", "bernoulli shock"]),
+        st.sampled_from([0.0, 1.5]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_final_sums_equal_last_column(self, seed, chunk, n, family, offset):
+        """Same draws, same S_n: integer lattices sum exactly either way."""
+        law = bernoulli(0.3) if family.startswith("bernoulli") else rademacher()
+        if family.endswith("shock"):
+            spec = shared_shock_spec(law, rademacher(), n, offset=offset)
+        else:
+            spec = iid_spec(law, n, offset=offset)
+        paths = sample_paths(spec, 300, derive_stream(seed, chunk))
+        s_n = sample_final_sums(spec, 300, derive_stream(seed, chunk))
+        assert s_n.dtype == np.float64
+        assert np.array_equal(s_n, paths[:, -1])
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):

@@ -1,6 +1,7 @@
 """Exact enumeration: outcome spaces, probability conservation, linearity,
 and the defining projection statistic."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demimart.generators import (
+    DiscreteChainSpec,
     adversarial_spec,
     bernoulli,
     centered,
@@ -24,7 +26,9 @@ from demimart.oracle import (
     exact_demi_check,
     exact_expectation,
     fold_expectations,
+    fold_terminal,
     iter_blocks,
+    terminal_law,
 )
 
 
@@ -146,3 +150,68 @@ class TestDemiCheck:
             exact_demi_check(table, 0, f)
         with pytest.raises(ValueError):
             exact_demi_check(table, 3, f)
+
+
+_LAWS = st.one_of(
+    st.just(rademacher()),
+    st.one_of(st.just(0.5), st.floats(min_value=0.05, max_value=0.95)).map(bernoulli),
+)
+
+
+@st.composite
+def _lattice_specs(draw):
+    """iid or shared-shock lattice families, plain, centered or offset."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    laws = [draw(_LAWS)]
+    if draw(st.booleans()):
+        laws.append(draw(_LAWS))
+        spec = shared_shock_spec(laws[0], laws[1], n)
+    else:
+        spec = iid_spec(laws[0], n)
+    offset = draw(st.sampled_from([0.0, 2.5, -1.0 / 3.0]))
+    if draw(st.booleans()):
+        spec = centered(spec, offset=offset)
+    else:
+        spec = dataclasses.replace(spec, offset=offset)
+    return spec, all(law.p == 0.5 for law in laws)
+
+
+class TestTerminalLaw:
+    @given(_lattice_specs(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_fold_matches_enumeration(self, case, data):
+        spec, dyadic = case
+        chain = to_chain(spec)
+        values, probs = terminal_law(chain)
+        last = np.concatenate([paths[:, -1] for paths, _ in iter_blocks(chain)])
+        # the atoms are the enumerated S_n values, bit for bit
+        assert np.array_equal(values, np.unique(last))
+        assert np.all(probs > 0)
+        t = data.draw(st.sampled_from(values.tolist()))
+
+        def stats(p):
+            s_n = p[:, -1]
+            return [(s_n >= t).astype(float), (np.abs(s_n) >= abs(t)).astype(float)]
+
+        want = fold_expectations(chain, stats)
+        got = fold_terminal(chain, stats)
+        if dyadic:
+            assert got == want
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-14 * abs(w)
+
+    def test_shared_shock_closed_form(self):
+        # S_20 = B_20 + 20 W: P(S_20 >= 12) = (P(B >= -8) + P(B >= 32)) / 2
+        chain = to_chain(shared_shock_spec(rademacher(), rademacher(), 20))
+        (tail,) = fold_terminal(chain, lambda p: [(p[:, -1] >= 12).astype(float)])
+        hits = sum(math.comb(20, k) for k in range(20 + 1) if 2 * k - 20 >= -8)
+        assert tail == hits / 2**21
+
+    def test_non_integer_atom_rejected(self):
+        chain = DiscreteChainSpec(((-0.5, 0.5), (0.5, 0.5)), horizon=3)
+        with pytest.raises(ValueError, match="integer"):
+            terminal_law(chain)
+
+    def test_alternating_coupling_rejected(self):
+        with pytest.raises(ValueError, match="independent"):
+            terminal_law(to_chain(adversarial_spec(4)))

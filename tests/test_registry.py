@@ -207,6 +207,19 @@ class TestExactMonteCarloAgreement:
                 tol = 4.0 * mr.stats.stderr if mr.stats.stderr > 0 else 1e-12
                 assert abs(mr.stats.mean - er.stats.mean) <= tol, (tid, er.name)
 
+    def test_centered_lattice_ties_are_hits(self):
+        """S_n of a centered lattice family stays on its lattice, so S_n = t
+        counts as a hit (a step-by-step float sum lands ulps below t)."""
+        spec = centered(iid_spec(bernoulli(0.3), 10))
+        for t in (1.0, 2.0):
+            _, exact, _ = verify_detailed("T4.7", spec, params={"t": t}, mode="exact")
+            _, mc, _ = verify_detailed(
+                "T4.7", spec, params={"t": t}, mode="monte_carlo", paths=400_000, seed=5
+            )
+            for er, mr in zip(exact, mc):
+                assert er.stats.count == 2**10
+                assert abs(mr.stats.mean - er.stats.mean) <= 4.0 * mr.stats.stderr, (t, er.name)
+
     def test_mc_report_carries_z_margin(self):
         report = verify(
             "T3.3",
