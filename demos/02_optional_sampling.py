@@ -15,8 +15,9 @@ itself a regression check.
 Run: python demos/02_optional_sampling.py
 """
 
+import numpy as np
+
 from demimart import (
-    apply_stop,
     bernoulli,
     capped,
     first_passage_down,
@@ -29,9 +30,12 @@ from demimart import (
 SEED = 11
 
 print("one stopped path, step by step")
-view = apply_stop([-1.0, 0.0, 1.0, 2.0, 1.0], first_passage_up(1.0))
-print(f"  path (-1, 0, 1, 2, 1), stop at first S_k >= 1: tau = {view.tau}, "
-      f"frozen sequence = {view.stopped_sequence.tolist()}\n")
+path = np.array([-1.0, 0.0, 1.0, 2.0, 1.0])
+tau = first_passage_up(1.0).tau(path)
+frozen = path.copy()
+frozen[tau:] = path[tau - 1]  # S_(tau ^ k): held at S_tau from step tau on
+print(f"  path (-1, 0, 1, 2, 1), stop at first S_k >= 1: tau = {tau}, "
+      f"frozen sequence = {frozen.tolist()}\n")
 
 cases = [
     ("T3.1", "symmetric walk, capped up-crossing: E S_tau <= E S_1",

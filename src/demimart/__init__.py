@@ -18,8 +18,6 @@ from .asymptotics import (
     ratio_cubed_decreasing,
 )
 from .bounds import (
-    BernsteinInput,
-    WaldInput,
     bernstein_tail,
     doob_max_bound,
     h1,
@@ -35,8 +33,6 @@ from .core import (
     FAIL,
     INCONCLUSIVE,
     PASS,
-    ProcessEnsemble,
-    ProcessPath,
     SummaryStats,
     VerificationReport,
     derive_stream,
@@ -73,13 +69,7 @@ from .monotone import (
     evaluate_batch,
     sample_battery,
 )
-from .oracle import (
-    OutcomeTable,
-    enumerate_table,
-    exact_demi_check,
-    exact_expectation,
-    fold_expectations,
-)
+from .oracle import fold_expectations
 from .registry import (
     CheckResult,
     PreconditionError,
@@ -91,9 +81,7 @@ from .registry import (
 )
 from .stopping import (
     NOT_STOPPED,
-    StoppedView,
     StoppingRule,
-    apply_stop,
     capped,
     deterministic,
     first_passage_down,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import generators as gen
 from .bounds import bernstein_tail
-from .core import CHUNK_PATHS, DEFAULT_TOLERANCE_Z, RunningStats, derive_stream
+from .core import DEFAULT_TOLERANCE_Z, RunningStats, iter_chunks
 from .oracle import fold_terminal
 
 __all__ = [
@@ -99,17 +99,6 @@ def _with_horizon(spec: gen.GeneratorSpec, n: int) -> gen.GeneratorSpec:
     return replace(spec, horizon=n)
 
 
-def _final_sum_chunks(spec: gen.GeneratorSpec, paths: int, seed: int, chunk_base: int):
-    """Yield sampled S_n chunk by chunk (no path matrix is built)."""
-    done = 0
-    chunk = 0
-    while done < paths:
-        m = min(CHUNK_PATHS, paths - done)
-        yield gen.sample_final_sums(spec, m, derive_stream(seed, chunk_base + chunk))
-        done += m
-        chunk += 1
-
-
 def clt_diagnose(
     spec: gen.GeneratorSpec, n_grid, paths: int, seed: int
 ) -> list[CltDiagnostics]:
@@ -126,7 +115,8 @@ def clt_diagnose(
     diags = []
     for i, n in enumerate(n_grid):
         sub = _with_horizon(spec, n)
-        s_n = np.concatenate(list(_final_sum_chunks(sub, paths, seed, chunk_base=i << 32)))
+        chunks = iter_chunks(gen.sample_final_sums, sub, paths, seed, chunk_base=i << 32)
+        s_n = np.concatenate(list(chunks))
         sigma = gen.sigma_n_exact(sub)
         sigma_exact = sigma is not None
         if sigma is None:
@@ -269,7 +259,7 @@ def _tail_probability(
         )
         return float(value), 0.0, True
     rs = RunningStats()
-    for s_n in _final_sum_chunks(spec, paths, seed, chunk_base):
+    for s_n in iter_chunks(gen.sample_final_sums, spec, paths, seed, chunk_base):
         rs.update((np.abs(s_n) >= threshold).astype(np.float64))
     stats = rs.to_summary()
     return stats.mean, stats.stderr, False

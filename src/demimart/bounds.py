@@ -1,5 +1,5 @@
 """Closed-form bound evaluators: exponential-moment lemmas, maximal and
-Bernstein-type tail bounds, moment bounds, and Wald-type inputs.
+Bernstein-type tail bounds, and moment bounds.
 
 Every evaluator accepts scalars or numpy arrays and raises ValueError on
 domain violations.  The grid checks in the registry lean on these being
@@ -9,13 +9,10 @@ numerically stable, so the algebra below prefers cancellation-free forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "BernsteinInput",
-    "WaldInput",
     "bernstein_tail",
     "doob_max_bound",
     "h1",
@@ -26,7 +23,6 @@ __all__ = [
     "phi",
     "phi_bound",
     "psi_sup",
-    "verify_registry",
 ]
 
 
@@ -96,26 +92,6 @@ def psi_sup(t, V_n, C):
     return _ret(9.0 * V_n / (C * C) * h1(C * arr / (3.0 * V_n)), scalar)
 
 
-@dataclass(frozen=True)
-class BernsteinInput:
-    """Inputs of the exponential tail bound for bounded-increment processes.
-
-    V_n is the cumulative increment second moment sum_i E (S_i - S_{i-1})^2
-    and C the almost-sure increment bound.
-    """
-
-    t: float
-    V_n: float
-    C: float
-    n: int
-
-    def __post_init__(self):
-        if self.t <= 0 or self.V_n <= 0 or self.C <= 0:
-            raise ValueError("t, V_n, C must be positive")
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-
-
 def bernstein_tail(t, V_n, C, two_sided: bool = False):
     """exp(-t^2 / (2 (V_n + t C / 3))); the two-sided variant doubles it."""
     arr, scalar = _as_array(t)
@@ -152,42 +128,3 @@ def moment_bound(p: float, V_n: float) -> float:
     if p <= 0 or V_n <= 0:
         raise ValueError("p and V_n must be positive")
     return 2.0**p * p * V_n ** (p / 2.0) * math.gamma(p / 2.0)
-
-
-@dataclass(frozen=True)
-class WaldInput:
-    """Moments feeding the random-sum inequalities.
-
-    psi is the per-step log moment generating function value at theta; it is
-    nonnegative whenever the step mean is nonnegative (Jensen).
-    """
-
-    mu1: float
-    m2: float
-    E_tau: float
-    theta: float = 1.0
-    psi: float = 0.0
-
-    def __post_init__(self):
-        if self.m2 < self.mu1 * self.mu1 - 1e-15:
-            raise ValueError("m2 must dominate mu1^2")
-        if self.E_tau <= 0:
-            raise ValueError("E_tau must be positive")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
-
-
-def verify_registry(theorem_id: str, *args, **kwargs):
-    """Run one of the bound/concentration registry entries owned here.
-
-    Accepted ids: T4.1-doob-max, C4.3-lp-max, L4.4/L4.6-lemma-grid, L4.5-mgf,
-    T4.7-bernstein, C4.10-exp-stopped, C5.2/C5.3-wald-first, C5.4-wald-second,
-    C5.5-wald-exp, T5.6-bernstein-assoc (short aliases work too).  Delegates
-    to the shared registry driver.
-    """
-    from . import registry
-
-    entry = registry.lookup(theorem_id)
-    if entry.owner != "bounds":
-        raise ValueError(f"{theorem_id!r} is not owned by the bounds module")
-    return registry.verify(theorem_id, *args, **kwargs)

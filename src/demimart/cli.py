@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, bounds, generators as gen, oracle, registry
-from .core import CHUNK_PATHS, DEFAULT_TOLERANCE_Z, FAIL, INCONCLUSIVE, PASS, derive_stream
+from .core import DEFAULT_TOLERANCE_Z, FAIL, INCONCLUSIVE, PASS, iter_chunks
 from .registry import PreconditionError
 from .stopping import StoppingRule, capped, deterministic, first_passage_down, first_passage_up
 
@@ -318,17 +318,12 @@ def _load_config(path: str, args) -> ExperimentConfig:
 
 def _dump_paths_csv(spec: gen.GeneratorSpec, n_paths: int, seed: int, out) -> None:
     out.write("path_id,step,value\n")
-    done = 0
-    chunk = 0
-    while done < n_paths:
-        m = min(CHUNK_PATHS, n_paths - done)
-        block = gen.sample_paths(spec, m, derive_stream(seed, chunk))
-        for i in range(m):
-            pid = done + i
-            for step in range(block.shape[1]):
-                out.write(f"{pid},{step + 1},{_fmt(block[i, step])}\n")
-        done += m
-        chunk += 1
+    pid = 0
+    for block in iter_chunks(gen.sample_paths, spec, n_paths, seed):
+        for row in block:
+            for step, value in enumerate(row, start=1):
+                out.write(f"{pid},{step},{_fmt(value)}\n")
+            pid += 1
 
 
 def _cmd_verify(args, forced_theorem: str | None = None) -> int:
@@ -374,11 +369,11 @@ def _cmd_gen(args) -> int:
         else:
             _dump_paths_csv(spec, config.paths, config.seed, sys.stdout)
         return 0
-    ens = gen.generate(spec, config.paths, config.seed)
-    s_n = ens.values[:, -1]
-    print(f"generator_id: {ens.generator_id}")
-    print(f"paths: {ens.n_paths}")
-    print(f"horizon: {ens.horizon}")
+    paths = gen.generate(spec, config.paths, config.seed)
+    s_n = paths[:, -1]
+    print(f"generator_id: {spec.generator_id}")
+    print(f"paths: {paths.shape[0]}")
+    print(f"horizon: {paths.shape[1]}")
     print(f"E[S_n]: {_fmt(s_n.mean())} +- {_fmt(s_n.std(ddof=1) / math.sqrt(len(s_n)))}")
     try:
         print(f"V_n (exact): {_fmt(gen.v_n(spec))}")
@@ -396,14 +391,14 @@ def _cmd_stop(args) -> int:
         rule = build_rule(config.stopping)
     except PreconditionError as exc:
         return _error_exit(exc)
-    ens = gen.generate(spec, config.paths, config.seed)
-    tau = rule.tau_batch(ens.values)
+    paths = gen.generate(spec, config.paths, config.seed)
+    tau = rule.tau_batch(paths)
     stopped = tau != -1
     print(f"rule: {rule.label}")
     print(f"P(stopped): {_fmt(stopped.mean())}")
     if stopped.any():
         t = tau[stopped]
-        s_tau = ens.values[np.flatnonzero(stopped), t - 1]
+        s_tau = paths[np.flatnonzero(stopped), t - 1]
         print(f"E[tau | stopped]: {_fmt(t.mean())}")
         print(f"E[S_tau | stopped]: {_fmt(s_tau.mean())}")
     return 0
@@ -465,26 +460,23 @@ def _cmd_oracle(args) -> int:
         return _error_exit(exc)
     except ValueError as exc:
         return _error_exit(PreconditionError("generator", str(exc)))
-    stats = oracle.fold_expectations(
-        chain,
-        lambda p: [
-            p[:, -1],
-            np.abs(p[:, -1]),
-            p[:, -1] ** 2,
-            np.ones(p.shape[0]),
-        ],
-    )
+    t = float(config.params["t"]) if "t" in config.params else None
+
+    def moments(p: np.ndarray) -> list[np.ndarray]:
+        s_n = p[:, -1]
+        rows = [s_n, np.abs(s_n), s_n**2, np.ones(p.shape[0])]
+        if t is not None:
+            rows.append((s_n >= t).astype(np.float64))
+        return rows
+
+    stats = oracle.fold_expectations(chain, moments)
     print(f"outcomes: {chain.outcome_count}")
     print(f"total_probability: {_fmt(stats[3])}")
     print(f"E[S_n]: {_fmt(stats[0])}")
     print(f"E[|S_n|]: {_fmt(stats[1])}")
     print(f"E[S_n^2]: {_fmt(stats[2])}")
-    if "t" in config.params:
-        t = float(config.params["t"])
-        (tail,) = oracle.fold_expectations(
-            chain, lambda p: [(p[:, -1] >= t).astype(np.float64)]
-        )
-        print(f"P(S_n >= {_fmt(t)}): {_fmt(tail)}")
+    if t is not None:
+        print(f"P(S_n >= {_fmt(t)}): {_fmt(stats[4])}")
     return 0
 
 

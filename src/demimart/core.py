@@ -1,4 +1,5 @@
-"""Shared domain types, the randomness contract, and summary statistics.
+"""Shared domain types, the randomness contract with its one chunk loop, and
+summary statistics.
 
 Everything downstream works with partial-sum paths S_1..S_n under the global
 convention S_0 = 0 (S_0 is never stored; increment computations prepend it).
@@ -8,7 +9,7 @@ All types are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +20,11 @@ __all__ = [
     "FAIL",
     "INCONCLUSIVE",
     "PASS",
-    "ProcessEnsemble",
-    "ProcessPath",
     "RunningStats",
     "SummaryStats",
     "VerificationReport",
     "derive_stream",
+    "iter_chunks",
     "summarize",
 ]
 
@@ -59,6 +59,20 @@ def derive_stream(master_seed: int, chunk_index: int) -> np.random.Generator:
         entropy=int(master_seed) & _MASK64, spawn_key=(int(chunk_index),)
     )
     return np.random.Generator(np.random.Philox(seq))
+
+
+def iter_chunks(sample, spec, paths: int, seed: int, chunk_base: int = 0):
+    """Yield ``sample(spec, m, derive_stream(seed, chunk_base + k))`` for
+    chunk k = 0, 1, ... of ``paths`` paths, CHUNK_PATHS at a time.
+
+    This is the one Monte-Carlo chunk loop: every sampled value depends only
+    on (seed, chunk_base + k) and its row in the chunk, so any two callers
+    that walk the same paths see the same draws.  Each chunk is yielded
+    without a reference kept here, so a caller that drops it frees it before
+    the next chunk is drawn.
+    """
+    for k, lo in enumerate(range(0, paths, CHUNK_PATHS)):
+        yield sample(spec, min(CHUNK_PATHS, paths - lo), derive_stream(seed, chunk_base + k))
 
 
 @dataclass(frozen=True)
@@ -158,63 +172,6 @@ class RunningStats:
         return SummaryStats(
             mean=self.mean, stderr=math.sqrt(var / self.count), count=self.count
         )
-
-
-@dataclass(frozen=True)
-class ProcessPath:
-    """One sampled trajectory S_1..S_n (S_0 = 0 by convention, never stored)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("path must be a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("path values must be finite")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def horizon(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def increments(self) -> np.ndarray:
-        """X_i = S_i - S_{i-1} with the prepended S_0 = 0."""
-        return np.diff(self.values, prepend=0.0)
-
-
-@dataclass(frozen=True)
-class ProcessEnsemble:
-    """A set of equal-horizon paths stored as one (paths, horizon) matrix.
-
-    Regenerating with the same seed and generator_id reproduces the matrix
-    bit for bit.
-    """
-
-    values: np.ndarray
-    seed: int
-    generator_id: str
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise ValueError("ensemble must be a nonempty (paths, horizon) matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("ensemble values must be finite")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def n_paths(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def horizon(self) -> int:
-        return int(self.values.shape[1])
-
-    @property
-    def paths(self) -> list[ProcessPath]:
-        return [ProcessPath(row) for row in self.values]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CHUNK_PATHS, ProcessEnsemble, derive_stream
+from .core import iter_chunks
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -363,9 +363,17 @@ def _inner_step_mean(inner: GeneratorSpec) -> float:
 
 
 def sample_paths(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an (n_paths, horizon) matrix of partial-sum paths S_1..S_n."""
-    inc = sample_increments(spec, n_paths, rng)
-    s = np.cumsum(inc, axis=1, dtype=np.float64)
+    """Draw an (n_paths, horizon) matrix of partial-sum paths S_1..S_n.
+
+    A centered family sums the inner draws first and then subtracts i * mean,
+    as the exact oracle does, so lattice paths stay exactly on their shifted
+    lattice (summing x - mean step by step drifts off it by ulps).
+    """
+    if spec.family == "centered_partial_sum":
+        s = sample_paths(spec.inner, n_paths, rng)
+        s -= _inner_step_mean(spec.inner) * np.arange(1, spec.horizon + 1)
+    else:
+        s = np.cumsum(sample_increments(spec, n_paths, rng), axis=1, dtype=np.float64)
     if spec.offset:
         s += spec.offset
     return s
@@ -396,17 +404,12 @@ def sample_final_sums(spec: GeneratorSpec, n_paths: int, rng: np.random.Generato
     return s
 
 
-def generate(spec: GeneratorSpec, n_paths: int, seed: int) -> ProcessEnsemble:
-    """Materialize an ensemble; chunked so values depend only on (seed, index)."""
+def generate(spec: GeneratorSpec, n_paths: int, seed: int) -> np.ndarray:
+    """The (n_paths, horizon) path matrix of ``sample_paths`` over the chunks
+    of ``iter_chunks``, so values depend only on (seed, path index)."""
     if n_paths < 1:
         raise ValueError("paths must be >= 1")
-    blocks = []
-    for chunk, lo in enumerate(range(0, n_paths, CHUNK_PATHS)):
-        m = min(CHUNK_PATHS, n_paths - lo)
-        blocks.append(sample_paths(spec, m, derive_stream(seed, chunk)))
-    return ProcessEnsemble(
-        values=np.vstack(blocks), seed=int(seed), generator_id=spec.generator_id
-    )
+    return np.vstack(list(iter_chunks(sample_paths, spec, n_paths, seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +417,8 @@ def generate(spec: GeneratorSpec, n_paths: int, seed: int) -> ProcessEnsemble:
 # ---------------------------------------------------------------------------
 
 
-def _step_mean(spec: GeneratorSpec) -> float:
-    """E X_i for steps i >= 2 (identical across those steps in every family)."""
+def step_mean(spec: GeneratorSpec) -> float:
+    """E X_i for steps i >= 2 (the start offset rides on step 1 only)."""
     if spec.family == "centered_partial_sum":
         return 0.0
     if spec.family == "adversarial_sign_flip":
@@ -423,7 +426,7 @@ def _step_mean(spec: GeneratorSpec) -> float:
     return _inner_step_mean(spec)
 
 
-def _step_second_moment(spec: GeneratorSpec) -> float:
+def step_second_moment(spec: GeneratorSpec) -> float:
     """E X_i^2 for steps i >= 2."""
     if spec.family == "iid":
         return spec.law.second_moment
@@ -443,7 +446,7 @@ def _step_second_moment(spec: GeneratorSpec) -> float:
         raise ValueError("gaussian_assoc has per-step second moments; use v_n")
     if spec.family == "centered_partial_sum":
         mu = _inner_step_mean(spec.inner)
-        return _step_second_moment(spec.inner) - mu * mu
+        return step_second_moment(spec.inner) - mu * mu
     if spec.family == "adversarial_sign_flip":
         return spec.law.second_moment
     raise AssertionError(spec.family)
@@ -460,11 +463,11 @@ def v_n(spec: GeneratorSpec) -> float:
         base = float(np.trace(spec.covariance))
         first_extra = spec.offset * spec.offset  # Gaussian steps are mean zero
         return base + first_extra
-    m2 = _step_second_moment(spec)
+    m2 = step_second_moment(spec)
     if spec.family == "adversarial_sign_flip":
         mu_first = spec.law.mean
     else:
-        mu_first = _step_mean(spec)
+        mu_first = step_mean(spec)
     first = m2 + 2.0 * spec.offset * mu_first + spec.offset * spec.offset
     return first + (n - 1) * m2
 
@@ -493,25 +496,15 @@ def sigma_n_exact(spec: GeneratorSpec) -> float | None:
     if spec.family in ("centered_partial_sum", "gaussian_assoc"):
         mean_sn = spec.offset
     else:
-        mean_sn = spec.offset + spec.horizon * _step_mean(spec)
+        mean_sn = spec.offset + spec.horizon * step_mean(spec)
     return math.sqrt(mean_sn * mean_sn + var)
-
-
-def step_mean(spec: GeneratorSpec) -> float:
-    """E X_i for steps i >= 2 (the start offset rides on step 1 only)."""
-    return _step_mean(spec)
-
-
-def step_second_moment(spec: GeneratorSpec) -> float:
-    """E X_i^2 for steps i >= 2."""
-    return _step_second_moment(spec)
 
 
 def mean_s1(spec: GeneratorSpec) -> float:
     """E S_1 = offset + E X_1."""
     if spec.family == "adversarial_sign_flip":
         return spec.offset + spec.law.mean
-    return spec.offset + _step_mean(spec)
+    return spec.offset + step_mean(spec)
 
 
 def step_log_mgf(spec: GeneratorSpec, theta: float) -> float:
@@ -621,7 +614,7 @@ def classify(spec: GeneratorSpec) -> StructuralClass:
     if spec.family == "adversarial_sign_flip":
         mean_zero = spec.law.mean == 0.0 and spec.offset == 0.0
         return StructuralClass(False, False, False, mean_zero, False)
-    mu = _step_mean(spec)
+    mu = step_mean(spec)
     # The offset rides on step 1 only: it breaks identical distribution of
     # increments and shifts E S_n, but not association or step-mean signs.
     if spec.family == "gaussian_assoc":

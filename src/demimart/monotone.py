@@ -254,7 +254,7 @@ def certify_indicator_monotonicity(
 
     Built-in rules whose indicator is monotone by construction short-circuit
     to CERTIFIED_BY_CONSTRUCTION; everything else is probed on the supplied
-    ensemble.
+    (paths, horizon) matrix.
     """
     if direction not in ("nondecreasing", "nonincreasing"):
         raise ValueError("direction must be nondecreasing or nonincreasing")
@@ -263,8 +263,7 @@ def certify_indicator_monotonicity(
     if rule.has_analytic_certificate(direction, target):
         return MonotonicityCertificate(status=CERTIFIED_BY_CONSTRUCTION)
 
-    paths = probe_paths.values if hasattr(probe_paths, "values") else np.asarray(probe_paths)
-    paths = np.asarray(paths, dtype=np.float64)
+    paths = np.asarray(probe_paths, dtype=np.float64)
     m, n = paths.shape
     rng = derive_stream(seed, 0)
     bound = rule.bound() or n

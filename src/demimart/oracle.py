@@ -3,38 +3,27 @@
 Ground truth for every Monte-Carlo check: expectations, tail probabilities,
 and the defining projection statistic are computed by walking the full
 product space of increment outcomes.  Enumeration streams fixed-size blocks
-(no full outcome list is materialized above the block cap) and combines
-probabilities with Kahan-compensated summation.  Statistics of S_n alone
-fold over the law of S_n instead, convolved from the integer step law.
+(no full outcome list is ever materialized) and combines probabilities with
+Kahan-compensated summation.  Statistics of S_n alone fold over the law of
+S_n instead, convolved from the integer step law.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import ProcessPath
 from .generators import DiscreteChainSpec
-from .monotone import MonotoneTestFunction, evaluate_batch
 
 __all__ = [
-    "MATERIALIZE_CAP",
     "KahanSum",
-    "OutcomeTable",
-    "enumerate_table",
-    "exact_demi_check",
-    "exact_expectation",
     "fold_expectations",
     "fold_terminal",
     "iter_blocks",
     "terminal_law",
 ]
-
-# Outcome tables above this size are never materialized; use fold_expectations.
-MATERIALIZE_CAP = 1 << 20
 
 _BLOCK = 1 << 16
 
@@ -54,30 +43,6 @@ class KahanSum:
         t = self.total + y
         self._c = (t - self.total) - y
         self.total = t
-
-
-@dataclass(frozen=True)
-class OutcomeTable:
-    """Materialized outcome space: path matrix, per-outcome probabilities."""
-
-    values: np.ndarray  # (outcomes, horizon)
-    probabilities: np.ndarray  # (outcomes,)
-    total_probability: float
-
-    @property
-    def outcome_count(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def horizon(self) -> int:
-        return int(self.values.shape[1])
-
-    @property
-    def outcomes(self) -> list[tuple[ProcessPath, float]]:
-        return [
-            (ProcessPath(row), float(p))
-            for row, p in zip(self.values, self.probabilities)
-        ]
 
 
 def iter_blocks(
@@ -117,50 +82,9 @@ def iter_blocks(
             yield paths, p
 
 
-def enumerate_table(chain: DiscreteChainSpec) -> OutcomeTable:
-    """Materialize the full outcome space (small chains only).
-
-    Raises when the chain needs more than MATERIALIZE_CAP outcomes; larger
-    (still capped) chains must go through the streaming fold.
-    """
-    if chain.outcome_count > MATERIALIZE_CAP:
-        raise ValueError(
-            f"chain requires {chain.outcome_count} outcomes; "
-            f"materialization cap is {MATERIALIZE_CAP}, use fold_expectations"
-        )
-    paths_blocks, prob_blocks = [], []
-    for paths, probs in iter_blocks(chain):
-        paths_blocks.append(paths)
-        prob_blocks.append(probs)
-    values = np.vstack(paths_blocks)
-    probabilities = np.concatenate(prob_blocks)
-    total = math.fsum(probabilities.tolist()) if probabilities.size < 4096 else None
-    if total is None:
-        acc = KahanSum()
-        for p in prob_blocks:
-            acc.add(float(np.sum(p)))
-        total = acc.total
-    _check_total(total)
-    return OutcomeTable(
-        values=values, probabilities=probabilities, total_probability=total
-    )
-
-
 def _check_total(total: float) -> None:
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
-
-
-def exact_expectation(table: OutcomeTable, functional: Callable) -> float:
-    """Sum of probability * functional(path) over every outcome.
-
-    ``functional`` takes the (outcomes, horizon) path matrix and returns one
-    value per row, so the same statistic code serves sampling and exact runs.
-    """
-    stat = np.asarray(functional(table.values), dtype=np.float64)
-    if stat.shape != (table.outcome_count,):
-        raise ValueError("functional must return one value per outcome")
-    return float(np.dot(table.probabilities, stat))
 
 
 def _integer_atoms(support) -> list[tuple[int, float]]:
@@ -241,17 +165,3 @@ def _fold(outcome_blocks, functionals: Callable) -> list[float]:
         raise ValueError("chain produced no outcomes")
     _check_total(total.total)
     return sums.total.tolist()
-
-
-def exact_demi_check(table: OutcomeTable, j: int, f: MonotoneTestFunction) -> float:
-    """Exact value of E[(S_{j+1} - S_j) f(S_1..S_j)].
-
-    The sign decides the defining inequality at this (j, f): nonnegative for
-    a demimartingale against any nondecreasing f, and for a demisubmartingale
-    against nonnegative nondecreasing f.
-    """
-    if not 1 <= j < table.horizon:
-        raise ValueError("j must satisfy 1 <= j < horizon")
-    step = table.values[:, j] - table.values[:, j - 1]
-    fvals = evaluate_batch(f, table.values[:, :j])
-    return float(np.dot(table.probabilities, step * fvals))

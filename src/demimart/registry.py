@@ -20,7 +20,6 @@ import numpy as np
 from . import bounds as bnd
 from . import generators as gen
 from .core import (
-    CHUNK_PATHS,
     DEFAULT_TOLERANCE_Z,
     EXACT_REL_EPS,
     FAIL,
@@ -30,6 +29,7 @@ from .core import (
     SummaryStats,
     VerificationReport,
     derive_stream,
+    iter_chunks,
 )
 from .monotone import (
     COUNTEREXAMPLE,
@@ -119,7 +119,6 @@ class Instance:
 class RegistryEntry:
     theorem_id: str
     aliases: tuple[str, ...]
-    owner: str  # generators | stopping | bounds
     summary: str
     needs_generator: bool = True
     needs_rule: bool = False
@@ -257,7 +256,7 @@ def _build_definition(inst: Instance, nonneg: bool) -> CheckSet:
 
 
 # ---------------------------------------------------------------------------
-# Entry builders: optional sampling (owner: stopping)
+# Entry builders: optional sampling
 # ---------------------------------------------------------------------------
 
 
@@ -448,7 +447,7 @@ def _build_l51(inst: Instance) -> CheckSet:
 
 
 # ---------------------------------------------------------------------------
-# Entry builders: maximal / concentration / random-sum (owner: bounds)
+# Entry builders: maximal / concentration / random-sum
 # ---------------------------------------------------------------------------
 
 
@@ -701,7 +700,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "Def1.2-demi",
             ("Def1.2", "check-demi"),
-            "generators",
             "E[(S_{j+1}-S_j) f(S_1..S_j)] >= 0 for every battery f and j < n "
             "(mean-zero / demimartingale variant)",
             build=lambda inst: _build_definition(inst, nonneg=False),
@@ -709,7 +707,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "Def1.2-demisub",
             (),
-            "generators",
             "same projection statistic over the nonnegative battery "
             "(demisubmartingale variant)",
             build=lambda inst: _build_definition(inst, nonneg=True),
@@ -717,7 +714,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "T1.4-order",
             ("T1.4",),
-            "stopping",
             "E S_(tau^m) <= E S_(tau^n) <= E S_1 for nondecreasing indicators on "
             "demimartingales; reversed for nonincreasing on demisubmartingales",
             needs_rule=True,
@@ -727,7 +723,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "T2.1-stopped-pair",
             ("T2.1",),
-            "stopping",
             "bounded tau with nondecreasing I{tau=k}: E[(S_M - S_tau) f(S_tau)] >= 0 "
             "over the nonnegative battery (includes E S_tau <= E S_M)",
             needs_rule=True,
@@ -736,7 +731,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "C2.2-stop-vs-fixed",
             ("C2.2",),
-            "stopping",
             "E S_(tau^j) <= E S_j for every j",
             needs_rule=True,
             build=_build_c22,
@@ -744,7 +738,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "T2.3-two-stops",
             ("T2.3",),
-            "stopping",
             "tau1 <= tau2 with nondecreasing I{tau1=j}: "
             "E[(S_tau2 - S_tau1) g(S_tau1)] >= 0 over the nonnegative battery",
             needs_rule=True,
@@ -754,7 +747,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "T3.1-OST-upper",
             ("T3.1",),
-            "stopping",
             "demimartingale, nondecreasing indicator, finite tau: E S_tau <= E S_1",
             needs_rule=True,
             build=_build_t31,
@@ -762,7 +754,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "T3.2-OST-nonneg",
             ("T3.2",),
-            "stopping",
             "nonnegative demimartingale, finite tau: E S_tau <= E S_1",
             needs_rule=True,
             build=_build_t32,
@@ -770,7 +761,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "T3.3-OST-lower",
             ("T3.3",),
-            "stopping",
             "demisubmartingale, nonincreasing indicator: E S_tau >= E S_1",
             needs_rule=True,
             build=_build_t33,
@@ -778,7 +768,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "L5.1-ui-proxy",
             ("L5.1",),
-            "stopping",
             "E|S_(tau^n)| <= M E(tau^n) <= M E tau for every n "
             "(bounded increments, finite E tau)",
             needs_rule=True,
@@ -787,7 +776,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "T4.1-doob-max",
             ("T4.1",),
-            "bounds",
             "P(max_{i<=j} S_i >= lambda) <= E S_1 / lambda",
             needs_rule=False,
             required_params=("lambda",),
@@ -796,7 +784,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "C4.3-lp-max",
             ("C4.3",),
-            "bounds",
             "E (max_{i<=j} S_i)^p <= p E S_1 / ((1-p) M^{1-p}) for S >= M > 0, p < 1",
             needs_rule=False,
             required_params=("p",),
@@ -805,7 +792,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "L4.4/L4.6-lemma-grid",
             ("L4.4", "L4.6", "L4.4/L4.6"),
-            "bounds",
             "grid check: phi <= phi_bound on (0,3); h1 >= h1_lower on [0,1e3]; "
             "psi_sup >= t^2/(2(V+tC/3)) on random positive triples",
             needs_generator=False,
@@ -815,7 +801,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "L4.5-mgf",
             ("L4.5",),
-            "bounds",
             "exact step log-MGF <= lambda^2 EX^2 / (2(1 - lambda C/3)) on a "
             "lambda grid in (0, 3/C)",
             exact_only=True,
@@ -824,7 +809,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "T4.7-bernstein",
             ("T4.7",),
-            "bounds",
             "P(S_n >= t) <= exp(-t^2/(2(V_n + tC/3))), two-sided doubled",
             required_params=("t",),
             build=lambda inst: _build_bernstein(inst, "the concentration bound"),
@@ -833,7 +817,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "C4.10-exp-stopped",
             ("C4.10",),
-            "bounds",
             "E[exp(theta S_tau - H(tau))] <= 1 for nondecreasing indicators "
             "(>= 1 for nonincreasing), H(k) = h_slope k",
             needs_rule=True,
@@ -844,7 +827,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "C5.2/C5.3-wald-first",
             ("C5.2", "C5.3", "C5.2/C5.3"),
-            "bounds",
             "E S_tau >= E X_1 E tau for nonincreasing indicators "
             "(<= for nondecreasing with bounded tau)",
             needs_rule=True,
@@ -853,7 +835,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "C5.4-wald-second",
             ("C5.4",),
-            "bounds",
             "E S_tau^2 >= (<=) E X_1^2 E tau for nonnegative identically "
             "distributed associated increments, bounded tau",
             needs_rule=True,
@@ -862,7 +843,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "C5.5-wald-exp",
             ("C5.5",),
-            "bounds",
             "E[exp(theta S_tau - sum_{i<=tau} psi(theta))] >= (<=) 1 with "
             "psi = log E e^{theta X}",
             needs_rule=True,
@@ -872,7 +852,6 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "T5.6-bernstein-assoc",
             ("T5.6",),
-            "bounds",
             "the concentration bound restricted to mean-zero associated "
             "increment families",
             required_params=("t",),
@@ -997,17 +976,11 @@ def _run_checkset(
         raise PreconditionError("paths", "paths must be >= 1")
     sample = _sample_terminal if terminal_only else gen.sample_paths
     acc = RunningStats()
-    done = 0
-    chunk_index = 0
-    while done < paths:
-        m = min(CHUNK_PATHS, paths - done)
-        block = sample(inst.spec, m, derive_stream(inst.seed, chunk_index))
+    for block in iter_chunks(sample, inst.spec, paths, inst.seed):
         stats = checkset.evaluate(block)
         acc.update(stats)
         # release this chunk before the next one is drawn and evaluated
         del block, stats
-        done += m
-        chunk_index += 1
     results = [
         _mc_result(RunningStats(acc.count, mean, m2), meta, tolerance_z, paths)
         for mean, m2, meta in zip(acc.mean.tolist(), acc.m2.tolist(), checkset.metas)

@@ -1,4 +1,4 @@
-"""Stopping rules and stopped-process construction.
+"""Stopping rules: first passage, deterministic, capped and user-defined.
 
 A rule maps a path to the first step at which it triggers; NOT_STOPPED (None
 in the scalar API, -1 in batch arrays) means the rule never fired within the
@@ -15,13 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ProcessPath
-
 __all__ = [
     "NOT_STOPPED",
-    "StoppedView",
     "StoppingRule",
-    "apply_stop",
     "capped",
     "deterministic",
     "first_passage_down",
@@ -119,8 +115,8 @@ class StoppingRule:
         return tau
 
     def tau(self, path) -> int | None:
-        values = path.values if isinstance(path, ProcessPath) else np.asarray(path)
-        t = int(self.tau_batch(np.asarray(values, dtype=np.float64)[None, :])[0])
+        """First triggering step of one path S_1..S_n; None if it never fires."""
+        t = int(self.tau_batch(np.asarray(path, dtype=np.float64)[None, :])[0])
         return None if t == -1 else t
 
     # -- structure ----------------------------------------------------------
@@ -240,39 +236,3 @@ def jump_if_high(watch_step: int, threshold: float, early: int, late: int) -> St
         user_bound=late,
         label=f"jump_if_high(S_{watch_step}>={threshold!r};{early}|{late})",
     )
-
-
-@dataclass(frozen=True)
-class StoppedView:
-    """tau, the stopped value, and the frozen sequence S_{tau ^ 1}..S_{tau ^ n}."""
-
-    tau: int | None
-    s_tau: float | None
-    stopped_sequence: np.ndarray
-
-
-def apply_stop(path, rule: StoppingRule) -> StoppedView:
-    """Stop one path: the sequence is frozen at its value from tau onwards."""
-    values = path.values if isinstance(path, ProcessPath) else np.asarray(path, dtype=np.float64)
-    t = rule.tau(values)
-    if t is None:
-        return StoppedView(tau=None, s_tau=None, stopped_sequence=values.copy())
-    seq = values.copy()
-    seq[t:] = values[t - 1]
-    return StoppedView(tau=t, s_tau=float(values[t - 1]), stopped_sequence=seq)
-
-
-def verify_registry(theorem_id: str, *args, **kwargs):
-    """Run one of the optional-sampling registry entries owned here.
-
-    Accepted ids: T1.4-order, T2.1-stopped-pair, C2.2-stop-vs-fixed,
-    T2.3-two-stops, T3.1-OST-upper, T3.2-OST-nonneg, T3.3-OST-lower,
-    L5.1-ui-proxy (short aliases work too).  Delegates to the shared
-    registry driver.
-    """
-    from . import registry
-
-    entry = registry.lookup(theorem_id)
-    if entry.owner != "stopping":
-        raise ValueError(f"{theorem_id!r} is not owned by the stopping module")
-    return registry.verify(theorem_id, *args, **kwargs)

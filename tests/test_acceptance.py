@@ -48,9 +48,10 @@ from demimart.monotone import (
     COUNTEREXAMPLE,
     MonotoneTestFunction,
     certify_indicator_monotonicity,
+    evaluate_batch,
     sample_battery,
 )
-from demimart.oracle import enumerate_table, exact_demi_check
+from demimart.oracle import fold_expectations
 from demimart.cli import config_from_dict, parse_config_text, report_dict, run
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -87,6 +88,15 @@ def test_criterion_01_analytic_lemma_suite():
     finish(1, "phi/h1/psi_sup dominate their closed-form comparators")
 
 
+def _projections(n, battery):
+    """(S_{j+1} - S_j) f(S_1..S_j) for every j < n and battery member f."""
+    return lambda p: [
+        (p[:, j] - p[:, j - 1]) * evaluate_batch(f, p[:, :j])
+        for j in range(1, n)
+        for f in battery
+    ]
+
+
 def test_criterion_02_definition_check_exact():
     finish = _clockbox(10.0)
     full = sample_battery(2026, 32, require_nonnegative=False)
@@ -101,15 +111,14 @@ def test_criterion_02_definition_check_exact():
     ]
     for make, battery in cases:
         for n in range(2, 11):
-            table = enumerate_table(to_chain(make(n)))
-            for j in range(1, n):
-                for f in battery:
-                    assert exact_demi_check(table, j, f) >= -1e-12
+            values = fold_expectations(to_chain(make(n)), _projections(n, battery))
+            assert len(values) == (n - 1) * len(battery)
+            assert min(values) >= -1e-12
 
-    adv = enumerate_table(to_chain(adversarial_spec(4)))
     last = MonotoneTestFunction("last_coordinate")
-    assert exact_demi_check(adv, 1, last) == pytest.approx(-1.0, abs=1e-12)
-    assert exact_demi_check(adv, 1, last) < 0
+    (value,) = fold_expectations(to_chain(adversarial_spec(4)), _projections(2, [last]))
+    assert value == pytest.approx(-1.0, abs=1e-12)
+    assert value < 0
     finish(2, "exact projection battery on n <= 10 chains; sign-flip control at -1")
 
 

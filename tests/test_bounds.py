@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from demimart.bounds import (
-    BernsteinInput,
-    WaldInput,
     bernstein_tail,
     doob_max_bound,
     h1,
@@ -130,9 +128,11 @@ class TestBernsteinTail:
         assert np.all(np.diff(tails_c) > 0)
 
     def test_input_type_invariants(self):
-        with pytest.raises(ValueError):
-            BernsteinInput(t=0.0, V_n=1.0, C=1.0, n=10)
-        BernsteinInput(t=1.0, V_n=1.0, C=1.0, n=10)
+        """t, V_n and C must be positive."""
+        for t, v, c in ((0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -1.0)):
+            with pytest.raises(ValueError):
+                bernstein_tail(t, v, c)
+        assert bernstein_tail(1.0, 1.0, 1.0) == pytest.approx(math.exp(-0.375), rel=1e-12)
 
 
 class TestMaxBounds:
@@ -168,10 +168,3 @@ class TestMomentBound:
     def test_domain(self):
         with pytest.raises(ValueError):
             moment_bound(0.0, 1.0)
-
-
-class TestWaldInput:
-    def test_moment_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            WaldInput(mu1=2.0, m2=1.0, E_tau=1.0)
-        WaldInput(mu1=0.5, m2=0.5, E_tau=3.0, theta=0.5, psi=0.1)

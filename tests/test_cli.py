@@ -4,10 +4,13 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from demimart.cli import main, parse_config_text
-from demimart.registry import PreconditionError
+from demimart.core import CHUNK_PATHS, summarize
+from demimart.generators import generate, iid_spec, rademacher
+from demimart.registry import PreconditionError, verify_detailed
 
 T31_CFG = """\
 experiment_id = t31-rademacher-n3-exact
@@ -181,6 +184,46 @@ class TestDataCommands:
         assert "outcomes: 8" in out
         assert "total_probability: 1" in out
         assert "E[S_n^2]: 3" in out
+        assert "P(S_n >= 1): 0.5" in out
+        # an alternating (sign-flip) chain: S_3 = X_1
+        cfg = _write(
+            tmp_path,
+            "flip.cfg",
+            "seed = 3\ntheorem_id = Def1.2\nparams.t = 1\n"
+            "generator.family = adversarial_sign_flip\ngenerator.horizon = 3\n",
+        )
+        assert main(["oracle", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "outcomes: 2" in out
+        assert "E[S_n^2]: 1" in out
+        assert "P(S_n >= 1): 0.5" in out
+
+    def test_chunk_boundary(self, tmp_path, capsys):
+        """Across a chunk boundary the CSV dump, generate() and a Monte-Carlo
+        verdict all walk the same paths."""
+        n = CHUNK_PATHS + 3
+        cfg = _write(
+            tmp_path,
+            "gen.cfg",
+            f"seed = 4\ntheorem_id = T4.7\npaths = {n}\n"
+            "generator.family = iid\ngenerator.law = rademacher\ngenerator.horizon = 2\n",
+        )
+        out = str(tmp_path / "paths.csv")
+        assert main(["gen", "--config", cfg, "--dump-paths", "--out", out]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        spec = iid_spec(rademacher(), 2)
+        paths = generate(spec, n, seed=4)
+        assert np.array_equal(rows[:, 0], np.repeat(np.arange(n), 2))
+        assert np.array_equal(rows[:, 1], np.tile([1.0, 2.0], n))
+        assert np.array_equal(rows[:, 2], paths.ravel())
+
+        _, results, _ = verify_detailed(
+            "T4.7", spec, params={"t": 1.0}, mode="monte_carlo", paths=n, seed=4
+        )
+        want = summarize(paths[:, -1] >= 1.0)
+        assert results[0].stats.count == n
+        assert results[0].stats.mean == pytest.approx(want.mean, rel=1e-12)
+        assert results[0].stats.stderr == pytest.approx(want.stderr, rel=1e-9)
 
     def test_clt_csv(self, tmp_path, capsys):
         cfg = _write(

@@ -1,4 +1,5 @@
-"""Randomness contract, summary statistics, and domain-type invariants."""
+"""Randomness contract, the chunk iterator, summary statistics, and
+domain-type invariants."""
 
 import math
 
@@ -8,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demimart.core import (
-    ProcessEnsemble,
-    ProcessPath,
+    CHUNK_PATHS,
     RunningStats,
     SummaryStats,
     VerificationReport,
     derive_stream,
+    iter_chunks,
     summarize,
 )
+from demimart.generators import generate, iid_spec, rademacher
 
 
 class TestDeriveStream:
@@ -106,25 +108,35 @@ class TestRunningStats:
         assert fwd.to_summary().stderr == pytest.approx(rev.to_summary().stderr, rel=1e-12)
 
 
+class TestIterChunks:
+    @staticmethod
+    def _keys(spec, m, rng):
+        # what the sampler was given: the spec, the chunk size, the stream
+        return spec, m, int(rng.integers(0, 2**62))
+
+    def test_chunk_sizes_cover_every_path_once(self):
+        chunks = list(iter_chunks(self._keys, "spec", 2 * CHUNK_PATHS + 3, 5))
+        assert [(spec, m) for spec, m, _ in chunks] == [
+            ("spec", CHUNK_PATHS),
+            ("spec", CHUNK_PATHS),
+            ("spec", 3),
+        ]
+        assert list(iter_chunks(self._keys, "spec", 0, 5)) == []
+
+    def test_stream_of_chunk_k_is_seed_and_base_plus_k(self):
+        chunks = iter_chunks(self._keys, None, CHUNK_PATHS + 1, 9, chunk_base=7)
+        want = [int(derive_stream(9, k).integers(0, 2**62)) for k in (7, 8)]
+        assert [draw for _, _, draw in chunks] == want
+
+
 class TestDomainTypes:
-    def test_path_requires_finite_values(self):
-        with pytest.raises(ValueError):
-            ProcessPath(np.array([1.0, np.inf]))
-
-    def test_path_increments_prepend_zero(self):
-        p = ProcessPath(np.array([2.0, 5.0, 4.0]))
-        assert p.increments.tolist() == [2.0, 3.0, -1.0]
-        assert p.horizon == 3
-
     def test_ensemble_uniform_horizon(self):
-        ens = ProcessEnsemble(np.zeros((3, 4)), seed=1, generator_id="x")
-        assert ens.n_paths == 3
-        assert ens.horizon == 4
-        assert all(p.horizon == 4 for p in ens.paths)
+        paths = generate(iid_spec(rademacher(), 4), 3, seed=1)
+        assert paths.shape == (3, 4)
 
     def test_ensemble_rejects_empty(self):
         with pytest.raises(ValueError):
-            ProcessEnsemble(np.zeros((0, 4)), seed=1, generator_id="x")
+            generate(iid_spec(rademacher(), 4), 0, seed=1)
 
     def test_exact_report_requires_zero_stderr(self):
         good = SummaryStats(mean=0.0, stderr=0.0, count=8)

@@ -2,6 +2,7 @@
 and conversion to enumerable chains."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,8 +33,7 @@ from demimart.generators import (
     uniform,
     v_n,
 )
-from demimart.oracle import enumerate_table, exact_demi_check
-from demimart.monotone import MonotoneTestFunction
+from demimart.oracle import fold_expectations, iter_blocks
 
 
 class TestLaws:
@@ -68,8 +68,7 @@ class TestLaws:
 class TestSampling:
     def test_rademacher_path_support_and_parity(self):
         spec = iid_spec(rademacher(), 3)
-        ens = generate(spec, 1, seed=5)
-        path = ens.values[0]
+        path = generate(spec, 1, seed=5)[0]
         assert set(np.diff(path, prepend=0.0)).issubset({-1.0, 1.0})
         assert abs(path[-1]) <= 3
         assert int(path[-1]) % 2 == 1  # S_3 has the parity of 3
@@ -78,22 +77,36 @@ class TestSampling:
         spec = shared_shock_spec(rademacher(), bernoulli(0.4), 5)
         a = generate(spec, 1000, seed=9)
         b = generate(spec, 1000, seed=9)
-        assert a.generator_id == b.generator_id
-        assert np.array_equal(a.values, b.values)
+        assert a.shape == (1000, 5)
+        assert np.array_equal(a, b)
 
     def test_centered_bernoulli_mean_zero_self_check(self):
         """Monte-Carlo self check: centered partial sums average to zero."""
         spec = centered(iid_spec(bernoulli(0.5), 8))
-        ens = generate(spec, 100_000, seed=11)
-        s_n = ens.values[:, -1]
+        s_n = generate(spec, 100_000, seed=11)[:, -1]
         stderr = s_n.std(ddof=1) / math.sqrt(len(s_n))
         assert abs(s_n.mean()) <= 3.0 * stderr
 
     def test_adversarial_projection_is_minus_one(self):
         """E[(S_2 - S_1) S_1] = -E X_1^2 = -1 for the sign-flip family."""
-        table = enumerate_table(to_chain(adversarial_spec(2)))
-        value = exact_demi_check(table, 1, MonotoneTestFunction("last_coordinate"))
+        (value,) = fold_expectations(
+            to_chain(adversarial_spec(2)), lambda p: [(p[:, 1] - p[:, 0]) * p[:, 0]]
+        )
         assert value == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            centered(iid_spec(bernoulli(0.3), 6)),
+            centered(shared_shock_spec(bernoulli(0.3), bernoulli(0.6), 5), offset=0.5),
+        ],
+    )
+    def test_centered_lattice_paths_are_oracle_outcomes(self, spec):
+        """Every sampled path of a centered lattice family equals one of the
+        oracle's enumerated paths bit for bit, at every step."""
+        outcomes = {row.tobytes() for p, _ in iter_blocks(to_chain(spec)) for row in p}
+        paths = sample_paths(spec, 2000, derive_stream(8, 0))
+        assert all(row.tobytes() in outcomes for row in paths)
 
     def test_moving_sum_increments_are_windowed_sums(self):
         spec = GeneratorSpec("moving_sum", 4, law=rademacher(), weights=(1.0, 0.5))
@@ -127,15 +140,18 @@ class TestSampling:
         st.integers(min_value=1, max_value=150),
         st.sampled_from(["rademacher", "bernoulli", "shock", "bernoulli shock"]),
         st.sampled_from([0.0, 1.5]),
+        st.booleans(),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_final_sums_equal_last_column(self, seed, chunk, n, family, offset):
-        """Same draws, same S_n: integer lattices sum exactly either way."""
+    @settings(max_examples=60, deadline=None)
+    def test_final_sums_equal_last_column(self, seed, chunk, n, family, offset, center):
+        """Same draws, same S_n: integer lattices sum exactly either way, and
+        a centered family subtracts the same n * mean from the same sum."""
         law = bernoulli(0.3) if family.startswith("bernoulli") else rademacher()
         if family.endswith("shock"):
-            spec = shared_shock_spec(law, rademacher(), n, offset=offset)
+            spec = shared_shock_spec(law, rademacher(), n)
         else:
-            spec = iid_spec(law, n, offset=offset)
+            spec = iid_spec(law, n)
+        spec = centered(spec, offset=offset) if center else replace(spec, offset=offset)
         paths = sample_paths(spec, 300, derive_stream(seed, chunk))
         s_n = sample_final_sums(spec, 300, derive_stream(seed, chunk))
         assert s_n.dtype == np.float64
@@ -162,8 +178,7 @@ class TestMoments:
 
     def test_sigma_matches_sample(self):
         spec = shared_shock_spec(rademacher(), bernoulli(0.3), 5)
-        ens = generate(spec, 200_000, seed=21)
-        s_n = ens.values[:, -1]
+        s_n = generate(spec, 200_000, seed=21)[:, -1]
         sample = math.sqrt(np.mean(s_n * s_n))
         assert sigma_n_exact(spec) == pytest.approx(sample, rel=0.02)
 

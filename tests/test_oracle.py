@@ -19,33 +19,35 @@ from demimart.generators import (
     shared_shock_spec,
     to_chain,
 )
-from demimart.monotone import MonotoneTestFunction, sample_battery
-from demimart.oracle import (
-    MATERIALIZE_CAP,
-    enumerate_table,
-    exact_demi_check,
-    exact_expectation,
-    fold_expectations,
-    fold_terminal,
-    iter_blocks,
-    terminal_law,
-)
+from demimart.monotone import MonotoneTestFunction, evaluate_batch, sample_battery
+from demimart.oracle import fold_expectations, fold_terminal, iter_blocks, terminal_law
+
+
+def _projection(j, f):
+    """The defining statistic (S_{j+1} - S_j) f(S_1..S_j) as one row."""
+    return lambda p: [(p[:, j] - p[:, j - 1]) * evaluate_batch(f, p[:, :j])]
+
+
+def _expect(spec, stat) -> float:
+    (value,) = fold_expectations(to_chain(spec), lambda p: [stat(p)])
+    return value
 
 
 class TestEnumerate:
     def test_single_step_rademacher(self):
-        table = enumerate_table(to_chain(iid_spec(rademacher(), 1)))
-        assert table.outcome_count == 2
-        assert sorted(table.probabilities.tolist()) == [0.5, 0.5]
+        blocks = list(iter_blocks(to_chain(iid_spec(rademacher(), 1))))
+        assert sum(p.shape[0] for p, _ in blocks) == 2
+        assert sorted(np.concatenate([q for _, q in blocks]).tolist()) == [0.5, 0.5]
 
     def test_three_step_rademacher_sums_to_one(self):
-        table = enumerate_table(to_chain(iid_spec(rademacher(), 3)))
-        assert table.outcome_count == 8
-        assert table.total_probability == pytest.approx(1.0, abs=1e-12)
+        chain = to_chain(iid_spec(rademacher(), 3))
+        assert chain.outcome_count == 8
+        (total,) = fold_expectations(chain, lambda p: [np.ones(p.shape[0])])
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_bernoulli_two_steps(self):
-        table = enumerate_table(to_chain(iid_spec(bernoulli(0.5), 2)))
-        p_s2_is_1 = exact_expectation(table, lambda p: (p[:, -1] == 1.0).astype(float))
+        s2_is_1 = lambda p: (p[:, -1] == 1.0).astype(float)
+        p_s2_is_1 = _expect(iid_spec(bernoulli(0.5), 2), s2_is_1)
         assert p_s2_is_1 == pytest.approx(0.5, abs=1e-12)
 
     def test_probability_conservation_across_chains(self):
@@ -56,45 +58,42 @@ class TestEnumerate:
             adversarial_spec(5),
         ]
         for spec in specs:
-            table = enumerate_table(to_chain(spec))
-            assert table.total_probability == pytest.approx(1.0, abs=1e-12), spec.family
+            total = _expect(spec, lambda p: np.ones(p.shape[0]))
+            assert total == pytest.approx(1.0, abs=1e-12), spec.family
 
     def test_streaming_fold_matches_table(self):
+        """Folding block by block equals one dot product over the whole
+        outcome table, built here from the blocks."""
         chain = to_chain(iid_spec(bernoulli(0.3), 10))
-        table = enumerate_table(chain)
         fns = lambda p: [p[:, -1], np.abs(p[:, -1]) ** 3, (p.max(axis=1) >= 2).astype(float)]
-        folded = fold_expectations(chain, fns)
-        direct = [exact_expectation(table, lambda p, i=i: fns(p)[i]) for i in range(3)]
-        assert folded == pytest.approx(direct, rel=1e-12, abs=1e-15)
+        blocks = list(iter_blocks(chain, block=100))
+        values = np.vstack([p for p, _ in blocks])
+        probs = np.concatenate([q for _, q in blocks])
+        direct = [float(np.dot(probs, row)) for row in fns(values)]
+        assert fold_expectations(chain, fns) == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
     def test_blocks_partition_the_space(self):
         chain = to_chain(iid_spec(rademacher(), 12))
         count = sum(p.shape[0] for p, _ in iter_blocks(chain, block=512))
         assert count == chain.outcome_count == 4096
 
-    def test_materialization_cap(self):
+    def test_fold_streams_above_a_million_outcomes(self):
         chain = to_chain(iid_spec(rademacher(), 22))
-        assert chain.outcome_count > MATERIALIZE_CAP
-        with pytest.raises(ValueError, match="cap"):
-            enumerate_table(chain)
-        # the streaming fold still works above the materialization cap
+        assert chain.outcome_count > 1 << 20
         (mean_sn,) = fold_expectations(chain, lambda p: [p[:, -1]])
         assert mean_sn == pytest.approx(0.0, abs=1e-12)
 
 
 class TestExactExpectation:
     def test_symmetry_gives_zero_mean(self):
-        table = enumerate_table(to_chain(iid_spec(rademacher(), 1)))
-        assert exact_expectation(table, lambda p: p[:, 0]) == 0.0
+        assert _expect(iid_spec(rademacher(), 1), lambda p: p[:, 0]) == 0.0
 
     def test_variance_of_three_steps(self):
-        table = enumerate_table(to_chain(iid_spec(rademacher(), 3)))
-        assert exact_expectation(table, lambda p: p[:, -1] ** 2) == pytest.approx(3.0)
+        assert _expect(iid_spec(rademacher(), 3), lambda p: p[:, -1] ** 2) == pytest.approx(3.0)
 
     def test_first_passage_probability(self):
         # stop at step 1 w.p. 1/2, plus the path (-1, 0, 1) w.p. 1/8
-        table = enumerate_table(to_chain(iid_spec(rademacher(), 3)))
-        hit = exact_expectation(table, lambda p: (p.max(axis=1) >= 1).astype(float))
+        hit = _expect(iid_spec(rademacher(), 3), lambda p: (p.max(axis=1) >= 1).astype(float))
         assert hit == pytest.approx(0.625, abs=1e-12)
 
     @given(
@@ -103,31 +102,33 @@ class TestExactExpectation:
     )
     @settings(max_examples=50, deadline=None)
     def test_linearity(self, a, b):
-        table = enumerate_table(to_chain(iid_spec(bernoulli(0.4), 5)))
+        spec = iid_spec(bernoulli(0.4), 5)
         f = lambda p: p[:, -1]
         g = lambda p: np.abs(p[:, 1])
-        combined = exact_expectation(table, lambda p: a * f(p) + b * g(p))
-        split = a * exact_expectation(table, f) + b * exact_expectation(table, g)
+        combined = _expect(spec, lambda p: a * f(p) + b * g(p))
+        split = a * _expect(spec, f) + b * _expect(spec, g)
         assert combined == pytest.approx(split, rel=1e-12, abs=1e-12)
 
 
 class TestDemiCheck:
     def test_mean_zero_constant_projection_vanishes(self):
-        table = enumerate_table(to_chain(iid_spec(rademacher(), 4)))
+        chain = to_chain(iid_spec(rademacher(), 4))
         f = MonotoneTestFunction("constant_one")
         for j in (1, 2, 3):
-            assert exact_demi_check(table, j, f) == pytest.approx(0.0, abs=1e-12)
+            (value,) = fold_expectations(chain, _projection(j, f))
+            assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_adversarial_is_strictly_negative(self):
-        table = enumerate_table(to_chain(adversarial_spec(3)))
         f = MonotoneTestFunction("last_coordinate")
-        assert exact_demi_check(table, 1, f) == pytest.approx(-1.0, abs=1e-12)
+        (value,) = fold_expectations(to_chain(adversarial_spec(3)), _projection(1, f))
+        assert value == pytest.approx(-1.0, abs=1e-12)
 
     def test_shared_shock_projection_equals_shock_variance(self):
         # E[X_2 S_1] = E[(B_2 + W)(B_1 + W)] = E W^2 = 1
-        table = enumerate_table(to_chain(shared_shock_spec(rademacher(), rademacher(), 2)))
+        chain = to_chain(shared_shock_spec(rademacher(), rademacher(), 2))
         f = MonotoneTestFunction("last_coordinate")
-        assert exact_demi_check(table, 1, f) == pytest.approx(1.0, abs=1e-12)
+        (value,) = fold_expectations(chain, _projection(1, f))
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_nonadversarial_mean_zero_chains_pass_full_battery(self):
         """Exact projection statistic is >= -1e-12 for every (j, f) on
@@ -138,18 +139,11 @@ class TestDemiCheck:
             centered(iid_spec(bernoulli(0.5), 6)),
             shared_shock_spec(rademacher(), rademacher(), 5),
         ):
-            table = enumerate_table(to_chain(spec))
+            chain = to_chain(spec)
             for j in range(1, spec.horizon):
                 for f in battery:
-                    assert exact_demi_check(table, j, f) >= -1e-12
-
-    def test_j_bounds_enforced(self):
-        table = enumerate_table(to_chain(iid_spec(rademacher(), 3)))
-        f = MonotoneTestFunction("constant_one")
-        with pytest.raises(ValueError):
-            exact_demi_check(table, 0, f)
-        with pytest.raises(ValueError):
-            exact_demi_check(table, 3, f)
+                    (value,) = fold_expectations(chain, _projection(j, f))
+                    assert value >= -1e-12
 
 
 _LAWS = st.one_of(

@@ -6,16 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demimart import registry
-from demimart.generators import iid_spec, rademacher
 from demimart.stopping import (
-    apply_stop,
     capped,
     deterministic,
     first_passage_down,
     first_passage_up,
     jump_if_high,
     user_rule,
-    verify_registry,
 )
 
 paths_strategy = st.lists(
@@ -24,25 +21,22 @@ paths_strategy = st.lists(
 
 
 class TestApplyStop:
+    """A rule applied to one path: tau, and S_tau read at index tau - 1."""
+
     def test_crossing_path(self):
-        view = apply_stop(np.array([1.0, 2.0, 3.0]), first_passage_up(2.0))
-        assert view.tau == 2
-        assert view.s_tau == 2.0
-        assert view.stopped_sequence.tolist() == [1.0, 2.0, 2.0]
+        path = np.array([1.0, 2.0, 3.0])
+        tau = first_passage_up(2.0).tau(path)
+        assert tau == 2
+        assert path[tau - 1] == 2.0
 
     def test_never_crossing_path(self):
-        view = apply_stop(np.array([1.0, 2.0, 3.0]), first_passage_up(5.0))
-        assert view.tau is None
-        assert view.s_tau is None
-        assert view.stopped_sequence.tolist() == [1.0, 2.0, 3.0]
+        assert first_passage_up(5.0).tau([1.0, 2.0, 3.0]) is None
 
     def test_late_crossing(self):
-        view = apply_stop(np.array([-1.0, 0.0, 1.0]), first_passage_up(1.0))
-        assert view.tau == 3
+        assert first_passage_up(1.0).tau([-1.0, 0.0, 1.0]) == 3
 
     def test_deterministic_beyond_horizon_is_not_stopped(self):
-        view = apply_stop(np.array([1.0, 2.0]), deterministic(5))
-        assert view.tau is None
+        assert deterministic(5).tau(np.array([1.0, 2.0])) is None
 
 
 class TestPrefixMeasurability:
@@ -105,21 +99,6 @@ class TestUserRules:
 
 
 class TestModuleRegistrySurface:
-    def test_owned_entry_dispatches(self):
-        spec = iid_spec(rademacher(), 3)
-        report = verify_registry(
-            "T3.1",
-            spec,
-            rule=capped(first_passage_up(1.0), 3),
-            mode="exact",
-            seed=1,
-        )
-        assert report.verdict == "PASS"
-
-    def test_foreign_entry_rejected(self):
-        with pytest.raises(ValueError, match="not owned"):
-            verify_registry("T4.7", iid_spec(rademacher(), 3), params={"t": 1.0}, seed=1)
-
     def test_unknown_id_names_field(self):
         with pytest.raises(registry.PreconditionError, match="theorem_id"):
-            verify_registry("T9.9", None, seed=1)
+            registry.verify("T9.9", None, seed=1)
