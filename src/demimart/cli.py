@@ -469,7 +469,9 @@ def _cmd_oracle(args) -> int:
             rows.append((s_n >= t).astype(np.float64))
         return rows
 
-    stats = oracle.fold_expectations(chain, moments)
+    # every statistic reads S_n alone; only alternating chains lack a terminal law
+    fold = oracle.fold_expectations if chain.coupling == "alternating" else oracle.fold_terminal
+    stats = fold(chain, moments)
     print(f"outcomes: {chain.outcome_count}")
     print(f"total_probability: {_fmt(stats[3])}")
     print(f"E[S_n]: {_fmt(stats[0])}")

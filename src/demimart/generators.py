@@ -137,10 +137,30 @@ class IncrementLaw:
         return None
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """Draw an array of ``shape``: int8 for the lattice laws, else float64.
+
+        The lattice laws read raw 64-bit words.  They give bit for bit the
+        values of numpy's ``rng.integers(0, 2, dtype=np.int8) * 2 - 1`` and
+        ``rng.random() < p``, and leave the generator in the state those
+        would leave it in.  ``integers`` on an 8-bit range of 2 (Lemire's
+        multiply-shift, whose rejection threshold is 0 there) keeps the top
+        bit of each byte of the buffered uint32 stream; ``random`` is
+        ``(word >> 11) * 2**-53``, which is below p exactly when
+        ``word >> 11 < ceil(p * 2**53)``.  They need one of the bit
+        generators in ``_RAW64``; ``derive_stream`` gives Philox.
+        """
         if self.name == "rademacher":
-            return rng.integers(0, 2, size=shape, dtype=np.int8) * np.int8(2) - np.int8(1)
+            count = int(np.prod(shape))
+            steps = _uint32_stream_bytes(_raw64(rng), count)
+            steps >>= 7
+            steps <<= 1
+            steps = steps.view(np.int8)
+            steps -= 1
+            return steps.reshape(shape)
         if self.name == "bernoulli":
-            return (rng.random(size=shape) < self.p).astype(np.int8)
+            words = _raw64(rng).random_raw(shape)
+            words >>= 11
+            return (words < np.uint64(math.ceil(self.p * 2.0**53))).view(np.int8)
         return rng.uniform(self.a, self.b, size=shape)
 
     def log_mgf(self, theta: float) -> float:
@@ -155,6 +175,49 @@ class IncrementLaw:
         mid = 0.5 * (self.a + self.b)
         half = 0.5 * (self.b - self.a)
         return theta * mid + math.log(math.sinh(theta * half) / (theta * half))
+
+
+# numpy bit generators whose raw output is one 64-bit word, handed out as
+# uint32 halves low half first (MT19937's raw output is 32 bits wide)
+_RAW64 = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
+
+
+def _raw64(rng: np.random.Generator):
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, _RAW64):
+        raise TypeError(
+            f"lattice draws need a 64-bit bit generator, not {type(bitgen).__name__}"
+        )
+    return bitgen
+
+
+def _uint32_stream_bytes(bitgen, count: int) -> np.ndarray:
+    """The ``count`` bytes, writable, that numpy's buffered uint32 stream
+    hands to an 8-bit ``integers`` draw.
+
+    A 64-bit word gives two uint32s, low half first, and a uint32 gives its
+    bytes least significant first, so the stream is the little-endian bytes of
+    the raw words.  A half-word that an earlier draw left pending in the
+    generator's state comes first.  The state is then written back as numpy
+    leaves it: the high half of the last word fetched is stored, and it is
+    pending exactly when this draw used an odd number of fresh uint32s.
+    """
+    if count == 0:
+        return np.empty(0, dtype=np.uint8)
+    state = bitgen.state
+    head = 4 if state["has_uint32"] else 0
+    halves = -(-max(count - head, 0) // 4)
+    words = bitgen.random_raw((halves + 1) // 2)
+    out = words.astype("<u8", copy=False).view(np.uint8)
+    if head:
+        pending = np.array([state["uinteger"]], dtype="<u4").view(np.uint8)
+        out = np.concatenate([pending, out])
+    state = bitgen.state
+    state["has_uint32"] = halves % 2
+    if words.size:
+        state["uinteger"] = int(words[-1] >> np.uint64(32))
+    bitgen.state = state
+    return out[:count]
 
 
 def rademacher() -> IncrementLaw:

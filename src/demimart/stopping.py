@@ -103,15 +103,16 @@ class StoppingRule:
             return np.where(inner == -1, cap, np.minimum(inner, cap)).astype(np.int64)
         # user predicate: first j with predicate(prefix) true
         tau = np.full(m, -1, dtype=np.int64)
-        open_rows = np.arange(m)
+        open_rows = np.ones(m, dtype=bool)
         for j in range(1, n + 1):
-            if open_rows.size == 0:
+            if not open_rows.any():
                 break
-            fired = np.asarray(self.predicate(p[open_rows, :j]), dtype=bool)
-            if fired.shape != (open_rows.size,):
+            fired = np.asarray(self.predicate(p[:, :j]), dtype=bool)
+            if fired.shape != (m,):
                 raise ValueError("user predicate must return one bool per path")
-            tau[open_rows[fired]] = j
-            open_rows = open_rows[~fired]
+            fired = fired & open_rows  # not in place: the array is the predicate's
+            tau[fired] = j
+            open_rows &= ~fired
         return tau
 
     def tau(self, path) -> int | None:
@@ -200,7 +201,9 @@ def user_rule(
     """Rule from a vectorized predicate: predicate(prefix (m, j)) -> bool (m,).
 
     The predicate is consulted step by step; tau is the first j at which it
-    fires.  No analytic certificate: monotonicity claims are probed.
+    fires.  At every step it sees the prefix of every row, including rows
+    that have already stopped; only a row's first firing counts.  No
+    analytic certificate: monotonicity claims are probed.
     """
     return StoppingRule(
         "user",

@@ -185,6 +185,19 @@ class TestDataCommands:
         assert "total_probability: 1" in out
         assert "E[S_n^2]: 3" in out
         assert "P(S_n >= 1): 0.5" in out
+        # the 2^21-outcome shared-shock chain at n = 20: Var S_n = n + n^2
+        cfg = _write(
+            tmp_path,
+            "shock.cfg",
+            "seed = 3\ntheorem_id = T4.7\ngenerator.family = shared_shock\n"
+            "generator.base.law = rademacher\ngenerator.shock.law = rademacher\n"
+            "generator.horizon = 20\n",
+        )
+        assert main(["oracle", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "outcomes: 2097152" in out
+        assert "total_probability: 1\n" in out
+        assert "E[S_n^2]: 420\n" in out
         # an alternating (sign-flip) chain: S_3 = X_1
         cfg = _write(
             tmp_path,

@@ -65,7 +65,63 @@ class TestLaws:
         assert bernoulli(1.0).support() == [(1.0, 1.0)]
 
 
+_LATTICE_LAWS = [rademacher()] + [bernoulli(p) for p in (0.0, 1.0, 0.3, 0.5, 1 / 3)]
+
+
+def _numpy_draw(law, rng, shape):
+    """Reference: the lattice draws through numpy's Generator API."""
+    if law.name == "rademacher":
+        return rng.integers(0, 2, size=shape, dtype=np.int8) * np.int8(2) - np.int8(1)
+    return (rng.random(size=shape) < law.p).astype(np.int8)
+
+
+def _plain(state):
+    """A bit generator state with its arrays as lists, so states compare with ==."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
 class TestSampling:
+    @given(
+        st.integers(min_value=0, max_value=2**63),
+        st.integers(min_value=0, max_value=1000),
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=len(_LATTICE_LAWS) - 1),
+                st.integers(min_value=0, max_value=9),
+                st.integers(min_value=1, max_value=13),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_lattice_draws_equal_numpy_draws(self, seed, chunk, pending, draws):
+        """Raw-word lattice draws give numpy's values and leave the generator
+        in numpy's state, also when a half-word is pending before a draw."""
+        rng, twin = derive_stream(seed, chunk), derive_stream(seed, chunk)
+        if pending:  # one uint32 leaves the high half of a word pending
+            assert rng.integers(0, 2**32, dtype=np.uint32) == twin.integers(
+                0, 2**32, dtype=np.uint32
+            )
+        for law_index, rows, cols in draws:
+            law = _LATTICE_LAWS[law_index]
+            got = law.sample(rng, (rows, cols))
+            want = _numpy_draw(law, twin, (rows, cols))
+            assert got.dtype == want.dtype == np.int8
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert _plain(rng.bit_generator.state) == _plain(twin.bit_generator.state)
+        assert rng.random() == twin.random()
+
+    def test_lattice_draws_refuse_32_bit_generators(self):
+        rng = np.random.Generator(np.random.MT19937(1))
+        for law in (rademacher(), bernoulli(0.3)):
+            with pytest.raises(TypeError, match="64-bit"):
+                law.sample(rng, (2, 3))
+
     def test_rademacher_path_support_and_parity(self):
         spec = iid_spec(rademacher(), 3)
         path = generate(spec, 1, seed=5)[0]

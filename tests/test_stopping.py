@@ -20,6 +20,20 @@ paths_strategy = st.lists(
 )
 
 
+def _open_rows_tau(rule, p):
+    """Reference user-rule loop: the predicate sees only rows still open."""
+    m, n = p.shape
+    tau = np.full(m, -1, dtype=np.int64)
+    open_rows = np.arange(m)
+    for j in range(1, n + 1):
+        if open_rows.size == 0:
+            break
+        fired = np.asarray(rule.predicate(p[open_rows, :j]), dtype=bool)
+        tau[open_rows[fired]] = j
+        open_rows = open_rows[~fired]
+    return tau
+
+
 class TestApplyStop:
     """A rule applied to one path: tau, and S_tau read at index tau - 1."""
 
@@ -96,6 +110,29 @@ class TestUserRules:
             ]
         )
         assert rule.tau_batch(paths).tolist() == [3, 5]
+
+    @given(
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=0, max_value=10),
+        st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_tau_batch_matches_row_subset_loop(self, m, n, seed, watch, wait, threshold):
+        """tau over full-prefix views equals the loop that passes the predicate
+        only the rows still open."""
+        paths = np.cumsum(
+            np.random.default_rng(seed).choice([-1.0, 1.0], size=(m, n)), axis=1
+        )
+        watch = min(watch, n - 1)
+        rules = [
+            jump_if_high(watch, threshold, min(watch + wait, n - 1), n),
+            user_rule(lambda prefix: prefix[:, -1] >= threshold),
+        ]
+        for rule in rules:
+            assert np.array_equal(rule.tau_batch(paths), _open_rows_tau(rule, paths))
 
 
 class TestModuleRegistrySurface:
