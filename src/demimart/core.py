@@ -22,15 +22,22 @@ __all__ = [
     "PASS",
     "RunningStats",
     "SummaryStats",
+    "TILE_BYTES",
     "VerificationReport",
     "derive_stream",
     "iter_chunks",
     "summarize",
+    "tile_paths",
 ]
 
 # Chunk size used by every Monte-Carlo loop.  Fixed so that chunk boundaries,
 # and hence every drawn value, are a pure function of (seed, path index).
 CHUNK_PATHS = 1 << 16
+
+# Byte budget of one statistic tile: glibc's largest mmap threshold, so a
+# freed tile is reused from the heap instead of being mmapped and
+# page-faulted again for the next one.
+TILE_BYTES = 1 << 25
 
 # Monte-Carlo checks fail only when violated by more than this many stderrs.
 DEFAULT_TOLERANCE_Z = 3.0
@@ -73,6 +80,20 @@ def iter_chunks(sample, spec, paths: int, seed: int, chunk_base: int = 0):
     """
     for k, lo in enumerate(range(0, paths, CHUNK_PATHS)):
         yield sample(spec, min(CHUNK_PATHS, paths - lo), derive_stream(seed, chunk_base + k))
+
+
+def tile_paths(checks: int) -> int:
+    """Paths per statistic tile for ``checks`` = K statistics per path.
+
+    CHUNK_PATHS halved until the (K, tile) float64 matrix is under
+    TILE_BYTES: whole chunks for K < 64, 8,192 paths for K = 288.  Chunks
+    and exact blocks are evaluated and reduced one tile at a time, so no
+    (K, CHUNK_PATHS) matrix is built.
+    """
+    tile = CHUNK_PATHS
+    while tile > 1 and checks * tile * 8 >= TILE_BYTES:
+        tile //= 2
+    return tile
 
 
 @dataclass(frozen=True)

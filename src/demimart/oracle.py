@@ -130,16 +130,16 @@ def terminal_law(chain: DiscreteChainSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fold_expectations(
-    chain: DiscreteChainSpec, functionals: Callable
+    chain: DiscreteChainSpec, functionals: Callable, block: int = _BLOCK
 ) -> list[float]:
     """Streaming exact expectations for every statistic at once.
 
-    ``functionals`` maps a path-matrix block to a (K, block) statistic
-    matrix, or a list of K per-path vectors; the K statistics are folded
-    together with Kahan compensation and the total probability is verified
-    to be 1 within 1e-12.
+    ``functionals`` maps a path-matrix block of at most ``block`` outcomes to
+    a (K, block) statistic matrix, or a list of K per-path vectors; the K
+    statistics are folded together with Kahan compensation and the total
+    probability is verified to be 1 within 1e-12.
     """
-    return _fold(iter_blocks(chain), functionals)
+    return _fold(iter_blocks(chain, block), functionals)
 
 
 def fold_terminal(

@@ -30,6 +30,7 @@ from .core import (
     VerificationReport,
     derive_stream,
     iter_chunks,
+    tile_paths,
 )
 from .monotone import (
     COUNTEREXAMPLE,
@@ -963,8 +964,11 @@ def _run_checkset(
             chain = gen.to_chain(inst.spec)
         except ValueError as exc:
             raise PreconditionError("mode", f"exact mode unavailable: {exc}") from exc
-        fold = fold_terminal if terminal_only else fold_expectations
-        values = fold(chain, checkset.evaluate)
+        if terminal_only:
+            values = fold_terminal(chain, checkset.evaluate)
+        else:
+            block = tile_paths(len(checkset.metas))
+            values = fold_expectations(chain, checkset.evaluate, block=block)
         results = [
             _exact_result(v, meta, chain.outcome_count)
             for v, meta in zip(values, checkset.metas)
@@ -975,12 +979,16 @@ def _run_checkset(
     if paths < 1:
         raise PreconditionError("paths", "paths must be >= 1")
     sample = _sample_terminal if terminal_only else gen.sample_paths
+    tile = tile_paths(len(checkset.metas))
     acc = RunningStats()
     for block in iter_chunks(sample, inst.spec, paths, inst.seed):
-        stats = checkset.evaluate(block)
-        acc.update(stats)
-        # release this chunk before the next one is drawn and evaluated
-        del block, stats
+        for lo in range(0, len(block), tile):
+            stats = checkset.evaluate(block[lo : lo + tile])
+            acc.update(stats)
+            # release each tile before the next is evaluated, and the chunk
+            # before the next is drawn
+            del stats
+        del block
     results = [
         _mc_result(RunningStats(acc.count, mean, m2), meta, tolerance_z, paths)
         for mean, m2, meta in zip(acc.mean.tolist(), acc.m2.tolist(), checkset.metas)

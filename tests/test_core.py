@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from demimart.core import (
     CHUNK_PATHS,
+    TILE_BYTES,
     RunningStats,
     SummaryStats,
     VerificationReport,
     derive_stream,
     iter_chunks,
     summarize,
+    tile_paths,
 )
 from demimart.generators import generate, iid_spec, rademacher
 
@@ -127,6 +129,30 @@ class TestIterChunks:
         chunks = iter_chunks(self._keys, None, CHUNK_PATHS + 1, 9, chunk_base=7)
         want = [int(derive_stream(9, k).integers(0, 2**62)) for k in (7, 8)]
         assert [draw for _, _, draw in chunks] == want
+
+
+class TestTilePaths:
+    CHECKS = [1, 2, 63, 64, 65, 224, 288, 480, 512, 4096, 10**6, 10**9]
+
+    @pytest.mark.parametrize("checks", CHECKS)
+    def test_power_of_two_dividing_a_chunk_under_the_budget(self, checks):
+        tile = tile_paths(checks)
+        assert tile >= 1 and tile & (tile - 1) == 0
+        assert CHUNK_PATHS % tile == 0
+        assert checks * tile * 8 < TILE_BYTES or tile == 1
+
+    def test_whole_chunks_below_64_checks(self):
+        assert [tile_paths(k) for k in range(1, 64)] == [CHUNK_PATHS] * 63
+        assert tile_paths(64) == CHUNK_PATHS // 2
+
+    def test_does_not_grow_with_checks(self):
+        checks = sorted(set(range(1, 5000)) | set(self.CHECKS))
+        tiles = [tile_paths(k) for k in checks]
+        assert tiles == sorted(tiles, reverse=True)
+
+    def test_battery_tiles(self):
+        assert tile_paths(288) == 8192
+        assert tile_paths(480) == 8192
 
 
 class TestDomainTypes:

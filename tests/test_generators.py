@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from demimart.core import derive_stream
 from demimart.generators import (
     DiscreteChainSpec,
+    _row_sums,
     GeneratorSpec,
     adversarial_spec,
     bernoulli,
@@ -212,6 +213,15 @@ class TestSampling:
         s_n = sample_final_sums(spec, 300, derive_stream(seed, chunk))
         assert s_n.dtype == np.float64
         assert np.array_equal(s_n, paths[:, -1])
+
+    @pytest.mark.parametrize("n", [255, 256, 300])
+    @pytest.mark.parametrize("value", [127, -128])
+    def test_row_sums_exact_at_the_int16_boundary(self, n, value):
+        """int8 steps summed in a narrow integer type never overflow."""
+        inc = np.full((3, n), value, dtype=np.int8)
+        got = _row_sums(inc)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, inc.sum(axis=1, dtype=np.int64).astype(np.float64))
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):

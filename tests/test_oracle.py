@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demimart.core import CHUNK_PATHS, tile_paths
 from demimart.generators import (
     DiscreteChainSpec,
     adversarial_spec,
@@ -21,6 +22,7 @@ from demimart.generators import (
 )
 from demimart.monotone import MonotoneTestFunction, evaluate_batch, sample_battery
 from demimart.oracle import fold_expectations, fold_terminal, iter_blocks, terminal_law
+from demimart.registry import Instance, lookup
 
 
 def _projection(j, f):
@@ -209,3 +211,30 @@ class TestTerminalLaw:
     def test_alternating_coupling_rejected(self):
         with pytest.raises(ValueError, match="independent"):
             terminal_law(to_chain(adversarial_spec(4)))
+
+
+class TestTiledFold:
+    def test_tiles_match_an_untiled_fold(self):
+        """Exact Def1.2 at n = 17: 2^17 outcomes in two blocks, K = 512
+        statistics folded tile by tile equal whole-block dot products."""
+        spec = iid_spec(bernoulli(0.3), 17)
+        inst = Instance(spec=spec, rule=None, rule2=None, params={"battery_size": 32}, seed=5)
+        checkset = lookup("Def1.2-demi").build(inst)
+        chain = to_chain(spec)
+        tile = tile_paths(512)
+        assert len(checkset.metas) == 512 and tile < CHUNK_PATHS
+        sizes = []
+
+        def evaluate(paths):
+            sizes.append(len(paths))
+            return checkset.evaluate(paths)
+
+        got = fold_expectations(chain, evaluate, block=tile)
+        assert sizes == [tile] * (2**17 // tile)
+        want = np.zeros(512)
+        blocks = 0
+        for paths, probs in iter_blocks(chain):
+            want += checkset.evaluate(paths) @ probs
+            blocks += 1
+        assert blocks == 2
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -6,20 +6,25 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from demimart.core import CHUNK_PATHS
+from demimart.core import CHUNK_PATHS, RunningStats, tile_paths
 from demimart.generators import (
     adversarial_spec,
     bernoulli,
     centered,
+    generate,
     iid_spec,
     rademacher,
     shared_shock_spec,
+    to_chain,
     uniform,
 )
+from demimart.oracle import fold_expectations
 from demimart.registry import (
+    CheckSet,
     Instance,
     PreconditionError,
     _c410_precheck,
+    _mc_result,
     _run_checkset,
     all_entries,
     check_definition,
@@ -305,6 +310,83 @@ class TestBatteryMemory:
         one = self._traced_peak(CHUNK_PATHS)
         two = self._traced_peak(2 * CHUNK_PATHS)
         assert two <= 1.25 * one, (one, two)
+
+    def test_large_battery_never_builds_the_chunk_matrix(self):
+        """K = 288 statistics over one chunk stay far below the (K, chunk)
+        float64 matrix that whole-chunk evaluation would build."""
+        spec = iid_spec(rademacher(), 10)
+        tracemalloc.start()
+        try:
+            _, results, _ = verify_detailed(
+                "Def1.2-demi",
+                spec,
+                params={"battery_size": 32},
+                mode="monte_carlo",
+                paths=CHUNK_PATHS,
+                seed=3,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 288
+        assert peak < 288 * CHUNK_PATHS * 8 / 4, peak
+
+
+class TestStatisticTiles:
+    """Entries with K >= 64 statistics evaluate and reduce each chunk in
+    tiles of paths; values must be those of whole chunks up to rounding."""
+
+    def test_monte_carlo_tiles_match_whole_chunks(self):
+        spec = iid_spec(rademacher(), 10)
+        paths = CHUNK_PATHS + 3
+        inst = Instance(spec=spec, rule=None, rule2=None, params={"battery_size": 32}, seed=41)
+        checkset = lookup("Def1.2-demi").build(inst)
+        sizes = []
+
+        def evaluate(block):
+            sizes.append(len(block))
+            return checkset.evaluate(block)
+
+        tiled = CheckSet(checkset.metas, evaluate)
+        _, results = _run_checkset("Def1.2-demi", inst, tiled, "monte_carlo", paths, 3.0)
+        tile = tile_paths(288)
+        assert len(checkset.metas) == 288 and tile < CHUNK_PATHS
+        assert sizes == [tile] * (CHUNK_PATHS // tile) + [3]
+
+        whole = generate(spec, paths, inst.seed)
+        ref = RunningStats()
+        for lo in range(0, paths, CHUNK_PATHS):
+            ref.update(checkset.evaluate(whole[lo : lo + CHUNK_PATHS]))
+        want = [
+            _mc_result(RunningStats(ref.count, mean, m2), meta, 3.0, paths)
+            for mean, m2, meta in zip(ref.mean.tolist(), ref.m2.tolist(), checkset.metas)
+        ]
+        assert [r.stats.count for r in results] == [paths] * 288
+        np.testing.assert_allclose(
+            [r.stats.mean for r in results], [w.stats.mean for w in want], rtol=1e-12, atol=0
+        )
+        np.testing.assert_allclose(
+            [r.stats.stderr for r in results], [w.stats.stderr for w in want], rtol=1e-12, atol=0
+        )
+        assert [r.verdict for r in results] == [w.verdict for w in want]
+
+    def test_exact_entries_fold_in_tiles(self):
+        spec = iid_spec(bernoulli(0.3), 14)
+        inst = Instance(spec=spec, rule=None, rule2=None, params={"battery_size": 32}, seed=42)
+        checkset = lookup("Def1.2-demi").build(inst)
+        sizes = []
+
+        def evaluate(paths):
+            sizes.append(len(paths))
+            return checkset.evaluate(paths)
+
+        _, results = _run_checkset(
+            "Def1.2-demi", inst, CheckSet(checkset.metas, evaluate), "exact", 0, 3.0
+        )
+        tile = tile_paths(len(checkset.metas))
+        assert sizes == [tile] * (2**14 // tile) and len(sizes) > 1
+        want = fold_expectations(to_chain(spec), checkset.evaluate)
+        np.testing.assert_allclose([r.stats.mean for r in results], want, rtol=1e-12, atol=0)
 
 
 def _c410_precheck_run():
