@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import iter_chunks
+from .core import _accumulate_rows, iter_chunks
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -428,6 +428,12 @@ def _inner_step_mean(inner: GeneratorSpec) -> float:
 def sample_paths(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an (n_paths, horizon) matrix of partial-sum paths S_1..S_n.
 
+    The matrix is column-major: it is the transpose of a time-major
+    (horizon, n_paths) build in which S_j = S_{j-1} + X_j is one contiguous
+    row, so each column S_j is contiguous.  The float64 adds run in the
+    order of ``np.cumsum(increments, axis=1, dtype=np.float64)``, so the
+    values are that cumsum's bit for bit.
+
     A centered family sums the inner draws first and then subtracts i * mean,
     as the exact oracle does, so lattice paths stay exactly on their shifted
     lattice (summing x - mean step by step drifts off it by ulps).
@@ -436,7 +442,10 @@ def sample_paths(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) ->
         s = sample_paths(spec.inner, n_paths, rng)
         s -= _inner_step_mean(spec.inner) * np.arange(1, spec.horizon + 1)
     else:
-        s = np.cumsum(sample_increments(spec, n_paths, rng), axis=1, dtype=np.float64)
+        # one transposing cast (exact for the int8 lattice draws), then the
+        # running sum in place, one contiguous row per step
+        rows = sample_increments(spec, n_paths, rng).T.astype(np.float64, order="C")
+        s = _accumulate_rows(np.add, rows, rows).T
     if spec.offset:
         s += spec.offset
     return s

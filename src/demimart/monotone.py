@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import derive_stream
+from .core import _accumulate_rows, derive_stream
 
 __all__ = [
     "CERTIFIED_BY_CONSTRUCTION",
@@ -141,18 +141,6 @@ def evaluate_prefixes(f: MonotoneTestFunction, paths: np.ndarray) -> np.ndarray:
         out[k:] = out[k - 1]
     if f.kind == "clipped_linear":
         np.clip(out, f.floor, f.ceiling, out=out)
-    return out
-
-
-def _accumulate_rows(op, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``op.accumulate(rows, axis=0, out=out)`` as one vector op per row.
-
-    Same operations in the same order, so the same bits; numpy's own axis-0
-    accumulate is several times slower on a short, wide matrix.
-    """
-    out[0] = rows[0]
-    for i in range(1, rows.shape[0]):
-        op(out[i - 1], rows[i], out=out[i])
     return out
 
 

@@ -56,8 +56,9 @@ def iter_blocks(
     the start offset.
     """
     n = chain.horizon
-    vals = np.array([v for v, _ in chain.increment_support])
-    probs = np.array([p for _, p in chain.increment_support])
+    # float64 even for integer atoms: the block is built in place from vals
+    vals = np.array([v for v, _ in chain.increment_support], dtype=np.float64)
+    probs = np.array([p for _, p in chain.increment_support], dtype=np.float64)
     shared = chain.shared_component or ((0.0, 1.0),)
     drift_line = chain.drift * np.arange(1, n + 1, dtype=np.float64)
 
@@ -75,10 +76,18 @@ def iter_blocks(
     for w_val, w_prob in shared:
         for lo in range(0, per_shared, block):
             idx = np.arange(lo, min(lo + block, per_shared), dtype=np.int64)
-            digits = (idx[:, None] // strides[None, :]) % s
-            inc = vals[digits] + w_val
+            digits = idx[:, None] // strides[None, :]
+            digits %= s
             p = np.prod(probs[digits], axis=1) * w_prob
-            paths = np.cumsum(inc, axis=1) - drift_line + chain.offset
+            # the operations of cumsum(vals[digits] + w) - drift_line + offset,
+            # in place on one block; += offset runs even at 0.0, as the
+            # expression does, so a -0.0 comes out as 0.0 there too
+            paths = vals[digits]
+            del digits
+            paths += w_val
+            np.cumsum(paths, axis=1, out=paths)
+            paths -= drift_line
+            paths += chain.offset
             yield paths, p
 
 

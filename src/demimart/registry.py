@@ -184,6 +184,15 @@ def _values_at(paths: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return paths[np.arange(paths.shape[0]), idx - 1]
 
 
+def _stopped_at(paths: np.ndarray, tau: np.ndarray, s_tau: np.ndarray, j: int) -> np.ndarray:
+    """S_(tau^j) from the column S_j and the gathered S_tau, for tau >= 1.
+
+    One gather of S_tau serves every j: where tau >= j the value is the
+    column S_j, contiguous in a sampled chunk, so no per-j gather is made.
+    """
+    return np.where(tau >= j, paths[:, j - 1], s_tau)
+
+
 def _wedge(tau: np.ndarray, j: int) -> np.ndarray:
     """tau ^ j with the -1 sentinel treated as +infinity."""
     return np.where(tau == -1, j, np.minimum(tau, j))
@@ -331,11 +340,14 @@ def _build_c22(inst: Instance) -> CheckSet:
     h = inst.spec.horizon
     metas = tuple(CheckMeta(f"E[S_{j}] vs E[S_(tau^{j})]", 0.0, ">=") for j in range(1, h + 1))
 
-    def evaluate(paths: np.ndarray) -> list[np.ndarray]:
-        tau = rule.tau_batch(paths)
-        return [
-            paths[:, j - 1] - _values_at(paths, _wedge(tau, j)) for j in range(1, h + 1)
-        ]
+    def evaluate(paths: np.ndarray) -> np.ndarray:
+        # tau ^ h has the same wedge with every j <= h as tau, -1 included
+        tau = _wedge(rule.tau_batch(paths), h)
+        s_tau = _values_at(paths, tau)
+        out = np.empty((h, len(paths)))
+        for j in range(1, h + 1):
+            np.subtract(paths[:, j - 1], _stopped_at(paths, tau, s_tau, j), out=out[j - 1])
+        return out
 
     return CheckSet(metas, evaluate)
 
@@ -435,13 +447,17 @@ def _build_l51(inst: Instance) -> CheckSet:
         metas.append(CheckMeta(f"n={n}: M E[tau^n] vs E|S_(tau^n)|", 0.0, ">="))
         metas.append(CheckMeta(f"n={n}: M E[tau] vs M E[tau^n]", 0.0, ">="))
 
-    def evaluate(paths: np.ndarray) -> list[np.ndarray]:
+    def evaluate(paths: np.ndarray) -> np.ndarray:
         tau = _taus(rule, paths)
-        out = []
+        s_tau = _values_at(paths, tau)
+        # rows 2n - 2 and 2n - 1: M (tau^n) - |S_(tau^n)| and M (tau - tau^n)
+        out = np.empty((2 * h, len(paths)))
         for n in range(1, h + 1):
-            w = _wedge(tau, n)
-            out.append(big_m * w - np.abs(_values_at(paths, w)))
-            out.append(big_m * (tau - w).astype(np.float64))
+            w = np.minimum(tau, n)
+            moment, tail = out[2 * n - 2], out[2 * n - 1]
+            np.multiply(big_m, w, out=moment)
+            moment -= np.abs(_stopped_at(paths, tau, s_tau, n))
+            np.multiply(big_m, tau - w, out=tail)
         return out
 
     return CheckSet(tuple(metas), evaluate)

@@ -109,6 +109,68 @@ class TestRunningStats:
         assert fwd.to_summary().mean == pytest.approx(rev.to_summary().mean, rel=1e-12)
         assert fwd.to_summary().stderr == pytest.approx(rev.to_summary().stderr, rel=1e-12)
 
+    @staticmethod
+    def _row_by_row(stats):
+        """The reference: each row's mean, then its summed squared deviations."""
+        rows = [np.asarray(row, dtype=np.float64) for row in stats]
+        means = np.array([row.mean() for row in rows])
+        m2 = np.array([np.square(row - mu).sum() for row, mu in zip(rows, means)])
+        return means, m2
+
+    @classmethod
+    def _assert_blocks_equal_rows(cls, stats):
+        """K rows are reduced in blocks of rows, from a matrix or from a
+        list of vectors; both must equal the row-by-row reduction bit for bit."""
+        means, m2 = cls._row_by_row(stats)
+        for given_rows in (stats, list(stats)):
+            acc = RunningStats()
+            acc.update(given_rows)
+            assert acc.count == len(stats[0])
+            assert acc.mean.tobytes() == means.tobytes()
+            assert acc.m2.tobytes() == m2.tobytes()
+
+    @staticmethod
+    def _normal_rows(k, m, seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(rng.normal(0.0, 3.0, (k, 1)), 2.0, (k, m))
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_row_blocks_equal_the_row_loop_bit_for_bit(self, data):
+        k = data.draw(st.integers(1, 600), label="K")
+        m = data.draw(st.integers(2, min(70_000, 4_000_000 // k)), label="m")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        self._assert_blocks_equal_rows(self._normal_rows(k, m, seed))
+
+    @pytest.mark.parametrize("k, m", [(300, 1_000), (600, 6_000), (5, 65_536), (1, 70_000)])
+    def test_last_partial_block_is_reduced(self, k, m):
+        """Shapes whose K is not a whole number of 1 MiB row blocks."""
+        self._assert_blocks_equal_rows(self._normal_rows(k, m, seed=k + m))
+
+    def test_rows_of_any_layout_or_dtype_equal_the_row_loop(self):
+        ints = np.random.default_rng(1).integers(-9, 9, (40, 6_000))
+        floats = np.random.default_rng(2).normal(size=(40, 6_000))
+        for stats in (ints, np.asfortranarray(ints), floats[:, ::2], np.asfortranarray(floats)):
+            self._assert_blocks_equal_rows(stats)
+        # a list may mix dtypes, as statistic functions hand back
+        self._assert_blocks_equal_rows([floats[0], floats[1] > 0, ints[2]])
+
+    def test_single_vector_equals_its_row_reduction(self):
+        x = self._normal_rows(1, 5_000, seed=3)[0]
+        means, m2 = self._row_by_row([x])
+        for given in (x, list(x), x[::-1][::-1]):
+            acc = RunningStats()
+            acc.update(given)
+            assert acc.count == 5_000
+            assert (acc.mean, acc.m2) == (means[0], m2[0])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_matrix_with_a_nonfinite_sample_rejected(self):
+        stats = np.zeros((5, 100))
+        stats[4, 99] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            RunningStats().update(stats)
+
 
 class TestIterChunks:
     @staticmethod

@@ -14,6 +14,7 @@ from demimart.generators import (
     DiscreteChainSpec,
     _row_sums,
     GeneratorSpec,
+    _inner_step_mean,
     adversarial_spec,
     bernoulli,
     centered,
@@ -26,6 +27,7 @@ from demimart.generators import (
     path_min_bound,
     rademacher,
     sample_final_sums,
+    sample_increments,
     sample_paths,
     shared_shock_spec,
     sigma_n_exact,
@@ -226,6 +228,60 @@ class TestSampling:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):
             GeneratorSpec("brownian", 3)
+
+
+def _cumsum_paths(spec, n_paths, rng):
+    """The row-major reference build: ``np.cumsum`` along each path of the
+    same increments, with the centered and offset rules of ``sample_paths``."""
+    if spec.family == "centered_partial_sum":
+        s = _cumsum_paths(spec.inner, n_paths, rng)
+        s -= _inner_step_mean(spec.inner) * np.arange(1, spec.horizon + 1)
+    else:
+        s = np.cumsum(sample_increments(spec, n_paths, rng), axis=1, dtype=np.float64)
+    if spec.offset:
+        s += spec.offset
+    return s
+
+
+class TestTimeMajorPaths:
+    """``sample_paths`` builds S_j one contiguous row per step and returns
+    the column-major transpose; the values are the row-major cumsum's."""
+
+    SPECS = {
+        "iid rademacher": iid_spec(rademacher(), 9),
+        "iid bernoulli": iid_spec(bernoulli(0.3), 12),
+        "iid uniform": iid_spec(uniform(-0.5, 2.0), 7),
+        "shared shock": shared_shock_spec(rademacher(), bernoulli(0.6), 10),
+        "moving sum": GeneratorSpec("moving_sum", 8, law=bernoulli(0.5), weights=(1.0, 0.5)),
+        "gaussian": gaussian_assoc_spec(np.full((6, 6), 0.3) + 0.7 * np.eye(6), 6),
+        "centered": centered(iid_spec(bernoulli(0.3), 10)),
+        "centered shock offset": centered(
+            shared_shock_spec(bernoulli(0.3), uniform(0.0, 1.0), 5), offset=0.5
+        ),
+        "adversarial": adversarial_spec(6),
+        "offset": iid_spec(rademacher(), 20, offset=-1.25),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63),
+        chunk=st.integers(min_value=0, max_value=1000),
+        m=st.integers(min_value=1, max_value=3000),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_equals_the_cumsum_build_bit_for_bit(self, name, seed, chunk, m):
+        spec = self.SPECS[name]
+        got = sample_paths(spec, m, derive_stream(seed, chunk))
+        want = _cumsum_paths(spec, m, derive_stream(seed, chunk))
+        assert got.shape == want.shape == (m, spec.horizon)
+        assert got.dtype == np.float64
+        assert got.flags.f_contiguous
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    def test_each_step_is_a_contiguous_column(self):
+        paths = sample_paths(self.SPECS["moving sum"], 1000, derive_stream(2, 0))
+        assert paths.strides == (8, 8 * 1000)
+        assert all(paths[:, j].flags.c_contiguous for j in range(paths.shape[1]))
 
 
 class TestMoments:

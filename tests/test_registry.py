@@ -6,19 +6,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from demimart.core import CHUNK_PATHS, RunningStats, tile_paths
+from demimart.core import CHUNK_PATHS, RunningStats, derive_stream, tile_paths
 from demimart.generators import (
     adversarial_spec,
     bernoulli,
     centered,
+    first_step_bound,
     generate,
     iid_spec,
+    increment_bound,
     rademacher,
+    sample_paths,
     shared_shock_spec,
     to_chain,
     uniform,
 )
-from demimart.oracle import fold_expectations
+from demimart.oracle import fold_expectations, iter_blocks
 from demimart.registry import (
     CheckSet,
     Instance,
@@ -387,6 +390,105 @@ class TestStatisticTiles:
         assert sizes == [tile] * (2**14 // tile) and len(sizes) > 1
         want = fold_expectations(to_chain(spec), checkset.evaluate)
         np.testing.assert_allclose([r.stats.mean for r in results], want, rtol=1e-12, atol=0)
+
+
+def _gather_values_at(paths, idx):
+    return paths[np.arange(paths.shape[0]), idx - 1]
+
+
+def _gather_wedge(tau, j):
+    return np.where(tau == -1, j, np.minimum(tau, j))
+
+
+def _gather_c22(rule, h):
+    """C2.2's statistics as one gather of S_(tau^j) per j (tau = -1 never
+    stops), the reference the one-gather evaluator must reproduce."""
+
+    def evaluate(paths):
+        tau = rule.tau_batch(paths)
+        return [
+            paths[:, j - 1] - _gather_values_at(paths, _gather_wedge(tau, j))
+            for j in range(1, h + 1)
+        ]
+
+    return evaluate
+
+
+def _gather_l51(rule, h, big_m):
+    def evaluate(paths):
+        tau = rule.tau_batch(paths)
+        assert np.all(tau >= 1)
+        out = []
+        for n in range(1, h + 1):
+            w = _gather_wedge(tau, n)
+            out.append(big_m * w - np.abs(_gather_values_at(paths, w)))
+            out.append(big_m * (tau - w).astype(np.float64))
+        return out
+
+    return evaluate
+
+
+class TestStoppedStatistics:
+    """C2.2 and L5.1 gather S_tau once and read S_(tau^j) from the column
+    S_j wherever tau >= j; every statistic equals the per-j gather's bits,
+    on sampled (column-major) and enumerated (row-major) blocks alike."""
+
+    CASES = [
+        ("C2.2", iid_spec(rademacher(), 9), first_passage_up(1.0)),
+        ("C2.2", iid_spec(bernoulli(0.3), 8), first_passage_up(2.0)),
+        ("C2.2", centered(iid_spec(bernoulli(0.3), 8), offset=0.5), first_passage_down(-0.5)),
+        (
+            "C2.2",
+            shared_shock_spec(rademacher(), bernoulli(0.4), 7),
+            capped(first_passage_up(2.0), 5),
+        ),
+        ("C2.2", BERN6, deterministic(3)),
+        ("L5.1", iid_spec(rademacher(), 9), capped(first_passage_up(2.0), 9)),
+        ("L5.1", iid_spec(rademacher(), 8, offset=1.0), capped(first_passage_down(-1.0), 6)),
+        ("L5.1", centered(iid_spec(bernoulli(0.3), 8)), capped(first_passage_up(0.5), 7)),
+        ("L5.1", RAD6, deterministic(4)),
+    ]
+
+    @staticmethod
+    def _pair(theorem, spec, rule):
+        inst = Instance(spec=spec, rule=rule, rule2=None, params={}, seed=3)
+        checkset = lookup(theorem).build(inst)
+        h = spec.horizon
+        if theorem == "C2.2":
+            return checkset, _gather_c22(rule, h)
+        big_m = max(increment_bound(spec), first_step_bound(spec))
+        return checkset, _gather_l51(rule, h, big_m)
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g.dtype == w.dtype == np.float64, i
+            assert g.tobytes() == w.tobytes(), i
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_sampled_and_enumerated_blocks(self, case):
+        theorem, spec, rule = self.CASES[case]
+        checkset, reference = self._pair(theorem, spec, rule)
+        sampled = sample_paths(spec, 5000, derive_stream(17, case))
+        enumerated = np.vstack([p for p, _ in iter_blocks(to_chain(spec))])
+        assert sampled.flags.f_contiguous and enumerated.flags.c_contiguous
+        for block in (sampled, enumerated):
+            want = reference(block)
+            self._assert_same_bits(checkset.evaluate(block), want)
+            # either layout of the same values gives the same bits
+            for other in (np.ascontiguousarray(block), np.asfortranarray(block)):
+                self._assert_same_bits(checkset.evaluate(other), want)
+
+    def test_uncapped_c22_blocks_hold_paths_that_never_stop(self):
+        _, spec, rule = self.CASES[0]
+        assert rule.bound() is None
+        for block in (
+            sample_paths(spec, 5000, derive_stream(17, 0)),
+            np.vstack([p for p, _ in iter_blocks(to_chain(spec))]),
+        ):
+            tau = rule.tau_batch(block)
+            assert (tau == -1).any() and (tau >= 1).any() and (tau < spec.horizon).any()
 
 
 def _c410_precheck_run():
