@@ -32,7 +32,7 @@ SEED = 7
 def projection(spec, j, f):
     """Exact E[(S_{j+1} - S_j) f(S_1..S_j)], folded over every outcome."""
     (value,) = fold_expectations(
-        to_chain(spec), lambda p: [(p[:, j] - p[:, j - 1]) * evaluate_batch(f, p[:, :j])]
+        to_chain(spec), lambda p: ((p[:, j] - p[:, j - 1]) * evaluate_batch(f, p[:, :j]))[None]
     )
     return value
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import generators as gen
 from .bounds import bernstein_tail
-from .core import DEFAULT_TOLERANCE_Z, RunningStats, iter_chunks
-from .oracle import fold_terminal
+from .core import DEFAULT_TOLERANCE_Z, iter_chunks
+from .registry import expectations
 
 __all__ = [
     "ECF_T_GRID",
@@ -249,17 +249,18 @@ def complete_convergence_diagnose(
 def _tail_probability(
     spec: gen.GeneratorSpec, threshold: float, paths: int, seed: int, chunk_base: int
 ) -> tuple[float, float, bool]:
+    """P(|S_n| >= threshold): exact over a chain when the family has one,
+    else sampled from chunk ``chunk_base`` on."""
     try:
         chain = gen.to_chain(spec)
     except ValueError:
         chain = None
-    if chain is not None:
-        (value,) = fold_terminal(
-            chain, lambda p: [(np.abs(p[:, -1]) >= threshold).astype(np.float64)]
-        )
-        return float(value), 0.0, True
-    rs = RunningStats()
-    for s_n in iter_chunks(gen.sample_final_sums, spec, paths, seed, chunk_base):
-        rs.update((np.abs(s_n) >= threshold).astype(np.float64))
-    stats = rs.to_summary()
-    return stats.mean, stats.stderr, False
+
+    def tail(p: np.ndarray) -> np.ndarray:
+        return (np.abs(p[:, -1]) >= threshold).astype(np.float64)[None]
+
+    mode = "monte_carlo" if chain is None else "exact"
+    (stats,) = expectations(
+        chain or spec, tail, 1, mode, paths, seed, terminal_only=True, chunk_base=chunk_base
+    )
+    return stats.mean, stats.stderr, chain is not None

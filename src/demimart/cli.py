@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import asymptotics, bounds, generators as gen, oracle, registry
+from . import asymptotics, bounds, generators as gen, registry
 from .core import DEFAULT_TOLERANCE_Z, FAIL, INCONCLUSIVE, PASS, iter_chunks
 from .registry import PreconditionError
 from .stopping import StoppingRule, capped, deterministic, first_passage_down, first_passage_up
@@ -274,8 +274,16 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _error_exit(exc: PreconditionError, out: str | None = None) -> int:
-    payload = {"error": {"field": exc.name, "message": exc.message}}
+def _error_exit(exc: ValueError, field: str) -> int:
+    """Report a configuration or library error as JSON on stderr; exit 3.
+
+    A PreconditionError names its own field; any other ValueError is
+    reported under ``field``, the command's name for it.
+    """
+    if isinstance(exc, PreconditionError):
+        payload = {"error": {"field": exc.name, "message": exc.message}}
+    else:
+        payload = {"error": {"field": field, "message": str(exc)}}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return 3
 
@@ -338,10 +346,8 @@ def _cmd_verify(args, forced_theorem: str | None = None) -> int:
                 raise PreconditionError("params.variant", "demimartingale or demisubmartingale")
             config = ExperimentConfig(**{**config.__dict__, "theorem_id": tid})
         report, payload, extras = run(config)
-    except PreconditionError as exc:
-        return _error_exit(exc)
     except ValueError as exc:
-        return _error_exit(PreconditionError("experiment", str(exc)))
+        return _error_exit(exc, "experiment")
     _emit(payload, args.out)
     for name, extra in extras.items():
         z = "n/a" if extra.z_margin is None else _fmt(extra.z_margin)
@@ -360,8 +366,10 @@ def _cmd_gen(args) -> int:
         if config.generator is None:
             raise PreconditionError("generator", "required")
         spec = build_generator_spec(config.generator)
-    except PreconditionError as exc:
-        return _error_exit(exc)
+        if not args.dump_paths:
+            paths = gen.generate(spec, config.paths, config.seed)
+    except ValueError as exc:
+        return _error_exit(exc, "gen")
     if args.dump_paths:
         if args.out:
             with open(args.out, "w") as fh:
@@ -369,7 +377,6 @@ def _cmd_gen(args) -> int:
         else:
             _dump_paths_csv(spec, config.paths, config.seed, sys.stdout)
         return 0
-    paths = gen.generate(spec, config.paths, config.seed)
     s_n = paths[:, -1]
     print(f"generator_id: {spec.generator_id}")
     print(f"paths: {paths.shape[0]}")
@@ -389,10 +396,10 @@ def _cmd_stop(args) -> int:
             raise PreconditionError("config", "generator and stopping required")
         spec = build_generator_spec(config.generator)
         rule = build_rule(config.stopping)
-    except PreconditionError as exc:
-        return _error_exit(exc)
-    paths = gen.generate(spec, config.paths, config.seed)
-    tau = rule.tau_batch(paths)
+        paths = gen.generate(spec, config.paths, config.seed)
+        tau = rule.tau_batch(paths)
+    except ValueError as exc:
+        return _error_exit(exc, "stop")
     stopped = tau != -1
     print(f"rule: {rule.label}")
     print(f"P(stopped): {_fmt(stopped.mean())}")
@@ -420,30 +427,21 @@ _BOUNDS = {
 
 def _cmd_bound(args) -> int:
     name = args.name
-    if name not in _BOUNDS:
-        print(
-            json.dumps({"error": {"field": "bound", "message": f"unknown bound {name!r}"}}),
-            file=sys.stderr,
-        )
-        return 3
-    fn, argnames = _BOUNDS[name]
-    kv = {}
-    for pair in args.values:
-        key, _, value = pair.partition("=")
-        kv[key] = float(value)
     try:
-        fargs = [kv[a] for a in argnames]
-    except KeyError as exc:
-        print(
-            json.dumps({"error": {"field": exc.args[0], "message": "required"}}),
-            file=sys.stderr,
-        )
-        return 3
-    try:
+        if name not in _BOUNDS:
+            raise PreconditionError("bound", f"unknown bound {name!r}")
+        fn, argnames = _BOUNDS[name]
+        kv = {}
+        for pair in args.values:
+            key, _, value = pair.partition("=")
+            kv[key] = value
+        for a in argnames:
+            if a not in kv:
+                raise PreconditionError(a, "required")
+        fargs = [float(kv[a]) for a in argnames]
         value = fn(*fargs)
     except ValueError as exc:
-        print(json.dumps({"error": {"field": name, "message": str(exc)}}), file=sys.stderr)
-        return 3
+        return _error_exit(exc, name)
     inputs = " ".join(f"{a}={_fmt(v)}" for a, v in zip(argnames, fargs))
     print(f"{name}({inputs}) = {_fmt(value)}")
     return 0
@@ -454,24 +452,22 @@ def _cmd_oracle(args) -> int:
         config = _load_config(args.config, args)
         if config.generator is None:
             raise PreconditionError("generator", "required")
-        spec = build_generator_spec(config.generator)
-        chain = gen.to_chain(spec)
-    except PreconditionError as exc:
-        return _error_exit(exc)
+        chain = gen.to_chain(build_generator_spec(config.generator))
+        t = float(config.params["t"]) if "t" in config.params else None
+
+        def moments(p: np.ndarray) -> np.ndarray:
+            s_n = p[:, -1]
+            rows = [s_n, np.abs(s_n), s_n**2, np.ones(p.shape[0])]
+            if t is not None:
+                rows.append(s_n >= t)
+            return np.array(rows, dtype=np.float64)
+
+        # every statistic reads S_n alone
+        checks = 4 if t is None else 5
+        means = registry.expectations(chain, moments, checks, "exact", terminal_only=True)
+        stats = [s.mean for s in means]
     except ValueError as exc:
-        return _error_exit(PreconditionError("generator", str(exc)))
-    t = float(config.params["t"]) if "t" in config.params else None
-
-    def moments(p: np.ndarray) -> list[np.ndarray]:
-        s_n = p[:, -1]
-        rows = [s_n, np.abs(s_n), s_n**2, np.ones(p.shape[0])]
-        if t is not None:
-            rows.append((s_n >= t).astype(np.float64))
-        return rows
-
-    # every statistic reads S_n alone; only alternating chains lack a terminal law
-    fold = oracle.fold_expectations if chain.coupling == "alternating" else oracle.fold_terminal
-    stats = fold(chain, moments)
+        return _error_exit(exc, "generator")
     print(f"outcomes: {chain.outcome_count}")
     print(f"total_probability: {_fmt(stats[3])}")
     print(f"E[S_n]: {_fmt(stats[0])}")
@@ -493,10 +489,8 @@ def _cmd_clt(args) -> int:
         diags = asymptotics.clt_diagnose(
             spec, config.params["n_grid"], config.paths, config.seed
         )
-    except PreconditionError as exc:
-        return _error_exit(exc)
     except ValueError as exc:
-        return _error_exit(PreconditionError("clt", str(exc)))
+        return _error_exit(exc, "clt")
     lines = ["n,sigma_n,V_n,ratio_cubed,ks_distance,ecf_distance,sigma_exact"]
     for d in diags:
         lines.append(
@@ -532,10 +526,8 @@ def _cmd_slln(args) -> int:
             config.seed,
             tolerance_z=config.tolerance_z,
         )
-    except PreconditionError as exc:
-        return _error_exit(exc)
     except ValueError as exc:
-        return _error_exit(PreconditionError("slln", str(exc)))
+        return _error_exit(exc, "slln")
     lines = ["n,tail,stderr,envelope,vn_over_nr,partial_sum,within_envelope,exact"]
     for rec, ps in zip(diag.tail_estimates, diag.partial_sum):
         lines.append(
@@ -621,12 +613,26 @@ def run_suite(directory: str, out: str | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", required=True, help="experiment config file")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--paths", type=int, default=None, help="override config paths")
-    p.add_argument("--out", default=None, help="output file")
-    p.add_argument("--dump-paths", action="store_true", help="write per-path CSV")
+_OPTIONS = {
+    "--seed": {"type": int, "default": None, "help": "override config seed"},
+    "--paths": {"type": int, "default": None, "help": "override config paths"},
+    "--out": {"default": None, "help": "output file"},
+    "--dump-paths": {"action": "store_true", "help": "write per-path CSV"},
+}
+
+# each config-driven command and the options it reads besides --config
+_COMMANDS = {
+    "verify": (_cmd_verify, ("--seed", "--paths", "--out", "--dump-paths")),
+    "check-demi": (
+        lambda args: _cmd_verify(args, forced_theorem="Def1.2"),
+        ("--seed", "--paths", "--out", "--dump-paths"),
+    ),
+    "gen": (_cmd_gen, ("--seed", "--paths", "--out", "--dump-paths")),
+    "stop": (_cmd_stop, ("--seed", "--paths")),
+    "oracle": (_cmd_oracle, ()),
+    "clt": (_cmd_clt, ("--seed", "--paths", "--out")),
+    "slln": (_cmd_slln, ("--seed", "--paths", "--out")),
+}
 
 
 def main(argv=None) -> int:
@@ -635,8 +641,11 @@ def main(argv=None) -> int:
         description="verification harness for demimartingale inequalities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify", "check-demi", "gen", "stop", "oracle", "clt", "slln"):
-        _add_common(sub.add_parser(name))
+    for name, (_, options) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, help="experiment config file")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     pb = sub.add_parser("bound")
     pb.add_argument("name", help="bound name, e.g. bernstein_tail")
     pb.add_argument("values", nargs="*", help="key=value inputs")
@@ -645,25 +654,12 @@ def main(argv=None) -> int:
     ps.add_argument("--out", default=None, help="aggregate JSON output")
     args = parser.parse_args(argv)
 
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "check-demi":
-        return _cmd_verify(args, forced_theorem="Def1.2")
-    if args.command == "gen":
-        return _cmd_gen(args)
-    if args.command == "stop":
-        return _cmd_stop(args)
     if args.command == "bound":
         return _cmd_bound(args)
-    if args.command == "oracle":
-        return _cmd_oracle(args)
-    if args.command == "clt":
-        return _cmd_clt(args)
-    if args.command == "slln":
-        return _cmd_slln(args)
     if args.command == "suite":
         return run_suite(args.directory, args.out)
-    raise AssertionError(args.command)
+    handler, _ = _COMMANDS[args.command]
+    return handler(args)
 
 
 if __name__ == "__main__":

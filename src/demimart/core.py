@@ -150,44 +150,42 @@ def summarize(samples) -> SummaryStats:
 
 @dataclass
 class RunningStats:
-    """Streaming (count, mean, M2) accumulator with associative merging.
+    """Streaming (count, mean, M2) accumulator of K statistics at once, with
+    associative merging.
 
-    Chunk reductions combine through the pairwise update (Chan, Golub &
-    LeVeque 1979), so merging chunk statistics is order-independent up to
-    floating-point roundoff.  Updating with K rows of m samples (a (K, m)
-    matrix or a list of K vectors) tracks K statistics at once: mean and m2
-    then hold K-vectors.
+    Each update folds in a (K, m) matrix: m samples of each of K statistics,
+    so mean and m2 hold K-vectors.  Chunk reductions combine through the
+    pairwise update (Chan, Golub & LeVeque 1979), so merging chunk statistics
+    is order-independent up to floating-point roundoff.
     """
 
     count: int = 0
-    mean: float | np.ndarray = 0.0
-    m2: float | np.ndarray = 0.0
+    mean: np.ndarray | None = None
+    m2: np.ndarray | None = None
 
-    def update(self, samples) -> None:
-        """Fold in m samples, or K rows of m samples each."""
-        if len(samples) == 0:
+    def update(self, rows: np.ndarray) -> None:
+        """Fold in a (K, m) matrix, one row per statistic."""
+        if np.ndim(rows) != 2:
+            raise ValueError("update takes a (K, m) matrix of statistic rows")
+        k, m = rows.shape
+        if m == 0:
             return
-        single = np.ndim(samples[0]) == 0
-        rows = np.asarray(samples)[None] if single else samples
-        bmean = np.empty(len(rows))
-        bm2 = np.empty(len(rows))
+        bmean = np.empty(k)
+        bm2 = np.empty(k)
         _reduce_row_blocks(rows, bmean, bm2)
         # a NaN or infinite sample makes its row's mean non-finite, so checking
         # the K means covers every sample
         if not np.all(np.isfinite(bmean)):
             raise ValueError("samples must be finite")
-        if single:
-            self._combine(len(samples), float(bmean[0]), float(bm2[0]))
-        else:
-            self._combine(len(rows[0]), bmean, bm2)
+        self._combine(m, bmean, bm2)
 
     def merge(self, other: "RunningStats") -> None:
         if other.count:
             self._combine(other.count, other.mean, other.m2)
 
-    def _combine(self, n: int, bmean, bm2) -> None:
-        # elementwise on arrays; never in place, because the first batch's
-        # arrays may be shared with the accumulator they were merged from
+    def _combine(self, n: int, bmean: np.ndarray, bm2: np.ndarray) -> None:
+        # never in place, because the first batch's arrays may be shared with
+        # the accumulator they were merged from
         if self.count == 0:
             self.count, self.mean, self.m2 = n, bmean, bm2
             return
@@ -197,29 +195,31 @@ class RunningStats:
         self.m2 = self.m2 + (bm2 + delta * delta * self.count * n / total)
         self.count = total
 
-    def to_summary(self) -> SummaryStats:
-        if self.count == 0:
+    def summaries(self) -> list[SummaryStats]:
+        """One SummaryStats per statistic row; a single sample's stderr is +inf."""
+        n = self.count
+        if n == 0:
             raise ValueError("empty sample")
-        if self.count == 1:
-            return SummaryStats(mean=self.mean, stderr=math.inf, count=1)
-        var = max(self.m2, 0.0) / (self.count - 1)
-        return SummaryStats(
-            mean=self.mean, stderr=math.sqrt(var / self.count), count=self.count
-        )
+        means = self.mean.tolist()
+        if n == 1:
+            return [SummaryStats(mean=mean, stderr=math.inf, count=1) for mean in means]
+        return [
+            SummaryStats(mean=mean, stderr=math.sqrt(max(m2, 0.0) / (n - 1) / n), count=n)
+            for mean, m2 in zip(means, self.m2.tolist())
+        ]
 
 
-def _reduce_row_blocks(rows, bmean: np.ndarray, bm2: np.ndarray) -> None:
-    """Row means and sums of squared deviations of K rows of m samples (a
-    (K, m) matrix or a list of K vectors), a block of about
-    _REDUCE_BLOCK_BYTES of rows at a time.
+def _reduce_row_blocks(rows: np.ndarray, bmean: np.ndarray, bm2: np.ndarray) -> None:
+    """Row means and sums of squared deviations of a (K, m) matrix, a block
+    of about _REDUCE_BLOCK_BYTES of rows at a time.
 
-    Each block is stacked into a C-contiguous float64 matrix, whose rows
-    numpy sums pairwise along axis 1 as it sums a single vector, so the
-    results equal a row-by-row reduction bit for bit with a few numpy calls
-    per block instead of two per row; the block's deviation pass still finds
-    it in cache.
+    Each block is taken as a C-contiguous float64 matrix (a view when the
+    rows already are one), whose rows numpy sums pairwise along axis 1 as it
+    sums a single vector, so the results equal a row-by-row reduction bit
+    for bit with a few numpy calls per block instead of two per row; the
+    block's deviation pass still finds it in cache.
     """
-    k, m = len(rows), len(rows[0])
+    k, m = rows.shape
     step = max(1, _REDUCE_BLOCK_BYTES // (8 * m))
     scratch = np.empty((min(step, k), m))
     for lo in range(0, k, step):

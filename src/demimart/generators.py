@@ -37,6 +37,7 @@ __all__ = [
     "sample_paths",
     "shared_shock_spec",
     "sigma_n_exact",
+    "step_min",
     "to_chain",
     "uniform",
     "v_n",
@@ -115,14 +116,6 @@ class IncrementLaw:
         if self.name == "bernoulli":
             return 0.0
         return self.a
-
-    @property
-    def max_value(self) -> float:
-        if self.name == "rademacher":
-            return 1.0
-        if self.name == "bernoulli":
-            return 1.0
-        return self.b
 
     def support(self) -> list[tuple[float, float]] | None:
         """Finite support as (value, probability) pairs, or None if continuous.
@@ -626,37 +619,27 @@ def first_step_bound(spec: GeneratorSpec) -> float | None:
     return None if c is None else c + abs(spec.offset)
 
 
-def _step_min_max(spec: GeneratorSpec) -> tuple[float, float] | None:
-    """Almost-sure pointwise range of one increment, None if unbounded."""
+def step_min(spec: GeneratorSpec) -> float | None:
+    """Almost-sure lower bound of one increment, None if unbounded."""
     if spec.family == "iid":
-        return spec.law.min_value, spec.law.max_value
+        return spec.law.min_value
     if spec.family == "shared_shock":
-        return (
-            spec.law.min_value + spec.shock.min_value,
-            spec.law.max_value + spec.shock.max_value,
-        )
+        return spec.law.min_value + spec.shock.min_value
     if spec.family == "moving_sum":
-        lo = sum(w * spec.law.min_value for w in spec.weights)
-        hi = sum(w * spec.law.max_value for w in spec.weights)
-        return lo, hi
+        return sum(w * spec.law.min_value for w in spec.weights)
     if spec.family == "centered_partial_sum":
-        rng = _step_min_max(spec.inner)
-        if rng is None:
-            return None
-        mu = _inner_step_mean(spec.inner)
-        return rng[0] - mu, rng[1] - mu
+        lo = step_min(spec.inner)
+        return None if lo is None else lo - _inner_step_mean(spec.inner)
     if spec.family == "adversarial_sign_flip":
-        b = spec.law.abs_bound
-        return -b, b
+        return -spec.law.abs_bound
     return None
 
 
 def path_min_bound(spec: GeneratorSpec) -> float | None:
     """Deterministic lower bound on min_i S_i, None when increments are unbounded."""
-    rng = _step_min_max(spec)
-    if rng is None:
+    lo = step_min(spec)
+    if lo is None:
         return None
-    lo = rng[0]
     return spec.offset + (spec.horizon * lo if lo < 0 else lo)
 
 

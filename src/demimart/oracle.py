@@ -144,9 +144,9 @@ def fold_expectations(
     """Streaming exact expectations for every statistic at once.
 
     ``functionals`` maps a path-matrix block of at most ``block`` outcomes to
-    a (K, block) statistic matrix, or a list of K per-path vectors; the K
-    statistics are folded together with Kahan compensation and the total
-    probability is verified to be 1 within 1e-12.
+    a (K, block) statistic matrix; the K statistics are folded together with
+    Kahan compensation and the total probability is verified to be 1 within
+    1e-12.
     """
     return _fold(iter_blocks(chain, block), functionals)
 
@@ -167,7 +167,7 @@ def _fold(outcome_blocks, functionals: Callable) -> list[float]:
     blocks = 0
     for paths, probs in outcome_blocks:
         stats = functionals(paths)
-        sums.add(np.array([np.dot(probs, np.asarray(s, np.float64)) for s in stats]))
+        sums.add(np.array([np.dot(probs, row) for row in stats]))
         total.add(float(np.sum(probs)))
         blocks += 1
     if not blocks:

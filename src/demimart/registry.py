@@ -1,18 +1,18 @@
 """Theorem registry: structural preconditions, check builders, and the
 verification driver shared by the Monte-Carlo and exact-enumeration modes.
 
-Every entry reduces its claim to a list of per-path statistics compared
-against constants, so one statistic definition serves both modes: chunked
-sampling averages it, the oracle folds it against exact outcome
-probabilities.  A report FAILs only when a statistic violates its bound by
-more than ``tolerance_z`` stderrs (Monte Carlo) or beyond a relative 1e-12
-(exact).
+Every entry reduces its claim to a (K, m) matrix of per-path statistics
+compared against constants, so one statistic definition serves both modes:
+``expectations``, the one engine, averages it over chunked samples or folds
+it against exact outcome probabilities.  A report FAILs only when a
+statistic violates its bound by more than ``tolerance_z`` stderrs (Monte
+Carlo) or beyond a relative 1e-12 (exact).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,6 +46,7 @@ __all__ = [
     "PreconditionError",
     "all_entries",
     "check_definition",
+    "expectations",
     "lookup",
     "verify",
     "verify_detailed",
@@ -82,12 +83,12 @@ class CheckMeta:
 class CheckSet:
     """Statistics for one registry entry.
 
-    ``evaluate`` maps an (m, horizon) path matrix to a (K, m) statistic
-    matrix, or a list of K per-path vectors, with row k belonging to metas[k].
+    ``evaluate`` maps an (m, horizon) path matrix to a (K, m) float64
+    statistic matrix, with row k belonging to metas[k].
     """
 
     metas: tuple[CheckMeta, ...]
-    evaluate: Callable[[np.ndarray], np.ndarray | list[np.ndarray]]
+    evaluate: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,6 @@ class RegistryEntry:
     needs_rule: bool = False
     needs_rule2: bool = False
     required_params: tuple[str, ...] = ()
-    exact_only: bool = False
     build: Callable[[Instance], CheckSet] | None = None
     direct: Callable[[Instance], list[tuple[CheckMeta, float, int]]] | None = None
     extra_checksets: Callable[[Instance], dict[str, CheckSet]] | None = None
@@ -296,11 +296,16 @@ def _build_t14(inst: Instance) -> CheckSet:
         CheckMeta(f"E[S_(tau^{n_small})] vs E[S_1]", 0.0, ">="),
     )
 
-    def evaluate(paths: np.ndarray) -> list[np.ndarray]:
-        tau = rule.tau_batch(paths)
-        w_m = _values_at(paths, _wedge(tau, m_big))
-        w_n = _values_at(paths, _wedge(tau, n_small))
-        return [sign * (w_m - w_n), sign * (w_n - paths[:, 0])]
+    def evaluate(paths: np.ndarray) -> np.ndarray:
+        # tau ^ m has the same wedge with n <= m as tau, -1 included
+        tau = _wedge(rule.tau_batch(paths), m_big)
+        w_m = _values_at(paths, tau)
+        w_n = _stopped_at(paths, tau, w_m, n_small)
+        out = np.empty((2, len(paths)))
+        np.subtract(w_m, w_n, out=out[0])
+        np.subtract(w_n, paths[:, 0], out=out[1])
+        out *= sign
+        return out
 
     return CheckSet(metas, evaluate)
 
@@ -354,7 +359,6 @@ def _build_c22(inst: Instance) -> CheckSet:
 
 def _build_t23(inst: Instance) -> CheckSet:
     rule1, rule2 = inst.rule, inst.rule2
-    _require(rule2 is not None, "stopping2", "a second stopping rule is required")
     _require(
         gen.increment_bound(inst.spec) is not None,
         "generator",
@@ -387,9 +391,9 @@ def _stopped_vs_start(inst: Instance, direction: str) -> CheckSet:
     rule = inst.rule
     metas = (CheckMeta("E[S_tau - S_1]", 0.0, direction),)
 
-    def evaluate(paths: np.ndarray) -> list[np.ndarray]:
+    def evaluate(paths: np.ndarray) -> np.ndarray:
         tau = _taus(rule, paths)
-        return [_values_at(paths, tau) - paths[:, 0]]
+        return (_values_at(paths, tau) - paths[:, 0])[None]
 
     return CheckSet(metas, evaluate)
 
@@ -487,8 +491,8 @@ def _build_t41(inst: Instance) -> CheckSet:
     rhs = bnd.doob_max_bound(gen.mean_s1(inst.spec), lam)
     metas = (CheckMeta(f"P(max_(i<={j}) S_i >= {lam!r})", rhs, "<=", tail=True),)
 
-    def evaluate(paths: np.ndarray) -> list[np.ndarray]:
-        return [(paths[:, :j].max(axis=1) >= lam).astype(np.float64)]
+    def evaluate(paths: np.ndarray) -> np.ndarray:
+        return (paths[:, :j].max(axis=1) >= lam).astype(np.float64)[None]
 
     return CheckSet(metas, evaluate)
 
@@ -512,8 +516,8 @@ def _build_c43(inst: Instance) -> CheckSet:
     rhs = bnd.lp_max_bound(p, pmin, gen.mean_s1(inst.spec))
     metas = (CheckMeta(f"E[(max_(i<={j}) S_i)^{p!r}]", rhs, "<="),)
 
-    def evaluate(paths: np.ndarray) -> list[np.ndarray]:
-        return [paths[:, :j].max(axis=1) ** p]
+    def evaluate(paths: np.ndarray) -> np.ndarray:
+        return (paths[:, :j].max(axis=1) ** p)[None]
 
     return CheckSet(metas, evaluate)
 
@@ -581,20 +585,17 @@ def _build_bernstein(inst: Instance, need_assoc_label: str) -> CheckSet:
         CheckMeta(f"P(|S_n| >= {t!r})", 2.0 * one, "<=", tail=True),
     )
 
-    def evaluate(paths: np.ndarray) -> list[np.ndarray]:
+    def evaluate(paths: np.ndarray) -> np.ndarray:
         s_n = paths[:, -1]
-        return [
-            (s_n >= t).astype(np.float64),
-            (np.abs(s_n) >= t).astype(np.float64),
-        ]
+        return np.array([s_n >= t, np.abs(s_n) >= t], dtype=np.float64)
 
     return CheckSet(metas, evaluate)
 
 
 def _exp_stopped_stat(rule: StoppingRule, theta: float, h_slope: float):
-    def evaluate(paths: np.ndarray) -> list[np.ndarray]:
+    def evaluate(paths: np.ndarray) -> np.ndarray:
         tau = _taus(rule, paths)
-        return [np.exp(theta * _values_at(paths, tau) - h_slope * tau)]
+        return np.exp(theta * _values_at(paths, tau) - h_slope * tau)[None]
 
     return evaluate
 
@@ -653,9 +654,9 @@ def _build_wald_first(inst: Instance) -> CheckSet:
     cmp_dir = ">=" if direction == "nonincreasing" else "<="
     metas = (CheckMeta("E[S_tau - mu tau]", 0.0, cmp_dir),)
 
-    def evaluate(paths: np.ndarray) -> list[np.ndarray]:
+    def evaluate(paths: np.ndarray) -> np.ndarray:
         tau = _taus(rule, paths)
-        return [_values_at(paths, tau) - mu * tau]
+        return (_values_at(paths, tau) - mu * tau)[None]
 
     return CheckSet(metas, evaluate)
 
@@ -667,9 +668,9 @@ def _build_wald_second(inst: Instance) -> CheckSet:
         "generator",
         "requires identically distributed associated increments",
     )
-    rng = gen._step_min_max(inst.spec)
+    lo = gen.step_min(inst.spec)
     _require(
-        rng is not None and rng[0] >= 0.0,
+        lo is not None and lo >= 0.0,
         "generator",
         "requires nonnegative increments",
     )
@@ -680,10 +681,10 @@ def _build_wald_second(inst: Instance) -> CheckSet:
     cmp_dir = ">=" if direction == "nonincreasing" else "<="
     metas = (CheckMeta("E[S_tau^2 - EX^2 tau]", 0.0, cmp_dir),)
 
-    def evaluate(paths: np.ndarray) -> list[np.ndarray]:
+    def evaluate(paths: np.ndarray) -> np.ndarray:
         tau = _taus(rule, paths)
         s_tau = _values_at(paths, tau)
-        return [s_tau * s_tau - ex2 * tau]
+        return (s_tau * s_tau - ex2 * tau)[None]
 
     return CheckSet(metas, evaluate)
 
@@ -812,7 +813,6 @@ def _entry_list() -> list[RegistryEntry]:
             "grid check: phi <= phi_bound on (0,3); h1 >= h1_lower on [0,1e3]; "
             "psi_sup >= t^2/(2(V+tC/3)) on random positive triples",
             needs_generator=False,
-            exact_only=True,
             direct=_grid_margins,
         ),
         RegistryEntry(
@@ -820,7 +820,6 @@ def _entry_list() -> list[RegistryEntry]:
             ("L4.5",),
             "exact step log-MGF <= lambda^2 EX^2 / (2(1 - lambda C/3)) on a "
             "lambda grid in (0, 3/C)",
-            exact_only=True,
             direct=_mgf_margins,
         ),
         RegistryEntry(
@@ -906,35 +905,24 @@ def _margin(mean: float, meta: CheckMeta) -> float:
     return (meta.rhs - mean) if meta.direction == "<=" else (mean - meta.rhs)
 
 
-def _exact_result(value: float, meta: CheckMeta, count: int) -> CheckResult:
-    margin = _margin(value, meta)
-    scale = max(1.0, abs(value), abs(meta.rhs))
+def _exact_result(stats: SummaryStats, meta: CheckMeta) -> CheckResult:
+    margin = _margin(stats.mean, meta)
+    scale = max(1.0, abs(stats.mean), abs(meta.rhs))
     verdict = FAIL if margin / scale < -EXACT_REL_EPS else PASS
-    return CheckResult(
-        name=meta.name,
-        rhs=meta.rhs,
-        direction=meta.direction,
-        stats=SummaryStats(mean=value, stderr=0.0, count=count),
-        margin=margin,
-        z=None,
-        verdict=verdict,
-    )
+    return CheckResult(meta.name, meta.rhs, meta.direction, stats, margin, None, verdict)
 
 
 def _mc_result(
-    rs: RunningStats, meta: CheckMeta, tolerance_z: float, total_paths: int
+    stats: SummaryStats, meta: CheckMeta, tolerance_z: float, total_paths: int
 ) -> CheckResult:
-    stats = rs.to_summary()
     margin = _margin(stats.mean, meta)
-    scale = max(1.0, abs(stats.mean), abs(meta.rhs))
     if math.isinf(stats.stderr):
         return CheckResult(meta.name, meta.rhs, meta.direction, stats, margin, None, INCONCLUSIVE)
     if meta.tail and total_paths * meta.rhs < MIN_EXPECTED_HITS:
         z = margin / stats.stderr if stats.stderr > 0 else None
         return CheckResult(meta.name, meta.rhs, meta.direction, stats, margin, z, INCONCLUSIVE)
     if stats.stderr == 0.0:
-        verdict = FAIL if margin / scale < -EXACT_REL_EPS else PASS
-        return CheckResult(meta.name, meta.rhs, meta.direction, stats, margin, None, verdict)
+        return _exact_result(stats, meta)
     z = margin / stats.stderr
     verdict = FAIL if z < -tolerance_z else PASS
     return CheckResult(meta.name, meta.rhs, meta.direction, stats, margin, z, verdict)
@@ -966,6 +954,64 @@ def _aggregate(theorem_id: str, results: list[CheckResult], exact: bool) -> Veri
     )
 
 
+def expectations(
+    spec: gen.GeneratorSpec | gen.DiscreteChainSpec,
+    evaluate: Callable[[np.ndarray], np.ndarray],
+    checks: int,
+    mode: str,
+    paths: int = 0,
+    seed: int = 0,
+    terminal_only: bool = False,
+    chunk_base: int = 0,
+) -> list[SummaryStats]:
+    """E[row k of evaluate(paths)] for each of the ``checks`` statistic rows.
+
+    This is the one place an engine is chosen.  Exact mode folds outcome
+    probabilities: over the law of S_n alone when ``terminal_only`` is set
+    and the chain's steps are independent, else over every enumerated path,
+    ``tile_paths(checks)`` outcomes per block; each result has stderr 0 and
+    the chain's outcome count.  Monte Carlo averages ``paths`` sampled paths
+    from chunk ``chunk_base`` of ``seed`` on (S_n alone as an (m, 1) matrix
+    when ``terminal_only``), evaluated and reduced one tile of
+    ``tile_paths(checks)`` paths at a time.
+
+    In exact mode ``spec`` may be the chain itself, for a caller that built
+    it; a generator without one raises PreconditionError("mode").
+    """
+    if mode == "exact":
+        chain = spec
+        if not isinstance(spec, gen.DiscreteChainSpec):
+            try:
+                chain = gen.to_chain(spec)
+            except ValueError as exc:
+                raise PreconditionError("mode", f"exact mode unavailable: {exc}") from exc
+        if terminal_only and chain.coupling == "independent":
+            values = fold_terminal(chain, evaluate)
+        else:
+            values = fold_expectations(chain, evaluate, block=tile_paths(checks))
+        return [SummaryStats(mean=v, stderr=0.0, count=chain.outcome_count) for v in values]
+    if mode != "monte_carlo":
+        raise PreconditionError("mode", f"unknown mode {mode!r}")
+    if paths < 1:
+        raise PreconditionError("paths", "paths must be >= 1")
+    sample = _sample_terminal if terminal_only else gen.sample_paths
+    tile = tile_paths(checks)
+    acc = RunningStats()
+    for block in iter_chunks(sample, spec, paths, seed, chunk_base):
+        for lo in range(0, len(block), tile):
+            stats = evaluate(block[lo : lo + tile])
+            acc.update(stats)
+            # release each tile before the next is evaluated, and the chunk
+            # before the next is drawn
+            del stats
+        del block
+    return acc.summaries()
+
+
+def _sample_terminal(spec: gen.GeneratorSpec, m: int, rng) -> np.ndarray:
+    return gen.sample_final_sums(spec, m, rng)[:, None]
+
+
 def _run_checkset(
     theorem_id: str,
     inst: Instance,
@@ -975,45 +1021,15 @@ def _run_checkset(
     tolerance_z: float,
     terminal_only: bool = False,
 ) -> tuple[VerificationReport, list[CheckResult]]:
-    if mode == "exact":
-        try:
-            chain = gen.to_chain(inst.spec)
-        except ValueError as exc:
-            raise PreconditionError("mode", f"exact mode unavailable: {exc}") from exc
-        if terminal_only:
-            values = fold_terminal(chain, checkset.evaluate)
-        else:
-            block = tile_paths(len(checkset.metas))
-            values = fold_expectations(chain, checkset.evaluate, block=block)
-        results = [
-            _exact_result(v, meta, chain.outcome_count)
-            for v, meta in zip(values, checkset.metas)
-        ]
-        return _aggregate(theorem_id, results, exact=True), results
-    if mode != "monte_carlo":
-        raise PreconditionError("mode", f"unknown mode {mode!r}")
-    if paths < 1:
-        raise PreconditionError("paths", "paths must be >= 1")
-    sample = _sample_terminal if terminal_only else gen.sample_paths
-    tile = tile_paths(len(checkset.metas))
-    acc = RunningStats()
-    for block in iter_chunks(sample, inst.spec, paths, inst.seed):
-        for lo in range(0, len(block), tile):
-            stats = checkset.evaluate(block[lo : lo + tile])
-            acc.update(stats)
-            # release each tile before the next is evaluated, and the chunk
-            # before the next is drawn
-            del stats
-        del block
+    stats = expectations(
+        inst.spec, checkset.evaluate, len(checkset.metas), mode, paths, inst.seed, terminal_only
+    )
+    exact = mode == "exact"
     results = [
-        _mc_result(RunningStats(acc.count, mean, m2), meta, tolerance_z, paths)
-        for mean, m2, meta in zip(acc.mean.tolist(), acc.m2.tolist(), checkset.metas)
+        _exact_result(st, meta) if exact else _mc_result(st, meta, tolerance_z, paths)
+        for st, meta in zip(stats, checkset.metas)
     ]
-    return _aggregate(theorem_id, results, exact=False), results
-
-
-def _sample_terminal(spec: gen.GeneratorSpec, m: int, rng) -> np.ndarray:
-    return gen.sample_final_sums(spec, m, rng)[:, None]
+    return _aggregate(theorem_id, results, exact), results
 
 
 def verify_detailed(
@@ -1048,7 +1064,7 @@ def verify_detailed(
         if mode != "exact":
             raise PreconditionError("mode", "this entry is analytic; use exact mode")
         results = [
-            _exact_result(value, meta, count)
+            _exact_result(SummaryStats(mean=value, stderr=0.0, count=count), meta)
             for meta, value, count in entry.direct(inst)
         ]
         return _aggregate(entry.theorem_id, results, exact=True), results, {}

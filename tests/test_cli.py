@@ -133,6 +133,18 @@ class TestBoundCommand:
     def test_domain_error(self, capsys):
         assert main(["bound", "phi_bound", "u=3"]) == 3
 
+    def test_errors_are_json_on_stderr(self, capsys):
+        cases = [
+            (["bound", "nosuch", "x=1"], "bound"),
+            (["bound", "phi_bound"], "u"),
+            (["bound", "phi_bound", "u=3"], "phi_bound"),
+            (["bound", "phi_bound", "u=abc"], "phi_bound"),
+        ]
+        for argv, field in cases:
+            assert main(argv) == 3, argv
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert err["error"]["field"] == field, argv
+
 
 class TestDataCommands:
     def test_gen_summary(self, tmp_path, capsys):
@@ -171,6 +183,43 @@ class TestDataCommands:
         assert main(["stop", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "P(stopped): 1" in out
+
+    @pytest.mark.parametrize("command", ["gen", "stop"])
+    def test_zero_paths_is_a_json_error(self, tmp_path, capsys, command):
+        """A library ValueError exits 3 with the JSON error, not a
+        traceback and exit 1, the FAIL code."""
+        cfg = _write(
+            tmp_path,
+            "zero.cfg",
+            "seed = 3\ntheorem_id = T3.1\npaths = 5\n"
+            "generator.family = iid\ngenerator.law = rademacher\ngenerator.horizon = 6\n"
+            "stopping.kind = first_passage_up\nstopping.threshold = 1\n",
+        )
+        assert main([command, "--config", cfg, "--paths", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip())
+        assert err == {"error": {"field": command, "message": "paths must be >= 1"}}
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("oracle", "--dump-paths"),
+            ("oracle", "--seed"),
+            ("oracle", "--paths"),
+            ("oracle", "--out"),
+            ("stop", "--out"),
+            ("stop", "--dump-paths"),
+            ("clt", "--dump-paths"),
+            ("slln", "--dump-paths"),
+        ],
+    )
+    def test_unread_options_are_rejected(self, tmp_path, command, option):
+        cfg = _write(tmp_path, "any.cfg", "seed = 3\n")
+        value = [] if option == "--dump-paths" else ["1"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, option, *value])
+        assert exc.value.code == 2
 
     def test_oracle_stats(self, tmp_path, capsys):
         cfg = _write(

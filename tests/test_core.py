@@ -84,30 +84,33 @@ class TestRunningStats:
     )
     @settings(max_examples=200, deadline=None)
     def test_chunked_matches_whole(self, xs, cut):
-        """Merging chunk statistics reproduces the one-shot summary."""
+        """Merging chunk statistics reproduces the one-shot summary of each
+        of K rows."""
         arr = np.array(xs)
+        rows = np.stack([arr, -2.0 * arr, arr[::-1]])
         k = cut % len(arr)
         a, b = RunningStats(), RunningStats()
-        a.update(arr[:k])
-        b.update(arr[k:])
+        a.update(rows[:, :k])
+        b.update(rows[:, k:])
         a.merge(b)
-        whole = summarize(arr)
-        got = a.to_summary()
-        assert got.count == whole.count
-        assert got.mean == pytest.approx(whole.mean, rel=1e-12, abs=1e-12)
-        if math.isfinite(whole.stderr):
-            assert got.stderr == pytest.approx(whole.stderr, rel=1e-9, abs=1e-12)
+        for got, row in zip(a.summaries(), rows):
+            whole = summarize(row)
+            assert got.count == whole.count
+            assert got.mean == pytest.approx(whole.mean, rel=1e-12, abs=1e-12)
+            if math.isfinite(whole.stderr):
+                assert got.stderr == pytest.approx(whole.stderr, rel=1e-9, abs=1e-12)
 
     def test_merge_order_independent(self):
         rng = np.random.default_rng(0)
-        chunks = [rng.normal(size=50) for _ in range(4)]
+        chunks = [rng.normal(size=(3, 50)) for _ in range(4)]
         fwd, rev = RunningStats(), RunningStats()
         for c in chunks:
             fwd.update(c)
         for c in reversed(chunks):
             rev.update(c)
-        assert fwd.to_summary().mean == pytest.approx(rev.to_summary().mean, rel=1e-12)
-        assert fwd.to_summary().stderr == pytest.approx(rev.to_summary().stderr, rel=1e-12)
+        for f, r in zip(fwd.summaries(), rev.summaries()):
+            assert f.mean == pytest.approx(r.mean, rel=1e-12)
+            assert f.stderr == pytest.approx(r.stderr, rel=1e-12)
 
     @staticmethod
     def _row_by_row(stats):
@@ -119,15 +122,14 @@ class TestRunningStats:
 
     @classmethod
     def _assert_blocks_equal_rows(cls, stats):
-        """K rows are reduced in blocks of rows, from a matrix or from a
-        list of vectors; both must equal the row-by-row reduction bit for bit."""
+        """A (K, m) matrix is reduced in blocks of rows, which must equal
+        the row-by-row reduction bit for bit."""
         means, m2 = cls._row_by_row(stats)
-        for given_rows in (stats, list(stats)):
-            acc = RunningStats()
-            acc.update(given_rows)
-            assert acc.count == len(stats[0])
-            assert acc.mean.tobytes() == means.tobytes()
-            assert acc.m2.tobytes() == m2.tobytes()
+        acc = RunningStats()
+        acc.update(stats)
+        assert acc.count == stats.shape[1]
+        assert acc.mean.tobytes() == means.tobytes()
+        assert acc.m2.tobytes() == m2.tobytes()
 
     @staticmethod
     def _normal_rows(k, m, seed):
@@ -150,19 +152,28 @@ class TestRunningStats:
     def test_rows_of_any_layout_or_dtype_equal_the_row_loop(self):
         ints = np.random.default_rng(1).integers(-9, 9, (40, 6_000))
         floats = np.random.default_rng(2).normal(size=(40, 6_000))
-        for stats in (ints, np.asfortranarray(ints), floats[:, ::2], np.asfortranarray(floats)):
+        for stats in (
+            ints,
+            np.asfortranarray(ints),
+            floats[:, ::2],
+            np.asfortranarray(floats),
+            floats > 0,
+        ):
             self._assert_blocks_equal_rows(stats)
-        # a list may mix dtypes, as statistic functions hand back
-        self._assert_blocks_equal_rows([floats[0], floats[1] > 0, ints[2]])
 
     def test_single_vector_equals_its_row_reduction(self):
+        """One statistic is a (1, m) matrix; a bare vector is refused."""
         x = self._normal_rows(1, 5_000, seed=3)[0]
         means, m2 = self._row_by_row([x])
-        for given in (x, list(x), x[::-1][::-1]):
+        for given in (x[None], x[None, ::-1][:, ::-1], np.asfortranarray(x[None])):
             acc = RunningStats()
             acc.update(given)
             assert acc.count == 5_000
-            assert (acc.mean, acc.m2) == (means[0], m2[0])
+            assert (acc.mean.tolist(), acc.m2.tolist()) == ([means[0]], [m2[0]])
+            (summary,) = acc.summaries()
+            assert summary.mean == means[0]
+        with pytest.raises(ValueError, match="matrix"):
+            RunningStats().update(x)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_matrix_with_a_nonfinite_sample_rejected(self):

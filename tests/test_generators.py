@@ -32,6 +32,7 @@ from demimart.generators import (
     shared_shock_spec,
     sigma_n_exact,
     step_log_mgf,
+    step_min,
     to_chain,
     uniform,
     v_n,
@@ -316,6 +317,16 @@ class TestMoments:
     def test_path_min_bound(self):
         assert path_min_bound(iid_spec(rademacher(), 4, offset=4.0)) == 0.0
         assert path_min_bound(iid_spec(bernoulli(0.5), 4, offset=1.0)) == 1.0
+
+    def test_step_min(self):
+        assert step_min(iid_spec(rademacher(), 4)) == -1.0
+        assert step_min(iid_spec(bernoulli(0.5), 4)) == 0.0
+        assert step_min(shared_shock_spec(bernoulli(0.5), rademacher(), 4)) == -1.0
+        weighted = GeneratorSpec("moving_sum", 4, law=uniform(-1.0, 2.0), weights=(1.0, 0.5))
+        assert step_min(weighted) == -1.5
+        assert step_min(centered(iid_spec(bernoulli(0.25), 4))) == -0.25
+        assert step_min(adversarial_spec(4)) == -1.0
+        assert step_min(gaussian_assoc_spec(np.eye(4), 4)) is None
 
     def test_step_log_mgf_centered(self):
         spec = centered(iid_spec(bernoulli(0.5), 3))

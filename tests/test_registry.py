@@ -2,10 +2,12 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from demimart.cli import build_generator_spec, build_rule, config_from_dict, parse_config_text
 from demimart.core import CHUNK_PATHS, RunningStats, derive_stream, tile_paths
 from demimart.generators import (
     adversarial_spec,
@@ -21,7 +23,7 @@ from demimart.generators import (
     to_chain,
     uniform,
 )
-from demimart.oracle import fold_expectations, iter_blocks
+from demimart.oracle import fold_expectations, iter_blocks, terminal_law
 from demimart.registry import (
     CheckSet,
     Instance,
@@ -361,8 +363,8 @@ class TestStatisticTiles:
         for lo in range(0, paths, CHUNK_PATHS):
             ref.update(checkset.evaluate(whole[lo : lo + CHUNK_PATHS]))
         want = [
-            _mc_result(RunningStats(ref.count, mean, m2), meta, 3.0, paths)
-            for mean, m2, meta in zip(ref.mean.tolist(), ref.m2.tolist(), checkset.metas)
+            _mc_result(stats, meta, 3.0, paths)
+            for stats, meta in zip(ref.summaries(), checkset.metas)
         ]
         assert [r.stats.count for r in results] == [paths] * 288
         np.testing.assert_allclose(
@@ -390,6 +392,65 @@ class TestStatisticTiles:
         assert sizes == [tile] * (2**14 // tile) and len(sizes) > 1
         want = fold_expectations(to_chain(spec), checkset.evaluate)
         np.testing.assert_allclose([r.stats.mean for r in results], want, rtol=1e-12, atol=0)
+
+
+class TestStatisticContract:
+    """Every entry's statistic, extra checksets included, maps a block of m
+    paths to one (K, m) float64 matrix, on sampled and exact blocks alike."""
+
+    CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+    @staticmethod
+    def _checksets(config, spec):
+        entry = lookup(config.theorem_id)
+        inst = Instance(
+            spec=spec,
+            rule=build_rule(config.stopping) if config.stopping else None,
+            rule2=build_rule(config.stopping2, "stopping2") if config.stopping2 else None,
+            params=config.params,
+            seed=config.seed,
+        )
+        extras = entry.extra_checksets(inst).values() if entry.extra_checksets else ()
+        return [entry.build(inst), *extras]
+
+    @staticmethod
+    def _assert_matrix(checkset, block):
+        stats = checkset.evaluate(block)
+        assert isinstance(stats, np.ndarray)
+        assert stats.dtype == np.float64
+        assert stats.shape == (len(checkset.metas), len(block))
+
+    def test_every_entry_returns_one_matrix(self):
+        sampled_ids, exact_ids = set(), set()
+        for cfg_path in self.CONFIGS:
+            config = config_from_dict(parse_config_text(cfg_path.read_text()))
+            entry = lookup(config.theorem_id)
+            if entry.build is None:
+                continue
+            spec = build_generator_spec(config.generator)
+            paths = sample_paths(spec, 300, derive_stream(5, 0))
+            checksets = self._checksets(config, spec)
+            for checkset in checksets:
+                self._assert_matrix(checkset, paths)
+            if entry.terminal_only:
+                self._assert_matrix(checksets[0], paths[:, -1:])
+            sampled_ids.add(entry.theorem_id)
+            if config.mode != "exact":
+                # a Monte-Carlo config's family at a horizon small enough to
+                # enumerate, where it has a chain at all
+                spec = build_generator_spec({**config.generator, "horizon": 8})
+                checksets = self._checksets(config, spec)
+            try:
+                chain = to_chain(spec)
+            except ValueError:
+                continue
+            for checkset in checksets:
+                self._assert_matrix(checkset, next(iter_blocks(chain, 256))[0])
+            if entry.terminal_only:
+                self._assert_matrix(checksets[0], terminal_law(chain)[0][:, None])
+            exact_ids.add(entry.theorem_id)
+        built = {e.theorem_id for e in all_entries() if e.build is not None}
+        assert sampled_ids == exact_ids == built
 
 
 def _gather_values_at(paths, idx):
@@ -428,10 +489,22 @@ def _gather_l51(rule, h, big_m):
     return evaluate
 
 
+def _gather_t14(rule, n_small, m_big):
+    sign = 1.0 if rule.declared_direction == "nonincreasing" else -1.0
+
+    def evaluate(paths):
+        tau = rule.tau_batch(paths)
+        w_m = _gather_values_at(paths, _gather_wedge(tau, m_big))
+        w_n = _gather_values_at(paths, _gather_wedge(tau, n_small))
+        return [sign * (w_m - w_n), sign * (w_n - paths[:, 0])]
+
+    return evaluate
+
+
 class TestStoppedStatistics:
-    """C2.2 and L5.1 gather S_tau once and read S_(tau^j) from the column
-    S_j wherever tau >= j; every statistic equals the per-j gather's bits,
-    on sampled (column-major) and enumerated (row-major) blocks alike."""
+    """C2.2, L5.1 and T1.4 gather S_tau once and read S_(tau^j) from the
+    column S_j wherever tau >= j; every statistic equals the per-j gather's
+    bits, on sampled (column-major) and enumerated (row-major) blocks alike."""
 
     CASES = [
         ("C2.2", iid_spec(rademacher(), 9), first_passage_up(1.0)),
@@ -447,13 +520,23 @@ class TestStoppedStatistics:
         ("L5.1", iid_spec(rademacher(), 8, offset=1.0), capped(first_passage_down(-1.0), 6)),
         ("L5.1", centered(iid_spec(bernoulli(0.3), 8)), capped(first_passage_up(0.5), 7)),
         ("L5.1", RAD6, deterministic(4)),
+        ("T1.4", iid_spec(rademacher(), 9), first_passage_up(1.0)),
+        ("T1.4", centered(iid_spec(bernoulli(0.3), 8), offset=0.5), first_passage_down(-0.5)),
+        (
+            "T1.4",
+            shared_shock_spec(rademacher(), rademacher(), 7),
+            capped(first_passage_up(2.0), 5),
+        ),
     ]
 
     @staticmethod
     def _pair(theorem, spec, rule):
-        inst = Instance(spec=spec, rule=rule, rule2=None, params={}, seed=3)
-        checkset = lookup(theorem).build(inst)
         h = spec.horizon
+        params = {"n": 3, "m": h - 1} if theorem == "T1.4" else {}
+        inst = Instance(spec=spec, rule=rule, rule2=None, params=params, seed=3)
+        checkset = lookup(theorem).build(inst)
+        if theorem == "T1.4":
+            return checkset, _gather_t14(rule, 3, h - 1)
         if theorem == "C2.2":
             return checkset, _gather_c22(rule, h)
         big_m = max(increment_bound(spec), first_step_bound(spec))
