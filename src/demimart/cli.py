@@ -366,6 +366,9 @@ def _cmd_gen(args) -> int:
         if config.generator is None:
             raise PreconditionError("generator", "required")
         spec = build_generator_spec(config.generator)
+        if config.paths < 1:
+            # the chunked dump never reaches generate()'s own check
+            raise ValueError("paths must be >= 1")
         if not args.dump_paths:
             paths = gen.generate(spec, config.paths, config.seed)
     except ValueError as exc:
@@ -453,7 +456,7 @@ def _cmd_oracle(args) -> int:
         if config.generator is None:
             raise PreconditionError("generator", "required")
         chain = gen.to_chain(build_generator_spec(config.generator))
-        t = float(config.params["t"]) if "t" in config.params else None
+        t = registry.read_param(config.params, "t", float, None)
 
         def moments(p: np.ndarray) -> np.ndarray:
             s_n = p[:, -1]
@@ -513,14 +516,15 @@ def _cmd_slln(args) -> int:
         config = _load_config(args.config, args)
         if config.generator is None:
             raise PreconditionError("generator", "required")
-        for key in ("r", "epsilon", "n_grid"):
-            if key not in config.params:
-                raise PreconditionError(f"params.{key}", "required")
+        r = registry.read_param(config.params, "r", float)
+        epsilon = registry.read_param(config.params, "epsilon", float)
+        if "n_grid" not in config.params:
+            raise PreconditionError("params.n_grid", "required")
         spec = build_generator_spec(config.generator)
         diag = asymptotics.complete_convergence_diagnose(
             spec,
-            float(config.params["r"]),
-            float(config.params["epsilon"]),
+            r,
+            epsilon,
             config.params["n_grid"],
             config.paths,
             config.seed,

@@ -454,17 +454,35 @@ def _row_sums(inc: np.ndarray) -> np.ndarray:
     return inc.sum(axis=1, dtype=np.float64)
 
 
+def _rademacher_final_sums(stream: np.ndarray, n: int) -> np.ndarray:
+    # a Rademacher step is +1 exactly when the top bit of its stream byte is
+    # set (see IncrementLaw.sample), so S_n = 2K - n with K the count of set
+    # top bits among the path's n bytes; fewer than 256 bits fit in a uint8.
+    # The stream is shifted in place.
+    stream >>= 7
+    k = stream.reshape(-1, n).sum(axis=1, dtype=np.uint8 if n < 256 else np.int64)
+    s = k * 2.0
+    s -= n
+    return s
+
+
 def sample_final_sums(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) -> np.ndarray:
     """Draw S_n alone for n_paths paths, from the draws ``sample_paths`` makes.
 
-    No partial-sum matrix is built.  Integer-valued draws sum exactly, so on
-    lattice families this equals ``sample_paths(...)[:, -1]`` bit for bit; a
-    centered family subtracts n * mean once from the inner sum, so its S_n
-    stays on the shifted lattice (the step-by-step sum drifts off it by ulps).
+    No partial-sum matrix is built, and iid Rademacher steps are counted
+    straight from the random bytes, without building the +-1 matrix.
+    Integer-valued draws sum exactly, so on lattice families this equals
+    ``sample_paths(...)[:, -1]`` bit for bit and leaves the generator in the
+    same state; a centered family subtracts n * mean once from the inner sum,
+    so its S_n stays on the shifted lattice (the step-by-step sum drifts off
+    it by ulps).
     """
     if spec.family == "centered_partial_sum":
         inner = sample_final_sums(spec.inner, n_paths, rng)
         s = inner - spec.horizon * _inner_step_mean(spec.inner)
+    elif spec.family == "iid" and spec.law.name == "rademacher":
+        stream = _uint32_stream_bytes(_raw64(rng), n_paths * spec.horizon)
+        s = _rademacher_final_sums(stream, spec.horizon)
     else:
         s = _row_sums(sample_increments(spec, n_paths, rng))
     if spec.offset:

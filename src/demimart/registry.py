@@ -48,6 +48,7 @@ __all__ = [
     "check_definition",
     "expectations",
     "lookup",
+    "read_param",
     "verify",
     "verify_detailed",
 ]
@@ -144,6 +145,28 @@ def _require(cond: bool, name: str, message: str) -> None:
         raise PreconditionError(name, message)
 
 
+_REQUIRED = object()
+
+
+def read_param(params: dict, name: str, kind: type, default=_REQUIRED):
+    """``kind(params[name])``, or ``default`` as given when the key is absent.
+
+    A missing required value or one ``kind`` cannot convert raises a
+    PreconditionError that names ``params.<name>``.
+    """
+    if name not in params:
+        if default is _REQUIRED:
+            raise PreconditionError(f"params.{name}", "required")
+        return default
+    value = params[name]
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise PreconditionError(
+            f"params.{name}", f"expected {kind.__name__}, got {value!r}"
+        ) from None
+
+
 def _probe_seed(seed: int) -> int:
     return (int(seed) + _PROBE_SEED_SALT) & ((1 << 64) - 1)
 
@@ -199,8 +222,8 @@ def _wedge(tau: np.ndarray, j: int) -> np.ndarray:
 
 
 def _battery(inst: Instance, nonneg: bool, default_size: int = 16):
-    size = int(inst.params.get("battery_size", default_size))
-    seed = int(inst.params.get("battery_seed", inst.seed))
+    size = read_param(inst.params, "battery_size", int, default_size)
+    seed = read_param(inst.params, "battery_seed", int, inst.seed)
     return sample_battery(seed, size, require_nonnegative=nonneg)
 
 
@@ -272,8 +295,8 @@ def _build_definition(inst: Instance, nonneg: bool) -> CheckSet:
 
 def _build_t14(inst: Instance) -> CheckSet:
     rule = inst.rule
-    n_small = int(inst.params["n"])
-    m_big = int(inst.params["m"])
+    n_small = read_param(inst.params, "n", int)
+    m_big = read_param(inst.params, "m", int)
     h = inst.spec.horizon
     _require(1 <= n_small <= m_big <= h, "params.n", "need 1 <= n <= m <= horizon")
     direction = _rule_direction(rule)
@@ -473,9 +496,9 @@ def _build_l51(inst: Instance) -> CheckSet:
 
 
 def _build_t41(inst: Instance) -> CheckSet:
-    lam = float(inst.params["lambda"])
+    lam = read_param(inst.params, "lambda", float)
     _require(lam > 0, "params.lambda", "lambda must be positive")
-    j = int(inst.params.get("j", inst.spec.horizon))
+    j = read_param(inst.params, "j", int, inst.spec.horizon)
     _require(1 <= j <= inst.spec.horizon, "params.j", "j must lie in 1..horizon")
     _require(
         inst.cls.demimartingale,
@@ -498,9 +521,9 @@ def _build_t41(inst: Instance) -> CheckSet:
 
 
 def _build_c43(inst: Instance) -> CheckSet:
-    p = float(inst.params["p"])
+    p = read_param(inst.params, "p", float)
     _require(0.0 < p < 1.0, "params.p", "p must lie in (0, 1)")
-    j = int(inst.params.get("j", inst.spec.horizon))
+    j = read_param(inst.params, "j", int, inst.spec.horizon)
     _require(1 <= j <= inst.spec.horizon, "params.j", "j must lie in 1..horizon")
     _require(
         inst.cls.demisubmartingale,
@@ -524,7 +547,7 @@ def _build_c43(inst: Instance) -> CheckSet:
 
 def _grid_margins(inst: Instance) -> list[tuple[CheckMeta, float, int]]:
     """Analytic lemma suite: relative margins over dense grids."""
-    gsize = int(inst.params.get("grid", 10_000))
+    gsize = read_param(inst.params, "grid", int, 10_000)
     u = 3.0 * (np.arange(1, gsize + 1)) / (gsize + 1)
     phi_rel = (bnd.phi_bound(u) - bnd.phi(u)) / bnd.phi_bound(u)
     v = np.linspace(0.0, 1e3, gsize + 1)
@@ -555,7 +578,7 @@ def _mgf_margins(inst: Instance) -> list[tuple[CheckMeta, float, int]]:
     c = gen.increment_bound(spec)
     _require(c is not None, "generator", "requires bounded increments")
     ex2 = gen.step_second_moment(spec)
-    gsize = int(inst.params.get("grid", 64))
+    gsize = read_param(inst.params, "grid", int, 64)
     lams = (3.0 / c) * np.arange(1, gsize + 1) / (gsize + 1)
     margins = np.empty(gsize)
     for i, lam in enumerate(lams):
@@ -568,7 +591,7 @@ def _mgf_margins(inst: Instance) -> list[tuple[CheckMeta, float, int]]:
 
 
 def _build_bernstein(inst: Instance, need_assoc_label: str) -> CheckSet:
-    t = float(inst.params["t"])
+    t = read_param(inst.params, "t", float)
     _require(t > 0, "params.t", "t must be positive")
     _require(
         inst.cls.demimartingale and inst.cls.mean_zero_process,
@@ -601,9 +624,9 @@ def _exp_stopped_stat(rule: StoppingRule, theta: float, h_slope: float):
 
 
 def _build_c410(inst: Instance) -> CheckSet:
-    theta = float(inst.params["theta"])
+    theta = read_param(inst.params, "theta", float)
     _require(theta > 0, "params.theta", "theta must be positive")
-    h_slope = float(inst.params.get("h_slope", 0.0))
+    h_slope = read_param(inst.params, "h_slope", float, 0.0)
     _require(
         inst.cls.demisubmartingale,
         "generator",
@@ -619,8 +642,8 @@ def _build_c410(inst: Instance) -> CheckSet:
 def _c410_precheck(inst: Instance) -> dict[str, CheckSet]:
     """Independent battery check that the transformed process is a
     demisubmartingale before the stopped inequality is trusted."""
-    theta = float(inst.params["theta"])
-    h_slope = float(inst.params.get("h_slope", 0.0))
+    theta = read_param(inst.params, "theta", float)
+    h_slope = read_param(inst.params, "h_slope", float, 0.0)
     n = inst.spec.horizon
     if n < 2:
         return {}
@@ -691,7 +714,7 @@ def _build_wald_second(inst: Instance) -> CheckSet:
 
 def _build_wald_exp(inst: Instance) -> CheckSet:
     rule = inst.rule
-    theta = float(inst.params["theta"])
+    theta = read_param(inst.params, "theta", float)
     _require(theta > 0, "params.theta", "theta must be positive")
     _require(
         inst.cls.associated and inst.cls.step_mean_nonneg,

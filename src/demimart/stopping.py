@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .core import _accumulate_rows
+
 __all__ = [
     "NOT_STOPPED",
     "StoppingRule",
@@ -160,10 +162,21 @@ class StoppingRule:
 
 
 def _first_true(hit: np.ndarray) -> np.ndarray:
-    any_hit = hit.any(axis=1)
-    first = hit.argmax(axis=1).astype(np.int64) + 1
-    first[~any_hit] = -1
-    return first
+    """First True step per row of an (m, n) bool matrix, 1-based; -1 if none.
+
+    Counted time-major, with no transposing argmax: once each row j holds
+    "hit at some step <= j", a path first hit at step k is True in the
+    n + 1 - k rows k..n.  The comparison keeps the paths' layout, so the
+    time-major copy is free on column-major sampled paths and a one-byte
+    transpose on row-major exact blocks.  ``hit`` may be overwritten.
+    """
+    hit = np.ascontiguousarray(hit.T)
+    n = hit.shape[0]
+    _accumulate_rows(np.logical_or, hit, hit)
+    count = hit.view(np.uint8).sum(axis=0, dtype=np.uint8 if n < 256 else np.int64)
+    tau = (n + 1) - count.astype(np.int64)
+    tau[~hit[-1]] = -1
+    return tau
 
 
 def first_passage_up(threshold: float) -> StoppingRule:

@@ -201,6 +201,37 @@ class TestDataCommands:
         err = json.loads(captured.err.strip())
         assert err == {"error": {"field": command, "message": "paths must be >= 1"}}
 
+    @pytest.mark.parametrize("command", ["verify", "oracle"])
+    def test_non_numeric_param_names_the_parameter(self, tmp_path, capsys, command):
+        cfg = _write(
+            tmp_path,
+            "bad.cfg",
+            "seed = 3\ntheorem_id = T4.7\nmode = exact\nparams.t = abc\n"
+            "generator.family = iid\ngenerator.law = rademacher\ngenerator.horizon = 4\n",
+        )
+        assert main([command, "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err == {"error": {"field": "params.t", "message": "expected float, got 'abc'"}}
+
+    def test_dump_paths_with_zero_paths_is_a_json_error(self, tmp_path, capsys):
+        """The CSV dump checks the path count before it writes a header."""
+        cfg = _write(
+            tmp_path,
+            "zero.cfg",
+            "seed = 3\ntheorem_id = T3.1\npaths = 0\n"
+            "generator.family = iid\ngenerator.law = rademacher\ngenerator.horizon = 6\n",
+        )
+        out = tmp_path / "paths.csv"
+        assert main(["gen", "--config", cfg, "--dump-paths", "--out", str(out)]) == 3
+        assert not out.exists()
+        assert main(["gen", "--config", cfg, "--dump-paths"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err == {"error": {"field": "gen", "message": "paths must be >= 1"}}
+
     @pytest.mark.parametrize(
         "command, option",
         [

@@ -15,6 +15,7 @@ from demimart.generators import (
     _row_sums,
     GeneratorSpec,
     _inner_step_mean,
+    _rademacher_final_sums,
     adversarial_spec,
     bernoulli,
     centered,
@@ -197,25 +198,41 @@ class TestSampling:
     @given(
         st.integers(min_value=0, max_value=2**63),
         st.integers(min_value=0, max_value=1000),
-        st.integers(min_value=1, max_value=150),
+        st.one_of(
+            st.integers(min_value=1, max_value=150), st.sampled_from([255, 256, 300])
+        ),
         st.sampled_from(["rademacher", "bernoulli", "shock", "bernoulli shock"]),
         st.sampled_from([0.0, 1.5]),
         st.booleans(),
+        st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_final_sums_equal_last_column(self, seed, chunk, n, family, offset, center):
+    def test_final_sums_equal_last_column(
+        self, seed, chunk, n, family, offset, center, pending
+    ):
         """Same draws, same S_n: integer lattices sum exactly either way, and
-        a centered family subtracts the same n * mean from the same sum."""
+        a centered family subtracts the same n * mean from the same sum.  The
+        Rademacher top-bit count switches from uint8 to int64 at n = 256, and
+        both builds leave the generator in the same state, also when an
+        earlier draw left half a raw word pending."""
         law = bernoulli(0.3) if family.startswith("bernoulli") else rademacher()
         if family.endswith("shock"):
             spec = shared_shock_spec(law, rademacher(), n)
         else:
             spec = iid_spec(law, n)
         spec = centered(spec, offset=offset) if center else replace(spec, offset=offset)
-        paths = sample_paths(spec, 300, derive_stream(seed, chunk))
-        s_n = sample_final_sums(spec, 300, derive_stream(seed, chunk))
+        rng_paths, rng_sums = derive_stream(seed, chunk), derive_stream(seed, chunk)
+        if pending:
+            for rng in (rng_paths, rng_sums):
+                rng.integers(0, 2, size=1, dtype=np.int8)
+                assert rng.bit_generator.state["has_uint32"]
+        paths = sample_paths(spec, 300, rng_paths)
+        s_n = sample_final_sums(spec, 300, rng_sums)
         assert s_n.dtype == np.float64
         assert np.array_equal(s_n, paths[:, -1])
+        assert s_n.tobytes() == np.ascontiguousarray(paths[:, -1]).tobytes()
+        assert repr(rng_sums.bit_generator.state) == repr(rng_paths.bit_generator.state)
+        assert rng_sums.random() == rng_paths.random()
 
     @pytest.mark.parametrize("n", [255, 256, 300])
     @pytest.mark.parametrize("value", [127, -128])
@@ -225,6 +242,15 @@ class TestSampling:
         got = _row_sums(inc)
         assert got.dtype == np.float64
         assert np.array_equal(got, inc.sum(axis=1, dtype=np.int64).astype(np.float64))
+
+    @pytest.mark.parametrize("n", [255, 256, 300])
+    @pytest.mark.parametrize("byte, step", [(0xFF, 1.0), (0x80, 1.0), (0x7F, -1.0)])
+    def test_top_bit_counts_exact_at_the_uint8_boundary(self, n, byte, step):
+        """Counting a path's top bits in a narrow integer type never wraps."""
+        stream = np.full(3 * n, byte, dtype=np.uint8)
+        got = _rademacher_final_sums(stream, n)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.full(3, step * n).tobytes()
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):

@@ -69,6 +69,47 @@ class TestPrefixMeasurability:
         assert rule.tau(mutated) == t
 
 
+def _argmax_tau(hit):
+    """Reference first-passage time: the row-wise argmax of the hit matrix."""
+    tau = hit.argmax(axis=1).astype(np.int64) + 1
+    tau[~hit.any(axis=1)] = -1
+    return tau
+
+
+class TestFirstPassageCount:
+    """The time-major count of first-passage times against the argmax."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from([1, 2, 5, 255, 256, 300]),
+        st.floats(min_value=-3, max_value=3),
+        st.booleans(),
+        st.booleans(),
+        st.floats(min_value=0.0, max_value=0.5),
+        st.integers(min_value=1, max_value=320),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_argmax_on_both_layouts(
+        self, seed, m, n, threshold, up, column_major, nan_rate, cap
+    ):
+        rng = np.random.default_rng(seed)
+        p = rng.integers(-3, 4, size=(m, n)).astype(np.float64)
+        p[rng.random((m, n)) < nan_rate] = np.nan
+        p[0] = threshold - 1.0 if up else threshold + 1.0  # a row never hit
+        if column_major:
+            p = np.asfortranarray(p)
+        rule = first_passage_up(threshold) if up else first_passage_down(threshold)
+        expected = _argmax_tau(p >= threshold if up else p <= threshold)
+        tau = rule.tau_batch(p)
+        assert tau.dtype == np.int64
+        assert np.array_equal(tau, expected)
+        assert tau[0] == -1
+        c = min(cap, n)
+        capped_tau = capped(rule, cap).tau_batch(p)
+        assert np.array_equal(capped_tau, np.where(expected == -1, c, np.minimum(expected, c)))
+
+
 class TestCapping:
     @given(paths_strategy, st.integers(min_value=1, max_value=12))
     @settings(max_examples=200, deadline=None)
