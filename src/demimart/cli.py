@@ -24,7 +24,7 @@ import numpy as np
 
 from . import asymptotics, bounds, generators as gen, registry
 from .core import DEFAULT_TOLERANCE_Z, FAIL, INCONCLUSIVE, PASS, iter_chunks
-from .registry import PreconditionError
+from .registry import PreconditionError, read_param
 from .stopping import StoppingRule, capped, deterministic, first_passage_down, first_passage_up
 
 __all__ = ["main", "parse_config_text", "run", "run_suite"]
@@ -85,25 +85,45 @@ class ExperimentConfig:
     tolerance_z: float
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    if "seed" not in doc:
-        raise PreconditionError("seed", "required")
-    if "theorem_id" not in doc:
-        raise PreconditionError("theorem_id", "required")
+def _list_of(kind: type):
+    """Conversion of a JSON array whose items ``kind`` converts."""
+
+    def convert(value) -> list:
+        if not isinstance(value, list):
+            raise TypeError(value)
+        return [kind(v) for v in value]
+
+    convert.__name__ = f"list of {kind.__name__}"
+    return convert
+
+
+def config_from_dict(doc: dict, required=("theorem_id", "seed")) -> ExperimentConfig:
+    """The experiment in ``doc``; the keys in ``required`` must be present.
+
+    Every value is read through ``registry.read_param``, so a missing or
+    wrongly typed one raises a PreconditionError that names its key.
+    """
+    for key in required:
+        if key not in doc:
+            raise PreconditionError(key, "required")
     mode = doc.get("mode", "exact")
     if mode not in ("exact", "monte_carlo"):
         raise PreconditionError("mode", "must be 'exact' or 'monte_carlo'")
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise PreconditionError("params", "must be a table of dotted keys")
+    theorem_id = str(doc.get("theorem_id", ""))
     return ExperimentConfig(
-        experiment_id=str(doc.get("experiment_id", doc["theorem_id"])),
-        theorem_id=str(doc["theorem_id"]),
+        experiment_id=str(doc.get("experiment_id", theorem_id)),
+        theorem_id=theorem_id,
         generator=doc.get("generator"),
         stopping=doc.get("stopping"),
         stopping2=doc.get("stopping2"),
-        params=dict(doc.get("params", {})),
+        params=dict(params),
         mode=mode,
-        paths=int(doc.get("paths", 100_000)),
-        seed=int(doc["seed"]),
-        tolerance_z=float(doc.get("tolerance_z", DEFAULT_TOLERANCE_Z)),
+        paths=read_param(doc, "paths", int, 100_000, prefix=""),
+        seed=read_param(doc, "seed", int, 0, prefix=""),
+        tolerance_z=read_param(doc, "tolerance_z", float, DEFAULT_TOLERANCE_Z, prefix=""),
     )
 
 
@@ -114,24 +134,26 @@ def _law_from(d: dict, prefix: str) -> gen.IncrementLaw:
     if name == "rademacher":
         return gen.rademacher()
     if name == "bernoulli":
-        if "p" not in d:
-            raise PreconditionError(f"{prefix}.p", "required")
-        return gen.bernoulli(float(d["p"]))
+        return gen.bernoulli(read_param(d, "p", float, prefix=prefix))
     if name == "uniform":
         if "a" not in d or "b" not in d:
             raise PreconditionError(f"{prefix}.a/b", "required")
-        return gen.uniform(float(d["a"]), float(d["b"]))
+        return gen.uniform(read_param(d, "a", float, prefix=prefix),
+                           read_param(d, "b", float, prefix=prefix))
     raise PreconditionError(f"{prefix}.law", f"unknown law {name!r}")
 
 
 def _cov_from(d: dict, n: int) -> np.ndarray:
+    if not isinstance(d, dict):
+        raise PreconditionError("generator.cov", "must be a table of dotted keys")
     kind = d.get("kind")
     if kind == "matrix":
-        return np.asarray(d["matrix"], dtype=np.float64)
-    var = float(d.get("var", 1.0))
+        rows = read_param(d, "matrix", _list_of(_list_of(float)), prefix="generator.cov")
+        return np.asarray(rows, dtype=np.float64)
+    var = read_param(d, "var", float, 1.0, prefix="generator.cov")
     if kind == "diagonal":
         return var * np.eye(n)
-    rho = float(d.get("rho", 0.0))
+    rho = read_param(d, "rho", float, 0.0, prefix="generator.cov")
     if kind == "equicorrelated":
         return var * ((1.0 - rho) * np.eye(n) + rho * np.ones((n, n)))
     if kind == "ar1":
@@ -148,21 +170,18 @@ def build_generator_spec(d: dict) -> gen.GeneratorSpec:
     family = d.get("family")
     if family is None:
         raise PreconditionError("generator.family", "required")
-    if "horizon" not in d:
-        raise PreconditionError("generator.horizon", "required")
-    horizon = int(d["horizon"])
-    offset = float(d.get("offset", 0.0))
+    horizon = read_param(d, "horizon", int, prefix="generator")
+    offset = read_param(d, "offset", float, 0.0, prefix="generator")
     try:
         if family == "iid":
             return gen.GeneratorSpec("iid", horizon, law=_law_from(d, "generator"), offset=offset)
         if family == "moving_sum":
-            if "weights" not in d:
-                raise PreconditionError("generator.weights", "required")
+            weights = read_param(d, "weights", _list_of(float), prefix="generator")
             return gen.GeneratorSpec(
                 "moving_sum",
                 horizon,
                 law=_law_from(d, "generator"),
-                weights=tuple(float(w) for w in d["weights"]),
+                weights=tuple(weights),
                 offset=offset,
             )
         if family == "gaussian_assoc":
@@ -207,23 +226,22 @@ def build_rule(d: dict, field: str = "stopping") -> StoppingRule:
     kind = d.get("kind")
     if kind is None:
         raise PreconditionError(f"{field}.kind", "required")
-    try:
-        if kind == "first_passage_up":
-            rule = first_passage_up(float(d["threshold"]))
-        elif kind == "first_passage_down":
-            rule = first_passage_down(float(d["threshold"]))
-        elif kind == "deterministic":
-            rule = deterministic(int(d["step"]), d.get("direction", "nondecreasing"))
-        else:
-            raise PreconditionError(
-                f"{field}.kind",
-                "must be first_passage_up, first_passage_down, or deterministic "
-                "(user rules are library-only)",
-            )
-    except KeyError as exc:
-        raise PreconditionError(f"{field}.{exc.args[0]}", "required") from exc
+    if kind == "first_passage_up":
+        rule = first_passage_up(read_param(d, "threshold", float, prefix=field))
+    elif kind == "first_passage_down":
+        rule = first_passage_down(read_param(d, "threshold", float, prefix=field))
+    elif kind == "deterministic":
+        rule = deterministic(
+            read_param(d, "step", int, prefix=field), d.get("direction", "nondecreasing")
+        )
+    else:
+        raise PreconditionError(
+            f"{field}.kind",
+            "must be first_passage_up, first_passage_down, or deterministic "
+            "(user rules are library-only)",
+        )
     if "cap" in d:
-        rule = capped(rule, int(d["cap"]))
+        rule = capped(rule, read_param(d, "cap", int, prefix=field))
     return rule
 
 
@@ -314,14 +332,16 @@ def run(config: ExperimentConfig):
     return report, report_dict(config, report, runtime_ms), extras
 
 
-def _load_config(path: str, args) -> ExperimentConfig:
+def _load_config(path: str, args, required=("seed",)) -> ExperimentConfig:
+    """The config at ``path`` with the command-line overrides applied;
+    ``required`` names the top-level keys the command reads."""
     with open(path) as fh:
         doc = parse_config_text(fh.read())
     if getattr(args, "seed", None) is not None:
         doc["seed"] = args.seed
     if getattr(args, "paths", None) is not None:
         doc["paths"] = args.paths
-    return config_from_dict(doc)
+    return config_from_dict(doc, required)
 
 
 def _dump_paths_csv(spec: gen.GeneratorSpec, n_paths: int, seed: int, out) -> None:
@@ -336,12 +356,11 @@ def _dump_paths_csv(spec: gen.GeneratorSpec, n_paths: int, seed: int, out) -> No
 
 def _cmd_verify(args, forced_theorem: str | None = None) -> int:
     try:
-        config = _load_config(args.config, args)
+        required = ("seed",) if forced_theorem else ("theorem_id", "seed")
+        config = _load_config(args.config, args, required)
         if forced_theorem is not None:
-            variant = config.params.get("variant", "demimartingale")
-            tid = {"demimartingale": "Def1.2-demi", "demisubmartingale": "Def1.2-demisub"}.get(
-                variant
-            )
+            variant = read_param(config.params, "variant", str, "demimartingale")
+            tid = registry.DEFINITION_IDS.get(variant)
             if tid is None:
                 raise PreconditionError("params.variant", "demimartingale or demisubmartingale")
             config = ExperimentConfig(**{**config.__dict__, "theorem_id": tid})
@@ -452,11 +471,11 @@ def _cmd_bound(args) -> int:
 
 def _cmd_oracle(args) -> int:
     try:
-        config = _load_config(args.config, args)
+        config = _load_config(args.config, args, required=())
         if config.generator is None:
             raise PreconditionError("generator", "required")
         chain = gen.to_chain(build_generator_spec(config.generator))
-        t = registry.read_param(config.params, "t", float, None)
+        t = read_param(config.params, "t", float, None)
 
         def moments(p: np.ndarray) -> np.ndarray:
             s_n = p[:, -1]
@@ -486,12 +505,9 @@ def _cmd_clt(args) -> int:
         config = _load_config(args.config, args)
         if config.generator is None:
             raise PreconditionError("generator", "required")
-        if "n_grid" not in config.params:
-            raise PreconditionError("params.n_grid", "required")
+        n_grid = read_param(config.params, "n_grid", _list_of(int))
         spec = build_generator_spec(config.generator)
-        diags = asymptotics.clt_diagnose(
-            spec, config.params["n_grid"], config.paths, config.seed
-        )
+        diags = asymptotics.clt_diagnose(spec, n_grid, config.paths, config.seed)
     except ValueError as exc:
         return _error_exit(exc, "clt")
     lines = ["n,sigma_n,V_n,ratio_cubed,ks_distance,ecf_distance,sigma_exact"]
@@ -516,16 +532,15 @@ def _cmd_slln(args) -> int:
         config = _load_config(args.config, args)
         if config.generator is None:
             raise PreconditionError("generator", "required")
-        r = registry.read_param(config.params, "r", float)
-        epsilon = registry.read_param(config.params, "epsilon", float)
-        if "n_grid" not in config.params:
-            raise PreconditionError("params.n_grid", "required")
+        r = read_param(config.params, "r", float)
+        epsilon = read_param(config.params, "epsilon", float)
+        n_grid = read_param(config.params, "n_grid", _list_of(int))
         spec = build_generator_spec(config.generator)
         diag = asymptotics.complete_convergence_diagnose(
             spec,
             r,
             epsilon,
-            config.params["n_grid"],
+            n_grid,
             config.paths,
             config.seed,
             tolerance_z=config.tolerance_z,
@@ -577,7 +592,7 @@ def run_suite(directory: str, out: str | None = None) -> int:
                     "file": name,
                 }
             )
-        except (PreconditionError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             rows.append(
                 {
                     "experiment_id": name,

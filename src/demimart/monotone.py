@@ -219,10 +219,6 @@ class MonotonicityCertificate:
     delta: float | None = None
     probes: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return self.status in (CERTIFIED_BY_CONSTRUCTION, SAMPLED_OK)
-
 
 def certify_indicator_monotonicity(
     rule,

@@ -43,6 +43,7 @@ from .stopping import StoppingRule
 
 __all__ = [
     "CheckResult",
+    "DEFINITION_IDS",
     "PreconditionError",
     "all_entries",
     "check_definition",
@@ -123,10 +124,9 @@ class RegistryEntry:
     theorem_id: str
     aliases: tuple[str, ...]
     summary: str
-    needs_generator: bool = True
-    needs_rule: bool = False
-    needs_rule2: bool = False
-    required_params: tuple[str, ...] = ()
+    # preconditions, each raising PreconditionError, run in this order
+    # before ``build`` or ``direct``
+    requires: tuple[Callable[[Instance], None], ...] = ()
     build: Callable[[Instance], CheckSet] | None = None
     direct: Callable[[Instance], list[tuple[CheckMeta, float, int]]] | None = None
     extra_checksets: Callable[[Instance], dict[str, CheckSet]] | None = None
@@ -136,7 +136,10 @@ class RegistryEntry:
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers
+# Preconditions: one function per structural condition.  An entry lists
+# them in ``requires`` and they run in that order before its builder:
+# presence, then structure, then certification.  Builders keep only the
+# conditions that read a parameter or feed a constant.
 # ---------------------------------------------------------------------------
 
 
@@ -148,23 +151,120 @@ def _require(cond: bool, name: str, message: str) -> None:
 _REQUIRED = object()
 
 
-def read_param(params: dict, name: str, kind: type, default=_REQUIRED):
+def read_param(params: dict, name: str, kind: type, default=_REQUIRED, prefix: str = "params"):
     """``kind(params[name])``, or ``default`` as given when the key is absent.
 
     A missing required value or one ``kind`` cannot convert raises a
-    PreconditionError that names ``params.<name>``.
+    PreconditionError that names the key ``<prefix>.<name>`` (``name``
+    alone for an empty prefix).
     """
+    field = f"{prefix}.{name}" if prefix else name
     if name not in params:
         if default is _REQUIRED:
-            raise PreconditionError(f"params.{name}", "required")
+            raise PreconditionError(field, "required")
         return default
     value = params[name]
     try:
         return kind(value)
     except (TypeError, ValueError):
-        raise PreconditionError(
-            f"params.{name}", f"expected {kind.__name__}, got {value!r}"
-        ) from None
+        raise PreconditionError(field, f"expected {kind.__name__}, got {value!r}") from None
+
+
+def _generator(inst: Instance) -> None:
+    _require(inst.spec is not None, "generator", "generator spec required")
+
+
+def _rule(inst: Instance) -> None:
+    _require(inst.rule is not None, "stopping", "stopping rule required")
+
+
+def _rule2(inst: Instance) -> None:
+    _require(inst.rule2 is not None, "stopping2", "second stopping rule required")
+
+
+def _demimartingale(inst: Instance) -> None:
+    _require(inst.cls.demimartingale, "generator", "requires a demimartingale family")
+
+
+def _demisubmartingale(inst: Instance) -> None:
+    _require(inst.cls.demisubmartingale, "generator", "requires a demisubmartingale family")
+
+
+def _mean_zero_process(inst: Instance) -> None:
+    _require(inst.cls.mean_zero_process, "generator", "requires a mean-zero process (E S_n = 0)")
+
+
+def _mean_zero_steps(inst: Instance) -> None:
+    _require(gen.step_mean(inst.spec) == 0.0, "generator", "requires mean-zero steps")
+
+
+def _iid_associated(inst: Instance) -> None:
+    _require(
+        inst.cls.associated and inst.cls.identically_distributed,
+        "generator",
+        "requires identically distributed associated increments",
+    )
+
+
+def _bounded_increments(inst: Instance) -> None:
+    _require(
+        gen.increment_bound(inst.spec) is not None, "generator", "requires bounded increments"
+    )
+
+
+def _nonnegative(inst: Instance) -> None:
+    pmin = gen.path_min_bound(inst.spec)
+    _require(
+        pmin is not None and pmin >= 0.0,
+        "generator",
+        "requires a pathwise-nonnegative process (use a start offset)",
+    )
+
+
+def _bounded(rule: StoppingRule, horizon: int, name: str) -> None:
+    b = rule.bound()
+    _require(
+        b is not None and b <= horizon,
+        name,
+        f"requires a rule bounded by the horizon {horizon} (capped or deterministic)",
+    )
+
+
+def _bounded_rule(inst: Instance) -> None:
+    _bounded(inst.rule, inst.spec.horizon, "stopping")
+
+
+def _bounded_rule2(inst: Instance) -> None:
+    _bounded(inst.rule2, inst.spec.horizon, "stopping2")
+
+
+def _declared_direction(inst: Instance) -> str:
+    direction = inst.rule.declared_direction
+    _require(
+        direction in ("nondecreasing", "nonincreasing"),
+        "stopping.direction",
+        "declared_direction (nondecreasing or nonincreasing) required",
+    )
+    return direction
+
+
+def _t14_class(inst: Instance) -> None:
+    """T1.4's family follows the rule: demimartingale for a nondecreasing
+    indicator, demisubmartingale for a nonincreasing one."""
+    if _declared_direction(inst) == "nondecreasing":
+        _demimartingale(inst)
+    else:
+        _demisubmartingale(inst)
+
+
+def _certified(direction: str | None, target: str) -> Callable[[Instance], None]:
+    """The rule's indicator is monotone in ``direction`` (its declared one
+    when None) for ``target`` "le" (I{tau <= j}) or "eq" (I{tau = k})."""
+
+    def check(inst: Instance) -> None:
+        _certify(inst, inst.rule, direction or _declared_direction(inst), target)
+
+    return check
 
 
 def _probe_seed(seed: int) -> int:
@@ -186,6 +286,11 @@ def _certify(inst: Instance, rule: StoppingRule, direction: str, target: str) ->
             f"(target {target}): counterexample at coordinate {cert.coordinate} "
             f"with delta {cert.delta:.6g}",
         )
+
+
+# ---------------------------------------------------------------------------
+# Shared helpers
+# ---------------------------------------------------------------------------
 
 
 def _taus(rule: StoppingRule, paths: np.ndarray) -> np.ndarray:
@@ -225,22 +330,6 @@ def _battery(inst: Instance, nonneg: bool, default_size: int = 16):
     size = read_param(inst.params, "battery_size", int, default_size)
     seed = read_param(inst.params, "battery_seed", int, inst.seed)
     return sample_battery(seed, size, require_nonnegative=nonneg)
-
-
-def _rule_direction(rule: StoppingRule) -> str:
-    _require(
-        rule.declared_direction in ("nondecreasing", "nonincreasing"),
-        "stopping.direction",
-        "declared_direction (nondecreasing or nonincreasing) required",
-    )
-    return rule.declared_direction
-
-
-def _require_bounded(rule: StoppingRule, horizon: int, name: str = "stopping") -> int:
-    b = rule.bound()
-    _require(b is not None, name, "a bounded (capped or deterministic) rule is required")
-    _require(b <= horizon, name, f"rule bound {b} exceeds the horizon {horizon}")
-    return b
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +388,7 @@ def _build_t14(inst: Instance) -> CheckSet:
     m_big = read_param(inst.params, "m", int)
     h = inst.spec.horizon
     _require(1 <= n_small <= m_big <= h, "params.n", "need 1 <= n <= m <= horizon")
-    direction = _rule_direction(rule)
-    if direction == "nondecreasing":
-        _require(
-            inst.cls.demimartingale,
-            "generator",
-            "nondecreasing-indicator ordering requires a demimartingale family",
-        )
-    else:
-        _require(
-            inst.cls.demisubmartingale,
-            "generator",
-            "nonincreasing-indicator ordering requires a demisubmartingale family",
-        )
-    _certify(inst, rule, direction, "le")
-    sign = 1.0 if direction == "nonincreasing" else -1.0
+    sign = 1.0 if rule.declared_direction == "nonincreasing" else -1.0
     metas = (
         CheckMeta(f"E[S_(tau^{m_big})] vs E[S_(tau^{n_small})]", 0.0, ">="),
         CheckMeta(f"E[S_(tau^{n_small})] vs E[S_1]", 0.0, ">="),
@@ -335,13 +410,7 @@ def _build_t14(inst: Instance) -> CheckSet:
 
 def _build_t21(inst: Instance) -> CheckSet:
     rule = inst.rule
-    m_bound = _require_bounded(rule, inst.spec.horizon)
-    _require(
-        inst.cls.demisubmartingale,
-        "generator",
-        "stopped-pair inequality requires a demisubmartingale family",
-    )
-    _certify(inst, rule, "nondecreasing", "eq")
+    m_bound = rule.bound()
     battery = _battery(inst, nonneg=True)
     metas = tuple(
         CheckMeta(f"E[(S_M - S_tau) {f.label}(S_tau)]", 0.0, ">=") for f in battery
@@ -358,13 +427,6 @@ def _build_t21(inst: Instance) -> CheckSet:
 
 def _build_c22(inst: Instance) -> CheckSet:
     rule = inst.rule
-    _require(
-        inst.cls.demisubmartingale,
-        "generator",
-        "stop-vs-fixed comparison requires a demisubmartingale family",
-    )
-    direction = _rule_direction(rule)
-    _certify(inst, rule, direction, "le")
     h = inst.spec.horizon
     metas = tuple(CheckMeta(f"E[S_{j}] vs E[S_(tau^{j})]", 0.0, ">=") for j in range(1, h + 1))
 
@@ -382,18 +444,6 @@ def _build_c22(inst: Instance) -> CheckSet:
 
 def _build_t23(inst: Instance) -> CheckSet:
     rule1, rule2 = inst.rule, inst.rule2
-    _require(
-        gen.increment_bound(inst.spec) is not None,
-        "generator",
-        "two-stop inequality requires bounded increments",
-    )
-    _require_bounded(rule2, inst.spec.horizon, name="stopping2")
-    _require(
-        inst.cls.demisubmartingale,
-        "generator",
-        "two-stop inequality requires a demisubmartingale family",
-    )
-    _certify(inst, rule1, "nondecreasing", "eq")
     battery = _battery(inst, nonneg=True)
     metas = tuple(
         CheckMeta(f"E[(S_tau2 - S_tau1) {f.label}(S_tau1)]", 0.0, ">=") for f in battery
@@ -421,53 +471,9 @@ def _stopped_vs_start(inst: Instance, direction: str) -> CheckSet:
     return CheckSet(metas, evaluate)
 
 
-def _build_t31(inst: Instance) -> CheckSet:
-    _require(
-        inst.cls.demimartingale,
-        "generator",
-        "optional-sampling upper bound requires a demimartingale family",
-    )
-    _certify(inst, inst.rule, "nondecreasing", "le")
-    return _stopped_vs_start(inst, "<=")
-
-
-def _build_t32(inst: Instance) -> CheckSet:
-    _require(
-        inst.cls.demimartingale,
-        "generator",
-        "requires a demimartingale family",
-    )
-    pmin = gen.path_min_bound(inst.spec)
-    _require(
-        pmin is not None and pmin >= 0.0,
-        "generator",
-        "requires a pathwise-nonnegative process (use a start offset)",
-    )
-    _certify(inst, inst.rule, "nondecreasing", "le")
-    return _stopped_vs_start(inst, "<=")
-
-
-def _build_t33(inst: Instance) -> CheckSet:
-    _require(
-        inst.cls.demisubmartingale,
-        "generator",
-        "optional-sampling lower bound requires a demisubmartingale family",
-    )
-    _certify(inst, inst.rule, "nonincreasing", "le")
-    return _stopped_vs_start(inst, ">=")
-
-
 def _build_l51(inst: Instance) -> CheckSet:
     rule = inst.rule
-    _require(
-        inst.cls.demimartingale,
-        "generator",
-        "the stopped-moment bound is stated for demimartingale families",
-    )
-    c = gen.increment_bound(inst.spec)
-    c1 = gen.first_step_bound(inst.spec)
-    _require(c is not None, "generator", "requires bounded increments")
-    big_m = max(c, c1)
+    big_m = max(gen.increment_bound(inst.spec), gen.first_step_bound(inst.spec))
     h = inst.spec.horizon
     metas = []
     for n in range(1, h + 1):
@@ -500,17 +506,6 @@ def _build_t41(inst: Instance) -> CheckSet:
     _require(lam > 0, "params.lambda", "lambda must be positive")
     j = read_param(inst.params, "j", int, inst.spec.horizon)
     _require(1 <= j <= inst.spec.horizon, "params.j", "j must lie in 1..horizon")
-    _require(
-        inst.cls.demimartingale,
-        "generator",
-        "running-max bound requires a demimartingale family",
-    )
-    pmin = gen.path_min_bound(inst.spec)
-    _require(
-        pmin is not None and pmin >= 0.0,
-        "generator",
-        "running-max bound is verified for pathwise-nonnegative processes",
-    )
     rhs = bnd.doob_max_bound(gen.mean_s1(inst.spec), lam)
     metas = (CheckMeta(f"P(max_(i<={j}) S_i >= {lam!r})", rhs, "<=", tail=True),)
 
@@ -521,21 +516,14 @@ def _build_t41(inst: Instance) -> CheckSet:
 
 
 def _build_c43(inst: Instance) -> CheckSet:
+    pmin = gen.path_min_bound(inst.spec)
+    _require(
+        pmin > 0.0, "generator", "requires a pathwise bound S_i >= M > 0 (use a start offset)"
+    )
     p = read_param(inst.params, "p", float)
     _require(0.0 < p < 1.0, "params.p", "p must lie in (0, 1)")
     j = read_param(inst.params, "j", int, inst.spec.horizon)
     _require(1 <= j <= inst.spec.horizon, "params.j", "j must lie in 1..horizon")
-    _require(
-        inst.cls.demisubmartingale,
-        "generator",
-        "requires a demi(sub)martingale family",
-    )
-    pmin = gen.path_min_bound(inst.spec)
-    _require(
-        pmin is not None and pmin > 0.0,
-        "generator",
-        "requires a pathwise bound S_i >= M > 0 (use a start offset)",
-    )
     rhs = bnd.lp_max_bound(p, pmin, gen.mean_s1(inst.spec))
     metas = (CheckMeta(f"E[(max_(i<={j}) S_i)^{p!r}]", rhs, "<="),)
 
@@ -574,9 +562,7 @@ def _grid_margins(inst: Instance) -> list[tuple[CheckMeta, float, int]]:
 def _mgf_margins(inst: Instance) -> list[tuple[CheckMeta, float, int]]:
     """Exact log-MGF of the step law vs the quadratic bound on a lambda grid."""
     spec = inst.spec
-    _require(gen.step_mean(spec) == 0.0, "generator", "requires mean-zero steps")
     c = gen.increment_bound(spec)
-    _require(c is not None, "generator", "requires bounded increments")
     ex2 = gen.step_second_moment(spec)
     gsize = read_param(inst.params, "grid", int, 64)
     lams = (3.0 / c) * np.arange(1, gsize + 1) / (gsize + 1)
@@ -590,19 +576,10 @@ def _mgf_margins(inst: Instance) -> list[tuple[CheckMeta, float, int]]:
     ]
 
 
-def _build_bernstein(inst: Instance, need_assoc_label: str) -> CheckSet:
+def _build_bernstein(inst: Instance) -> CheckSet:
     t = read_param(inst.params, "t", float)
     _require(t > 0, "params.t", "t must be positive")
-    _require(
-        inst.cls.demimartingale and inst.cls.mean_zero_process,
-        "generator",
-        f"{need_assoc_label} requires mean-zero associated increments "
-        "with E S_n = 0",
-    )
-    c = gen.increment_bound(inst.spec)
-    _require(c is not None, "generator", "requires bounded increments")
-    v = gen.v_n(inst.spec)
-    one = bnd.bernstein_tail(t, v, c)
+    one = bnd.bernstein_tail(t, gen.v_n(inst.spec), gen.increment_bound(inst.spec))
     metas = (
         CheckMeta(f"P(S_n >= {t!r})", one, "<=", tail=True),
         CheckMeta(f"P(|S_n| >= {t!r})", 2.0 * one, "<=", tail=True),
@@ -627,14 +604,7 @@ def _build_c410(inst: Instance) -> CheckSet:
     theta = read_param(inst.params, "theta", float)
     _require(theta > 0, "params.theta", "theta must be positive")
     h_slope = read_param(inst.params, "h_slope", float, 0.0)
-    _require(
-        inst.cls.demisubmartingale,
-        "generator",
-        "exponential stopped inequality requires a demi(sub)martingale family",
-    )
-    direction = _rule_direction(inst.rule)
-    _certify(inst, inst.rule, direction, "le")
-    cmp_dir = "<=" if direction == "nondecreasing" else ">="
+    cmp_dir = "<=" if inst.rule.declared_direction == "nondecreasing" else ">="
     metas = (CheckMeta(f"E[exp({theta!r} S_tau - {h_slope!r} tau)]", 1.0, cmp_dir),)
     return CheckSet(metas, _exp_stopped_stat(inst.rule, theta, h_slope))
 
@@ -660,21 +630,12 @@ def _c410_precheck(inst: Instance) -> dict[str, CheckSet]:
 def _build_wald_first(inst: Instance) -> CheckSet:
     rule = inst.rule
     _require(
-        inst.cls.associated and inst.cls.identically_distributed,
+        rule.bound() is not None or gen.increment_bound(inst.spec) is not None,
         "generator",
-        "random-sum mean inequality requires identically distributed "
-        "associated increments",
+        "an unbounded rule needs bounded increments (finite E tau route)",
     )
-    if rule.bound() is None:
-        _require(
-            gen.increment_bound(inst.spec) is not None,
-            "generator",
-            "an unbounded rule needs bounded increments (finite E tau route)",
-        )
-    direction = _rule_direction(rule)
-    _certify(inst, rule, direction, "le")
     mu = gen.step_mean(inst.spec)
-    cmp_dir = ">=" if direction == "nonincreasing" else "<="
+    cmp_dir = ">=" if rule.declared_direction == "nonincreasing" else "<="
     metas = (CheckMeta("E[S_tau - mu tau]", 0.0, cmp_dir),)
 
     def evaluate(paths: np.ndarray) -> np.ndarray:
@@ -686,22 +647,10 @@ def _build_wald_first(inst: Instance) -> CheckSet:
 
 def _build_wald_second(inst: Instance) -> CheckSet:
     rule = inst.rule
-    _require(
-        inst.cls.associated and inst.cls.identically_distributed,
-        "generator",
-        "requires identically distributed associated increments",
-    )
     lo = gen.step_min(inst.spec)
-    _require(
-        lo is not None and lo >= 0.0,
-        "generator",
-        "requires nonnegative increments",
-    )
-    _require_bounded(rule, inst.spec.horizon)
-    direction = _rule_direction(rule)
-    _certify(inst, rule, direction, "le")
+    _require(lo is not None and lo >= 0.0, "generator", "requires nonnegative increments")
     ex2 = gen.step_second_moment(inst.spec)
-    cmp_dir = ">=" if direction == "nonincreasing" else "<="
+    cmp_dir = ">=" if rule.declared_direction == "nonincreasing" else "<="
     metas = (CheckMeta("E[S_tau^2 - EX^2 tau]", 0.0, cmp_dir),)
 
     def evaluate(paths: np.ndarray) -> np.ndarray:
@@ -714,19 +663,11 @@ def _build_wald_second(inst: Instance) -> CheckSet:
 
 def _build_wald_exp(inst: Instance) -> CheckSet:
     rule = inst.rule
+    _require(inst.spec.offset == 0.0, "generator", "start offset not supported here")
     theta = read_param(inst.params, "theta", float)
     _require(theta > 0, "params.theta", "theta must be positive")
-    _require(
-        inst.cls.associated and inst.cls.step_mean_nonneg,
-        "generator",
-        "requires associated increments with nonnegative means",
-    )
-    _require(inst.spec.offset == 0.0, "generator", "start offset not supported here")
-    _require_bounded(rule, inst.spec.horizon)
-    direction = _rule_direction(rule)
-    _certify(inst, rule, direction, "le")
     psi = gen.step_log_mgf(inst.spec, theta)
-    cmp_dir = ">=" if direction == "nonincreasing" else "<="
+    cmp_dir = ">=" if rule.declared_direction == "nonincreasing" else "<="
     metas = (CheckMeta(f"E[exp({theta!r} S_tau - tau psi)]", 1.0, cmp_dir),)
     return CheckSet(metas, _exp_stopped_stat(rule, theta, psi))
 
@@ -743,6 +684,7 @@ def _entry_list() -> list[RegistryEntry]:
             ("Def1.2", "check-demi"),
             "E[(S_{j+1}-S_j) f(S_1..S_j)] >= 0 for every battery f and j < n "
             "(mean-zero / demimartingale variant)",
+            requires=(_generator,),
             build=lambda inst: _build_definition(inst, nonneg=False),
         ),
         RegistryEntry(
@@ -750,6 +692,7 @@ def _entry_list() -> list[RegistryEntry]:
             (),
             "same projection statistic over the nonnegative battery "
             "(demisubmartingale variant)",
+            requires=(_generator,),
             build=lambda inst: _build_definition(inst, nonneg=True),
         ),
         RegistryEntry(
@@ -757,8 +700,7 @@ def _entry_list() -> list[RegistryEntry]:
             ("T1.4",),
             "E S_(tau^m) <= E S_(tau^n) <= E S_1 for nondecreasing indicators on "
             "demimartingales; reversed for nonincreasing on demisubmartingales",
-            needs_rule=True,
-            required_params=("n", "m"),
+            requires=(_generator, _rule, _t14_class, _certified(None, "le")),
             build=_build_t14,
         ),
         RegistryEntry(
@@ -766,14 +708,15 @@ def _entry_list() -> list[RegistryEntry]:
             ("T2.1",),
             "bounded tau with nondecreasing I{tau=k}: E[(S_M - S_tau) f(S_tau)] >= 0 "
             "over the nonnegative battery (includes E S_tau <= E S_M)",
-            needs_rule=True,
+            requires=(_generator, _rule, _demisubmartingale, _bounded_rule,
+                      _certified("nondecreasing", "eq")),
             build=_build_t21,
         ),
         RegistryEntry(
             "C2.2-stop-vs-fixed",
             ("C2.2",),
             "E S_(tau^j) <= E S_j for every j",
-            needs_rule=True,
+            requires=(_generator, _rule, _demisubmartingale, _certified(None, "le")),
             build=_build_c22,
         ),
         RegistryEntry(
@@ -781,53 +724,52 @@ def _entry_list() -> list[RegistryEntry]:
             ("T2.3",),
             "tau1 <= tau2 with nondecreasing I{tau1=j}: "
             "E[(S_tau2 - S_tau1) g(S_tau1)] >= 0 over the nonnegative battery",
-            needs_rule=True,
-            needs_rule2=True,
+            requires=(_generator, _rule, _rule2, _demisubmartingale, _bounded_increments,
+                      _bounded_rule2, _certified("nondecreasing", "eq")),
             build=_build_t23,
         ),
         RegistryEntry(
             "T3.1-OST-upper",
             ("T3.1",),
             "demimartingale, nondecreasing indicator, finite tau: E S_tau <= E S_1",
-            needs_rule=True,
-            build=_build_t31,
+            requires=(_generator, _rule, _demimartingale, _certified("nondecreasing", "le")),
+            build=lambda inst: _stopped_vs_start(inst, "<="),
         ),
         RegistryEntry(
             "T3.2-OST-nonneg",
             ("T3.2",),
             "nonnegative demimartingale, finite tau: E S_tau <= E S_1",
-            needs_rule=True,
-            build=_build_t32,
+            requires=(_generator, _rule, _demimartingale, _nonnegative,
+                      _certified("nondecreasing", "le")),
+            build=lambda inst: _stopped_vs_start(inst, "<="),
         ),
         RegistryEntry(
             "T3.3-OST-lower",
             ("T3.3",),
             "demisubmartingale, nonincreasing indicator: E S_tau >= E S_1",
-            needs_rule=True,
-            build=_build_t33,
+            requires=(_generator, _rule, _demisubmartingale, _certified("nonincreasing", "le")),
+            build=lambda inst: _stopped_vs_start(inst, ">="),
         ),
         RegistryEntry(
             "L5.1-ui-proxy",
             ("L5.1",),
             "E|S_(tau^n)| <= M E(tau^n) <= M E tau for every n "
             "(bounded increments, finite E tau)",
-            needs_rule=True,
+            requires=(_generator, _rule, _demimartingale, _bounded_increments),
             build=_build_l51,
         ),
         RegistryEntry(
             "T4.1-doob-max",
             ("T4.1",),
             "P(max_{i<=j} S_i >= lambda) <= E S_1 / lambda",
-            needs_rule=False,
-            required_params=("lambda",),
+            requires=(_generator, _demimartingale, _nonnegative),
             build=_build_t41,
         ),
         RegistryEntry(
             "C4.3-lp-max",
             ("C4.3",),
             "E (max_{i<=j} S_i)^p <= p E S_1 / ((1-p) M^{1-p}) for S >= M > 0, p < 1",
-            needs_rule=False,
-            required_params=("p",),
+            requires=(_generator, _demisubmartingale, _nonnegative),
             build=_build_c43,
         ),
         RegistryEntry(
@@ -835,7 +777,6 @@ def _entry_list() -> list[RegistryEntry]:
             ("L4.4", "L4.6", "L4.4/L4.6"),
             "grid check: phi <= phi_bound on (0,3); h1 >= h1_lower on [0,1e3]; "
             "psi_sup >= t^2/(2(V+tC/3)) on random positive triples",
-            needs_generator=False,
             direct=_grid_margins,
         ),
         RegistryEntry(
@@ -843,14 +784,15 @@ def _entry_list() -> list[RegistryEntry]:
             ("L4.5",),
             "exact step log-MGF <= lambda^2 EX^2 / (2(1 - lambda C/3)) on a "
             "lambda grid in (0, 3/C)",
+            requires=(_generator, _mean_zero_steps, _bounded_increments),
             direct=_mgf_margins,
         ),
         RegistryEntry(
             "T4.7-bernstein",
             ("T4.7",),
             "P(S_n >= t) <= exp(-t^2/(2(V_n + tC/3))), two-sided doubled",
-            required_params=("t",),
-            build=lambda inst: _build_bernstein(inst, "the concentration bound"),
+            requires=(_generator, _demimartingale, _mean_zero_process, _bounded_increments),
+            build=_build_bernstein,
             terminal_only=True,
         ),
         RegistryEntry(
@@ -858,8 +800,7 @@ def _entry_list() -> list[RegistryEntry]:
             ("C4.10",),
             "E[exp(theta S_tau - H(tau))] <= 1 for nondecreasing indicators "
             "(>= 1 for nonincreasing), H(k) = h_slope k",
-            needs_rule=True,
-            required_params=("theta",),
+            requires=(_generator, _rule, _demisubmartingale, _certified(None, "le")),
             build=_build_c410,
             extra_checksets=_c410_precheck,
         ),
@@ -868,7 +809,7 @@ def _entry_list() -> list[RegistryEntry]:
             ("C5.2", "C5.3", "C5.2/C5.3"),
             "E S_tau >= E X_1 E tau for nonincreasing indicators "
             "(<= for nondecreasing with bounded tau)",
-            needs_rule=True,
+            requires=(_generator, _rule, _iid_associated, _certified(None, "le")),
             build=_build_wald_first,
         ),
         RegistryEntry(
@@ -876,7 +817,8 @@ def _entry_list() -> list[RegistryEntry]:
             ("C5.4",),
             "E S_tau^2 >= (<=) E X_1^2 E tau for nonnegative identically "
             "distributed associated increments, bounded tau",
-            needs_rule=True,
+            requires=(_generator, _rule, _iid_associated, _bounded_rule,
+                      _certified(None, "le")),
             build=_build_wald_second,
         ),
         RegistryEntry(
@@ -884,8 +826,8 @@ def _entry_list() -> list[RegistryEntry]:
             ("C5.5",),
             "E[exp(theta S_tau - sum_{i<=tau} psi(theta))] >= (<=) 1 with "
             "psi = log E e^{theta X}",
-            needs_rule=True,
-            required_params=("theta",),
+            requires=(_generator, _rule, _demisubmartingale, _bounded_rule,
+                      _certified(None, "le")),
             build=_build_wald_exp,
         ),
         RegistryEntry(
@@ -893,14 +835,16 @@ def _entry_list() -> list[RegistryEntry]:
             ("T5.6",),
             "the concentration bound restricted to mean-zero associated "
             "increment families",
-            required_params=("t",),
-            build=lambda inst: _build_bernstein(inst, "the associated-sum bound"),
+            requires=(_generator, _demimartingale, _mean_zero_process, _bounded_increments),
+            build=_build_bernstein,
             terminal_only=True,
         ),
     ]
 
 
 _ENTRIES: dict[str, RegistryEntry] = {e.theorem_id: e for e in _entry_list()}
+# the defining-inequality entry for each variant of ``check_definition``
+DEFINITION_IDS = {"demimartingale": "Def1.2-demi", "demisubmartingale": "Def1.2-demisub"}
 _ALIASES: dict[str, str] = {}
 for _e in _ENTRIES.values():
     for _a in _e.aliases:
@@ -1070,18 +1014,11 @@ def verify_detailed(
     """Run one registry entry; return the report, every per-check result, and
     any auxiliary reports (e.g. the transformed-process precheck)."""
     entry = lookup(theorem_id)
-    for p in entry.required_params:
-        if params is None or p not in params:
-            raise PreconditionError(f"params.{p}", "required")
-    if entry.needs_generator and generator is None:
-        raise PreconditionError("generator", "generator spec required")
-    if entry.needs_rule and rule is None:
-        raise PreconditionError("stopping", "stopping rule required")
-    if entry.needs_rule2 and rule2 is None:
-        raise PreconditionError("stopping2", "second stopping rule required")
     inst = Instance(
         spec=generator, rule=rule, rule2=rule2, params=dict(params or {}), seed=int(seed)
     )
+    for check in entry.requires:
+        check(inst)
 
     if entry.direct is not None:
         if mode != "exact":
@@ -1122,9 +1059,8 @@ def check_definition(
     tolerance_z: float = DEFAULT_TOLERANCE_Z,
 ) -> VerificationReport:
     """Battery check of the defining projection inequality for an ensemble."""
-    if variant not in ("demimartingale", "demisubmartingale"):
-        raise PreconditionError("variant", "demimartingale or demisubmartingale")
-    tid = "Def1.2-demi" if variant == "demimartingale" else "Def1.2-demisub"
+    tid = DEFINITION_IDS.get(variant)
+    _require(tid is not None, "variant", "demimartingale or demisubmartingale")
     return verify(
         tid,
         spec,

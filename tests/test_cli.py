@@ -151,7 +151,7 @@ class TestDataCommands:
         cfg = _write(
             tmp_path,
             "gen.cfg",
-            "seed = 3\ntheorem_id = Def1.2\npaths = 500\n"
+            "seed = 3\npaths = 500\n"
             "generator.family = iid\ngenerator.law = rademacher\ngenerator.horizon = 5\n",
         )
         assert main(["gen", "--config", cfg]) == 0
@@ -163,7 +163,7 @@ class TestDataCommands:
         cfg = _write(
             tmp_path,
             "gen.cfg",
-            "seed = 3\ntheorem_id = Def1.2\npaths = 4\n"
+            "seed = 3\npaths = 4\n"
             "generator.family = iid\ngenerator.law = rademacher\ngenerator.horizon = 3\n",
         )
         out = str(tmp_path / "paths.csv")
@@ -176,7 +176,7 @@ class TestDataCommands:
         cfg = _write(
             tmp_path,
             "stop.cfg",
-            "seed = 3\ntheorem_id = T3.1\npaths = 2000\n"
+            "seed = 3\npaths = 2000\n"
             "generator.family = iid\ngenerator.law = rademacher\ngenerator.horizon = 6\n"
             "stopping.kind = first_passage_up\nstopping.threshold = 1\nstopping.cap = 6\n",
         )
@@ -191,7 +191,7 @@ class TestDataCommands:
         cfg = _write(
             tmp_path,
             "zero.cfg",
-            "seed = 3\ntheorem_id = T3.1\npaths = 5\n"
+            "seed = 3\npaths = 5\n"
             "generator.family = iid\ngenerator.law = rademacher\ngenerator.horizon = 6\n"
             "stopping.kind = first_passage_up\nstopping.threshold = 1\n",
         )
@@ -220,7 +220,7 @@ class TestDataCommands:
         cfg = _write(
             tmp_path,
             "zero.cfg",
-            "seed = 3\ntheorem_id = T3.1\npaths = 0\n"
+            "seed = 3\npaths = 0\n"
             "generator.family = iid\ngenerator.law = rademacher\ngenerator.horizon = 6\n",
         )
         out = tmp_path / "paths.csv"
@@ -256,7 +256,7 @@ class TestDataCommands:
         cfg = _write(
             tmp_path,
             "oracle.cfg",
-            "seed = 3\ntheorem_id = Def1.2\nparams.t = 1\n"
+            "params.t = 1\n"
             "generator.family = iid\ngenerator.law = rademacher\ngenerator.horizon = 3\n",
         )
         assert main(["oracle", "--config", cfg]) == 0
@@ -269,7 +269,7 @@ class TestDataCommands:
         cfg = _write(
             tmp_path,
             "shock.cfg",
-            "seed = 3\ntheorem_id = T4.7\ngenerator.family = shared_shock\n"
+            "generator.family = shared_shock\n"
             "generator.base.law = rademacher\ngenerator.shock.law = rademacher\n"
             "generator.horizon = 20\n",
         )
@@ -282,7 +282,7 @@ class TestDataCommands:
         cfg = _write(
             tmp_path,
             "flip.cfg",
-            "seed = 3\ntheorem_id = Def1.2\nparams.t = 1\n"
+            "params.t = 1\n"
             "generator.family = adversarial_sign_flip\ngenerator.horizon = 3\n",
         )
         assert main(["oracle", "--config", cfg]) == 0
@@ -298,7 +298,7 @@ class TestDataCommands:
         cfg = _write(
             tmp_path,
             "gen.cfg",
-            f"seed = 4\ntheorem_id = T4.7\npaths = {n}\n"
+            f"seed = 4\npaths = {n}\n"
             "generator.family = iid\ngenerator.law = rademacher\ngenerator.horizon = 2\n",
         )
         out = str(tmp_path / "paths.csv")
@@ -322,7 +322,7 @@ class TestDataCommands:
         cfg = _write(
             tmp_path,
             "clt.cfg",
-            "seed = 3\ntheorem_id = Def1.2\npaths = 2000\nparams.n_grid = [16, 64]\n"
+            "seed = 3\npaths = 2000\nparams.n_grid = [16, 64]\n"
             "generator.family = shared_shock\ngenerator.horizon = 16\n"
             "generator.base.law = rademacher\ngenerator.shock.law = rademacher\n",
         )
@@ -336,13 +336,95 @@ class TestDataCommands:
         cfg = _write(
             tmp_path,
             "slln.cfg",
-            "seed = 3\ntheorem_id = Def1.2\npaths = 20000\n"
+            "seed = 3\npaths = 20000\n"
             "params.r = 1\nparams.epsilon = 0.5\nparams.n_grid = [10, 20]\n"
             "generator.family = iid\ngenerator.law = rademacher\ngenerator.horizon = 10\n",
         )
         assert main(["slln", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("n,tail,stderr,envelope")
+
+
+def _last_error(capsys) -> dict:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return json.loads(captured.err.strip().splitlines()[-1])["error"]
+
+
+IID4 = "generator.family = iid\ngenerator.law = rademacher\ngenerator.horizon = 4\n"
+
+
+class TestConfigKeys:
+    """A top-level key is required only by the commands that read it."""
+
+    def test_clt_needs_no_theorem_id(self, tmp_path, capsys):
+        text = "seed = 3\npaths = 200\nparams.n_grid = [2, 4]\n" + IID4
+        cfg = _write(tmp_path, "clt.cfg", text)
+        assert main(["clt", "--config", cfg]) == 0
+
+    def test_oracle_needs_neither_seed_nor_theorem_id(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "oracle.cfg", IID4)
+        assert main(["oracle", "--config", cfg]) == 0
+        assert "outcomes: 16" in capsys.readouterr().out
+
+    def test_check_demi_needs_no_theorem_id(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "demi.cfg", "seed = 3\n" + IID4)
+        assert main(["check-demi", "--config", cfg]) == 0
+
+    def test_verify_still_needs_theorem_id(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "verify.cfg", "seed = 3\n" + IID4)
+        assert main(["verify", "--config", cfg]) == 3
+        assert _last_error(capsys) == {"field": "theorem_id", "message": "required"}
+
+
+T31_STOP_CFG = T31_CFG.replace("seed = 42", "seed = 3\nparams.t = 1")
+
+
+class TestConfigValues:
+    """A value of the wrong JSON type is an exit-3 error that names its key,
+    not a traceback and exit 1, the FAIL code."""
+
+    @pytest.mark.parametrize(
+        "command, line, bad, field",
+        [
+            ("verify", "generator.horizon = 3", "generator.horizon = [1, 2]", "generator.horizon"),
+            ("verify", "stopping.threshold = 1", "stopping.threshold = [1]", "stopping.threshold"),
+            ("verify", "stopping.threshold = 1", "stopping.threshold = abc", "stopping.threshold"),
+            ("verify", "seed = 3", "seed = [1]", "seed"),
+            ("verify", "params.t = 1", "params = 3", "params"),
+            (
+                "gen",
+                "generator.law = rademacher",
+                "generator.law = bernoulli\ngenerator.p = [0.3]",
+                "generator.p",
+            ),
+            ("clt", "params.t = 1", "params.n_grid = 5", "params.n_grid"),
+            (
+                "slln",
+                "params.t = 1",
+                "params.n_grid = 5\nparams.r = 1\nparams.epsilon = 0.5",
+                "params.n_grid",
+            ),
+        ],
+    )
+    def test_wrong_type_names_its_key(self, tmp_path, capsys, command, line, bad, field):
+        assert line in T31_STOP_CFG
+        cfg = _write(tmp_path, "bad.cfg", T31_STOP_CFG.replace(line, bad))
+        assert main([command, "--config", cfg]) == 3
+        assert _last_error(capsys)["field"] == field
+
+    def test_suite_runs_past_a_wrongly_typed_file(self, tmp_path, capsys):
+        d = tmp_path / "suite"
+        d.mkdir()
+        (d / "a_pass.cfg").write_text(T31_CFG)
+        bad = T31_CFG.replace("generator.horizon = 3", "generator.horizon = [3]")
+        (d / "b_bad.cfg").write_text(bad.replace("n3-exact", "bad"))
+        (d / "c_pass.cfg").write_text(T31_CFG.replace("n3-exact", "second"))
+        out = str(tmp_path / "agg.json")
+        assert main(["suite", str(d), "--out", out]) == 3
+        rows = json.loads(open(out).read())["experiments"]
+        assert [row["verdict"] for row in rows] == ["PASS", "ERROR", "PASS"]
+        assert "expected int, got [3]" in rows[1]["message"]
 
 
 class TestSuiteCommand:

@@ -1,5 +1,7 @@
 """Verification driver: preconditions, exact/Monte-Carlo agreement, verdicts."""
 
+import dataclasses
+import inspect
 import math
 import tracemalloc
 from pathlib import Path
@@ -10,10 +12,12 @@ import pytest
 from demimart.cli import build_generator_spec, build_rule, config_from_dict, parse_config_text
 from demimart.core import CHUNK_PATHS, RunningStats, derive_stream, tile_paths
 from demimart.generators import (
+    GeneratorSpec,
     adversarial_spec,
     bernoulli,
     centered,
     first_step_bound,
+    gaussian_assoc_spec,
     generate,
     iid_spec,
     increment_bound,
@@ -43,6 +47,7 @@ from demimart.stopping import (
     first_passage_down,
     first_passage_up,
     jump_if_high,
+    user_rule,
 )
 
 RAD6 = iid_spec(rademacher(), 6)
@@ -120,6 +125,184 @@ class TestPreconditions:
     def test_lemma_grid_is_exact_only(self):
         with pytest.raises(PreconditionError, match="analytic"):
             verify("L4.4", mode="monte_carlo", seed=1)
+
+
+UP6 = capped(first_passage_up(1.0), 6)
+
+# one input per entry that meets every condition in its ``requires``
+GOOD_INPUTS = {
+    "Def1.2-demi": dict(spec=RAD6),
+    "Def1.2-demisub": dict(spec=BERN6),
+    "T1.4-order": dict(spec=RAD6, rule=UP6, params={"n": 2, "m": 4}),
+    "T2.1-stopped-pair": dict(spec=BERN6, rule=deterministic(4)),
+    "C2.2-stop-vs-fixed": dict(spec=BERN6, rule=UP6),
+    "T2.3-two-stops": dict(spec=BERN6, rule=deterministic(2), rule2=deterministic(5)),
+    "T3.1-OST-upper": dict(spec=RAD6, rule=UP6),
+    "T3.2-OST-nonneg": dict(spec=iid_spec(rademacher(), 6, offset=6.0), rule=UP6),
+    "T3.3-OST-lower": dict(spec=BERN6, rule=deterministic(3)),
+    "L5.1-ui-proxy": dict(spec=RAD6, rule=UP6),
+    "T4.1-doob-max": dict(spec=iid_spec(rademacher(), 6, offset=6.0), params={"lambda": 8}),
+    "C4.3-lp-max": dict(spec=iid_spec(bernoulli(0.5), 6, offset=6.0), params={"p": 0.5}),
+    "L4.4/L4.6-lemma-grid": dict(params={"grid": 50}),
+    "L4.5-mgf": dict(spec=RAD6),
+    "T4.7-bernstein": dict(spec=RAD6, params={"t": 2.0}),
+    "C4.10-exp-stopped": dict(spec=RAD6, rule=UP6, params={"theta": 0.3}),
+    "C5.2/C5.3-wald-first": dict(spec=BERN6, rule=UP6),
+    "C5.4-wald-second": dict(spec=BERN6, rule=deterministic(3)),
+    "C5.5-wald-exp": dict(spec=BERN6, rule=deterministic(3), params={"theta": 0.3}),
+    "T5.6-bernstein-assoc": dict(spec=RAD6, params={"t": 2.0}),
+}
+
+# each entry's ``requires``, in order, as listed in the README registry table
+REQUIRES = {
+    "Def1.2-demi": "generator",
+    "Def1.2-demisub": "generator",
+    "T1.4-order": "generator rule t14_class certified",
+    "T2.1-stopped-pair": "generator rule demisubmartingale bounded_rule certified",
+    "C2.2-stop-vs-fixed": "generator rule demisubmartingale certified",
+    "T2.3-two-stops": (
+        "generator rule rule2 demisubmartingale bounded_increments bounded_rule2 certified"
+    ),
+    "T3.1-OST-upper": "generator rule demimartingale certified",
+    "T3.2-OST-nonneg": "generator rule demimartingale nonnegative certified",
+    "T3.3-OST-lower": "generator rule demisubmartingale certified",
+    "L5.1-ui-proxy": "generator rule demimartingale bounded_increments",
+    "T4.1-doob-max": "generator demimartingale nonnegative",
+    "C4.3-lp-max": "generator demisubmartingale nonnegative",
+    "L4.4/L4.6-lemma-grid": "",
+    "L4.5-mgf": "generator mean_zero_steps bounded_increments",
+    "T4.7-bernstein": "generator demimartingale mean_zero_process bounded_increments",
+    "C4.10-exp-stopped": "generator rule demisubmartingale certified",
+    "C5.2/C5.3-wald-first": "generator rule iid_associated certified",
+    "C5.4-wald-second": "generator rule iid_associated bounded_rule certified",
+    "C5.5-wald-exp": "generator rule demisubmartingale bounded_rule certified",
+    "T5.6-bernstein-assoc": "generator demimartingale mean_zero_process bounded_increments",
+}
+
+PRESENCE = ("_generator", "_rule", "_rule2")
+
+
+def _condition(check) -> str:
+    return check.__qualname__.split(".")[0]
+
+
+def _break(check, good: dict):
+    """Inputs that fail ``check`` and nothing else in the entry's
+    ``requires``, with the field and the message substring the README names."""
+    name = _condition(check)
+    if name in PRESENCE:
+        key, field, message = {
+            "_generator": ("spec", "generator", "generator spec required"),
+            "_rule": ("rule", "stopping", "stopping rule required"),
+            "_rule2": ("rule2", "stopping2", "second stopping rule required"),
+        }[name]
+        return {**good, key: None}, field, message
+    spec = good["spec"]
+    h = spec.horizon
+    # not associated, with the same offset, so no other condition moves
+    flip = GeneratorSpec("adversarial_sign_flip", h, law=rademacher(), offset=spec.offset)
+    generator_cases = {
+        "_demimartingale": (flip, "requires a demimartingale family"),
+        "_demisubmartingale": (flip, "requires a demisubmartingale family"),
+        "_mean_zero_process": (dataclasses.replace(spec, offset=1.0), "E S_n = 0"),
+        "_mean_zero_steps": (BERN6, "requires mean-zero steps"),
+        "_iid_associated": (
+            dataclasses.replace(spec, offset=1.0),
+            "identically distributed associated increments",
+        ),
+        "_bounded_increments": (
+            gaussian_assoc_spec(np.eye(h), h, offset=spec.offset),
+            "requires bounded increments",
+        ),
+        "_nonnegative": (dataclasses.replace(spec, offset=-1.0), "pathwise-nonnegative"),
+        "_t14_class": (BERN6, "requires a demimartingale family"),
+    }
+    if name in generator_cases:
+        bad, message = generator_cases[name]
+        return {**good, "spec": bad}, "generator", message
+    if name in ("_bounded_rule", "_bounded_rule2"):
+        key, field = ("rule", "stopping") if name == "_bounded_rule" else ("rule2", "stopping2")
+        return {**good, key: deterministic(h + 1)}, field, "bounded by the horizon"
+    assert name == "_certified", name
+    # a first passage the other way, declared in the direction the check needs
+    direction = inspect.getclosurevars(check).nonlocals["direction"]
+    direction = direction or good["rule"].declared_direction
+    level = spec.offset + 0.5
+    if direction == "nondecreasing":
+        reversed_rule = user_rule(lambda p: p[:, -1] <= level, direction, label="down")
+    else:
+        reversed_rule = user_rule(lambda p: p[:, -1] >= level, direction, label="up")
+    return {**good, "rule": capped(reversed_rule, h)}, "stopping.direction", f"is not {direction}"
+
+
+REQUIRES_CASES = [
+    pytest.param(e.theorem_id, i, id=f"{e.theorem_id}-{_condition(check)}")
+    for e in all_entries()
+    for i, check in enumerate(e.requires)
+]
+
+
+class TestRequires:
+    """Each entry's ``requires`` tuple, condition by condition."""
+
+    @staticmethod
+    def _instance(inputs: dict) -> Instance:
+        return Instance(
+            spec=inputs.get("spec"),
+            rule=inputs.get("rule"),
+            rule2=inputs.get("rule2"),
+            params=dict(inputs.get("params", {})),
+            seed=1,
+        )
+
+    def test_every_entry_has_a_good_input(self):
+        assert set(GOOD_INPUTS) == set(REQUIRES) == {e.theorem_id for e in all_entries()}
+
+    @pytest.mark.parametrize("tid", sorted(REQUIRES))
+    def test_requires_is_pinned(self, tid):
+        names = [_condition(check).lstrip("_") for check in lookup(tid).requires]
+        assert " ".join(names) == REQUIRES[tid]
+
+    @pytest.mark.parametrize("tid", sorted(GOOD_INPUTS))
+    def test_good_input_meets_every_condition(self, tid):
+        entry = lookup(tid)
+        inst = self._instance(GOOD_INPUTS[tid])
+        for check in entry.requires:
+            check(inst)
+        (entry.build or entry.direct)(inst)
+
+    @pytest.mark.parametrize("tid, index", REQUIRES_CASES)
+    def test_breaking_one_condition_names_it(self, tid, index):
+        entry = lookup(tid)
+        check = entry.requires[index]
+        inputs, field, message = _break(check, GOOD_INPUTS[tid])
+        inst = self._instance(inputs)
+        if _condition(check) not in PRESENCE:
+            # every other condition still holds, so this one is what fails
+            for other in entry.requires:
+                if other is not check:
+                    other(inst)
+        with pytest.raises(PreconditionError) as exc:
+            verify_detailed(
+                tid,
+                inputs.get("spec"),
+                rule=inputs.get("rule"),
+                rule2=inputs.get("rule2"),
+                params=inputs.get("params"),
+                mode="exact",
+                seed=1,
+            )
+        assert exc.value.name == field
+        assert message in exc.value.message
+
+    def test_structure_is_checked_before_parameters(self):
+        """An offset walk without ``params.t`` breaks two conditions; the
+        structural one, checked first, is the one reported."""
+        shifted = iid_spec(rademacher(), 6, offset=1.0)
+        with pytest.raises(PreconditionError) as exc:
+            verify("T4.7", shifted, mode="exact", seed=1)
+        assert exc.value.name == "generator"
+        assert "E S_n = 0" in exc.value.message
 
 
 class TestVerdicts:
