@@ -10,7 +10,7 @@ the horizon grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,14 +91,6 @@ class CltDiagnostics:
     sigma_exact: bool
 
 
-def _with_horizon(spec: gen.GeneratorSpec, n: int) -> gen.GeneratorSpec:
-    if spec.family == "centered_partial_sum":
-        return replace(spec, horizon=n, inner=replace(spec.inner, horizon=n))
-    if spec.family == "gaussian_assoc":
-        raise ValueError("horizon grid not supported for an explicit covariance")
-    return replace(spec, horizon=n)
-
-
 def clt_diagnose(
     spec: gen.GeneratorSpec, n_grid, paths: int, seed: int
 ) -> list[CltDiagnostics]:
@@ -114,7 +106,7 @@ def clt_diagnose(
         raise ValueError("unbounded-increment generator")
     diags = []
     for i, n in enumerate(n_grid):
-        sub = _with_horizon(spec, n)
+        sub = gen.with_horizon(spec, n)
         chunks = iter_chunks(gen.sample_final_sums, sub, paths, seed, chunk_base=i << 32)
         s_n = np.concatenate(list(chunks))
         sigma = gen.sigma_n_exact(sub)
@@ -203,7 +195,7 @@ def complete_convergence_diagnose(
     running = []
     total = 0.0
     for i, n in enumerate(sorted(int(x) for x in n_grid)):
-        sub = _with_horizon(spec, n)
+        sub = gen.with_horizon(spec, n)
         threshold = float(n**r * epsilon)
         v = gen.v_n(sub)
         envelope = 2.0 * bernstein_tail(threshold, v, c)

@@ -174,50 +174,36 @@ def build_generator_spec(d: dict) -> gen.GeneratorSpec:
     offset = read_param(d, "offset", float, 0.0, prefix="generator")
     try:
         if family == "iid":
-            return gen.GeneratorSpec("iid", horizon, law=_law_from(d, "generator"), offset=offset)
-        if family == "moving_sum":
+            fields = {"law": _law_from(d, "generator")}
+        elif family == "moving_sum":
             weights = read_param(d, "weights", _list_of(float), prefix="generator")
-            return gen.GeneratorSpec(
-                "moving_sum",
-                horizon,
-                law=_law_from(d, "generator"),
-                weights=tuple(weights),
-                offset=offset,
-            )
-        if family == "gaussian_assoc":
+            fields = {"weights": tuple(weights), "law": _law_from(d, "generator")}
+        elif family == "gaussian_assoc":
             if "cov" not in d:
                 raise PreconditionError("generator.cov", "required")
-            return gen.GeneratorSpec(
-                "gaussian_assoc", horizon, covariance=_cov_from(d["cov"], horizon), offset=offset
-            )
-        if family == "shared_shock":
-            base = d.get("base")
-            shock = d.get("shock")
+            fields = {"covariance": _cov_from(d["cov"], horizon)}
+        elif family == "shared_shock":
+            base, shock = d.get("base"), d.get("shock")
             if not isinstance(base, dict) or not isinstance(shock, dict):
                 raise PreconditionError("generator.base/shock", "required")
-            return gen.GeneratorSpec(
-                "shared_shock",
-                horizon,
-                law=_law_from(base, "generator.base"),
-                shock=_law_from(shock, "generator.shock"),
-                offset=offset,
-            )
-        if family == "centered_partial_sum":
+            fields = {
+                "law": _law_from(base, "generator.base"),
+                "shock": _law_from(shock, "generator.shock"),
+            }
+        elif family == "centered_partial_sum":
             inner = d.get("inner")
             if not isinstance(inner, dict):
                 raise PreconditionError("generator.inner", "required")
-            inner_spec = build_generator_spec({**inner, "horizon": horizon})
-            return gen.GeneratorSpec(
-                "centered_partial_sum", horizon, inner=inner_spec, offset=offset
-            )
-        if family == "adversarial_sign_flip":
-            law = _law_from(d, "generator") if "law" in d else gen.rademacher()
-            return gen.GeneratorSpec("adversarial_sign_flip", horizon, law=law)
+            fields = {"inner": build_generator_spec({**inner, "horizon": horizon})}
+        elif family == "adversarial_sign_flip":
+            fields = {"law": _law_from(d, "generator") if "law" in d else gen.rademacher()}
+        else:
+            raise PreconditionError("generator.family", f"unknown family {family!r}")
+        return gen.GeneratorSpec(family, horizon, offset=offset, **fields)
     except ValueError as exc:
         if isinstance(exc, PreconditionError):
             raise
         raise PreconditionError("generator", str(exc)) from exc
-    raise PreconditionError("generator.family", f"unknown family {family!r}")
 
 
 def build_rule(d: dict, field: str = "stopping") -> StoppingRule:
@@ -231,9 +217,12 @@ def build_rule(d: dict, field: str = "stopping") -> StoppingRule:
     elif kind == "first_passage_down":
         rule = first_passage_down(read_param(d, "threshold", float, prefix=field))
     elif kind == "deterministic":
-        rule = deterministic(
-            read_param(d, "step", int, prefix=field), d.get("direction", "nondecreasing")
-        )
+        direction = d.get("direction", "nondecreasing")
+        if direction not in ("nondecreasing", "nonincreasing", "none"):
+            raise PreconditionError(
+                f"{field}.direction", "must be nondecreasing, nonincreasing, or none"
+            )
+        rule = deterministic(read_param(d, "step", int, prefix=field), direction)
     else:
         raise PreconditionError(
             f"{field}.kind",
@@ -404,10 +393,7 @@ def _cmd_gen(args) -> int:
     print(f"paths: {paths.shape[0]}")
     print(f"horizon: {paths.shape[1]}")
     print(f"E[S_n]: {_fmt(s_n.mean())} +- {_fmt(s_n.std(ddof=1) / math.sqrt(len(s_n)))}")
-    try:
-        print(f"V_n (exact): {_fmt(gen.v_n(spec))}")
-    except ValueError:
-        pass
+    print(f"V_n (exact): {_fmt(gen.v_n(spec))}")
     return 0
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "to_chain",
     "uniform",
     "v_n",
+    "with_horizon",
 ]
 
 FAMILIES = (
@@ -103,9 +104,7 @@ class IncrementLaw:
 
     @property
     def abs_bound(self) -> float:
-        if self.name == "rademacher":
-            return 1.0
-        if self.name == "bernoulli":
+        if self.name in ("rademacher", "bernoulli"):
             return 1.0
         return max(abs(self.a), abs(self.b))
 
@@ -365,6 +364,14 @@ def adversarial_spec(horizon: int, law: IncrementLaw | None = None) -> Generator
     return GeneratorSpec("adversarial_sign_flip", horizon, law=law or rademacher())
 
 
+def with_horizon(spec: GeneratorSpec, n: int) -> GeneratorSpec:
+    if spec.family == "centered_partial_sum":
+        return replace(spec, horizon=n, inner=replace(spec.inner, horizon=n))
+    if spec.family == "gaussian_assoc":
+        raise ValueError("horizon grid not supported for an explicit covariance")
+    return replace(spec, horizon=n)
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
@@ -392,30 +399,17 @@ def sample_increments(spec: GeneratorSpec, n_paths: int, rng: np.random.Generato
         return z @ _factor(spec.covariance).T
     if spec.family == "centered_partial_sum":
         inner = sample_increments(spec.inner, n_paths, rng)
-        return inner.astype(np.float64, copy=False) - _inner_step_mean(spec.inner)
-    if spec.family == "adversarial_sign_flip":
-        first = spec.law.sample(rng, (n_paths, 1)).astype(np.float64, copy=False)
-        alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        return first * alt
-    raise AssertionError(spec.family)
+        return inner.astype(np.float64, copy=False) - step_mean(spec.inner)
+    # adversarial_sign_flip
+    first = spec.law.sample(rng, (n_paths, 1)).astype(np.float64, copy=False)
+    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return first * alt
 
 
 def _factor(cov: np.ndarray) -> np.ndarray:
     """Symmetric factor F with F F^T = cov, built from the eigendecomposition."""
     vals, vecs = np.linalg.eigh(cov)
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
-def _inner_step_mean(inner: GeneratorSpec) -> float:
-    if inner.family == "iid":
-        return inner.law.mean
-    if inner.family == "shared_shock":
-        return inner.law.mean + inner.shock.mean
-    if inner.family == "moving_sum":
-        return inner.law.mean * sum(inner.weights)
-    if inner.family == "gaussian_assoc":
-        return 0.0
-    raise AssertionError(inner.family)
 
 
 def sample_paths(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) -> np.ndarray:
@@ -433,7 +427,7 @@ def sample_paths(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) ->
     """
     if spec.family == "centered_partial_sum":
         s = sample_paths(spec.inner, n_paths, rng)
-        s -= _inner_step_mean(spec.inner) * np.arange(1, spec.horizon + 1)
+        s -= step_mean(spec.inner) * np.arange(1, spec.horizon + 1)
     else:
         # one transposing cast (exact for the int8 lattice draws), then the
         # running sum in place, one contiguous row per step
@@ -479,7 +473,7 @@ def sample_final_sums(spec: GeneratorSpec, n_paths: int, rng: np.random.Generato
     """
     if spec.family == "centered_partial_sum":
         inner = sample_final_sums(spec.inner, n_paths, rng)
-        s = inner - spec.horizon * _inner_step_mean(spec.inner)
+        s = inner - spec.horizon * step_mean(spec.inner)
     elif spec.family == "iid" and spec.law.name == "rademacher":
         stream = _uint32_stream_bytes(_raw64(rng), n_paths * spec.horizon)
         s = _rademacher_final_sums(stream, spec.horizon)
@@ -505,11 +499,23 @@ def generate(spec: GeneratorSpec, n_paths: int, seed: int) -> np.ndarray:
 
 def step_mean(spec: GeneratorSpec) -> float:
     """E X_i for steps i >= 2 (the start offset rides on step 1 only)."""
-    if spec.family == "centered_partial_sum":
+    if spec.family == "iid":
+        return spec.law.mean
+    if spec.family == "shared_shock":
+        return spec.law.mean + spec.shock.mean
+    if spec.family == "moving_sum":
+        return spec.law.mean * sum(spec.weights)
+    if spec.family in ("gaussian_assoc", "centered_partial_sum"):
         return 0.0
+    # adversarial_sign_flip
+    raise ValueError("adversarial_sign_flip has alternating step means")
+
+
+def _first_step_mean(spec: GeneratorSpec) -> float:
+    """E X_1, which for the sign-flip family is the mean of its law."""
     if spec.family == "adversarial_sign_flip":
-        raise ValueError("adversarial_sign_flip has alternating step means")
-    return _inner_step_mean(spec)
+        return spec.law.mean
+    return step_mean(spec)
 
 
 def step_second_moment(spec: GeneratorSpec) -> float:
@@ -531,11 +537,10 @@ def step_second_moment(spec: GeneratorSpec) -> float:
     if spec.family == "gaussian_assoc":
         raise ValueError("gaussian_assoc has per-step second moments; use v_n")
     if spec.family == "centered_partial_sum":
-        mu = _inner_step_mean(spec.inner)
+        mu = step_mean(spec.inner)
         return step_second_moment(spec.inner) - mu * mu
-    if spec.family == "adversarial_sign_flip":
-        return spec.law.second_moment
-    raise AssertionError(spec.family)
+    # adversarial_sign_flip
+    return spec.law.second_moment
 
 
 def v_n(spec: GeneratorSpec) -> float:
@@ -544,18 +549,13 @@ def v_n(spec: GeneratorSpec) -> float:
     The first step includes the start offset (S_0 = 0 convention), so an
     offset inflates V_n through E (offset + X_1)^2.
     """
-    n = spec.horizon
-    if spec.family == "gaussian_assoc":
-        base = float(np.trace(spec.covariance))
-        first_extra = spec.offset * spec.offset  # Gaussian steps are mean zero
-        return base + first_extra
+    # Gaussian steps are mean zero, so centering them changes nothing
+    gauss = spec.inner if spec.family == "centered_partial_sum" else spec
+    if gauss.family == "gaussian_assoc":
+        return float(np.trace(gauss.covariance)) + spec.offset * spec.offset
     m2 = step_second_moment(spec)
-    if spec.family == "adversarial_sign_flip":
-        mu_first = spec.law.mean
-    else:
-        mu_first = step_mean(spec)
-    first = m2 + 2.0 * spec.offset * mu_first + spec.offset * spec.offset
-    return first + (n - 1) * m2
+    first = m2 + 2.0 * spec.offset * _first_step_mean(spec) + spec.offset * spec.offset
+    return first + (spec.horizon - 1) * m2
 
 
 def _sum_variance(spec: GeneratorSpec) -> float | None:
@@ -579,18 +579,13 @@ def sigma_n_exact(spec: GeneratorSpec) -> float | None:
     var = _sum_variance(spec)
     if var is None:
         return None
-    if spec.family in ("centered_partial_sum", "gaussian_assoc"):
-        mean_sn = spec.offset
-    else:
-        mean_sn = spec.offset + spec.horizon * step_mean(spec)
+    mean_sn = spec.offset + spec.horizon * step_mean(spec)
     return math.sqrt(mean_sn * mean_sn + var)
 
 
 def mean_s1(spec: GeneratorSpec) -> float:
     """E S_1 = offset + E X_1."""
-    if spec.family == "adversarial_sign_flip":
-        return spec.offset + spec.law.mean
-    return spec.offset + step_mean(spec)
+    return spec.offset + _first_step_mean(spec)
 
 
 def step_log_mgf(spec: GeneratorSpec, theta: float) -> float:
@@ -607,7 +602,7 @@ def step_log_mgf(spec: GeneratorSpec, theta: float) -> float:
     if spec.family == "moving_sum":
         return sum(spec.law.log_mgf(theta * w) for w in spec.weights)
     if spec.family == "centered_partial_sum":
-        return -theta * _inner_step_mean(spec.inner) + step_log_mgf(spec.inner, theta)
+        return -theta * step_mean(spec.inner) + step_log_mgf(spec.inner, theta)
     raise ValueError(f"no closed-form log-MGF for family {spec.family!r}")
 
 
@@ -623,12 +618,9 @@ def increment_bound(spec: GeneratorSpec) -> float | None:
         return None
     if spec.family == "centered_partial_sum":
         inner = increment_bound(spec.inner)
-        if inner is None:
-            return None
-        return inner + abs(_inner_step_mean(spec.inner))
-    if spec.family == "adversarial_sign_flip":
-        return spec.law.abs_bound
-    raise AssertionError(spec.family)
+        return None if inner is None else inner + abs(step_mean(spec.inner))
+    # adversarial_sign_flip
+    return spec.law.abs_bound
 
 
 def first_step_bound(spec: GeneratorSpec) -> float | None:
@@ -647,7 +639,7 @@ def step_min(spec: GeneratorSpec) -> float | None:
         return sum(w * spec.law.min_value for w in spec.weights)
     if spec.family == "centered_partial_sum":
         lo = step_min(spec.inner)
-        return None if lo is None else lo - _inner_step_mean(spec.inner)
+        return None if lo is None else lo - step_mean(spec.inner)
     if spec.family == "adversarial_sign_flip":
         return -spec.law.abs_bound
     return None
@@ -756,38 +748,27 @@ class DiscreteChainSpec:
         return (s**self.horizon) * w
 
 
+def _support(law: IncrementLaw) -> tuple[tuple[float, float], ...]:
+    sup = law.support()
+    if sup is None:
+        raise ValueError("not enumerable: continuous increment law")
+    return tuple(sup)
+
+
 def to_chain(spec: GeneratorSpec) -> DiscreteChainSpec:
     """Exact chain with the same path law, for finite-support families only."""
     if spec.family == "iid":
-        sup = spec.law.support()
-        if sup is None:
-            raise ValueError("not enumerable: continuous increment law")
-        return DiscreteChainSpec(
-            increment_support=tuple(sup), horizon=spec.horizon, offset=spec.offset
-        )
+        return DiscreteChainSpec(_support(spec.law), spec.horizon, offset=spec.offset)
     if spec.family == "shared_shock":
-        sup = spec.law.support()
-        shock = spec.shock.support()
-        if sup is None or shock is None:
-            raise ValueError("not enumerable: continuous increment law")
         return DiscreteChainSpec(
-            increment_support=tuple(sup),
-            horizon=spec.horizon,
-            shared_component=tuple(shock),
-            offset=spec.offset,
+            _support(spec.law), spec.horizon, _support(spec.shock), offset=spec.offset
         )
     if spec.family == "centered_partial_sum":
         inner = to_chain(spec.inner)
-        mu = _inner_step_mean(spec.inner)
+        mu = step_mean(spec.inner)
         return replace(inner, drift=inner.drift + mu, offset=spec.offset)
     if spec.family == "adversarial_sign_flip":
-        sup = spec.law.support()
-        if sup is None:
-            raise ValueError("not enumerable: continuous increment law")
         return DiscreteChainSpec(
-            increment_support=tuple(sup),
-            horizon=spec.horizon,
-            coupling="alternating",
-            offset=spec.offset,
+            _support(spec.law), spec.horizon, coupling="alternating", offset=spec.offset
         )
     raise ValueError(f"not enumerable: family {spec.family!r}")

@@ -195,7 +195,14 @@ def _mean_zero_process(inst: Instance) -> None:
 
 
 def _mean_zero_steps(inst: Instance) -> None:
-    _require(gen.step_mean(inst.spec) == 0.0, "generator", "requires mean-zero steps")
+    _require(inst.cls.step_mean_zero, "generator", "requires mean-zero steps")
+
+
+def _closed_form_mgf(inst: Instance) -> None:
+    try:
+        gen.step_log_mgf(inst.spec, 0.0)
+    except ValueError:
+        raise PreconditionError("generator", "requires a closed-form step log-MGF") from None
 
 
 def _iid_associated(inst: Instance) -> None:
@@ -826,8 +833,8 @@ def _entry_list() -> list[RegistryEntry]:
             ("C5.5",),
             "E[exp(theta S_tau - sum_{i<=tau} psi(theta))] >= (<=) 1 with "
             "psi = log E e^{theta X}",
-            requires=(_generator, _rule, _demisubmartingale, _bounded_rule,
-                      _certified(None, "le")),
+            requires=(_generator, _rule, _demisubmartingale, _closed_form_mgf,
+                      _bounded_rule, _certified(None, "le")),
             build=_build_wald_exp,
         ),
         RegistryEntry(

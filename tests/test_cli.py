@@ -427,6 +427,65 @@ class TestConfigValues:
         assert "expected int, got [3]" in rows[1]["message"]
 
 
+class TestPreconditionFields:
+    """Inputs a library condition refuses exit 3 under the config key or the
+    ``generator`` precondition, not under ``experiment``."""
+
+    @pytest.mark.parametrize(
+        "text, field, message",
+        [
+            (
+                "seed = 3\ntheorem_id = C5.5\nmode = monte_carlo\npaths = 200\n"
+                "generator.family = gaussian_assoc\ngenerator.horizon = 3\n"
+                "generator.cov.kind = diagonal\nstopping.kind = deterministic\n"
+                "stopping.step = 2\nparams.theta = 0.3\n",
+                "generator",
+                "requires a closed-form step log-MGF",
+            ),
+            (
+                "seed = 3\ntheorem_id = L4.5\nmode = exact\n"
+                "generator.family = adversarial_sign_flip\ngenerator.horizon = 4\n",
+                "generator",
+                "requires mean-zero steps",
+            ),
+            (
+                T31_CFG.replace("first_passage_up", "deterministic").replace(
+                    "stopping.threshold = 1", "stopping.step = 2\nstopping.direction = sideways"
+                ),
+                "stopping.direction",
+                "must be nondecreasing, nonincreasing, or none",
+            ),
+        ],
+        ids=["c55-gaussian", "l45-sign-flip", "sideways-direction"],
+    )
+    def test_refusal_names_its_field(self, tmp_path, capsys, text, field, message):
+        cfg = _write(tmp_path, "bad.cfg", text)
+        assert main(["verify", "--config", cfg]) == 3
+        assert _last_error(capsys) == {"field": field, "message": message}
+
+    def test_sign_flip_takes_the_offset(self, tmp_path, capsys):
+        cfg = _write(
+            tmp_path,
+            "gen.cfg",
+            "seed = 3\npaths = 50\ngenerator.family = adversarial_sign_flip\n"
+            "generator.horizon = 3\ngenerator.offset = 5\n",
+        )
+        assert main(["gen", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("generator_id: adversarial_sign_flip/n=3/law=rademacher/offset=5.0\n")
+
+    def test_gen_prints_v_n_of_a_centered_gaussian(self, tmp_path, capsys):
+        cfg = _write(
+            tmp_path,
+            "gen.cfg",
+            "seed = 3\npaths = 50\ngenerator.family = centered_partial_sum\n"
+            "generator.inner.family = gaussian_assoc\ngenerator.inner.cov.kind = diagonal\n"
+            "generator.horizon = 3\n",
+        )
+        assert main(["gen", "--config", cfg]) == 0
+        assert "V_n (exact): 3\n" in capsys.readouterr().out
+
+
 class TestSuiteCommand:
     def test_empty_directory(self, tmp_path, capsys):
         d = tmp_path / "suite"

@@ -14,7 +14,6 @@ from demimart.generators import (
     DiscreteChainSpec,
     _row_sums,
     GeneratorSpec,
-    _inner_step_mean,
     _rademacher_final_sums,
     adversarial_spec,
     bernoulli,
@@ -33,6 +32,7 @@ from demimart.generators import (
     shared_shock_spec,
     sigma_n_exact,
     step_log_mgf,
+    step_mean,
     step_min,
     to_chain,
     uniform,
@@ -262,7 +262,7 @@ def _cumsum_paths(spec, n_paths, rng):
     same increments, with the centered and offset rules of ``sample_paths``."""
     if spec.family == "centered_partial_sum":
         s = _cumsum_paths(spec.inner, n_paths, rng)
-        s -= _inner_step_mean(spec.inner) * np.arange(1, spec.horizon + 1)
+        s -= step_mean(spec.inner) * np.arange(1, spec.horizon + 1)
     else:
         s = np.cumsum(sample_increments(spec, n_paths, rng), axis=1, dtype=np.float64)
     if spec.offset:
@@ -319,6 +319,14 @@ class TestMoments:
         # E (B + W)^2 = 1 + 1 = 2 per step for centered unit laws
         spec = shared_shock_spec(rademacher(), rademacher(), 7)
         assert v_n(spec) == pytest.approx(14.0)
+
+    def test_v_n_centered_gaussian_is_the_gaussians(self):
+        # Gaussian steps are mean zero, so centering leaves V_n = trace + offset^2
+        cov = np.full((4, 4), 0.25) + np.diag([1.0, 0.5, 2.0, 0.75])
+        for offset in (0.0, 1.5):
+            got = v_n(centered(gaussian_assoc_spec(cov, 4), offset))
+            assert got == v_n(gaussian_assoc_spec(cov, 4, offset))
+            assert got == pytest.approx(float(np.trace(cov)) + offset * offset)
 
     def test_sigma_n_shared_shock_closed_form(self):
         n = 6

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from demimart.cli import build_generator_spec, build_rule, config_from_dict, parse_config_text
 from demimart.core import CHUNK_PATHS, RunningStats, derive_stream, tile_paths
@@ -175,7 +177,9 @@ REQUIRES = {
     "C4.10-exp-stopped": "generator rule demisubmartingale certified",
     "C5.2/C5.3-wald-first": "generator rule iid_associated certified",
     "C5.4-wald-second": "generator rule iid_associated bounded_rule certified",
-    "C5.5-wald-exp": "generator rule demisubmartingale bounded_rule certified",
+    "C5.5-wald-exp": (
+        "generator rule demisubmartingale closed_form_mgf bounded_rule certified"
+    ),
     "T5.6-bernstein-assoc": "generator demimartingale mean_zero_process bounded_increments",
 }
 
@@ -186,9 +190,10 @@ def _condition(check) -> str:
     return check.__qualname__.split(".")[0]
 
 
-def _break(check, good: dict):
-    """Inputs that fail ``check`` and nothing else in the entry's
+def _break(tid: str, check):
+    """Inputs that fail ``check`` and nothing else in entry ``tid``'s
     ``requires``, with the field and the message substring the README names."""
+    good = GOOD_INPUTS[tid]
     name = _condition(check)
     if name in PRESENCE:
         key, field, message = {
@@ -216,7 +221,14 @@ def _break(check, good: dict):
         ),
         "_nonnegative": (dataclasses.replace(spec, offset=-1.0), "pathwise-nonnegative"),
         "_t14_class": (BERN6, "requires a demimartingale family"),
+        "_closed_form_mgf": (gaussian_assoc_spec(np.eye(h), h), "closed-form step log-MGF"),
     }
+    if tid == "C5.5-wald-exp":
+        # the sign flip has no closed-form MGF either; drift down instead
+        generator_cases["_demisubmartingale"] = (
+            iid_spec(uniform(-1.0, 0.5), h),
+            "requires a demisubmartingale family",
+        )
     if name in generator_cases:
         bad, message = generator_cases[name]
         return {**good, "spec": bad}, "generator", message
@@ -275,7 +287,7 @@ class TestRequires:
     def test_breaking_one_condition_names_it(self, tid, index):
         entry = lookup(tid)
         check = entry.requires[index]
-        inputs, field, message = _break(check, GOOD_INPUTS[tid])
+        inputs, field, message = _break(tid, check)
         inst = self._instance(inputs)
         if _condition(check) not in PRESENCE:
             # every other condition still holds, so this one is what fails
@@ -303,6 +315,73 @@ class TestRequires:
             verify("T4.7", shifted, mode="exact", seed=1)
         assert exc.value.name == "generator"
         assert "E S_n = 0" in exc.value.message
+
+
+_H = 4
+_LAWS = (rademacher(), bernoulli(0.3), uniform(-1.0, 1.0))
+_OFFSETS = (0.0, 4.0)
+# every family that may sit inside a centering, on every law
+_INNERS = [
+    spec
+    for law in _LAWS
+    for spec in (
+        iid_spec(law, _H),
+        shared_shock_spec(law, rademacher(), _H),
+        GeneratorSpec("moving_sum", _H, law=law, weights=(1.0, 0.5)),
+    )
+] + [gaussian_assoc_spec(np.eye(_H), _H)]
+COMPLETENESS_SPECS = (
+    [dataclasses.replace(spec, offset=offset) for offset in _OFFSETS for spec in _INNERS]
+    + [centered(spec, offset) for offset in _OFFSETS for spec in _INNERS]
+    + [
+        GeneratorSpec("adversarial_sign_flip", _H, law=law, offset=offset)
+        for offset in _OFFSETS
+        for law in _LAWS
+    ]
+)
+COMPLETENESS_RULES = (
+    first_passage_up(1.0),
+    first_passage_down(-1.0),
+    deterministic(2),
+    deterministic(2, "nonincreasing"),
+    capped(first_passage_up(1.0), _H),
+    jump_if_high(1, 1.0, 2, 3),
+    deterministic(_H + 1),  # longer than the horizon
+)
+# every parameter any entry reads, so only the structure decides
+COMPLETENESS_PARAMS = {"n": 2, "m": 3, "lambda": 8.0, "p": 2.0, "t": 2.0, "theta": 0.3, "grid": 8}
+
+
+class TestPreconditionCompleteness:
+    """Every entry on every family, rule and mode returns a report or raises
+    a PreconditionError: no input slips past ``requires`` into a plain error."""
+
+    @given(
+        tid=st.sampled_from([e.theorem_id for e in all_entries()]),
+        spec=st.sampled_from(COMPLETENESS_SPECS),
+        rule=st.sampled_from(COMPLETENESS_RULES),
+        rule2=st.sampled_from(COMPLETENESS_RULES),
+        mode=st.sampled_from(("exact", "monte_carlo")),
+    )
+    # inputs that break only C5.5's closed_form_mgf and L4.5's mean_zero_steps
+    @example("C5.5-wald-exp", gaussian_assoc_spec(np.eye(_H), _H), deterministic(2),
+             deterministic(2), "monte_carlo")
+    @example("L4.5-mgf", adversarial_spec(_H), None, None, "exact")
+    @settings(max_examples=300, deadline=None)
+    def test_every_input_returns_or_names_a_condition(self, tid, spec, rule, rule2, mode):
+        try:
+            verify_detailed(
+                tid,
+                spec,
+                rule=rule,
+                rule2=rule2,
+                params=COMPLETENESS_PARAMS,
+                mode=mode,
+                paths=200,
+                seed=1,
+            )
+        except PreconditionError:
+            pass
 
 
 class TestVerdicts:
