@@ -206,6 +206,13 @@ def build_generator_spec(d: dict) -> gen.GeneratorSpec:
         raise PreconditionError("generator", str(exc)) from exc
 
 
+def _step_count(d: dict, name: str, field: str) -> int:
+    value = read_param(d, name, int, prefix=field)
+    if value < 1:
+        raise PreconditionError(f"{field}.{name}", "must be >= 1")
+    return value
+
+
 def build_rule(d: dict, field: str = "stopping") -> StoppingRule:
     if not isinstance(d, dict):
         raise PreconditionError(field, "must be a table of dotted keys")
@@ -222,7 +229,7 @@ def build_rule(d: dict, field: str = "stopping") -> StoppingRule:
             raise PreconditionError(
                 f"{field}.direction", "must be nondecreasing, nonincreasing, or none"
             )
-        rule = deterministic(read_param(d, "step", int, prefix=field), direction)
+        rule = deterministic(_step_count(d, "step", field), direction)
     else:
         raise PreconditionError(
             f"{field}.kind",
@@ -230,7 +237,7 @@ def build_rule(d: dict, field: str = "stopping") -> StoppingRule:
             "(user rules are library-only)",
         )
     if "cap" in d:
-        rule = capped(rule, read_param(d, "cap", int, prefix=field))
+        rule = capped(rule, _step_count(d, "cap", field))
     return rule
 
 

@@ -15,6 +15,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .core import _accumulate_rows
 from .generators import DiscreteChainSpec
 
 __all__ = [
@@ -53,42 +54,54 @@ def iter_blocks(
     Outcomes are indexed base-|support| over the independent steps; the
     shared component, when present, multiplies the space.  Paths are
     cumulative sums of (increment + shared) minus the per-step drift, plus
-    the start offset.
+    the start offset.  Each block is built time-major, one contiguous row
+    per step, and yielded as its column-major ``(outcomes, n)`` transpose,
+    the layout of a sampled chunk; the values are those of the row-wise
+    ``np.cumsum`` and ``np.prod`` bit for bit.
     """
     n = chain.horizon
     # float64 even for integer atoms: the block is built in place from vals
     vals = np.array([v for v, _ in chain.increment_support], dtype=np.float64)
     probs = np.array([p for _, p in chain.increment_support], dtype=np.float64)
     shared = chain.shared_component or ((0.0, 1.0),)
-    drift_line = chain.drift * np.arange(1, n + 1, dtype=np.float64)
+    drift_line = chain.drift * np.arange(1, n + 1, dtype=np.float64)[:, None]
+
+    def paths(rows: np.ndarray, w_val: float) -> np.ndarray:
+        # the operations of cumsum(inc + w, axis=1) - drift_line + offset, in
+        # place along the time axis; += offset runs even at 0.0, as the
+        # expression does, so a -0.0 comes out as 0.0 there too
+        rows += w_val
+        _accumulate_rows(np.add, rows, rows)
+        rows -= drift_line
+        rows += chain.offset
+        return rows.T
 
     if chain.coupling == "alternating":
         alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         for w_val, w_prob in shared:
-            inc = vals[:, None] * alt[None, :] + w_val
-            paths = np.cumsum(inc, axis=1) - drift_line + chain.offset
-            yield paths, probs * w_prob
+            yield paths(np.multiply.outer(alt, vals), w_val), probs * w_prob
         return
 
     s = len(vals)
     per_shared = s**n
     strides = s ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+    def outcomes(lo: int, w_val: float, w_prob: float) -> tuple[np.ndarray, np.ndarray]:
+        idx = np.arange(lo, min(lo + block, per_shared), dtype=np.int64)
+        rows = np.empty((n, idx.size))
+        p = np.ones(idx.size)
+        for j in range(n):
+            digit = idx // strides[j]
+            digit %= s
+            np.take(vals, digit, out=rows[j])
+            p *= probs[digit]  # np.prod's left-to-right product, a step at a time
+        p *= w_prob
+        return paths(rows, w_val), p
+
+    # the generator keeps no reference to a block it has yielded
     for w_val, w_prob in shared:
         for lo in range(0, per_shared, block):
-            idx = np.arange(lo, min(lo + block, per_shared), dtype=np.int64)
-            digits = idx[:, None] // strides[None, :]
-            digits %= s
-            p = np.prod(probs[digits], axis=1) * w_prob
-            # the operations of cumsum(vals[digits] + w) - drift_line + offset,
-            # in place on one block; += offset runs even at 0.0, as the
-            # expression does, so a -0.0 comes out as 0.0 there too
-            paths = vals[digits]
-            del digits
-            paths += w_val
-            np.cumsum(paths, axis=1, out=paths)
-            paths -= drift_line
-            paths += chain.offset
-            yield paths, p
+            yield outcomes(lo, w_val, w_prob)
 
 
 def _check_total(total: float) -> None:
@@ -146,7 +159,9 @@ def fold_expectations(
     ``functionals`` maps a path-matrix block of at most ``block`` outcomes to
     a (K, block) statistic matrix; the K statistics are folded together with
     Kahan compensation and the total probability is verified to be 1 within
-    1e-12.
+    1e-12.  Blocks come from ``iter_blocks``: column-major ``(block, n)``
+    views, as sampled chunks are, and each block with its statistic matrix
+    is freed before the next is built.
     """
     return _fold(iter_blocks(chain, block), functionals)
 
@@ -170,6 +185,8 @@ def _fold(outcome_blocks, functionals: Callable) -> list[float]:
         sums.add(np.array([np.dot(probs, row) for row in stats]))
         total.add(float(np.sum(probs)))
         blocks += 1
+        # free this block before the next one is built
+        del paths, probs, stats
     if not blocks:
         raise ValueError("chain produced no outcomes")
     _check_total(total.total)

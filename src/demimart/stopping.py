@@ -167,8 +167,9 @@ def _first_true(hit: np.ndarray) -> np.ndarray:
     Counted time-major, with no transposing argmax: once each row j holds
     "hit at some step <= j", a path first hit at step k is True in the
     n + 1 - k rows k..n.  The comparison keeps the paths' layout, so the
-    time-major copy is free on column-major sampled paths and a one-byte
-    transpose on row-major exact blocks.  ``hit`` may be overwritten.
+    time-major view is free on column-major paths (sampled chunks and exact
+    blocks alike); a row-major matrix costs a one-byte transpose.  ``hit``
+    may be overwritten.
     """
     hit = np.ascontiguousarray(hit.T)
     n = hit.shape[0]

@@ -455,8 +455,16 @@ class TestPreconditionFields:
                 "stopping.direction",
                 "must be nondecreasing, nonincreasing, or none",
             ),
+            (
+                T31_CFG.replace("first_passage_up", "deterministic").replace(
+                    "stopping.threshold = 1", "stopping.step = 0"
+                ),
+                "stopping.step",
+                "must be >= 1",
+            ),
+            (T31_CFG.replace("stopping.cap = 3", "stopping.cap = 0"), "stopping.cap", "must be >= 1"),
         ],
-        ids=["c55-gaussian", "l45-sign-flip", "sideways-direction"],
+        ids=["c55-gaussian", "l45-sign-flip", "sideways-direction", "step-zero", "cap-zero"],
     )
     def test_refusal_names_its_field(self, tmp_path, capsys, text, field, message):
         cfg = _write(tmp_path, "bad.cfg", text)

@@ -1,5 +1,6 @@
-"""Recorded values of the complete-convergence sweep, the CLT diagnostics and
-``demimart oracle``, pinned bit for bit.
+"""Recorded values of the complete-convergence sweep, the CLT diagnostics,
+``demimart oracle`` and exact folds over several enumeration blocks, pinned
+bit for bit.
 
 ``tests/data/engine_pins.json`` holds every float as ``float.hex`` and the
 oracle's standard output verbatim.  Regenerate it only for a change that is
@@ -17,13 +18,22 @@ from pathlib import Path
 
 from demimart import (
     GeneratorSpec,
+    bernoulli,
+    capped,
+    centered,
     clt_diagnose,
     complete_convergence_diagnose,
+    first_passage_up,
     iid_spec,
     rademacher,
+    shared_shock_spec,
+    to_chain,
     uniform,
+    verify_detailed,
 )
 from demimart.cli import main
+from demimart.core import tile_paths
+from demimart.oracle import iter_blocks
 
 DATA = Path(__file__).resolve().parent / "data" / "engine_pins.json"
 
@@ -60,6 +70,20 @@ ORACLES = {
     "generator.inner.law = bernoulli\ngenerator.inner.p = 0.3\ngenerator.horizon = 8\n"
     "params.t = 1\n",
 }
+
+# (label, theorem_id, spec, keyword arguments): exact verdicts whose folds run
+# over several enumeration blocks, on Bernoulli(0.3) steps so that the values
+# depend on the order of every product and sum
+_CB18 = centered(iid_spec(bernoulli(0.3), 18))
+EXACT_FOLDS = (
+    # 2^18 outcomes: four 65,536-outcome blocks
+    ("l51-n18", "L5.1", _CB18, dict(rule=capped(first_passage_up(2.0), 18))),
+    ("t14-n18", "T1.4", _CB18, dict(rule=first_passage_up(1.0), params={"n": 9, "m": 18})),
+    # battery 32, K = 352 statistics: one 4,096-outcome tile per shared atom
+    ("def12-n12", "Def1.2-demi", centered(shared_shock_spec(rademacher(), bernoulli(0.3), 12)), {}),
+    # K = 416 statistics: two 8,192-outcome tiles
+    ("def12-n14", "Def1.2-demi", centered(iid_spec(bernoulli(0.3), 14)), {}),
+)
 
 
 def _hex(x) -> str:
@@ -112,6 +136,11 @@ def _oracle(text: str) -> str:
     return out.getvalue()
 
 
+def _exact_fold(theorem_id, spec, kwargs) -> dict:
+    report, results, _ = verify_detailed(theorem_id, spec, mode="exact", **kwargs)
+    return {"verdict": report.verdict, "means": [_hex(r.stats.mean) for r in results]}
+
+
 def capture() -> dict:
     return {
         "complete_convergence": {
@@ -120,6 +149,10 @@ def capture() -> dict:
         },
         "clt": {label: _clt(spec, grid, paths, seed) for label, spec, grid, paths, seed in CLTS},
         "oracle": {label: _oracle(text) for label, text in ORACLES.items()},
+        "exact_folds": {
+            label: _exact_fold(theorem_id, spec, kwargs)
+            for label, theorem_id, spec, kwargs in EXACT_FOLDS
+        },
     }
 
 
@@ -150,6 +183,19 @@ def test_oracle_output_is_unchanged():
     want = _recorded()["oracle"]
     for label, text in ORACLES.items():
         assert _oracle(text) == want[label], label
+
+
+def test_exact_folds_span_several_blocks():
+    want = _recorded()["exact_folds"]
+    for label, _, spec, _ in EXACT_FOLDS:
+        block = tile_paths(len(want[label]["means"]))
+        assert sum(1 for _ in iter_blocks(to_chain(spec), block)) >= 2, label
+
+
+def test_exact_folds_are_bit_for_bit():
+    want = _recorded()["exact_folds"]
+    for label, theorem_id, spec, kwargs in EXACT_FOLDS:
+        assert _exact_fold(theorem_id, spec, kwargs) == want[label], label
 
 
 if __name__ == "__main__":

@@ -314,7 +314,7 @@ class TestInPlaceBlocks:
         want = list(_expression_blocks(chain, block))
         assert len(got) == len(want)
         for (paths, probs), (want_paths, want_probs) in zip(got, want):
-            assert paths.shape == want_paths.shape and paths.flags.c_contiguous
+            assert paths.shape == want_paths.shape and paths.flags.f_contiguous
             assert paths.dtype == probs.dtype == np.float64
             assert paths.tobytes() == want_paths.tobytes()
             assert probs.tobytes() == want_probs.tobytes()
@@ -345,6 +345,24 @@ class TestInPlaceBlocks:
         spec = iid_spec(rademacher(), n)
         rule = capped(first_passage_up(2.0), n)
         verify_detailed("L5.1", spec, rule=rule, mode="exact")
+        block_bytes = CHUNK_PATHS * n * 8
+        tracemalloc.start()
+        try:
+            report, _, _ = verify_detailed("L5.1", spec, rule=rule, mode="exact")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "PASS"
+        assert peak < 4 * block_bytes, peak / block_bytes
+
+    def test_exact_stopped_fold_peak_memory_over_many_blocks(self):
+        """Exact L5.1 at n = 20 folds sixteen blocks of 10 MiB.  Each block,
+        its probabilities and its (2n, block) statistic matrix are freed
+        before the next is built, so the fold peaks near 3.3 blocks; keeping
+        the previous block alive while building the next peaked near 5.4."""
+        n = 20
+        spec = iid_spec(rademacher(), n)
+        rule = capped(first_passage_up(2.0), n)
         block_bytes = CHUNK_PATHS * n * 8
         tracemalloc.start()
         try:

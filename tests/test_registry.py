@@ -817,7 +817,7 @@ class TestStoppedStatistics:
         checkset, reference = self._pair(theorem, spec, rule)
         sampled = sample_paths(spec, 5000, derive_stream(17, case))
         enumerated = np.vstack([p for p, _ in iter_blocks(to_chain(spec))])
-        assert sampled.flags.f_contiguous and enumerated.flags.c_contiguous
+        assert sampled.flags.f_contiguous and enumerated.flags.f_contiguous
         for block in (sampled, enumerated):
             want = reference(block)
             self._assert_same_bits(checkset.evaluate(block), want)
