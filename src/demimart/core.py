@@ -9,6 +9,7 @@ All types are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +21,14 @@ __all__ = [
     "FAIL",
     "INCONCLUSIVE",
     "PASS",
+    "Pieces",
     "RunningStats",
     "SummaryStats",
     "TILE_BYTES",
     "VerificationReport",
     "derive_stream",
     "iter_chunks",
+    "statistic_pieces",
     "summarize",
     "tile_paths",
 ]
@@ -39,8 +42,9 @@ CHUNK_PATHS = 1 << 16
 # page-faulted again for the next one.
 TILE_BYTES = 1 << 25
 
-# Rows of a (K, m) statistic matrix are reduced in blocks of about this many
-# bytes, small enough that a block's deviation pass finds it in cache.
+# Rows of a (K, m) statistic matrix or piece are reduced in blocks of about
+# this many bytes, small enough that a block's deviation pass finds it in
+# cache.
 _REDUCE_BLOCK_BYTES = 1 << 20
 
 # Monte-Carlo checks fail only when violated by more than this many stderrs.
@@ -54,6 +58,9 @@ FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 _MASK64 = (1 << 64) - 1
+
+# A statistic's rows as (rows, block) pieces; see statistic_pieces.
+Pieces = Iterator[tuple[slice, np.ndarray]]
 
 
 def derive_stream(master_seed: int, chunk_index: int) -> np.random.Generator:
@@ -148,31 +155,82 @@ def summarize(samples) -> SummaryStats:
     return SummaryStats(mean=mean, stderr=sd / math.sqrt(arr.size), count=int(arr.size))
 
 
+def statistic_pieces(stats, checks: int | None = None) -> tuple[int, Pieces]:
+    """K and the (rows, block) pieces of one statistic evaluation.
+
+    A statistic gives its K rows over m paths as a (K, m) matrix (or any
+    sequence of K rows), passed on as the one piece ``(slice(0, K), stats)``,
+    or as an iterator of pieces: ``rows`` a slice of range(K), ``block`` a
+    (len(rows), m) matrix.  Pieces are passed on in order, each before the
+    next is computed, so they may share one buffer.  ``checks`` = K defaults
+    to a matrix's row count and is required for pieces.  ValueError for a
+    matrix without K rows, a block of another shape, or pieces that do not
+    cover every row exactly once.
+    """
+    if not isinstance(stats, Iterator):
+        k = len(stats)
+        if checks is not None and k != checks:
+            raise ValueError(f"statistic has {k} rows, not {checks}")
+        return k, iter(((slice(0, k), stats),))
+    if checks is None:
+        raise ValueError("statistic pieces need the number of rows")
+    return checks, _checked_pieces(stats, checks)
+
+
+def _checked_pieces(pieces: Pieces, checks: int) -> Pieces:
+    seen = np.zeros(checks, dtype=np.int64)
+    width = None
+    for rows, block in pieces:
+        if not isinstance(rows, slice) or np.ndim(block) != 2:
+            raise ValueError("a statistic piece is a row slice and a 2-d block")
+        width = block.shape[1] if width is None else width
+        want = (len(range(checks)[rows]), width)
+        if block.shape != want:
+            raise ValueError(f"statistic piece has shape {block.shape}, not {want}")
+        seen[rows] += 1
+        yield rows, block
+    if not np.all(seen == 1):
+        raise ValueError("statistic pieces must cover every row exactly once")
+
+
 @dataclass
 class RunningStats:
     """Streaming (count, mean, M2) accumulator of K statistics at once, with
     associative merging.
 
-    Each update folds in a (K, m) matrix: m samples of each of K statistics,
-    so mean and m2 hold K-vectors.  Chunk reductions combine through the
-    pairwise update (Chan, Golub & LeVeque 1979), so merging chunk statistics
-    is order-independent up to floating-point roundoff.
+    Each update folds in m samples of each of K statistics, so mean and m2
+    hold K-vectors.  Chunk reductions combine through the pairwise update
+    (Chan, Golub & LeVeque 1979), so merging chunk statistics is
+    order-independent up to floating-point roundoff.
     """
 
     count: int = 0
     mean: np.ndarray | None = None
     m2: np.ndarray | None = None
 
-    def update(self, rows: np.ndarray) -> None:
-        """Fold in a (K, m) matrix, one row per statistic."""
-        if np.ndim(rows) != 2:
-            raise ValueError("update takes a (K, m) matrix of statistic rows")
-        k, m = rows.shape
-        if m == 0:
-            return
+    def update(self, stats, checks: int | None = None) -> None:
+        """Fold in one statistic evaluation over m paths: a (K, m) matrix,
+        one row per statistic, or its pieces (``statistic_pieces``), each
+        piece reduced before the next is asked for.  Every row is reduced
+        on its own, so pieces and the matrix they make give the same bits.
+        """
+        k, pieces = statistic_pieces(stats, checks)
         bmean = np.empty(k)
         bm2 = np.empty(k)
-        _reduce_row_blocks(rows, bmean, bm2)
+        m = 0
+        scratch = None
+        for rows, block in pieces:
+            if np.ndim(block) != 2:
+                raise ValueError("update takes a (K, m) matrix of statistic rows")
+            m = block.shape[1]
+            if m == 0:
+                continue
+            if scratch is None:
+                step = max(1, _REDUCE_BLOCK_BYTES // (8 * m))
+                scratch = np.empty((min(step, k), m))
+            _reduce_row_blocks(block, bmean[rows], bm2[rows], scratch)
+        if m == 0:
+            return
         # a NaN or infinite sample makes its row's mean non-finite, so checking
         # the K means covers every sample
         if not np.all(np.isfinite(bmean)):
@@ -209,20 +267,21 @@ class RunningStats:
         ]
 
 
-def _reduce_row_blocks(rows: np.ndarray, bmean: np.ndarray, bm2: np.ndarray) -> None:
-    """Row means and sums of squared deviations of a (K, m) matrix, a block
-    of about _REDUCE_BLOCK_BYTES of rows at a time.
+def _reduce_row_blocks(
+    rows: np.ndarray, bmean: np.ndarray, bm2: np.ndarray, scratch: np.ndarray
+) -> None:
+    """Row means and sums of squared deviations of a (k, m) matrix, a block
+    of ``len(scratch)`` rows (about _REDUCE_BLOCK_BYTES) at a time.
 
     Each block is taken as a C-contiguous float64 matrix (a view when the
     rows already are one), whose rows numpy sums pairwise along axis 1 as it
     sums a single vector, so the results equal a row-by-row reduction bit
     for bit with a few numpy calls per block instead of two per row; the
-    block's deviation pass still finds it in cache.
+    block's deviation pass still finds it in cache.  ``scratch`` holds the
+    deviations and is reused across blocks and pieces.
     """
-    k, m = rows.shape
-    step = max(1, _REDUCE_BLOCK_BYTES // (8 * m))
-    scratch = np.empty((min(step, k), m))
-    for lo in range(0, k, step):
+    step = len(scratch)
+    for lo in range(0, len(rows), step):
         blk = np.ascontiguousarray(rows[lo : lo + step], dtype=np.float64)
         mean = blk.mean(axis=1, out=bmean[lo : lo + step])
         dev = np.subtract(blk, mean[:, None], out=scratch[: len(blk)])

@@ -365,10 +365,10 @@ def adversarial_spec(horizon: int, law: IncrementLaw | None = None) -> Generator
 
 
 def with_horizon(spec: GeneratorSpec, n: int) -> GeneratorSpec:
+    """The same process at horizon n.  A Gaussian covariance fixes its
+    horizon, so ``GeneratorSpec`` refuses a Gaussian spec at any other."""
     if spec.family == "centered_partial_sum":
         return replace(spec, horizon=n, inner=replace(spec.inner, horizon=n))
-    if spec.family == "gaussian_assoc":
-        raise ValueError("horizon grid not supported for an explicit covariance")
     return replace(spec, horizon=n)
 
 

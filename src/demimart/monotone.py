@@ -111,34 +111,43 @@ def evaluate_batch(f: MonotoneTestFunction, prefixes: np.ndarray) -> np.ndarray:
     return evaluate_prefixes(f, p.T)[-1].copy()
 
 
-def evaluate_prefixes(f: MonotoneTestFunction, paths: np.ndarray) -> np.ndarray:
+def evaluate_prefixes(
+    f: MonotoneTestFunction, paths: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Values of f at every prefix length of a time-major (j, m) path matrix.
 
     Row i holds f(s_1..s_{i+1}) for each of the m paths, so one pass serves
     every prefix: running sums for the weighted kinds, a running max for the
-    threshold kind.  The result may be a view of ``paths``.  Inputs are not
+    threshold kind.  The values are written into ``out`` (a new (j, m)
+    matrix when None), with no other temporary, except for
+    ``last_coordinate``, whose result is ``paths`` itself.  Inputs are not
     scanned for NaN; callers check each matrix once (evaluate_batch does).
     """
     j, m = paths.shape
-    if f.kind == "constant_one":
-        return np.ones((j, m))
     if f.kind == "last_coordinate":
         return paths
+    if out is None:
+        out = np.empty((j, m))
+    if f.kind == "constant_one":
+        out.fill(1.0)
+        return out
     if f.kind == "coordinate_max_threshold":
         c1 = f.shifts[0] if f.shifts else 0.0
-        running_max = _accumulate_rows(np.maximum, paths, np.empty((j, m)))
-        return (running_max >= c1).astype(np.float64)
+        _accumulate_rows(np.maximum, paths, out)
+        return np.greater_equal(out, c1, out=out)
     k = min(len(f.weights), j)
-    out = np.zeros((j, m))
     if k:
-        head = paths[:k]
+        head = out[:k]
+        src = paths[:k]
         if f.kind == "clipped_linear":
             c = np.zeros((k, 1))
             c[: len(f.shifts[:k]), 0] = f.shifts[:k]
-            head = head - c
+            src = np.subtract(src, c, out=head)
         w = np.asarray(f.weights[:k], dtype=np.float64)[:, None]
-        _accumulate_rows(np.add, head * w, out[:k])
+        _accumulate_rows(np.add, np.multiply(src, w, out=head), head)
         out[k:] = out[k - 1]
+    else:
+        out.fill(0.0)
     if f.kind == "clipped_linear":
         np.clip(out, f.floor, f.ceiling, out=out)
     return out

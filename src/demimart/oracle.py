@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import _accumulate_rows
+from .core import _accumulate_rows, statistic_pieces
 from .generators import DiscreteChainSpec
 
 __all__ = [
@@ -152,42 +152,57 @@ def terminal_law(chain: DiscreteChainSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fold_expectations(
-    chain: DiscreteChainSpec, functionals: Callable, block: int = _BLOCK
+    chain: DiscreteChainSpec,
+    functionals: Callable,
+    block: int = _BLOCK,
+    checks: int | None = None,
 ) -> list[float]:
     """Streaming exact expectations for every statistic at once.
 
     ``functionals`` maps a path-matrix block of at most ``block`` outcomes to
-    a (K, block) statistic matrix; the K statistics are folded together with
-    Kahan compensation and the total probability is verified to be 1 within
-    1e-12.  Blocks come from ``iter_blocks``: column-major ``(block, n)``
-    views, as sampled chunks are, and each block with its statistic matrix
-    is freed before the next is built.
+    its K = ``checks`` statistic rows: a (K, block) matrix or its pieces
+    (``core.statistic_pieces``; ``checks`` is required for pieces), each
+    piece folded before the next is asked for.  The K statistics are folded
+    together with Kahan compensation, one add per block, and the total
+    probability is verified to be 1 within 1e-12.  Blocks come from
+    ``iter_blocks``: column-major ``(block, n)`` views, as sampled chunks
+    are, and each block with its statistics is freed before the next is
+    built.
     """
-    return _fold(iter_blocks(chain, block), functionals)
+    return _fold(iter_blocks(chain, block), functionals, checks)
 
 
 def fold_terminal(
-    chain: DiscreteChainSpec, functionals: Callable
+    chain: DiscreteChainSpec, functionals: Callable, checks: int | None = None
 ) -> list[float]:
     """``fold_expectations`` for statistics that read only S_n = paths[:, -1]:
     ``functionals`` sees an (atoms, 1) matrix of the atoms of ``terminal_law``.
     """
     values, probs = terminal_law(chain)
-    return _fold([(values[:, None], probs)], functionals)
+    return _fold([(values[:, None], probs)], functionals, checks)
 
 
-def _fold(outcome_blocks, functionals: Callable) -> list[float]:
+def _fold(outcome_blocks, functionals: Callable, checks: int | None) -> list[float]:
     sums = KahanSum()
     total = KahanSum()
     blocks = 0
     for paths, probs in outcome_blocks:
-        stats = functionals(paths)
-        sums.add(np.array([np.dot(probs, row) for row in stats]))
+        sums.add(_block_expectations(probs, functionals(paths), checks))
         total.add(float(np.sum(probs)))
         blocks += 1
         # free this block before the next one is built
-        del paths, probs, stats
+        del paths, probs
     if not blocks:
         raise ValueError("chain produced no outcomes")
     _check_total(total.total)
     return sums.total.tolist()
+
+
+def _block_expectations(probs: np.ndarray, stats, checks: int | None) -> np.ndarray:
+    """One block's probability-weighted sum of every statistic row, a piece
+    at a time."""
+    k, pieces = statistic_pieces(stats, checks)
+    dots = np.empty(k)
+    for rows, block in pieces:
+        dots[rows] = [np.dot(probs, row) for row in block]
+    return dots

@@ -1,12 +1,12 @@
 """Theorem registry: structural preconditions, check builders, and the
 verification driver shared by the Monte-Carlo and exact-enumeration modes.
 
-Every entry reduces its claim to a (K, m) matrix of per-path statistics
-compared against constants, so one statistic definition serves both modes:
-``expectations``, the one engine, averages it over chunked samples or folds
-it against exact outcome probabilities.  A report FAILs only when a
-statistic violates its bound by more than ``tolerance_z`` stderrs (Monte
-Carlo) or beyond a relative 1e-12 (exact).
+Every entry reduces its claim to K per-path statistics compared against
+constants, so one statistic definition serves both modes: ``expectations``,
+the one engine, averages them over chunked samples or folds them against
+exact outcome probabilities.  A report FAILs only when a statistic violates
+its bound by more than ``tolerance_z`` stderrs (Monte Carlo) or beyond a
+relative 1e-12 (exact).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .core import (
     FAIL,
     INCONCLUSIVE,
     PASS,
+    Pieces,
     RunningStats,
     SummaryStats,
     VerificationReport,
@@ -85,12 +86,14 @@ class CheckMeta:
 class CheckSet:
     """Statistics for one registry entry.
 
-    ``evaluate`` maps an (m, horizon) path matrix to a (K, m) float64
-    statistic matrix, with row k belonging to metas[k].
+    ``evaluate`` maps an (m, horizon) path matrix to its K float64
+    statistic rows, row k belonging to metas[k]: a (K, m) matrix, or an
+    iterator of (rows, block) pieces covering every row once, consumed in
+    order, that may share one buffer (``core.statistic_pieces``).
     """
 
     metas: tuple[CheckMeta, ...]
-    evaluate: Callable[[np.ndarray], np.ndarray]
+    evaluate: Callable[[np.ndarray], np.ndarray | Pieces]
 
 
 @dataclass(frozen=True)
@@ -344,20 +347,24 @@ def _battery(inst: Instance, nonneg: bool, default_size: int = 16):
 # ---------------------------------------------------------------------------
 
 
-def _battery_stats(battery, weights: np.ndarray, prefixes: np.ndarray) -> np.ndarray:
-    """Statistic matrix weights[r] * f(prefix rows 0..r) for every row r and
-    battery member f, ordered row-major by (r, f).
+def _battery_stats(battery, weights: np.ndarray, prefixes: np.ndarray) -> Pieces:
+    """Statistics weights[r] * f(prefix rows 0..r) for every row r and
+    battery member f, ordered row-major by (r, f), as one piece per member:
+    rows ``slice(i, K, len(battery))`` of member i.
 
     ``prefixes`` is a time-major (rows, m) matrix, scanned for NaN once;
-    ``weights`` broadcasts against it.
+    ``weights`` broadcasts against it.  Every piece is computed, when it is
+    asked for, into one (rows, m) buffer, so the (K, m) matrix is never
+    built and each piece is reduced while it is still in cache.
     """
     if np.isnan(prefixes).any():
         raise ValueError("NaN in prefix")
     rows, m = prefixes.shape
-    stats = np.empty((rows, len(battery), m))
+    k = rows * len(battery)
+    piece = np.empty((rows, m))
     for i, f in enumerate(battery):
-        np.multiply(weights, evaluate_prefixes(f, prefixes), out=stats[:, i])
-    return stats.reshape(rows * len(battery), m)
+        np.multiply(weights, evaluate_prefixes(f, prefixes, out=piece), out=piece)
+        yield slice(i, k, len(battery)), piece
 
 
 def _projection_checkset(battery, n: int, name_prefix: str, transform=None) -> CheckSet:
@@ -369,7 +376,7 @@ def _projection_checkset(battery, n: int, name_prefix: str, transform=None) -> C
         for f in battery
     )
 
-    def evaluate(paths: np.ndarray) -> np.ndarray:
+    def evaluate(paths: np.ndarray) -> Pieces:
         s = np.ascontiguousarray(paths.T)
         if transform is not None:
             s = transform(s)
@@ -423,7 +430,7 @@ def _build_t21(inst: Instance) -> CheckSet:
         CheckMeta(f"E[(S_M - S_tau) {f.label}(S_tau)]", 0.0, ">=") for f in battery
     )
 
-    def evaluate(paths: np.ndarray) -> np.ndarray:
+    def evaluate(paths: np.ndarray) -> Pieces:
         tau = _taus(rule, paths)
         s_tau = _values_at(paths, tau)
         gap = paths[:, m_bound - 1] - s_tau
@@ -456,7 +463,7 @@ def _build_t23(inst: Instance) -> CheckSet:
         CheckMeta(f"E[(S_tau2 - S_tau1) {f.label}(S_tau1)]", 0.0, ">=") for f in battery
     )
 
-    def evaluate(paths: np.ndarray) -> np.ndarray:
+    def evaluate(paths: np.ndarray) -> Pieces:
         t1 = _taus(rule1, paths)
         t2 = _taus(rule2, paths)
         if np.any(t2 < t1):
@@ -487,18 +494,19 @@ def _build_l51(inst: Instance) -> CheckSet:
         metas.append(CheckMeta(f"n={n}: M E[tau^n] vs E|S_(tau^n)|", 0.0, ">="))
         metas.append(CheckMeta(f"n={n}: M E[tau] vs M E[tau^n]", 0.0, ">="))
 
-    def evaluate(paths: np.ndarray) -> np.ndarray:
+    def evaluate(paths: np.ndarray) -> Pieces:
         tau = _taus(rule, paths)
         s_tau = _values_at(paths, tau)
-        # rows 2n - 2 and 2n - 1: M (tau^n) - |S_(tau^n)| and M (tau - tau^n)
-        out = np.empty((2 * h, len(paths)))
+        # one piece per n from one buffer, rows 2n - 2 and 2n - 1:
+        # M (tau^n) - |S_(tau^n)| and M (tau - tau^n)
+        out = np.empty((2, len(paths)))
+        moment, tail = out
         for n in range(1, h + 1):
             w = np.minimum(tau, n)
-            moment, tail = out[2 * n - 2], out[2 * n - 1]
             np.multiply(big_m, w, out=moment)
             moment -= np.abs(_stopped_at(paths, tau, s_tau, n))
             np.multiply(big_m, tau - w, out=tail)
-        return out
+            yield slice(2 * n - 2, 2 * n), out
 
     return CheckSet(tuple(metas), evaluate)
 
@@ -930,7 +938,7 @@ def _aggregate(theorem_id: str, results: list[CheckResult], exact: bool) -> Veri
 
 def expectations(
     spec: gen.GeneratorSpec | gen.DiscreteChainSpec,
-    evaluate: Callable[[np.ndarray], np.ndarray],
+    evaluate: Callable[[np.ndarray], np.ndarray | Pieces],
     checks: int,
     mode: str,
     paths: int = 0,
@@ -938,7 +946,9 @@ def expectations(
     terminal_only: bool = False,
     chunk_base: int = 0,
 ) -> list[SummaryStats]:
-    """E[row k of evaluate(paths)] for each of the ``checks`` statistic rows.
+    """E[row k of evaluate(paths)] for each of the ``checks`` statistic rows,
+    given as a matrix or as pieces (``core.statistic_pieces``), which both
+    engines consume one at a time.
 
     This is the one place an engine is chosen.  Exact mode folds outcome
     probabilities: over the law of S_n alone when ``terminal_only`` is set
@@ -960,9 +970,9 @@ def expectations(
             except ValueError as exc:
                 raise PreconditionError("mode", f"exact mode unavailable: {exc}") from exc
         if terminal_only and chain.coupling == "independent":
-            values = fold_terminal(chain, evaluate)
+            values = fold_terminal(chain, evaluate, checks)
         else:
-            values = fold_expectations(chain, evaluate, block=tile_paths(checks))
+            values = fold_expectations(chain, evaluate, block=tile_paths(checks), checks=checks)
         return [SummaryStats(mean=v, stderr=0.0, count=chain.outcome_count) for v in values]
     if mode != "monte_carlo":
         raise PreconditionError("mode", f"unknown mode {mode!r}")
@@ -973,11 +983,9 @@ def expectations(
     acc = RunningStats()
     for block in iter_chunks(sample, spec, paths, seed, chunk_base):
         for lo in range(0, len(block), tile):
-            stats = evaluate(block[lo : lo + tile])
-            acc.update(stats)
-            # release each tile before the next is evaluated, and the chunk
-            # before the next is drawn
-            del stats
+            # each tile's statistics are released once reduced
+            acc.update(evaluate(block[lo : lo + tile]), checks)
+        # release the chunk before the next is drawn
         del block
     return acc.summaries()
 

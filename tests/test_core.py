@@ -175,6 +175,32 @@ class TestRunningStats:
         with pytest.raises(ValueError, match="matrix"):
             RunningStats().update(x)
 
+    @pytest.mark.parametrize("k, m, stride", [(288, 8_192, 32), (40, 6_000, 20), (10, 100, 3)])
+    def test_pieces_equal_their_matrix_bit_for_bit(self, k, m, stride):
+        """Strided row pieces from one reused buffer reduce to the bits of
+        the matrix they make."""
+        stats = self._normal_rows(k, m, seed=k)
+
+        def pieces():
+            buf = np.empty((len(range(0, k, stride)), m))
+            for i in reversed(range(stride)):
+                rows = slice(i, k, stride)
+                buf[: len(range(k)[rows])] = stats[rows]
+                yield rows, buf[: len(range(k)[rows])]
+
+        whole, split = RunningStats(), RunningStats()
+        whole.update(stats)
+        split.update(pieces(), k)
+        assert split.count == whole.count == m
+        assert split.mean.tobytes() == whole.mean.tobytes()
+        assert split.m2.tobytes() == whole.m2.tobytes()
+
+    def test_pieces_need_the_row_count(self):
+        with pytest.raises(ValueError, match="number of rows"):
+            RunningStats().update(iter([(slice(0, 1), np.zeros((1, 3)))]))
+        with pytest.raises(ValueError, match="not 3"):
+            RunningStats().update(np.zeros((2, 3)), 3)
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_matrix_with_a_nonfinite_sample_rejected(self):
         stats = np.zeros((5, 100))

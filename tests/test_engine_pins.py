@@ -1,6 +1,6 @@
 """Recorded values of the complete-convergence sweep, the CLT diagnostics,
-``demimart oracle`` and exact folds over several enumeration blocks, pinned
-bit for bit.
+``demimart oracle``, exact folds over several enumeration blocks and
+Monte-Carlo verdicts over several tiles and chunks, pinned bit for bit.
 
 ``tests/data/engine_pins.json`` holds every float as ``float.hex`` and the
 oracle's standard output verbatim.  Regenerate it only for a change that is
@@ -23,8 +23,10 @@ from demimart import (
     centered,
     clt_diagnose,
     complete_convergence_diagnose,
+    deterministic,
     first_passage_up,
     iid_spec,
+    jump_if_high,
     rademacher,
     shared_shock_spec,
     to_chain,
@@ -32,8 +34,9 @@ from demimart import (
     verify_detailed,
 )
 from demimart.cli import main
-from demimart.core import tile_paths
+from demimart.core import CHUNK_PATHS, tile_paths
 from demimart.oracle import iter_blocks
+from demimart.registry import Instance, expectations, lookup
 
 DATA = Path(__file__).resolve().parent / "data" / "engine_pins.json"
 
@@ -83,6 +86,43 @@ EXACT_FOLDS = (
     ("def12-n12", "Def1.2-demi", centered(shared_shock_spec(rademacher(), bernoulli(0.3), 12)), {}),
     # K = 416 statistics: two 8,192-outcome tiles
     ("def12-n14", "Def1.2-demi", centered(iid_spec(bernoulli(0.3), 14)), {}),
+)
+
+# (label, theorem_id, spec, paths, seed, keyword arguments): Monte-Carlo
+# verdicts of the battery and stopped statistics, each over several tiles;
+# statistics with K < 64 rows take whole chunks, so they run on two chunks
+_RAD6 = iid_spec(rademacher(), 6)
+MONTE_CARLO = (
+    # K = 288 statistics, 8,192-path tiles; CHUNK_PATHS + 3 paths end in a
+    # three-path tile of a second chunk
+    ("def12-demi-rademacher", "Def1.2-demi", iid_spec(rademacher(), 10), CHUNK_PATHS + 3, 31, {}),
+    ("def12-demisub-bernoulli", "Def1.2-demisub", iid_spec(bernoulli(0.3), 10), 20_000, 32, {}),
+    ("def12-demi-uniform", "Def1.2-demi", iid_spec(uniform(-1.0, 1.0), 10), 20_000, 33, {}),
+    ("t21-jump", "T2.1", _RAD6, CHUNK_PATHS + 3, 34, dict(rule=jump_if_high(2, 1.0, 3, 6))),
+    (
+        "t23-jump",
+        "T2.3",
+        _RAD6,
+        CHUNK_PATHS + 3,
+        35,
+        dict(rule=jump_if_high(2, 1.0, 3, 6), rule2=deterministic(6)),
+    ),
+    (
+        "c410-precheck",
+        "C4.10",
+        _RAD6,
+        CHUNK_PATHS + 3,
+        36,
+        dict(rule=capped(first_passage_up(1.0), 6), params={"theta": 0.3}),
+    ),
+    (
+        "l51-n20",
+        "L5.1",
+        iid_spec(rademacher(), 20),
+        CHUNK_PATHS + 3,
+        37,
+        dict(rule=capped(first_passage_up(2.0), 20)),
+    ),
 )
 
 
@@ -141,6 +181,37 @@ def _exact_fold(theorem_id, spec, kwargs) -> dict:
     return {"verdict": report.verdict, "means": [_hex(r.stats.mean) for r in results]}
 
 
+def _monte_carlo(theorem_id, spec, paths, seed, kwargs) -> dict:
+    report, results, extras = verify_detailed(
+        theorem_id, spec, mode="monte_carlo", paths=paths, seed=seed, **kwargs
+    )
+    entry = lookup(theorem_id)
+    inst = Instance(
+        spec, kwargs.get("rule"), kwargs.get("rule2"), dict(kwargs.get("params", {})), seed
+    )
+    # every row of an auxiliary checkset, averaged as verify_detailed does
+    extra_stats = {
+        name: expectations(spec, cs.evaluate, len(cs.metas), "monte_carlo", paths, seed)
+        for name, cs in (entry.extra_checksets(inst) if entry.extra_checksets else {}).items()
+    }
+    return {
+        "verdict": report.verdict,
+        "means": [_hex(r.stats.mean) for r in results],
+        "stderrs": [_hex(r.stats.stderr) for r in results],
+        "verdicts": [r.verdict for r in results],
+        "extras": {
+            name: {
+                "verdict": rep.verdict,
+                "mean": _hex(rep.lhs.mean),
+                "stderr": _hex(rep.lhs.stderr),
+                "means": [_hex(st.mean) for st in extra_stats[name]],
+                "stderrs": [_hex(st.stderr) for st in extra_stats[name]],
+            }
+            for name, rep in extras.items()
+        },
+    }
+
+
 def capture() -> dict:
     return {
         "complete_convergence": {
@@ -152,6 +223,10 @@ def capture() -> dict:
         "exact_folds": {
             label: _exact_fold(theorem_id, spec, kwargs)
             for label, theorem_id, spec, kwargs in EXACT_FOLDS
+        },
+        "monte_carlo": {
+            label: _monte_carlo(theorem_id, spec, paths, seed, kwargs)
+            for label, theorem_id, spec, paths, seed, kwargs in MONTE_CARLO
         },
     }
 
@@ -196,6 +271,19 @@ def test_exact_folds_are_bit_for_bit():
     want = _recorded()["exact_folds"]
     for label, theorem_id, spec, kwargs in EXACT_FOLDS:
         assert _exact_fold(theorem_id, spec, kwargs) == want[label], label
+
+
+def test_monte_carlo_verdicts_span_several_tiles():
+    want = _recorded()["monte_carlo"]
+    for label, _, _, paths, _, _ in MONTE_CARLO:
+        assert paths > tile_paths(len(want[label]["means"])), label
+    assert want["c410-precheck"]["extras"], "the precheck is pinned"
+
+
+def test_monte_carlo_verdicts_are_bit_for_bit():
+    want = _recorded()["monte_carlo"]
+    for label, theorem_id, spec, paths, seed, kwargs in MONTE_CARLO:
+        assert _monte_carlo(theorem_id, spec, paths, seed, kwargs) == want[label], label
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from demimart.generators import (
     to_chain,
     uniform,
     v_n,
+    with_horizon,
 )
 from demimart.oracle import fold_expectations, iter_blocks
 
@@ -194,6 +195,16 @@ class TestSampling:
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(ValueError, match="PSD"):
             gaussian_assoc_spec(bad, 2)
+
+    def test_gaussian_horizon_is_fixed_by_its_covariance(self):
+        """``with_horizon`` keeps a Gaussian spec's horizon only; the
+        covariance-shape check refuses any other, centered or not."""
+        spec = gaussian_assoc_spec(np.eye(3), 3)
+        for s in (spec, centered(spec)):
+            assert with_horizon(s, 3) == s
+            with pytest.raises(ValueError, match=r"covariance must be \(horizon, horizon\)"):
+                with_horizon(s, 4)
+        assert with_horizon(centered(iid_spec(rademacher(), 3)), 5).inner.horizon == 5
 
     @given(
         st.integers(min_value=0, max_value=2**63),

@@ -26,6 +26,8 @@ from demimart.oracle import fold_expectations, fold_terminal, iter_blocks, termi
 from demimart.registry import Instance, lookup, verify_detailed
 from demimart.stopping import capped, first_passage_up
 
+from statistic_rows import evaluate_rows
+
 
 def _projection(j, f):
     """The defining statistic (S_{j+1} - S_j) f(S_1..S_j) as one row."""
@@ -229,14 +231,14 @@ class TestTiledFold:
 
         def evaluate(paths):
             sizes.append(len(paths))
-            return checkset.evaluate(paths)
+            return evaluate_rows(checkset, paths)
 
         got = fold_expectations(chain, evaluate, block=tile)
         assert sizes == [tile] * (2**17 // tile)
         want = np.zeros(512)
         blocks = 0
         for paths, probs in iter_blocks(chain):
-            want += checkset.evaluate(paths) @ probs
+            want += evaluate_rows(checkset, paths) @ probs
             blocks += 1
         assert blocks == 2
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

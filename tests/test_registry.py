@@ -39,6 +39,7 @@ from demimart.registry import (
     _run_checkset,
     all_entries,
     check_definition,
+    expectations,
     lookup,
     verify,
     verify_detailed,
@@ -51,6 +52,8 @@ from demimart.stopping import (
     jump_if_high,
     user_rule,
 )
+
+from statistic_rows import evaluate_rows
 
 RAD6 = iid_spec(rademacher(), 6)
 BERN6 = iid_spec(bernoulli(0.5), 6)
@@ -598,6 +601,31 @@ class TestBatteryMemory:
         assert len(results) == 288
         assert peak < 288 * CHUNK_PATHS * 8 / 4, peak
 
+    def test_battery_pieces_never_build_a_tile_matrix(self):
+        """Battery pieces are reduced as they are computed: a Monte-Carlo
+        K = 288 verdict over one chunk and an exact K = 416 fold at n = 14
+        each peak below one (288, tile) float64 matrix."""
+        one_tile = 288 * tile_paths(288) * 8
+        for spec, mode, checks in (
+            (iid_spec(rademacher(), 10), "monte_carlo", 288),
+            (centered(iid_spec(bernoulli(0.3), 14)), "exact", 416),
+        ):
+            tracemalloc.start()
+            try:
+                _, results, _ = verify_detailed(
+                    "Def1.2-demi",
+                    spec,
+                    params={"battery_size": 32},
+                    mode=mode,
+                    paths=CHUNK_PATHS,
+                    seed=3,
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(results) == checks
+            assert peak < one_tile, (mode, peak, one_tile)
+
 
 class TestStatisticTiles:
     """Entries with K >= 64 statistics evaluate and reduce each chunk in
@@ -623,7 +651,7 @@ class TestStatisticTiles:
         whole = generate(spec, paths, inst.seed)
         ref = RunningStats()
         for lo in range(0, paths, CHUNK_PATHS):
-            ref.update(checkset.evaluate(whole[lo : lo + CHUNK_PATHS]))
+            ref.update(evaluate_rows(checkset, whole[lo : lo + CHUNK_PATHS]))
         want = [
             _mc_result(stats, meta, 3.0, paths)
             for stats, meta in zip(ref.summaries(), checkset.metas)
@@ -652,15 +680,18 @@ class TestStatisticTiles:
         )
         tile = tile_paths(len(checkset.metas))
         assert sizes == [tile] * (2**14 // tile) and len(sizes) > 1
-        want = fold_expectations(to_chain(spec), checkset.evaluate)
+        want = fold_expectations(to_chain(spec), lambda p: evaluate_rows(checkset, p))
         np.testing.assert_allclose([r.stats.mean for r in results], want, rtol=1e-12, atol=0)
 
 
 class TestStatisticContract:
     """Every entry's statistic, extra checksets included, maps a block of m
-    paths to one (K, m) float64 matrix, on sampled and exact blocks alike."""
+    paths to its K rows, a (K, m) float64 matrix or float64 pieces covering
+    each row once, on sampled, enumerated and terminal blocks alike."""
 
     CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    # paths whose statistics are also evaluated one path at a time
+    BY_PATH = 12
 
     @staticmethod
     def _checksets(config, spec):
@@ -675,15 +706,19 @@ class TestStatisticContract:
         extras = entry.extra_checksets(inst).values() if entry.extra_checksets else ()
         return [entry.build(inst), *extras]
 
-    @staticmethod
-    def _assert_matrix(checkset, block):
-        stats = checkset.evaluate(block)
-        assert isinstance(stats, np.ndarray)
-        assert stats.dtype == np.float64
-        assert stats.shape == (len(checkset.metas), len(block))
+    @classmethod
+    def _assert_pieces(cls, checkset, block):
+        """``evaluate_rows`` asserts dtype, shapes and coverage as the
+        pieces arrive; assembled, they equal the statistic of each path
+        alone."""
+        got = evaluate_rows(checkset, block)
+        assert got.shape == (len(checkset.metas), len(block))
+        first = min(cls.BY_PATH, len(block))
+        by_path = [evaluate_rows(checkset, block[i : i + 1]) for i in range(first)]
+        np.testing.assert_array_equal(got[:, :first], np.hstack(by_path))
 
-    def test_every_entry_returns_one_matrix(self):
-        sampled_ids, exact_ids = set(), set()
+    def test_every_entry_yields_rows_covering_each_check_once(self):
+        sampled_ids, exact_ids, piece_ids = set(), set(), set()
         for cfg_path in self.CONFIGS:
             config = config_from_dict(parse_config_text(cfg_path.read_text()))
             entry = lookup(config.theorem_id)
@@ -693,9 +728,11 @@ class TestStatisticContract:
             paths = sample_paths(spec, 300, derive_stream(5, 0))
             checksets = self._checksets(config, spec)
             for checkset in checksets:
-                self._assert_matrix(checkset, paths)
+                self._assert_pieces(checkset, paths)
+                if not isinstance(checkset.evaluate(paths), np.ndarray):
+                    piece_ids.add(entry.theorem_id)
             if entry.terminal_only:
-                self._assert_matrix(checksets[0], paths[:, -1:])
+                self._assert_pieces(checksets[0], paths[:, -1:])
             sampled_ids.add(entry.theorem_id)
             if config.mode != "exact":
                 # a Monte-Carlo config's family at a horizon small enough to
@@ -707,12 +744,62 @@ class TestStatisticContract:
             except ValueError:
                 continue
             for checkset in checksets:
-                self._assert_matrix(checkset, next(iter_blocks(chain, 256))[0])
+                self._assert_pieces(checkset, next(iter_blocks(chain, 256))[0])
             if entry.terminal_only:
-                self._assert_matrix(checksets[0], terminal_law(chain)[0][:, None])
+                self._assert_pieces(checksets[0], terminal_law(chain)[0][:, None])
             exact_ids.add(entry.theorem_id)
         built = {e.theorem_id for e in all_entries() if e.build is not None}
         assert sampled_ids == exact_ids == built
+        # the battery statistics and L5.1 return pieces, the others a matrix
+        assert piece_ids == {
+            "Def1.2-demi",
+            "Def1.2-demisub",
+            "T2.1-stopped-pair",
+            "T2.3-two-stops",
+            "L5.1-ui-proxy",
+            "C4.10-exp-stopped",  # its demisub_precheck
+        }
+
+
+class TestStatisticPieces:
+    """Both engines refuse pieces that do not cover every row exactly once
+    or whose blocks do not share one m."""
+
+    K = 4
+
+    @staticmethod
+    def _pieces(*layout):
+        """A statistic yielding ``(rows, width)`` pieces of ones, ``width``
+        None meaning the block's own path count."""
+
+        def evaluate(paths):
+            for rows, width in layout:
+                yield rows, np.ones((len(range(4)[rows]), width or len(paths)))
+
+        return evaluate
+
+    BAD = {
+        "missing row": ((slice(0, 2), None), (slice(3, 4), None)),
+        "duplicated row": ((slice(0, 3), None), (slice(2, 4), None)),
+        "unequal m": ((slice(0, 2), None), (slice(2, 4), 1)),
+    }
+
+    @pytest.mark.parametrize("mode", ["monte_carlo", "exact"])
+    def test_pieces_in_any_order_equal_the_matrix(self, mode):
+        evaluate = self._pieces((slice(1, 4, 2), None), (slice(0, 4, 2), None))
+        stats = expectations(RAD6, evaluate, self.K, mode, paths=100, seed=1)
+        assert [s.mean for s in stats] == [1.0] * self.K
+
+    @pytest.mark.parametrize("mode", ["monte_carlo", "exact"])
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_pieces_are_refused(self, mode, case):
+        with pytest.raises(ValueError, match="piece"):
+            expectations(RAD6, self._pieces(*self.BAD[case]), self.K, mode, paths=100, seed=1)
+
+    @pytest.mark.parametrize("mode", ["monte_carlo", "exact"])
+    def test_matrix_of_another_row_count_is_refused(self, mode):
+        with pytest.raises(ValueError, match="rows"):
+            expectations(RAD6, lambda p: np.ones((3, len(p))), self.K, mode, paths=100, seed=1)
 
 
 def _gather_values_at(paths, idx):
@@ -820,10 +907,10 @@ class TestStoppedStatistics:
         assert sampled.flags.f_contiguous and enumerated.flags.f_contiguous
         for block in (sampled, enumerated):
             want = reference(block)
-            self._assert_same_bits(checkset.evaluate(block), want)
+            self._assert_same_bits(evaluate_rows(checkset, block), want)
             # either layout of the same values gives the same bits
             for other in (np.ascontiguousarray(block), np.asfortranarray(block)):
-                self._assert_same_bits(checkset.evaluate(other), want)
+                self._assert_same_bits(evaluate_rows(checkset, other), want)
 
     def test_uncapped_c22_blocks_hold_paths_that_never_stop(self):
         _, spec, rule = self.CASES[0]
