@@ -138,8 +138,10 @@ class IncrementLaw:
         multiply-shift, whose rejection threshold is 0 there) keeps the top
         bit of each byte of the buffered uint32 stream; ``random`` is
         ``(word >> 11) * 2**-53``, which is below p exactly when
-        ``word >> 11 < ceil(p * 2**53)``.  They need one of the bit
-        generators in ``_RAW64``; ``derive_stream`` gives Philox.
+        ``word >> 11 < ceil(p * 2**53)``, that is when
+        ``word < ceil(p * 2**53) << 11`` (every word, for p = 1, where that
+        bound is 2**64).  They need one of the bit generators in
+        ``_RAW64``; ``derive_stream`` gives Philox.
         """
         if self.name == "rademacher":
             count = int(np.prod(shape))
@@ -151,8 +153,10 @@ class IncrementLaw:
             return steps.reshape(shape)
         if self.name == "bernoulli":
             words = _raw64(rng).random_raw(shape)
-            words >>= 11
-            return (words < np.uint64(math.ceil(self.p * 2.0**53))).view(np.int8)
+            bound = math.ceil(self.p * 2.0**53) << 11
+            if bound == 1 << 64:
+                return np.ones(shape, dtype=np.int8)
+            return (words < np.uint64(bound)).view(np.int8)
         return rng.uniform(self.a, self.b, size=shape)
 
     def log_mgf(self, theta: float) -> float:
@@ -378,7 +382,11 @@ def with_horizon(spec: GeneratorSpec, n: int) -> GeneratorSpec:
 
 
 def sample_increments(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an (n_paths, horizon) matrix of increments X_i (offset excluded)."""
+    """Draw an (n_paths, horizon) matrix of increments X_i (offset excluded).
+
+    The matrix may be column-major: a moving sum is built time-major, one
+    contiguous (n_paths,) row per step, and returned transposed.
+    """
     n = spec.horizon
     if spec.family == "iid":
         return spec.law.sample(rng, (n_paths, n))
@@ -387,13 +395,18 @@ def sample_increments(spec: GeneratorSpec, n_paths: int, rng: np.random.Generato
         w = spec.shock.sample(rng, (n_paths, 1)).astype(np.float64, copy=False)
         return base + w
     if spec.family == "moving_sum":
+        # X_i = 0 + w_0 y_(i+q) + w_1 y_(i+q-1) + ..., added in that order
+        # into row i of a time-major build from the transposed draws (bytes,
+        # for a lattice law); the products are those of the float64 draws
         q = len(spec.weights) - 1
-        y = spec.law.sample(rng, (n_paths, n + q)).astype(np.float64, copy=False)
-        x = np.zeros((n_paths, n))
-        for k, w in enumerate(spec.weights):
-            if w:
-                x += w * y[:, q - k : q - k + n]
-        return x
+        y = np.ascontiguousarray(spec.law.sample(rng, (n_paths, n + q)).T)
+        x = np.zeros((n, n_paths))
+        term = np.empty(n_paths)
+        for i, row in enumerate(x):
+            for k, w in enumerate(spec.weights):
+                if w:
+                    row += np.multiply(w, y[q - k + i], out=term)
+        return x.T
     if spec.family == "gaussian_assoc":
         z = rng.standard_normal((n_paths, n))
         return z @ _factor(spec.covariance).T
@@ -417,9 +430,11 @@ def sample_paths(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) ->
 
     The matrix is column-major: it is the transpose of a time-major
     (horizon, n_paths) build in which S_j = S_{j-1} + X_j is one contiguous
-    row, so each column S_j is contiguous.  The float64 adds run in the
-    order of ``np.cumsum(increments, axis=1, dtype=np.float64)``, so the
-    values are that cumsum's bit for bit.
+    row, so each column S_j is contiguous.  The values are those of
+    ``np.cumsum(increments, axis=1, dtype=np.float64)`` bit for bit: float
+    increments are added in that cumsum's order, and int8 lattice steps
+    are summed exactly in the narrowest signed integer type that holds
+    +-horizon, then cast to float64 once.
 
     A centered family sums the inner draws first and then subtracts i * mean,
     as the exact oracle does, so lattice paths stay exactly on their shifted
@@ -429,23 +444,31 @@ def sample_paths(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) ->
         s = sample_paths(spec.inner, n_paths, rng)
         s -= step_mean(spec.inner) * np.arange(1, spec.horizon + 1)
     else:
-        # one transposing cast (exact for the int8 lattice draws), then the
-        # running sum in place, one contiguous row per step
-        rows = sample_increments(spec, n_paths, rng).T.astype(np.float64, order="C")
-        s = _accumulate_rows(np.add, rows, rows).T
+        # the time-major rows (a byte transpose for lattice steps, none for
+        # a moving sum), then the running sum in place, one row per step
+        rows = np.ascontiguousarray(sample_increments(spec, n_paths, rng).T)
+        if rows.dtype == np.int8 and spec.horizon >= 128:
+            rows = rows.astype(np.int16 if spec.horizon < 1 << 15 else np.int64)
+        s = _accumulate_rows(np.add, rows, rows).astype(np.float64, copy=False).T
     if spec.offset:
         s += spec.offset
     return s
 
 
 def _row_sums(inc: np.ndarray) -> np.ndarray:
-    # integer increment lattices sum exactly, and much faster, in integers:
-    # fewer than 256 int8 steps cannot overflow int16, which halves the cast
+    """Per-path float64 sums of an (n_paths, horizon) increment matrix.
+
+    Integer lattices sum exactly, and much faster, in integers (fewer than
+    256 int8 steps cannot overflow int16, which halves the cast).  Float
+    increments are summed from a row-major copy when they are column-major
+    (a moving sum): numpy's row sum is pairwise along a contiguous row but
+    sequential across columns, and the two differ in the last bits.
+    """
     if inc.dtype == np.int8 and inc.shape[1] * 128 < 1 << 15:
         return inc.sum(axis=1, dtype=np.int16).astype(np.float64)
     if inc.dtype.kind in "iu":
         return inc.sum(axis=1, dtype=np.int64).astype(np.float64)
-    return inc.sum(axis=1, dtype=np.float64)
+    return np.ascontiguousarray(inc).sum(axis=1, dtype=np.float64)
 
 
 def _rademacher_final_sums(stream: np.ndarray, n: int) -> np.ndarray:

@@ -40,7 +40,7 @@ from .monotone import (
     sample_battery,
 )
 from .oracle import fold_expectations, fold_terminal
-from .stopping import StoppingRule
+from .stopping import StoppingRule, _wedge
 
 __all__ = [
     "CheckResult",
@@ -322,18 +322,30 @@ def _values_at(paths: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return paths[np.arange(paths.shape[0]), idx - 1]
 
 
-def _stopped_at(paths: np.ndarray, tau: np.ndarray, s_tau: np.ndarray, j: int) -> np.ndarray:
-    """S_(tau^j) from the column S_j and the gathered S_tau, for tau >= 1.
+def _stopped_at(
+    paths: np.ndarray, tau: np.ndarray, s_tau: np.ndarray, j: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """S_(tau^j) from the column S_j and the gathered S_tau, for an int64
+    tau that is -1 or >= 1; written into the float64 row ``out`` if given.
 
     One gather of S_tau serves every j: where tau >= j the value is the
     column S_j, contiguous in a sampled chunk, so no per-j gather is made.
+    The choice is a bitwise select on the int64 views, with no branch on
+    the data: ``(j - 1 - tau) >> 63`` is all ones exactly where tau >= j,
+    and ``((S_j ^ S_tau) & sel) ^ S_tau`` is S_j there and S_tau elsewhere.
+    Each value is one of its two inputs bit for bit, -0.0, infinities and
+    NaN payloads included, as with ``np.where(tau >= j, S_j, S_tau)``; the
+    sentinel selects S_tau.
     """
-    return np.where(tau >= j, paths[:, j - 1], s_tau)
-
-
-def _wedge(tau: np.ndarray, j: int) -> np.ndarray:
-    """tau ^ j with the -1 sentinel treated as +infinity."""
-    return np.where(tau == -1, j, np.minimum(tau, j))
+    sel = np.subtract(j - 1, tau)
+    sel >>= 63
+    s_tau = s_tau.view(np.int64)
+    if out is None:
+        out = np.empty(len(s_tau))
+    bits = np.bitwise_xor(paths[:, j - 1].view(np.int64), s_tau, out=out.view(np.int64))
+    bits &= sel
+    bits ^= s_tau
+    return out
 
 
 def _battery(inst: Instance, nonneg: bool, default_size: int = 16):
@@ -412,10 +424,10 @@ def _build_t14(inst: Instance) -> CheckSet:
         # tau ^ m has the same wedge with n <= m as tau, -1 included
         tau = _wedge(rule.tau_batch(paths), m_big)
         w_m = _values_at(paths, tau)
-        w_n = _stopped_at(paths, tau, w_m, n_small)
         out = np.empty((2, len(paths)))
+        w_n = _stopped_at(paths, tau, w_m, n_small, out=out[1])
         np.subtract(w_m, w_n, out=out[0])
-        np.subtract(w_n, paths[:, 0], out=out[1])
+        w_n -= paths[:, 0]
         out *= sign
         return out
 
@@ -449,8 +461,8 @@ def _build_c22(inst: Instance) -> CheckSet:
         tau = _wedge(rule.tau_batch(paths), h)
         s_tau = _values_at(paths, tau)
         out = np.empty((h, len(paths)))
-        for j in range(1, h + 1):
-            np.subtract(paths[:, j - 1], _stopped_at(paths, tau, s_tau, j), out=out[j - 1])
+        for j, row in enumerate(out, start=1):
+            np.subtract(paths[:, j - 1], _stopped_at(paths, tau, s_tau, j, out=row), out=row)
         return out
 
     return CheckSet(metas, evaluate)
@@ -498,14 +510,19 @@ def _build_l51(inst: Instance) -> CheckSet:
         tau = _taus(rule, paths)
         s_tau = _values_at(paths, tau)
         # one piece per n from one buffer, rows 2n - 2 and 2n - 1:
-        # M (tau^n) - |S_(tau^n)| and M (tau - tau^n)
+        # M (tau^n) - |S_(tau^n)| and M (tau - tau^n); tau, tau^n and their
+        # difference are small integers, exact in float64
+        tau_f = tau.astype(np.float64)
+        stopped = np.empty(len(paths))
         out = np.empty((2, len(paths)))
         moment, tail = out
         for n in range(1, h + 1):
-            w = np.minimum(tau, n)
-            np.multiply(big_m, w, out=moment)
-            moment -= np.abs(_stopped_at(paths, tau, s_tau, n))
-            np.multiply(big_m, tau - w, out=tail)
+            np.minimum(tau_f, n, out=moment)
+            np.subtract(tau_f, moment, out=tail)
+            tail *= big_m
+            moment *= big_m
+            np.abs(_stopped_at(paths, tau, s_tau, n, out=stopped), out=stopped)
+            moment -= stopped
             yield slice(2 * n - 2, 2 * n), out
 
     return CheckSet(tuple(metas), evaluate)

@@ -100,9 +100,7 @@ class StoppingRule:
                 return np.full(m, -1, dtype=np.int64)
             return np.full(m, self.step, dtype=np.int64)
         if self.kind == "capped":
-            cap = min(self.cap, n)
-            inner = self.inner.tau_batch(p)
-            return np.where(inner == -1, cap, np.minimum(inner, cap)).astype(np.int64)
+            return _wedge(self.inner.tau_batch(p), min(self.cap, n))
         # user predicate: first j with predicate(prefix) true
         tau = np.full(m, -1, dtype=np.int64)
         open_rows = np.ones(m, dtype=bool)
@@ -159,6 +157,15 @@ class StoppingRule:
             if self.kind == "first_passage_down":
                 return direction == "nonincreasing"
         return False
+
+
+def _wedge(tau: np.ndarray, j: int) -> np.ndarray:
+    """tau ^ j of an int64 tau with the -1 sentinel treated as +infinity.
+
+    Read as uint64, -1 is 2**64 - 1 and every tau >= 0 is itself, so the
+    unsigned minimum with j >= 1 maps the sentinel to j.
+    """
+    return np.minimum(tau.view(np.uint64), j).view(np.int64)
 
 
 def _first_true(hit: np.ndarray) -> np.ndarray:

@@ -1,20 +1,25 @@
 """Recorded values of the complete-convergence sweep, the CLT diagnostics,
-``demimart oracle``, exact folds over several enumeration blocks and
-Monte-Carlo verdicts over several tiles and chunks, pinned bit for bit.
+``demimart oracle``, exact folds over several enumeration blocks,
+Monte-Carlo verdicts over several tiles and chunks and sampled paths,
+pinned bit for bit.
 
-``tests/data/engine_pins.json`` holds every float as ``float.hex`` and the
-oracle's standard output verbatim.  Regenerate it only for a change that is
+``tests/data/engine_pins.json`` holds every float as ``float.hex``, the
+oracle's standard output verbatim and the sha256 of each sampled matrix's
+little-endian float64 bytes in row-major order.  Regenerate it only for a change that is
 meant to move these numbers:
 
     PYTHONPATH=src python tests/test_engine_pins.py --write
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from demimart import (
     GeneratorSpec,
@@ -34,7 +39,8 @@ from demimart import (
     verify_detailed,
 )
 from demimart.cli import main
-from demimart.core import CHUNK_PATHS, tile_paths
+from demimart.core import CHUNK_PATHS, derive_stream, tile_paths
+from demimart.generators import sample_final_sums, sample_paths
 from demimart.oracle import iter_blocks
 from demimart.registry import Instance, expectations, lookup
 
@@ -82,6 +88,8 @@ EXACT_FOLDS = (
     # 2^18 outcomes: four 65,536-outcome blocks
     ("l51-n18", "L5.1", _CB18, dict(rule=capped(first_passage_up(2.0), 18))),
     ("t14-n18", "T1.4", _CB18, dict(rule=first_passage_up(1.0), params={"n": 9, "m": 18})),
+    # K = 18 statistics, whole 65,536-outcome blocks
+    ("c22-n18", "C2.2", _CB18, dict(rule=first_passage_up(1.0))),
     # battery 32, K = 352 statistics: one 4,096-outcome tile per shared atom
     ("def12-n12", "Def1.2-demi", centered(shared_shock_spec(rademacher(), bernoulli(0.3), 12)), {}),
     # K = 416 statistics: two 8,192-outcome tiles
@@ -122,6 +130,35 @@ MONTE_CARLO = (
         CHUNK_PATHS + 3,
         37,
         dict(rule=capped(first_passage_up(2.0), 20)),
+    ),
+    (
+        "c22-moving-sum",
+        "C2.2",
+        centered(GeneratorSpec("moving_sum", 8, law=bernoulli(0.5), weights=(1.0, 0.5))),
+        CHUNK_PATHS + 3,
+        38,
+        dict(rule=first_passage_up(1.0)),
+    ),
+    (
+        "t14-n16",
+        "T1.4",
+        iid_spec(rademacher(), 16),
+        CHUNK_PATHS + 3,
+        39,
+        dict(rule=first_passage_up(2.0), params={"n": 8, "m": 16}),
+    ),
+)
+
+# (label, spec, paths, seed, chunk): sampled paths and final sums; a zero
+# weight, float draws and a horizon above 8, where numpy's row sum depends on
+# the memory order of the increments
+SAMPLES = (
+    (
+        "moving-sum-uniform",
+        GeneratorSpec("moving_sum", 12, law=uniform(-1.0, 1.0), weights=(1.0, 0.0, 0.5)),
+        10_000,
+        40,
+        3,
     ),
 )
 
@@ -212,6 +249,17 @@ def _monte_carlo(theorem_id, spec, paths, seed, kwargs) -> dict:
     }
 
 
+def _digest(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+def _samples(spec, paths, seed, chunk) -> dict:
+    return {
+        "paths": _digest(sample_paths(spec, paths, derive_stream(seed, chunk))),
+        "final_sums": _digest(sample_final_sums(spec, paths, derive_stream(seed, chunk))),
+    }
+
+
 def capture() -> dict:
     return {
         "complete_convergence": {
@@ -227,6 +275,9 @@ def capture() -> dict:
         "monte_carlo": {
             label: _monte_carlo(theorem_id, spec, paths, seed, kwargs)
             for label, theorem_id, spec, paths, seed, kwargs in MONTE_CARLO
+        },
+        "samples": {
+            label: _samples(spec, paths, seed, chunk) for label, spec, paths, seed, chunk in SAMPLES
         },
     }
 
@@ -284,6 +335,12 @@ def test_monte_carlo_verdicts_are_bit_for_bit():
     want = _recorded()["monte_carlo"]
     for label, theorem_id, spec, paths, seed, kwargs in MONTE_CARLO:
         assert _monte_carlo(theorem_id, spec, paths, seed, kwargs) == want[label], label
+
+
+def test_samples_are_bit_for_bit():
+    want = _recorded()["samples"]
+    for label, spec, paths, seed, chunk in SAMPLES:
+        assert _samples(spec, paths, seed, chunk) == want[label], label
 
 
 if __name__ == "__main__":

@@ -71,7 +71,11 @@ class TestLaws:
         assert bernoulli(1.0).support() == [(1.0, 1.0)]
 
 
-_LATTICE_LAWS = [rademacher()] + [bernoulli(p) for p in (0.0, 1.0, 0.3, 0.5, 1 / 3)]
+# p = 2**-53 and 1 - 2**-53 put the bound on raw words one step from 0 and
+# from 2**64, where p = 1 takes every word
+_LATTICE_LAWS = [rademacher()] + [
+    bernoulli(p) for p in (0.0, 1.0, 0.3, 0.5, 1 / 3, 2.0**-53, 1.0 - 2.0**-53)
+]
 
 
 def _numpy_draw(law, rng, shape):
@@ -298,6 +302,14 @@ class TestTimeMajorPaths:
         ),
         "adversarial": adversarial_spec(6),
         "offset": iid_spec(rademacher(), 20, offset=-1.25),
+        # int16 running sums, and sure steps that reach the int8 limit 127
+        # and pass it
+        "iid rademacher n=130": iid_spec(rademacher(), 130),
+        "sure steps n=127": iid_spec(bernoulli(1.0), 127),
+        "sure steps n=128": iid_spec(bernoulli(1.0), 128),
+        "moving sum uniform": GeneratorSpec(
+            "moving_sum", 12, law=uniform(-1.0, 1.0), weights=(1.0, 0.0, 0.5)
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(SPECS))

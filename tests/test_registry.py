@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from demimart.cli import build_generator_spec, build_rule, config_from_dict, parse_config_text
 from demimart.core import CHUNK_PATHS, RunningStats, derive_stream, tile_paths
@@ -37,6 +38,7 @@ from demimart.registry import (
     _c410_precheck,
     _mc_result,
     _run_checkset,
+    _stopped_at,
     all_entries,
     check_definition,
     expectations,
@@ -848,6 +850,62 @@ def _gather_t14(rule, n_small, m_big):
         return [sign * (w_m - w_n), sign * (w_n - paths[:, 0])]
 
     return evaluate
+
+
+# raw float64 bit patterns: any int64, and by name -0.0, the infinities,
+# quiet and signalling NaNs with payloads, and subnormals
+_SPECIAL_BITS = [
+    int(np.array(v).view(np.int64))
+    for v in (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.225e-308)
+] + [0x7FF0000000000001, 0x7FF4000000000000, 0xFFF8000000000123 - (1 << 64)]
+_BITS = st.one_of(
+    st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1), st.sampled_from(_SPECIAL_BITS)
+)
+
+
+@st.composite
+def _select_cases(draw):
+    """(paths, tau, s_tau, j): tau is -1, in 1..n, or beyond n up to the
+    largest int64, so that a sign shift by fewer than 63 bits shows."""
+    m = draw(st.integers(min_value=1, max_value=16))
+    n = draw(st.integers(min_value=1, max_value=10))
+    values = draw(arrays(np.int64, m * (n + 1), elements=_BITS, fill=st.nothing()))
+    values = values.view(np.float64)
+    paths = values[: m * n].reshape(m, n)
+    if draw(st.booleans()):
+        paths = np.asfortranarray(paths)
+    taus = st.one_of(
+        st.just(-1),
+        st.integers(min_value=1, max_value=n),
+        st.integers(min_value=n + 1, max_value=(1 << 63) - 1),
+    )
+    tau = draw(arrays(np.int64, m, elements=taus, fill=st.nothing()))
+    return paths, tau, values[m * n :], draw(st.integers(min_value=1, max_value=n))
+
+
+class TestExactSelect:
+    """``_stopped_at`` is a bitwise select: every value is S_j or S_tau bit
+    for bit, as ``np.where(tau >= j, S_j, S_tau)`` gives it."""
+
+    @given(_select_cases(), st.booleans())
+    @example(  # tau - j + 1 above 2**62: S_j and S_tau differ in their lowest bit
+        (np.array([[1.0, 2.0]]), np.array([(1 << 63) - 1]), np.array([1.0 + 2.0**-52]), 1),
+        False,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_where_bit_for_bit(self, case, into_row):
+        paths, tau, s_tau, j = case
+        want = np.where(tau >= j, paths[:, j - 1], s_tau)
+        before = paths.copy(), s_tau.copy()
+        out = np.full(len(tau), 7.0) if into_row else None
+        got = _stopped_at(paths, tau, s_tau, j, out=out)
+        assert got.dtype == np.float64
+        assert got.shape == want.shape
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        if into_row:
+            assert got is out
+        assert paths.tobytes() == before[0].tobytes()
+        assert s_tau.tobytes() == before[1].tobytes()
 
 
 class TestStoppedStatistics:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from demimart import registry
 from demimart.stopping import (
+    _wedge,
     capped,
     deterministic,
     first_passage_down,
@@ -108,6 +109,52 @@ class TestFirstPassageCount:
         c = min(cap, n)
         capped_tau = capped(rule, cap).tau_batch(p)
         assert np.array_equal(capped_tau, np.where(expected == -1, c, np.minimum(expected, c)))
+
+
+_TAUS = st.one_of(
+    st.just(-1),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=41, max_value=2**63 - 1),
+)
+
+
+def _where_wedge(tau, j):
+    """The reference: tau ^ j with the -1 sentinel as +infinity, by ``np.where``."""
+    return np.where(tau == -1, j, np.minimum(tau, j))
+
+
+class TestWedge:
+    """The unsigned minimum equals its ``np.where`` reference."""
+
+    @given(st.lists(_TAUS, min_size=1, max_size=50), st.integers(min_value=1, max_value=40))
+    @settings(max_examples=200, deadline=None)
+    def test_wedge_equals_where(self, taus, j):
+        tau = np.array(taus, dtype=np.int64)
+        got = _wedge(tau, j)
+        assert got.dtype == np.int64
+        assert got.tolist() == _where_wedge(tau, j).tolist()
+        assert tau.tolist() == taus
+
+    @given(
+        st.lists(st.integers(min_value=-1, max_value=9), min_size=1, max_size=30),
+        st.integers(min_value=1, max_value=20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_capped_tau_equals_where(self, stops, cap):
+        """A user rule that stops row i at stops[i] (never for -1 or 0),
+        capped at ``cap`` on a 9-step horizon."""
+        stops = np.array(stops, dtype=np.int64)
+        stops[stops == 0] = -1
+
+        def pred(prefix):
+            return stops == prefix.shape[1]
+
+        inner = user_rule(pred)
+        p = np.zeros((len(stops), 9))
+        want = _where_wedge(inner.tau_batch(p), min(cap, 9))
+        got = capped(inner, cap).tau_batch(p)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
 
 
 class TestCapping:
