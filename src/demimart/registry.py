@@ -303,23 +303,22 @@ def _certify(inst: Instance, rule: StoppingRule, direction: str, target: str) ->
 # ---------------------------------------------------------------------------
 
 
-def _taus(rule: StoppingRule, paths: np.ndarray) -> np.ndarray:
-    """Stopping indices with finiteness enforced on the evaluated paths."""
+def _stopped(rule: StoppingRule, paths: np.ndarray, cap: int | None = None):
+    """(tau, S_tau) of every path: the one gather of every stopped entry.
+
+    Raises where a path stops after the rule's declared bound and, without
+    ``cap``, first where a path never stops (tau = -1).  With ``cap`` it is
+    (tau ^ cap, S_(tau ^ cap)), so a path that never stops reads the cap.
+    """
     tau = rule.tau_batch(paths)
-    if np.any(tau == -1):
-        raise PreconditionError(
-            "stopping", "stopping time not a.s. finite at this horizon"
-        )
+    if cap is None and np.any(tau == -1):
+        raise PreconditionError("stopping", "stopping time not a.s. finite at this horizon")
     b = rule.bound()
     if b is not None and np.any(tau > b):
-        raise PreconditionError(
-            "stopping", f"a path stopped after the declared bound {b}"
-        )
-    return tau
-
-
-def _values_at(paths: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return paths[np.arange(paths.shape[0]), idx - 1]
+        raise PreconditionError("stopping", f"a path stopped after the declared bound {b}")
+    if cap is not None:
+        tau = _wedge(tau, cap)
+    return tau, paths[np.arange(len(paths)), tau - 1]
 
 
 def _stopped_at(
@@ -422,8 +421,7 @@ def _build_t14(inst: Instance) -> CheckSet:
 
     def evaluate(paths: np.ndarray) -> np.ndarray:
         # tau ^ m has the same wedge with n <= m as tau, -1 included
-        tau = _wedge(rule.tau_batch(paths), m_big)
-        w_m = _values_at(paths, tau)
+        tau, w_m = _stopped(rule, paths, cap=m_big)
         out = np.empty((2, len(paths)))
         w_n = _stopped_at(paths, tau, w_m, n_small, out=out[1])
         np.subtract(w_m, w_n, out=out[0])
@@ -443,8 +441,7 @@ def _build_t21(inst: Instance) -> CheckSet:
     )
 
     def evaluate(paths: np.ndarray) -> Pieces:
-        tau = _taus(rule, paths)
-        s_tau = _values_at(paths, tau)
+        _, s_tau = _stopped(rule, paths)
         gap = paths[:, m_bound - 1] - s_tau
         return _battery_stats(battery, gap, s_tau[None, :])
 
@@ -458,8 +455,7 @@ def _build_c22(inst: Instance) -> CheckSet:
 
     def evaluate(paths: np.ndarray) -> np.ndarray:
         # tau ^ h has the same wedge with every j <= h as tau, -1 included
-        tau = _wedge(rule.tau_batch(paths), h)
-        s_tau = _values_at(paths, tau)
+        tau, s_tau = _stopped(rule, paths, cap=h)
         out = np.empty((h, len(paths)))
         for j, row in enumerate(out, start=1):
             np.subtract(paths[:, j - 1], _stopped_at(paths, tau, s_tau, j, out=row), out=row)
@@ -476,25 +472,36 @@ def _build_t23(inst: Instance) -> CheckSet:
     )
 
     def evaluate(paths: np.ndarray) -> Pieces:
-        t1 = _taus(rule1, paths)
-        t2 = _taus(rule2, paths)
+        t1, s_t1 = _stopped(rule1, paths)
+        t2, s_t2 = _stopped(rule2, paths)
         if np.any(t2 < t1):
             raise PreconditionError("stopping", "tau1 <= tau2 violated on a path")
-        s_t1 = _values_at(paths, t1)
-        return _battery_stats(battery, _values_at(paths, t2) - s_t1, s_t1[None, :])
+        return _battery_stats(battery, s_t2 - s_t1, s_t1[None, :])
 
     return CheckSet(metas, evaluate)
+
+
+def _stopped_checkset(rule: StoppingRule, meta: CheckMeta, g: Callable) -> CheckSet:
+    """One check, E[g(tau, S_tau, S_1)] against ``meta``: a single-row
+    stopped statistic declared as a function of the stopped state alone,
+    with tau an int64 array and S_tau, S_1 float64 arrays over the paths."""
+
+    def evaluate(paths: np.ndarray) -> np.ndarray:
+        tau, s_tau = _stopped(rule, paths)
+        return g(tau, s_tau, paths[:, 0])[None]
+
+    return CheckSet((meta,), evaluate)
 
 
 def _stopped_vs_start(inst: Instance, direction: str) -> CheckSet:
-    rule = inst.rule
-    metas = (CheckMeta("E[S_tau - S_1]", 0.0, direction),)
+    meta = CheckMeta("E[S_tau - S_1]", 0.0, direction)
+    return _stopped_checkset(inst.rule, meta, lambda tau, s_tau, s_1: s_tau - s_1)
 
-    def evaluate(paths: np.ndarray) -> np.ndarray:
-        tau = _taus(rule, paths)
-        return (_values_at(paths, tau) - paths[:, 0])[None]
 
-    return CheckSet(metas, evaluate)
+def _stopped_cmp(rule: StoppingRule) -> str:
+    """E[g] >= its constant for a nonincreasing indicator, <= for a
+    nondecreasing one (``_certified(None, ...)`` admits no other)."""
+    return ">=" if rule.declared_direction == "nonincreasing" else "<="
 
 
 def _build_l51(inst: Instance) -> CheckSet:
@@ -507,8 +514,7 @@ def _build_l51(inst: Instance) -> CheckSet:
         metas.append(CheckMeta(f"n={n}: M E[tau] vs M E[tau^n]", 0.0, ">="))
 
     def evaluate(paths: np.ndarray) -> Pieces:
-        tau = _taus(rule, paths)
-        s_tau = _values_at(paths, tau)
+        tau, s_tau = _stopped(rule, paths)
         # one piece per n from one buffer, rows 2n - 2 and 2n - 1:
         # M (tau^n) - |S_(tau^n)| and M (tau - tau^n); tau, tau^n and their
         # difference are small integers, exact in float64
@@ -624,21 +630,14 @@ def _build_bernstein(inst: Instance) -> CheckSet:
     return CheckSet(metas, evaluate)
 
 
-def _exp_stopped_stat(rule: StoppingRule, theta: float, h_slope: float):
-    def evaluate(paths: np.ndarray) -> np.ndarray:
-        tau = _taus(rule, paths)
-        return np.exp(theta * _values_at(paths, tau) - h_slope * tau)[None]
-
-    return evaluate
-
-
 def _build_c410(inst: Instance) -> CheckSet:
     theta = read_param(inst.params, "theta", float)
     _require(theta > 0, "params.theta", "theta must be positive")
     h_slope = read_param(inst.params, "h_slope", float, 0.0)
-    cmp_dir = "<=" if inst.rule.declared_direction == "nondecreasing" else ">="
-    metas = (CheckMeta(f"E[exp({theta!r} S_tau - {h_slope!r} tau)]", 1.0, cmp_dir),)
-    return CheckSet(metas, _exp_stopped_stat(inst.rule, theta, h_slope))
+    meta = CheckMeta(f"E[exp({theta!r} S_tau - {h_slope!r} tau)]", 1.0, _stopped_cmp(inst.rule))
+    return _stopped_checkset(
+        inst.rule, meta, lambda tau, s_tau, s_1: np.exp(theta * s_tau - h_slope * tau)
+    )
 
 
 def _c410_precheck(inst: Instance) -> dict[str, CheckSet]:
@@ -667,41 +666,27 @@ def _build_wald_first(inst: Instance) -> CheckSet:
         "an unbounded rule needs bounded increments (finite E tau route)",
     )
     mu = gen.step_mean(inst.spec)
-    cmp_dir = ">=" if rule.declared_direction == "nonincreasing" else "<="
-    metas = (CheckMeta("E[S_tau - mu tau]", 0.0, cmp_dir),)
-
-    def evaluate(paths: np.ndarray) -> np.ndarray:
-        tau = _taus(rule, paths)
-        return (_values_at(paths, tau) - mu * tau)[None]
-
-    return CheckSet(metas, evaluate)
+    meta = CheckMeta("E[S_tau - mu tau]", 0.0, _stopped_cmp(rule))
+    return _stopped_checkset(rule, meta, lambda tau, s_tau, s_1: s_tau - mu * tau)
 
 
 def _build_wald_second(inst: Instance) -> CheckSet:
-    rule = inst.rule
     lo = gen.step_min(inst.spec)
     _require(lo is not None and lo >= 0.0, "generator", "requires nonnegative increments")
     ex2 = gen.step_second_moment(inst.spec)
-    cmp_dir = ">=" if rule.declared_direction == "nonincreasing" else "<="
-    metas = (CheckMeta("E[S_tau^2 - EX^2 tau]", 0.0, cmp_dir),)
-
-    def evaluate(paths: np.ndarray) -> np.ndarray:
-        tau = _taus(rule, paths)
-        s_tau = _values_at(paths, tau)
-        return (s_tau * s_tau - ex2 * tau)[None]
-
-    return CheckSet(metas, evaluate)
+    meta = CheckMeta("E[S_tau^2 - EX^2 tau]", 0.0, _stopped_cmp(inst.rule))
+    return _stopped_checkset(inst.rule, meta, lambda tau, s_tau, s_1: s_tau * s_tau - ex2 * tau)
 
 
 def _build_wald_exp(inst: Instance) -> CheckSet:
-    rule = inst.rule
     _require(inst.spec.offset == 0.0, "generator", "start offset not supported here")
     theta = read_param(inst.params, "theta", float)
     _require(theta > 0, "params.theta", "theta must be positive")
     psi = gen.step_log_mgf(inst.spec, theta)
-    cmp_dir = ">=" if rule.declared_direction == "nonincreasing" else "<="
-    metas = (CheckMeta(f"E[exp({theta!r} S_tau - tau psi)]", 1.0, cmp_dir),)
-    return CheckSet(metas, _exp_stopped_stat(rule, theta, psi))
+    meta = CheckMeta(f"E[exp({theta!r} S_tau - tau psi)]", 1.0, _stopped_cmp(inst.rule))
+    return _stopped_checkset(
+        inst.rule, meta, lambda tau, s_tau, s_1: np.exp(theta * s_tau - psi * tau)
+    )
 
 
 # ---------------------------------------------------------------------------

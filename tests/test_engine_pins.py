@@ -29,6 +29,7 @@ from demimart import (
     clt_diagnose,
     complete_convergence_diagnose,
     deterministic,
+    first_passage_down,
     first_passage_up,
     iid_spec,
     jump_if_high,
@@ -84,6 +85,7 @@ ORACLES = {
 # over several enumeration blocks, on Bernoulli(0.3) steps so that the values
 # depend on the order of every product and sum
 _CB18 = centered(iid_spec(bernoulli(0.3), 18))
+_CB17 = centered(iid_spec(bernoulli(0.3), 17))
 EXACT_FOLDS = (
     # 2^18 outcomes: four 65,536-outcome blocks
     ("l51-n18", "L5.1", _CB18, dict(rule=capped(first_passage_up(2.0), 18))),
@@ -94,12 +96,17 @@ EXACT_FOLDS = (
     ("def12-n12", "Def1.2-demi", centered(shared_shock_spec(rademacher(), bernoulli(0.3), 12)), {}),
     # K = 416 statistics: two 8,192-outcome tiles
     ("def12-n14", "Def1.2-demi", centered(iid_spec(bernoulli(0.3), 14)), {}),
+    # single-row stopped statistics, two whole 65,536-outcome blocks
+    ("t31-n17", "T3.1", _CB17, dict(rule=capped(first_passage_up(1.0), 17))),
+    ("c52-n17", "C5.2", _CB17, dict(rule=capped(first_passage_down(-1.0), 17))),
 )
 
 # (label, theorem_id, spec, paths, seed, keyword arguments): Monte-Carlo
 # verdicts of the battery and stopped statistics, each over several tiles;
 # statistics with K < 64 rows take whole chunks, so they run on two chunks
 _RAD6 = iid_spec(rademacher(), 6)
+# nonnegative steps, as C5.4 requires
+_BER6 = iid_spec(bernoulli(0.3), 6)
 MONTE_CARLO = (
     # K = 288 statistics, 8,192-path tiles; CHUNK_PATHS + 3 paths end in a
     # three-path tile of a second chunk
@@ -146,6 +153,47 @@ MONTE_CARLO = (
         CHUNK_PATHS + 3,
         39,
         dict(rule=first_passage_up(2.0), params={"n": 8, "m": 16}),
+    ),
+    # single-row stopped statistics g(tau, S_tau, S_1)
+    (
+        "t31-capped-up",
+        "T3.1",
+        _RAD6,
+        CHUNK_PATHS + 3,
+        41,
+        dict(rule=capped(first_passage_up(1.0), 6)),
+    ),
+    (
+        "t33-capped-down",
+        "T3.3",
+        _RAD6,
+        CHUNK_PATHS + 3,
+        42,
+        dict(rule=capped(first_passage_down(-1.0), 6)),
+    ),
+    (
+        "c52-bernoulli",
+        "C5.2",
+        _BER6,
+        CHUNK_PATHS + 3,
+        43,
+        dict(rule=capped(first_passage_up(2.0), 6)),
+    ),
+    (
+        "c54-bernoulli",
+        "C5.4",
+        _BER6,
+        CHUNK_PATHS + 3,
+        44,
+        dict(rule=capped(first_passage_down(0.0), 6)),
+    ),
+    (
+        "c55-bernoulli",
+        "C5.5",
+        _BER6,
+        CHUNK_PATHS + 3,
+        45,
+        dict(rule=capped(first_passage_up(2.0), 6), params={"theta": 0.5}),
     ),
 )
 

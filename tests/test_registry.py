@@ -981,6 +981,47 @@ class TestStoppedStatistics:
             assert (tau == -1).any() and (tau >= 1).any() and (tau < spec.horizon).any()
 
 
+
+# every entry that reads a stopping rule, and T2.3's second rule on its own
+_STOPPED_IDS = [e.theorem_id for e in all_entries() if "rule" in REQUIRES[e.theorem_id].split()]
+FALSE_BOUND_CASES = [pytest.param(tid, "rule", id=tid) for tid in _STOPPED_IDS] + [
+    pytest.param("T2.3-two-stops", "rule2", id="T2.3-two-stops-rule2")
+]
+
+
+class TestDeclaredBound:
+    """Every stopped entry re-checks a declared bound on every evaluated
+    path, T1.4 and C2.2 too, which read tau ^ j and accept paths that never
+    stop."""
+
+    def test_every_stopped_entry_is_covered(self):
+        assert len(_STOPPED_IDS) == 12
+        assert {"T1.4-order", "C2.2-stop-vs-fixed"} <= set(_STOPPED_IDS)
+
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    @pytest.mark.parametrize("tid, key", FALSE_BOUND_CASES)
+    def test_false_bound_is_refused(self, tid, key, mode):
+        # stops at step 4 of every path, but declares tau <= 2
+        false = user_rule(lambda p: np.full(len(p), p.shape[1] == 4), "nondecreasing", bound=2)
+        inputs = {**GOOD_INPUTS[tid], key: false}
+        with pytest.raises(PreconditionError, match="after the declared bound 2") as exc:
+            verify_detailed(
+                tid,
+                inputs["spec"],
+                rule=inputs["rule"],
+                rule2=inputs.get("rule2"),
+                params=inputs.get("params"),
+                mode=mode,
+                paths=1000,
+                seed=1,
+            )
+        assert exc.value.name in ("stopping", "stopping2")
+
+    def test_finiteness_is_checked_before_the_bound(self):
+        never = user_rule(lambda p: np.zeros(len(p), dtype=bool), "nondecreasing", bound=2)
+        with pytest.raises(PreconditionError, match="not a.s. finite"):
+            verify("T3.1", RAD6, rule=never, mode="exact", seed=1)
+
 def _c410_precheck_run():
     inst = Instance(
         spec=iid_spec(rademacher(), 4),
