@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -272,27 +272,28 @@ def report_dict(config: ExperimentConfig, report, runtime_ms: float) -> dict:
     }
 
 
-def _write_json(path: str, payload: dict) -> None:
-    tmp = path + ".tmp"
+def _json(payload: dict) -> list[str]:
+    """``payload`` as indented JSON text, in chunks for ``_write``."""
+    return [json.dumps(payload, sort_keys=True, indent=2), "\n"]
+
+
+def _write(out: str | None, chunks) -> None:
+    """Write the strings ``chunks``, as they come, to the file ``out``
+    (put in place once complete) or, without ``out``, to stdout."""
+    if not out:
+        sys.stdout.writelines(chunks)
+        return
+    tmp = out + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if out:
-        _write_json(out, payload)
-    else:
-        print(text)
+        fh.writelines(chunks)
+    os.replace(tmp, out)
 
 
 def _error_exit(exc: ValueError, field: str) -> int:
     """Report a configuration or library error as JSON on stderr; exit 3.
 
     A PreconditionError names its own field; any other ValueError is
-    reported under ``field``, the command's name for it.
+    reported under ``field``, the command's name for it (``_COMMANDS``).
     """
     if isinstance(exc, PreconditionError):
         payload = {"error": {"field": exc.name, "message": exc.message}}
@@ -307,9 +308,11 @@ def _error_exit(exc: ValueError, field: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run(config: ExperimentConfig):
-    """Dispatch one experiment to the registry; returns (report, dict, extras)."""
-    spec = build_generator_spec(config.generator) if config.generator else None
+def run(config: ExperimentConfig, spec: gen.GeneratorSpec | None = None):
+    """Dispatch one experiment to the registry, on the config's generator
+    spec (built here unless given); returns (report, dict, extras)."""
+    if spec is None and config.generator is not None:
+        spec = build_generator_spec(config.generator)
     rule = build_rule(config.stopping) if config.stopping else None
     rule2 = build_rule(config.stopping2, "stopping2") if config.stopping2 else None
     t0 = time.perf_counter()
@@ -328,10 +331,10 @@ def run(config: ExperimentConfig):
     return report, report_dict(config, report, runtime_ms), extras
 
 
-def _load_config(path: str, args, required=("seed",)) -> ExperimentConfig:
-    """The config at ``path`` with the command-line overrides applied;
+def _load_config(args, required: tuple) -> ExperimentConfig:
+    """The config at ``--config`` with the command-line overrides applied;
     ``required`` names the top-level keys the command reads."""
-    with open(path) as fh:
+    with open(args.config) as fh:
         doc = parse_config_text(fh.read())
     if getattr(args, "seed", None) is not None:
         doc["seed"] = args.seed
@@ -340,61 +343,44 @@ def _load_config(path: str, args, required=("seed",)) -> ExperimentConfig:
     return config_from_dict(doc, required)
 
 
-def _dump_paths_csv(spec: gen.GeneratorSpec, n_paths: int, seed: int, out) -> None:
-    out.write("path_id,step,value\n")
+def _csv_rows(spec: gen.GeneratorSpec, n_paths: int, seed: int):
+    """The paths as ``path_id,step,value`` lines, sampled chunk by chunk."""
+    yield "path_id,step,value\n"
     pid = 0
     for block in iter_chunks(gen.sample_paths, spec, n_paths, seed):
         for row in block:
             for step, value in enumerate(row, start=1):
-                out.write(f"{pid},{step},{_fmt(value)}\n")
+                yield f"{pid},{step},{_fmt(value)}\n"
             pid += 1
 
 
-def _cmd_verify(args, forced_theorem: str | None = None) -> int:
-    try:
-        required = ("seed",) if forced_theorem else ("theorem_id", "seed")
-        config = _load_config(args.config, args, required)
-        if forced_theorem is not None:
-            variant = read_param(config.params, "variant", str, "demimartingale")
-            tid = registry.DEFINITION_IDS.get(variant)
-            if tid is None:
-                raise PreconditionError("params.variant", "demimartingale or demisubmartingale")
-            config = ExperimentConfig(**{**config.__dict__, "theorem_id": tid})
-        report, payload, extras = run(config)
-    except ValueError as exc:
-        return _error_exit(exc, "experiment")
-    _emit(payload, args.out)
+def _cmd_verify(args, config: ExperimentConfig, spec: gen.GeneratorSpec | None) -> int:
+    report, payload, extras = run(config, spec)
+    _write(args.out, _json(payload))
     for name, extra in extras.items():
         z = "n/a" if extra.z_margin is None else _fmt(extra.z_margin)
         print(f"# {name}: {extra.verdict} (z_margin {z})", file=sys.stderr)
-    if args.dump_paths and config.mode == "monte_carlo" and config.generator:
-        spec = build_generator_spec(config.generator)
-        dump_file = (args.out or "paths") + ".csv"
-        with open(dump_file, "w") as fh:
-            _dump_paths_csv(spec, config.paths, config.seed, fh)
+    if args.dump_paths and config.mode == "monte_carlo" and spec is not None:
+        _write((args.out or "paths") + ".csv", _csv_rows(spec, config.paths, config.seed))
     return _EXIT[report.verdict]
 
 
-def _cmd_gen(args) -> int:
-    try:
-        config = _load_config(args.config, args)
-        if config.generator is None:
-            raise PreconditionError("generator", "required")
-        spec = build_generator_spec(config.generator)
-        if config.paths < 1:
-            # the chunked dump never reaches generate()'s own check
-            raise ValueError("paths must be >= 1")
-        if not args.dump_paths:
-            paths = gen.generate(spec, config.paths, config.seed)
-    except ValueError as exc:
-        return _error_exit(exc, "gen")
+def _cmd_check_demi(args, config: ExperimentConfig, spec: gen.GeneratorSpec | None) -> int:
+    variant = read_param(config.params, "variant", str, "demimartingale")
+    tid = registry.DEFINITION_IDS.get(variant)
+    if tid is None:
+        raise PreconditionError("params.variant", "demimartingale or demisubmartingale")
+    return _cmd_verify(args, replace(config, theorem_id=tid), spec)
+
+
+def _cmd_gen(args, config: ExperimentConfig, spec: gen.GeneratorSpec) -> int:
+    if config.paths < 1:
+        # the chunked dump never reaches generate()'s own check
+        raise ValueError("paths must be >= 1")
     if args.dump_paths:
-        if args.out:
-            with open(args.out, "w") as fh:
-                _dump_paths_csv(spec, config.paths, config.seed, fh)
-        else:
-            _dump_paths_csv(spec, config.paths, config.seed, sys.stdout)
+        _write(args.out, _csv_rows(spec, config.paths, config.seed))
         return 0
+    paths = gen.generate(spec, config.paths, config.seed)
     s_n = paths[:, -1]
     print(f"generator_id: {spec.generator_id}")
     print(f"paths: {paths.shape[0]}")
@@ -404,17 +390,10 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_stop(args) -> int:
-    try:
-        config = _load_config(args.config, args)
-        if config.generator is None or config.stopping is None:
-            raise PreconditionError("config", "generator and stopping required")
-        spec = build_generator_spec(config.generator)
-        rule = build_rule(config.stopping)
-        paths = gen.generate(spec, config.paths, config.seed)
-        tau = rule.tau_batch(paths)
-    except ValueError as exc:
-        return _error_exit(exc, "stop")
+def _cmd_stop(args, config: ExperimentConfig, spec: gen.GeneratorSpec) -> int:
+    rule = build_rule(config.stopping)
+    paths = gen.generate(spec, config.paths, config.seed)
+    tau = rule.tau_batch(paths)
     stopped = tau != -1
     print(f"rule: {rule.label}")
     print(f"P(stopped): {_fmt(stopped.mean())}")
@@ -442,47 +421,38 @@ _BOUNDS = {
 
 def _cmd_bound(args) -> int:
     name = args.name
-    try:
-        if name not in _BOUNDS:
-            raise PreconditionError("bound", f"unknown bound {name!r}")
-        fn, argnames = _BOUNDS[name]
-        kv = {}
-        for pair in args.values:
-            key, _, value = pair.partition("=")
-            kv[key] = value
-        for a in argnames:
-            if a not in kv:
-                raise PreconditionError(a, "required")
-        fargs = [float(kv[a]) for a in argnames]
-        value = fn(*fargs)
-    except ValueError as exc:
-        return _error_exit(exc, name)
+    if name not in _BOUNDS:
+        raise PreconditionError("bound", f"unknown bound {name!r}")
+    fn, argnames = _BOUNDS[name]
+    kv = {}
+    for pair in args.values:
+        key, _, value = pair.partition("=")
+        kv[key] = value
+    for a in argnames:
+        if a not in kv:
+            raise PreconditionError(a, "required")
+    fargs = [float(kv[a]) for a in argnames]
+    value = fn(*fargs)
     inputs = " ".join(f"{a}={_fmt(v)}" for a, v in zip(argnames, fargs))
     print(f"{name}({inputs}) = {_fmt(value)}")
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    try:
-        config = _load_config(args.config, args, required=())
-        if config.generator is None:
-            raise PreconditionError("generator", "required")
-        chain = gen.to_chain(build_generator_spec(config.generator))
-        t = read_param(config.params, "t", float, None)
+def _cmd_oracle(args, config: ExperimentConfig, spec: gen.GeneratorSpec) -> int:
+    chain = gen.to_chain(spec)
+    t = read_param(config.params, "t", float, None)
 
-        def moments(p: np.ndarray) -> np.ndarray:
-            s_n = p[:, -1]
-            rows = [s_n, np.abs(s_n), s_n**2, np.ones(p.shape[0])]
-            if t is not None:
-                rows.append(s_n >= t)
-            return np.array(rows, dtype=np.float64)
+    def moments(p: np.ndarray) -> np.ndarray:
+        s_n = p[:, -1]
+        rows = [s_n, np.abs(s_n), s_n**2, np.ones(p.shape[0])]
+        if t is not None:
+            rows.append(s_n >= t)
+        return np.array(rows, dtype=np.float64)
 
-        # every statistic reads S_n alone
-        checks = 4 if t is None else 5
-        means = registry.expectations(chain, moments, checks, "exact", terminal_only=True)
-        stats = [s.mean for s in means]
-    except ValueError as exc:
-        return _error_exit(exc, "generator")
+    # every statistic reads S_n alone
+    checks = 4 if t is None else 5
+    means = registry.expectations(chain, moments, checks, "exact", terminal_only=True)
+    stats = [s.mean for s in means]
     print(f"outcomes: {chain.outcome_count}")
     print(f"total_probability: {_fmt(stats[3])}")
     print(f"E[S_n]: {_fmt(stats[0])}")
@@ -493,65 +463,41 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_clt(args) -> int:
-    try:
-        config = _load_config(args.config, args)
-        if config.generator is None:
-            raise PreconditionError("generator", "required")
-        n_grid = read_param(config.params, "n_grid", _list_of(int))
-        spec = build_generator_spec(config.generator)
-        diags = asymptotics.clt_diagnose(spec, n_grid, config.paths, config.seed)
-    except ValueError as exc:
-        return _error_exit(exc, "clt")
-    lines = ["n,sigma_n,V_n,ratio_cubed,ks_distance,ecf_distance,sigma_exact"]
+def _cmd_clt(args, config: ExperimentConfig, spec: gen.GeneratorSpec) -> int:
+    n_grid = read_param(config.params, "n_grid", _list_of(int))
+    diags = asymptotics.clt_diagnose(spec, n_grid, config.paths, config.seed)
+    lines = ["n,sigma_n,V_n,ratio_cubed,ks_distance,ecf_distance,sigma_exact\n"]
     for d in diags:
         lines.append(
             f"{d.n},{_fmt(d.sigma_n)},{_fmt(d.V_n)},{_fmt(d.ratio_cubed)},"
-            f"{_fmt(d.ks_distance)},{_fmt(d.ecf_distance)},{int(d.sigma_exact)}"
+            f"{_fmt(d.ks_distance)},{_fmt(d.ecf_distance)},{int(d.sigma_exact)}\n"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, lines)
     trend = asymptotics.ratio_cubed_decreasing(diags)
     print(f"# ratio_cubed decreasing along grid: {str(trend).lower()}", file=sys.stderr)
     return 0
 
 
-def _cmd_slln(args) -> int:
-    try:
-        config = _load_config(args.config, args)
-        if config.generator is None:
-            raise PreconditionError("generator", "required")
-        r = read_param(config.params, "r", float)
-        epsilon = read_param(config.params, "epsilon", float)
-        n_grid = read_param(config.params, "n_grid", _list_of(int))
-        spec = build_generator_spec(config.generator)
-        diag = asymptotics.complete_convergence_diagnose(
-            spec,
-            r,
-            epsilon,
-            n_grid,
-            config.paths,
-            config.seed,
-            tolerance_z=config.tolerance_z,
-        )
-    except ValueError as exc:
-        return _error_exit(exc, "slln")
-    lines = ["n,tail,stderr,envelope,vn_over_nr,partial_sum,within_envelope,exact"]
+def _cmd_slln(args, config: ExperimentConfig, spec: gen.GeneratorSpec) -> int:
+    r = read_param(config.params, "r", float)
+    epsilon = read_param(config.params, "epsilon", float)
+    n_grid = read_param(config.params, "n_grid", _list_of(int))
+    diag = asymptotics.complete_convergence_diagnose(
+        spec,
+        r,
+        epsilon,
+        n_grid,
+        config.paths,
+        config.seed,
+        tolerance_z=config.tolerance_z,
+    )
+    lines = ["n,tail,stderr,envelope,vn_over_nr,partial_sum,within_envelope,exact\n"]
     for rec, ps in zip(diag.tail_estimates, diag.partial_sum):
         lines.append(
             f"{rec.n},{_fmt(rec.estimate)},{_fmt(rec.stderr)},{_fmt(rec.envelope)},"
-            f"{_fmt(rec.vn_over_nr)},{_fmt(ps)},{int(rec.within_envelope)},{int(rec.exact)}"
+            f"{_fmt(rec.vn_over_nr)},{_fmt(ps)},{int(rec.within_envelope)},{int(rec.exact)}\n"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, lines)
     print(f"# geometric_fit slope: {_fmt(diag.geometric_fit)}", file=sys.stderr)
     return 0 if all(r.within_envelope for r in diag.tail_estimates) else 1
 
@@ -610,7 +556,7 @@ def run_suite(directory: str, out: str | None = None) -> int:
         f"{counts['INCONCLUSIVE']} inconclusive, {counts['ERROR']} error"
     )
     if out:
-        _write_json(out, {"experiments": rows, "counts": counts})
+        _write(out, _json({"experiments": rows, "counts": counts}))
     if counts["FAIL"]:
         return 1
     if counts["ERROR"]:
@@ -632,18 +578,17 @@ _OPTIONS = {
     "--dump-paths": {"action": "store_true", "help": "write per-path CSV"},
 }
 
-# each config-driven command and the options it reads besides --config
+# each config-driven command: its handler, the options it reads besides
+# --config, the top-level keys it requires, and the field of a ValueError
+# that names none
 _COMMANDS = {
-    "verify": (_cmd_verify, ("--seed", "--paths", "--out", "--dump-paths")),
-    "check-demi": (
-        lambda args: _cmd_verify(args, forced_theorem="Def1.2"),
-        ("--seed", "--paths", "--out", "--dump-paths"),
-    ),
-    "gen": (_cmd_gen, ("--seed", "--paths", "--out", "--dump-paths")),
-    "stop": (_cmd_stop, ("--seed", "--paths")),
-    "oracle": (_cmd_oracle, ()),
-    "clt": (_cmd_clt, ("--seed", "--paths", "--out")),
-    "slln": (_cmd_slln, ("--seed", "--paths", "--out")),
+    "verify": (_cmd_verify, tuple(_OPTIONS), ("theorem_id", "seed"), "experiment"),
+    "check-demi": (_cmd_check_demi, tuple(_OPTIONS), ("seed",), "experiment"),
+    "gen": (_cmd_gen, tuple(_OPTIONS), ("seed", "generator"), "gen"),
+    "stop": (_cmd_stop, ("--seed", "--paths"), ("seed", "generator", "stopping"), "stop"),
+    "oracle": (_cmd_oracle, (), ("generator",), "generator"),
+    "clt": (_cmd_clt, ("--seed", "--paths", "--out"), ("seed", "generator"), "clt"),
+    "slln": (_cmd_slln, ("--seed", "--paths", "--out"), ("seed", "generator"), "slln"),
 }
 
 
@@ -653,7 +598,7 @@ def main(argv=None) -> int:
         description="verification harness for demimartingale inequalities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, options) in _COMMANDS.items():
+    for name, (_, options, _, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config file")
         for option in options:
@@ -666,12 +611,19 @@ def main(argv=None) -> int:
     ps.add_argument("--out", default=None, help="aggregate JSON output")
     args = parser.parse_args(argv)
 
-    if args.command == "bound":
-        return _cmd_bound(args)
     if args.command == "suite":
         return run_suite(args.directory, args.out)
-    handler, _ = _COMMANDS[args.command]
-    return handler(args)
+    # the one error boundary: a ValueError anywhere below exits 3, never 1
+    field = args.name if args.command == "bound" else _COMMANDS[args.command][3]
+    try:
+        if args.command == "bound":
+            return _cmd_bound(args)
+        handler, _, required, _ = _COMMANDS[args.command]
+        config = _load_config(args, required)
+        spec = None if config.generator is None else build_generator_spec(config.generator)
+        return handler(args, config, spec)
+    except ValueError as exc:
+        return _error_exit(exc, field)
 
 
 if __name__ == "__main__":

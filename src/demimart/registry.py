@@ -303,19 +303,24 @@ def _certify(inst: Instance, rule: StoppingRule, direction: str, target: str) ->
 # ---------------------------------------------------------------------------
 
 
-def _stopped(rule: StoppingRule, paths: np.ndarray, cap: int | None = None):
+def _stopped(
+    rule: StoppingRule, paths: np.ndarray, cap: int | None = None, field: str = "stopping"
+):
     """(tau, S_tau) of every path: the one gather of every stopped entry.
 
-    Raises where a path stops after the rule's declared bound and, without
-    ``cap``, first where a path never stops (tau = -1).  With ``cap`` it is
-    (tau ^ cap, S_(tau ^ cap)), so a path that never stops reads the cap.
+    Raises, under ``field``, where a path stops after the rule's declared
+    bound and, without ``cap``, first where a path never stops (tau = -1).
+    With ``cap`` it is (tau ^ cap, S_(tau ^ cap)), so a path that never
+    stops reads the cap, unless the declared bound is within the horizon:
+    such a path then stopped after the bound too.
     """
     tau = rule.tau_batch(paths)
     if cap is None and np.any(tau == -1):
-        raise PreconditionError("stopping", "stopping time not a.s. finite at this horizon")
+        raise PreconditionError(field, "stopping time not a.s. finite at this horizon")
     b = rule.bound()
-    if b is not None and np.any(tau > b):
-        raise PreconditionError("stopping", f"a path stopped after the declared bound {b}")
+    # as uint64 the sentinel -1 exceeds every bound
+    if b is not None and np.any(tau.view(np.uint64) > b if b <= paths.shape[1] else tau > b):
+        raise PreconditionError(field, f"a path stopped after the declared bound {b}")
     if cap is not None:
         tau = _wedge(tau, cap)
     return tau, paths[np.arange(len(paths)), tau - 1]
@@ -473,7 +478,7 @@ def _build_t23(inst: Instance) -> CheckSet:
 
     def evaluate(paths: np.ndarray) -> Pieces:
         t1, s_t1 = _stopped(rule1, paths)
-        t2, s_t2 = _stopped(rule2, paths)
+        t2, s_t2 = _stopped(rule2, paths, field="stopping2")
         if np.any(t2 < t1):
             raise PreconditionError("stopping", "tau1 <= tau2 violated on a path")
         return _battery_stats(battery, s_t2 - s_t1, s_t1[None, :])

@@ -120,6 +120,18 @@ class TestVerifyCommand:
             outs.append(text)
         assert outs[0] == outs[1]
 
+    def test_dump_paths_writes_the_verified_paths(self, tmp_path, capsys):
+        text = "seed = 5\npaths = 30\ntheorem_id = T4.7\nmode = monte_carlo\nparams.t = 1\n"
+        cfg = _write(tmp_path, "t47.cfg", text + IID4)
+        out = str(tmp_path / "report.json")
+        assert main(["verify", "--config", cfg, "--out", out, "--dump-paths"]) != 3
+        assert json.loads(open(out).read())["mode"] == "monte_carlo(30)"
+        dumped = open(out + ".csv").read()
+        csv = str(tmp_path / "gen.csv")
+        assert main(["gen", "--config", cfg, "--dump-paths", "--out", csv]) == 0
+        assert dumped == open(csv).read()
+        assert len(dumped.splitlines()) == 1 + 30 * 4
+
 
 class TestBoundCommand:
     def test_prints_value_with_inputs(self, capsys):
@@ -492,6 +504,50 @@ class TestPreconditionFields:
         )
         assert main(["gen", "--config", cfg]) == 0
         assert "V_n (exact): 3\n" in capsys.readouterr().out
+
+
+class TestCommandFields:
+    """A library ValueError that names no field exits 3 under the field of
+    its command; a missing top-level key is named, for every command."""
+
+    @pytest.mark.parametrize(
+        "command, text, error",
+        [
+            (
+                "oracle",
+                "generator.family = gaussian_assoc\ngenerator.horizon = 3\n"
+                "generator.cov.kind = diagonal\n",
+                {"field": "generator", "message": "not enumerable: family 'gaussian_assoc'"},
+            ),
+            (
+                "clt",
+                "seed = 3\npaths = 200\nparams.n_grid = [8, 4]\n" + IID4,
+                {"field": "clt", "message": "n_grid must be strictly increasing"},
+            ),
+            (
+                "slln",
+                "seed = 3\npaths = 200\nparams.r = 1\nparams.epsilon = 0\n"
+                "params.n_grid = [4, 8]\n" + IID4,
+                {"field": "slln", "message": "r and epsilon must be positive"},
+            ),
+            (
+                "check-demi",
+                "seed = 3\nparams.variant = sideways\n" + IID4,
+                {"field": "params.variant", "message": "demimartingale or demisubmartingale"},
+            ),
+            ("stop", "seed = 3\n" + IID4, {"field": "stopping", "message": "required"}),
+            (
+                "stop",
+                "seed = 3\nstopping.kind = deterministic\nstopping.step = 2\n",
+                {"field": "generator", "message": "required"},
+            ),
+        ],
+        ids=["oracle", "clt", "slln", "check-demi", "stop-no-stopping", "stop-no-generator"],
+    )
+    def test_error_field(self, tmp_path, capsys, command, text, error):
+        cfg = _write(tmp_path, "bad.cfg", text)
+        assert main([command, "--config", cfg]) == 3
+        assert _last_error(capsys) == error
 
 
 class TestSuiteCommand:

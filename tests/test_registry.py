@@ -992,7 +992,7 @@ FALSE_BOUND_CASES = [pytest.param(tid, "rule", id=tid) for tid in _STOPPED_IDS] 
 class TestDeclaredBound:
     """Every stopped entry re-checks a declared bound on every evaluated
     path, T1.4 and C2.2 too, which read tau ^ j and accept paths that never
-    stop."""
+    stop unless the declared bound is within the horizon."""
 
     def test_every_stopped_entry_is_covered(self):
         assert len(_STOPPED_IDS) == 12
@@ -1015,7 +1015,30 @@ class TestDeclaredBound:
                 paths=1000,
                 seed=1,
             )
-        assert exc.value.name in ("stopping", "stopping2")
+        assert exc.value.name == ("stopping2" if key == "rule2" else "stopping")
+
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    @pytest.mark.parametrize("tid", ["T1.4-order", "C2.2-stop-vs-fixed"])
+    def test_never_stopping_breaks_a_bound_within_the_horizon(self, tid, mode):
+        never = user_rule(lambda p: np.zeros(len(p), dtype=bool), "nondecreasing", bound=2)
+        inputs = GOOD_INPUTS[tid]
+        with pytest.raises(PreconditionError, match="after the declared bound 2") as exc:
+            verify(
+                tid,
+                inputs["spec"],
+                rule=never,
+                params=inputs.get("params"),
+                mode=mode,
+                paths=1000,
+                seed=1,
+            )
+        assert exc.value.name == "stopping"
+
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    def test_never_stopping_within_a_bound_past_the_horizon(self, mode):
+        # deterministic(8) never stops by n = 6, and promises nothing there
+        report = verify("C2.2", RAD6, rule=deterministic(8), mode=mode, paths=1000, seed=1)
+        assert report.verdict == "PASS"
 
     def test_finiteness_is_checked_before_the_bound(self):
         never = user_rule(lambda p: np.zeros(len(p), dtype=bool), "nondecreasing", bound=2)
