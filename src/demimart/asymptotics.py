@@ -16,8 +16,8 @@ import numpy as np
 
 from . import generators as gen
 from .bounds import bernstein_tail
-from .core import DEFAULT_TOLERANCE_Z, iter_chunks
-from .registry import expectations
+from .core import DEFAULT_TOLERANCE_Z, FAIL, SummaryStats, iter_chunks
+from .registry import CheckMeta, _check_result, expectations
 
 __all__ = [
     "ECF_T_GRID",
@@ -91,6 +91,17 @@ class CltDiagnostics:
     sigma_exact: bool
 
 
+def _horizons(spec: gen.GeneratorSpec, n_grid) -> tuple[list[int], float]:
+    """The horizons of a strictly increasing ``n_grid`` and the bound C of ``spec``."""
+    n_grid = [int(n) for n in n_grid]
+    if any(b >= a for a, b in zip(n_grid[1:], n_grid)):
+        raise ValueError("n_grid must be strictly increasing")
+    c = gen.increment_bound(spec)
+    if c is None:
+        raise ValueError("unbounded-increment generator")
+    return n_grid, c
+
+
 def clt_diagnose(
     spec: gen.GeneratorSpec, n_grid, paths: int, seed: int
 ) -> list[CltDiagnostics]:
@@ -99,11 +110,7 @@ def clt_diagnose(
     V_n comes exactly from the increment law; sigma_n is exact where the
     family has a closed form and sample-based otherwise.
     """
-    n_grid = [int(n) for n in n_grid]
-    if any(b >= a for a, b in zip(n_grid[1:], n_grid)):
-        raise ValueError("n_grid must be strictly increasing")
-    if gen.increment_bound(spec) is None:
-        raise ValueError("unbounded-increment generator")
+    n_grid, _ = _horizons(spec, n_grid)
     diags = []
     for i, n in enumerate(n_grid):
         sub = gen.with_horizon(spec, n)
@@ -185,42 +192,35 @@ def complete_convergence_diagnose(
     """
     if r <= 0 or epsilon <= 0:
         raise ValueError("r and epsilon must be positive")
-    c = gen.increment_bound(spec)
-    if c is None:
-        raise ValueError("unbounded-increment generator")
+    n_grid, c = _horizons(spec, n_grid)
     cls = gen.classify(spec)
     if not (cls.demimartingale and cls.mean_zero_process):
         raise ValueError("requires mean-zero associated increments with E S_n = 0")
     records = []
     running = []
     total = 0.0
-    for i, n in enumerate(sorted(int(x) for x in n_grid)):
+    for i, n in enumerate(n_grid):
         sub = gen.with_horizon(spec, n)
         threshold = float(n**r * epsilon)
         v = gen.v_n(sub)
-        envelope = 2.0 * bernstein_tail(threshold, v, c)
-        first = gen.first_step_bound(sub)
-        max_abs = first + (n - 1) * c
-        estimate, stderr, exact = math.nan, math.nan, False
-        if threshold > max_abs:
-            estimate, stderr, exact = 0.0, 0.0, True
+        meta = CheckMeta("P(|S_n| >= t)", 2.0 * bernstein_tail(threshold, v, c), "<=")
+        if threshold > gen.first_step_bound(sub) + (n - 1) * c:
+            stats, exact = SummaryStats(mean=0.0, stderr=0.0, count=1), True
         else:
-            estimate, stderr, exact = _tail_probability(
-                sub, threshold, paths, seed, chunk_base=i << 32
-            )
-        within = estimate <= envelope + tolerance_z * (stderr if stderr > 0 else 0.0)
+            stats, exact = _tail_probability(sub, threshold, paths, seed, chunk_base=i << 32)
+        result = _check_result(stats, meta, tolerance_z, 0 if exact else paths)
         records.append(
             TailRecord(
                 n=n,
-                estimate=estimate,
-                stderr=stderr,
-                envelope=envelope,
+                estimate=stats.mean,
+                stderr=stats.stderr,
+                envelope=meta.rhs,
                 vn_over_nr=v / n**r,
-                within_envelope=bool(within),
+                within_envelope=result.verdict != FAIL,
                 exact=exact,
             )
         )
-        total += estimate
+        total += stats.mean
         running.append(total)
     pos = [(rec.n, rec.estimate) for rec in records if rec.estimate > 0.0]
     if len(pos) >= 2:
@@ -240,9 +240,9 @@ def complete_convergence_diagnose(
 
 def _tail_probability(
     spec: gen.GeneratorSpec, threshold: float, paths: int, seed: int, chunk_base: int
-) -> tuple[float, float, bool]:
-    """P(|S_n| >= threshold): exact over a chain when the family has one,
-    else sampled from chunk ``chunk_base`` on."""
+) -> tuple[SummaryStats, bool]:
+    """P(|S_n| >= threshold), and whether it is exact: over a chain when the
+    family has one, else sampled from chunk ``chunk_base`` on."""
     try:
         chain = gen.to_chain(spec)
     except ValueError:
@@ -255,4 +255,4 @@ def _tail_probability(
     (stats,) = expectations(
         chain or spec, tail, 1, mode, paths, seed, terminal_only=True, chunk_base=chunk_base
     )
-    return stats.mean, stats.stderr, chain is not None
+    return stats, chain is not None

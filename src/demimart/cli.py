@@ -5,7 +5,7 @@ JSON scalars/arrays; bare words are strings).  One experiment per file.
 Reports are JSON with a fixed field set; the process exit code encodes the
 verdict so suites double as CI gates:
 
-    0 PASS, 1 FAIL, 2 INCONCLUSIVE, 3 configuration/precondition error.
+    0 PASS, 1 FAIL, 2 INCONCLUSIVE, 3 configuration, precondition or file error.
 
 Subcommands: gen, check-demi, stop, bound, verify, clt, slln, oracle, suite.
 """
@@ -13,6 +13,7 @@ Subcommands: gen, check-demi, stop, bound, verify, clt, slln, oracle, suite.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -29,7 +30,8 @@ from .stopping import StoppingRule, capped, deterministic, first_passage_down, f
 
 __all__ = ["main", "parse_config_text", "run", "run_suite"]
 
-_EXIT = {PASS: 0, FAIL: 1, INCONCLUSIVE: 2}
+# exit code per outcome, worst first: a suite exits with its worst row's
+_EXIT = {FAIL: 1, "ERROR": 3, INCONCLUSIVE: 2, PASS: 0}
 
 
 def _fmt(x: float) -> str:
@@ -284,9 +286,20 @@ def _write(out: str | None, chunks) -> None:
         sys.stdout.writelines(chunks)
         return
     tmp = out + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.writelines(chunks)
-    os.replace(tmp, out)
+    with _io("out"):
+        with open(tmp, "w") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, out)
+
+
+@contextlib.contextmanager
+def _io(field: str):
+    """Report an OSError in the block under ``field``, the argument that
+    names the file or directory."""
+    try:
+        yield
+    except OSError as exc:
+        raise PreconditionError(field, str(exc)) from None
 
 
 def _error_exit(exc: ValueError, field: str) -> int:
@@ -334,7 +347,7 @@ def run(config: ExperimentConfig, spec: gen.GeneratorSpec | None = None):
 def _load_config(args, required: tuple) -> ExperimentConfig:
     """The config at ``--config`` with the command-line overrides applied;
     ``required`` names the top-level keys the command reads."""
-    with open(args.config) as fh:
+    with _io("config"), open(args.config) as fh:
         doc = parse_config_text(fh.read())
     if getattr(args, "seed", None) is not None:
         doc["seed"] = args.seed
@@ -419,7 +432,7 @@ _BOUNDS = {
 }
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args, config: None, spec: None) -> int:
     name = args.name
     if name not in _BOUNDS:
         raise PreconditionError("bound", f"unknown bound {name!r}")
@@ -431,8 +444,11 @@ def _cmd_bound(args) -> int:
     for a in argnames:
         if a not in kv:
             raise PreconditionError(a, "required")
-    fargs = [float(kv[a]) for a in argnames]
-    value = fn(*fargs)
+    try:
+        fargs = [float(kv[a]) for a in argnames]
+        value = fn(*fargs)
+    except ValueError as exc:
+        raise PreconditionError(name, str(exc)) from None
     inputs = " ".join(f"{a}={_fmt(v)}" for a, v in zip(argnames, fargs))
     print(f"{name}({inputs}) = {_fmt(value)}")
     return 0
@@ -499,38 +515,26 @@ def _cmd_slln(args, config: ExperimentConfig, spec: gen.GeneratorSpec) -> int:
         )
     _write(args.out, lines)
     print(f"# geometric_fit slope: {_fmt(diag.geometric_fit)}", file=sys.stderr)
-    return 0 if all(r.within_envelope for r in diag.tail_estimates) else 1
+    return _EXIT[PASS if all(r.within_envelope for r in diag.tail_estimates) else FAIL]
 
 
 def run_suite(directory: str, out: str | None = None) -> int:
     """Run every *.cfg experiment in a directory; aggregate verdicts."""
-    paths = sorted(
-        os.path.join(directory, f)
-        for f in os.listdir(directory)
-        if f.endswith(".cfg")
-    )
+    with _io("directory"):
+        names = sorted(f for f in os.listdir(directory) if f.endswith(".cfg"))
     rows = []
     seen_ids = set()
-    for cfg_path in paths:
-        name = os.path.basename(cfg_path)
+    for name in names:
         t0 = time.perf_counter()
         try:
-            with open(cfg_path) as fh:
+            with open(os.path.join(directory, name)) as fh:
                 config = config_from_dict(parse_config_text(fh.read()))
             if config.experiment_id in seen_ids:
                 raise PreconditionError("experiment_id", f"duplicate {config.experiment_id!r}")
             seen_ids.add(config.experiment_id)
-            report, payload, _ = run(config)
-            rows.append(
-                {
-                    "experiment_id": config.experiment_id,
-                    "theorem_id": report.theorem_id,
-                    "verdict": report.verdict,
-                    "z_margin": _json_safe(report.z_margin),
-                    "runtime_ms": payload["runtime_ms"],
-                    "file": name,
-                }
-            )
+            _, payload, _ = run(config)
+            keys = ("experiment_id", "theorem_id", "verdict", "z_margin", "runtime_ms")
+            rows.append({**{key: payload[key] for key in keys}, "file": name})
         except (ValueError, OSError) as exc:
             rows.append(
                 {
@@ -543,7 +547,7 @@ def run_suite(directory: str, out: str | None = None) -> int:
                     "message": str(exc),
                 }
             )
-    counts = {"PASS": 0, "FAIL": 0, "INCONCLUSIVE": 0, "ERROR": 0}
+    counts = dict.fromkeys(_EXIT, 0)
     for row in rows:
         counts[row["verdict"]] += 1
         z = "n/a" if row["z_margin"] is None else _fmt(row["z_margin"])
@@ -557,13 +561,11 @@ def run_suite(directory: str, out: str | None = None) -> int:
     )
     if out:
         _write(out, _json({"experiments": rows, "counts": counts}))
-    if counts["FAIL"]:
-        return 1
-    if counts["ERROR"]:
-        return 3
-    if counts["INCONCLUSIVE"]:
-        return 2
-    return 0
+    return next((code for outcome, code in _EXIT.items() if counts[outcome]), 0)
+
+
+def _cmd_suite(args, config: None, spec: None) -> int:
+    return run_suite(args.directory, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -576,19 +578,25 @@ _OPTIONS = {
     "--paths": {"type": int, "default": None, "help": "override config paths"},
     "--out": {"default": None, "help": "output file"},
     "--dump-paths": {"action": "store_true", "help": "write per-path CSV"},
+    "name": {"help": "bound name, e.g. bernstein_tail"},
+    "values": {"nargs": "*", "help": "key=value inputs"},
+    "directory": {"help": "directory of *.cfg experiments"},
 }
+_DUMP_OPTIONS = ("--seed", "--paths", "--out", "--dump-paths")
 
-# each config-driven command: its handler, the options it reads besides
-# --config, the top-level keys it requires, and the field of a ValueError
-# that names none
+# each command: its handler, the arguments it reads besides --config, the
+# top-level keys it requires of its --config (None: it takes none), and
+# the field of a ValueError that names none
 _COMMANDS = {
-    "verify": (_cmd_verify, tuple(_OPTIONS), ("theorem_id", "seed"), "experiment"),
-    "check-demi": (_cmd_check_demi, tuple(_OPTIONS), ("seed",), "experiment"),
-    "gen": (_cmd_gen, tuple(_OPTIONS), ("seed", "generator"), "gen"),
+    "verify": (_cmd_verify, _DUMP_OPTIONS, ("theorem_id", "seed"), "experiment"),
+    "check-demi": (_cmd_check_demi, _DUMP_OPTIONS, ("seed",), "experiment"),
+    "gen": (_cmd_gen, _DUMP_OPTIONS, ("seed", "generator"), "gen"),
     "stop": (_cmd_stop, ("--seed", "--paths"), ("seed", "generator", "stopping"), "stop"),
     "oracle": (_cmd_oracle, (), ("generator",), "generator"),
     "clt": (_cmd_clt, ("--seed", "--paths", "--out"), ("seed", "generator"), "clt"),
     "slln": (_cmd_slln, ("--seed", "--paths", "--out"), ("seed", "generator"), "slln"),
+    "bound": (_cmd_bound, ("name", "values"), None, "bound"),
+    "suite": (_cmd_suite, ("directory", "--out"), None, "directory"),
 }
 
 
@@ -598,29 +606,20 @@ def main(argv=None) -> int:
         description="verification harness for demimartingale inequalities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, options, _, _) in _COMMANDS.items():
+    for name, (_, options, required, _) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="experiment config file")
+        if required is not None:
+            p.add_argument("--config", required=True, help="experiment config file")
         for option in options:
             p.add_argument(option, **_OPTIONS[option])
-    pb = sub.add_parser("bound")
-    pb.add_argument("name", help="bound name, e.g. bernstein_tail")
-    pb.add_argument("values", nargs="*", help="key=value inputs")
-    ps = sub.add_parser("suite")
-    ps.add_argument("directory", help="directory of *.cfg experiments")
-    ps.add_argument("--out", default=None, help="aggregate JSON output")
     args = parser.parse_args(argv)
-
-    if args.command == "suite":
-        return run_suite(args.directory, args.out)
+    handler, _, required, field = _COMMANDS[args.command]
     # the one error boundary: a ValueError anywhere below exits 3, never 1
-    field = args.name if args.command == "bound" else _COMMANDS[args.command][3]
     try:
-        if args.command == "bound":
-            return _cmd_bound(args)
-        handler, _, required, _ = _COMMANDS[args.command]
-        config = _load_config(args, required)
-        spec = None if config.generator is None else build_generator_spec(config.generator)
+        config = spec = None
+        if required is not None:
+            config = _load_config(args, required)
+            spec = None if config.generator is None else build_generator_spec(config.generator)
         return handler(args, config, spec)
     except ValueError as exc:
         return _error_exit(exc, field)

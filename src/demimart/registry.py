@@ -894,31 +894,27 @@ def _margin(mean: float, meta: CheckMeta) -> float:
     return (meta.rhs - mean) if meta.direction == "<=" else (mean - meta.rhs)
 
 
-def _exact_result(stats: SummaryStats, meta: CheckMeta) -> CheckResult:
-    margin = _margin(stats.mean, meta)
-    scale = max(1.0, abs(stats.mean), abs(meta.rhs))
-    verdict = FAIL if margin / scale < -EXACT_REL_EPS else PASS
-    return CheckResult(meta.name, meta.rhs, meta.direction, stats, margin, None, verdict)
-
-
-def _mc_result(
-    stats: SummaryStats, meta: CheckMeta, tolerance_z: float, total_paths: int
+def _check_result(
+    stats: SummaryStats, meta: CheckMeta, tolerance_z: float = DEFAULT_TOLERANCE_Z, paths: int = 0
 ) -> CheckResult:
+    """The verdict on one check, for every entry and the complete-convergence
+    sweep.  ``paths`` is the Monte-Carlo path count, 0 for an exact value,
+    which the hit-count rule of ``tail`` checks never reaches."""
     margin = _margin(stats.mean, meta)
-    if math.isinf(stats.stderr):
-        return CheckResult(meta.name, meta.rhs, meta.direction, stats, margin, None, INCONCLUSIVE)
-    if meta.tail and total_paths * meta.rhs < MIN_EXPECTED_HITS:
-        z = margin / stats.stderr if stats.stderr > 0 else None
-        return CheckResult(meta.name, meta.rhs, meta.direction, stats, margin, z, INCONCLUSIVE)
-    if stats.stderr == 0.0:
-        return _exact_result(stats, meta)
-    z = margin / stats.stderr
-    verdict = FAIL if z < -tolerance_z else PASS
+    z = margin / stats.stderr if 0.0 < stats.stderr < math.inf else None
+    if math.isinf(stats.stderr) or (paths and meta.tail and paths * meta.rhs < MIN_EXPECTED_HITS):
+        verdict = INCONCLUSIVE
+    elif z is None:
+        scale = max(1.0, abs(stats.mean), abs(meta.rhs))
+        verdict = FAIL if margin / scale < -EXACT_REL_EPS else PASS
+    else:
+        verdict = FAIL if z < -tolerance_z else PASS
     return CheckResult(meta.name, meta.rhs, meta.direction, stats, margin, z, verdict)
 
 
 def _sort_key(r: CheckResult):
-    # FAIL first, then INCONCLUSIVE, then smallest headroom
+    # FAIL first, then INCONCLUSIVE, then smallest headroom: the binding
+    # check holds the worst verdict
     rank = {FAIL: 0, INCONCLUSIVE: 1, PASS: 2}[r.verdict]
     headroom = r.z if r.z is not None else r.margin / max(1.0, abs(r.rhs), abs(r.stats.mean))
     return (rank, headroom)
@@ -926,19 +922,13 @@ def _sort_key(r: CheckResult):
 
 def _aggregate(theorem_id: str, results: list[CheckResult], exact: bool) -> VerificationReport:
     binding = min(results, key=_sort_key)
-    if any(r.verdict == FAIL for r in results):
-        verdict = FAIL
-    elif any(r.verdict == INCONCLUSIVE for r in results):
-        verdict = INCONCLUSIVE
-    else:
-        verdict = PASS
     return VerificationReport(
         theorem_id=theorem_id,
         lhs=binding.stats,
         rhs=binding.rhs,
         direction=binding.direction,
         z_margin=binding.z,
-        verdict=verdict,
+        verdict=binding.verdict,
         exact=exact,
     )
 
@@ -1015,7 +1005,7 @@ def _run_checkset(
     )
     exact = mode == "exact"
     results = [
-        _exact_result(st, meta) if exact else _mc_result(st, meta, tolerance_z, paths)
+        _check_result(st, meta, tolerance_z, 0 if exact else paths)
         for st, meta in zip(stats, checkset.metas)
     ]
     return _aggregate(theorem_id, results, exact), results
@@ -1046,7 +1036,7 @@ def verify_detailed(
         if mode != "exact":
             raise PreconditionError("mode", "this entry is analytic; use exact mode")
         results = [
-            _exact_result(SummaryStats(mean=value, stderr=0.0, count=count), meta)
+            _check_result(SummaryStats(mean=value, stderr=0.0, count=count), meta)
             for meta, value, count in entry.direct(inst)
         ]
         return _aggregate(entry.theorem_id, results, exact=True), results, {}

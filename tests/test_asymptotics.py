@@ -128,6 +128,13 @@ class TestCompleteConvergence:
         ps = diag.partial_sum
         assert all(b >= a for a, b in zip(ps, ps[1:]))
 
+    @pytest.mark.parametrize("n_grid", [[8, 8, 4], [8, 4], [4, 4]])
+    def test_grid_must_increase(self, n_grid):
+        """A repeated horizon would count its tail twice in the partial sum."""
+        spec = iid_spec(rademacher(), 4)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            complete_convergence_diagnose(spec, r=1.0, epsilon=0.5, n_grid=n_grid, paths=10, seed=1)
+
     def test_domain_errors(self):
         spec = iid_spec(rademacher(), 4)
         with pytest.raises(ValueError):

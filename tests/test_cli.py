@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from demimart.cli import main, parse_config_text
+from demimart.cli import build_generator_spec, main, parse_config_text
 from demimart.core import CHUNK_PATHS, summarize
-from demimart.generators import generate, iid_spec, rademacher
+from demimart.generators import generate, iid_spec, rademacher, uniform
 from demimart.registry import PreconditionError, verify_detailed
 
 T31_CFG = """\
@@ -531,6 +531,12 @@ class TestCommandFields:
                 {"field": "slln", "message": "r and epsilon must be positive"},
             ),
             (
+                "slln",
+                "seed = 3\npaths = 200\nparams.r = 1\nparams.epsilon = 0.5\n"
+                "params.n_grid = [8, 8, 4]\n" + IID4,
+                {"field": "slln", "message": "n_grid must be strictly increasing"},
+            ),
+            (
                 "check-demi",
                 "seed = 3\nparams.variant = sideways\n" + IID4,
                 {"field": "params.variant", "message": "demimartingale or demisubmartingale"},
@@ -542,7 +548,15 @@ class TestCommandFields:
                 {"field": "generator", "message": "required"},
             ),
         ],
-        ids=["oracle", "clt", "slln", "check-demi", "stop-no-stopping", "stop-no-generator"],
+        ids=[
+            "oracle",
+            "clt",
+            "slln",
+            "slln-grid",
+            "check-demi",
+            "stop-no-stopping",
+            "stop-no-generator",
+        ],
     )
     def test_error_field(self, tmp_path, capsys, command, text, error):
         cfg = _write(tmp_path, "bad.cfg", text)
@@ -609,3 +623,141 @@ class TestShippedSuite:
         rows = json.loads(out.read_text())["experiments"]
         assert len(rows) == len(list(probes.glob("*.cfg"))) > 0
         assert all(row["verdict"] == "FAIL" for row in rows), rows
+
+
+def _stderr_error(capsys) -> dict:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+class TestIOErrors:
+    """A file or directory that cannot be read or written exits 3 under the
+    argument that names it, not with a traceback and exit 1."""
+
+    def test_missing_config(self, tmp_path, capsys):
+        cfg = str(tmp_path / "missing.cfg")
+        assert main(["verify", "--config", cfg]) == 3
+        error = _last_error(capsys)
+        assert error["field"] == "config" and "missing.cfg" in error["message"]
+
+    def test_unwritable_report(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "t31.cfg", T31_CFG)
+        out = str(tmp_path / "no-such-dir" / "x.json")
+        assert main(["verify", "--config", cfg, "--out", out]) == 3
+        error = _last_error(capsys)
+        assert error["field"] == "out" and "no-such-dir" in error["message"]
+
+    def test_missing_suite_directory(self, tmp_path, capsys):
+        assert main(["suite", str(tmp_path / "no-such-dir")]) == 3
+        error = _last_error(capsys)
+        assert error["field"] == "directory" and "no-such-dir" in error["message"]
+
+    def test_unwritable_aggregate(self, tmp_path, capsys):
+        d = tmp_path / "suite"
+        d.mkdir()
+        (d / "a_pass.cfg").write_text(T31_CFG)
+        out = str(tmp_path / "no-such-dir" / "agg.json")
+        assert main(["suite", str(d), "--out", out]) == 3
+        assert _stderr_error(capsys)["field"] == "out"
+
+    def test_unreadable_suite_config_is_an_error_row(self, tmp_path, capsys):
+        d = tmp_path / "suite"
+        d.mkdir()
+        (d / "a_pass.cfg").write_text(T31_CFG)
+        (d / "b_dir.cfg").mkdir()
+        out = str(tmp_path / "agg.json")
+        assert main(["suite", str(d), "--out", out]) == 3
+        rows = json.loads(open(out).read())["experiments"]
+        assert [row["verdict"] for row in rows] == ["PASS", "ERROR"]
+
+
+# a Monte-Carlo tail check with paths * bound below 100 expected hits
+T47_FEW_HITS = (
+    "experiment_id = t47-few-hits\ntheorem_id = T4.7\nmode = monte_carlo\npaths = 200\n"
+    "seed = 5\nparams.t = 3\n" + IID4
+)
+NO_SEED_CFG = "theorem_id = T3.1\n"
+
+
+class TestOutcomes:
+    """Every outcome path from a verdict to an exit code."""
+
+    @pytest.mark.parametrize(
+        "files, code",
+        [
+            ({"a.cfg": T31_CFG, "b.cfg": T47_FEW_HITS}, 2),
+            ({"a.cfg": T31_CFG, "b.cfg": NO_SEED_CFG}, 3),
+            ({"a.cfg": T47_FEW_HITS, "b.cfg": NO_SEED_CFG}, 3),
+            ({"a.cfg": ADVERSARIAL_CFG, "b.cfg": NO_SEED_CFG, "c.cfg": T47_FEW_HITS}, 1),
+        ],
+        ids=["inconclusive", "error", "error-over-inconclusive", "fail-over-error"],
+    )
+    def test_suite_exits_with_its_worst_row(self, tmp_path, capsys, files, code):
+        d = tmp_path / "suite"
+        d.mkdir()
+        for name, text in files.items():
+            (d / name).write_text(text)
+        out = tmp_path / "agg.json"
+        assert main(["suite", str(d), "--out", str(out)]) == code
+        counts = json.loads(out.read_text())["counts"]
+        assert sum(counts.values()) == len(files)
+
+    def test_verify_inconclusive_exits_two(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "t47.cfg", T47_FEW_HITS)
+        assert main(["verify", "--config", cfg]) == 2
+
+    def test_verify_prints_the_precheck(self, capsys):
+        cfg = str(Path(__file__).resolve().parents[1] / "configs" / "18-c410-exp-stopped.cfg")
+        assert main(["verify", "--config", cfg]) == 0
+        err = capsys.readouterr().err
+        assert re.search(r"^# demisub_precheck: PASS \(z_margin n/a\)$", err, re.M), err
+
+
+class TestGeneratorReaders:
+    """Config tables of the generator families the shipped configs do not use."""
+
+    @staticmethod
+    def _spec(text):
+        return build_generator_spec(parse_config_text(text)["generator"])
+
+    def test_uniform_law(self):
+        spec = self._spec(
+            "generator.family = iid\ngenerator.law = uniform\ngenerator.a = -1\n"
+            "generator.b = 2\ngenerator.horizon = 3\n"
+        )
+        assert spec.generator_id == iid_spec(uniform(-1.0, 2.0), 3).generator_id
+
+    def test_uniform_needs_both_ends(self, tmp_path, capsys):
+        text = "seed = 3\ngenerator.family = iid\ngenerator.law = uniform\ngenerator.a = -1\n"
+        cfg = _write(tmp_path, "gen.cfg", text + "generator.horizon = 3\n")
+        assert main(["gen", "--config", cfg]) == 3
+        assert _last_error(capsys) == {"field": "generator.a/b", "message": "required"}
+
+    @pytest.mark.parametrize(
+        "lines, want",
+        [
+            (
+                "generator.cov.kind = equicorrelated\ngenerator.cov.var = 2\n"
+                "generator.cov.rho = 0.25\n",
+                np.full((4, 4), 0.5) + 1.5 * np.eye(4),
+            ),
+            (
+                "generator.cov.kind = ar1\ngenerator.cov.var = 1.5\ngenerator.cov.rho = 0.5\n",
+                1.5 * 0.5 ** np.abs(np.subtract.outer(np.arange(4), np.arange(4))),
+            ),
+            (
+                "generator.cov.kind = matrix\n"
+                "generator.cov.matrix = [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]]\n",
+                2.0 * np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1),
+            ),
+        ],
+        ids=["equicorrelated", "ar1", "matrix"],
+    )
+    def test_gaussian_covariance(self, lines, want):
+        spec = self._spec("generator.family = gaussian_assoc\ngenerator.horizon = 4\n" + lines)
+        np.testing.assert_allclose(spec.covariance, want, rtol=1e-15, atol=0)
+
+    def test_unknown_covariance_kind(self, tmp_path, capsys):
+        text = "seed = 3\ngenerator.family = gaussian_assoc\ngenerator.horizon = 4\n"
+        cfg = _write(tmp_path, "gen.cfg", text + "generator.cov.kind = banded\n")
+        assert main(["gen", "--config", cfg]) == 3
+        assert _last_error(capsys)["field"] == "generator.cov.kind"

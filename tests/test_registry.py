@@ -13,7 +13,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from demimart.cli import build_generator_spec, build_rule, config_from_dict, parse_config_text
-from demimart.core import CHUNK_PATHS, RunningStats, derive_stream, tile_paths
+from demimart.core import (
+    CHUNK_PATHS,
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
+    RunningStats,
+    SummaryStats,
+    derive_stream,
+    tile_paths,
+)
 from demimart.generators import (
     GeneratorSpec,
     adversarial_spec,
@@ -32,11 +41,13 @@ from demimart.generators import (
 )
 from demimart.oracle import fold_expectations, iter_blocks, terminal_law
 from demimart.registry import (
+    CheckMeta,
     CheckSet,
     Instance,
     PreconditionError,
+    _aggregate,
     _c410_precheck,
-    _mc_result,
+    _check_result,
     _run_checkset,
     _stopped_at,
     all_entries,
@@ -655,7 +666,7 @@ class TestStatisticTiles:
         for lo in range(0, paths, CHUNK_PATHS):
             ref.update(evaluate_rows(checkset, whole[lo : lo + CHUNK_PATHS]))
         want = [
-            _mc_result(stats, meta, 3.0, paths)
+            _check_result(stats, meta, 3.0, paths)
             for stats, meta in zip(ref.summaries(), checkset.metas)
         ]
         assert [r.stats.count for r in results] == [paths] * 288
@@ -1222,3 +1233,41 @@ def test_battery_results_match_pinned_values(key):
         assert abs(r.stats.mean - mean) <= 1e-12 * max(1.0, abs(mean)), name
         assert abs(r.stats.stderr - stderr) <= 1e-12 * stderr, name
         assert r.verdict == check_verdict, name
+
+
+class TestOneVerdictRule:
+    """Every check result comes from one rule, and a report takes the
+    verdict of its binding check, which is always the worst."""
+
+    TAIL = CheckMeta("P(S_n >= 9)", 1e-6, "<=", tail=True)
+
+    def test_exact_values_never_meet_the_hit_count_rule(self):
+        stats = SummaryStats(mean=0.0, stderr=0.0, count=16)
+        assert _check_result(stats, self.TAIL).verdict == PASS
+        assert _check_result(stats, self.TAIL, 3.0, 1000).verdict == INCONCLUSIVE
+
+    def test_one_path_is_inconclusive(self):
+        report = check_definition(iid_spec(rademacher(), 4), mode="monte_carlo", paths=1, seed=1)
+        assert report.verdict == INCONCLUSIVE
+        assert report.z_margin is None and math.isinf(report.lhs.stderr)
+
+    def test_the_binding_check_holds_the_worst_verdict(self):
+        meta = CheckMeta("E[X]", 0.0, ">=")
+        near = _check_result(SummaryStats(mean=-0.29, stderr=0.1, count=100), meta)
+        far = _check_result(SummaryStats(mean=-0.31, stderr=0.01, count=100), meta)
+        open_ = _check_result(SummaryStats(mean=-5.0, stderr=math.inf, count=1), meta)
+        assert [near.verdict, far.verdict, open_.verdict] == [PASS, FAIL, INCONCLUSIVE]
+        for results in ([near, open_, far], [far, near], [open_, near]):
+            report = _aggregate("x", results, exact=False)
+            worst = FAIL if far in results else INCONCLUSIVE
+            assert report.verdict == worst
+            binding = next(r for r in results if r.verdict == worst)
+            assert report.lhs is binding.stats
+
+    @pytest.mark.parametrize(
+        "mode, paths, field", [("monte_carlo", 0, "paths"), ("sideways", 100, "mode")]
+    )
+    def test_expectations_refuses_paths_and_mode(self, mode, paths, field):
+        with pytest.raises(PreconditionError) as info:
+            expectations(RAD6, lambda p: p[:, -1][None], 1, mode, paths=paths, seed=1)
+        assert info.value.name == field
