@@ -286,19 +286,20 @@ def _write(out: str | None, chunks) -> None:
         sys.stdout.writelines(chunks)
         return
     tmp = out + ".tmp"
-    with _io("out"):
+    with _io("out", out):
         with open(tmp, "w") as fh:
             fh.writelines(chunks)
         os.replace(tmp, out)
 
 
 @contextlib.contextmanager
-def _io(field: str):
+def _io(field: str, path: str | None = None):
     """Report an OSError in the block under ``field``, the argument that
-    names the file or directory."""
+    names the file or directory, as an error on ``path`` when given."""
     try:
         yield
     except OSError as exc:
+        exc.filename, exc.filename2 = path or exc.filename, None
         raise PreconditionError(field, str(exc)) from None
 
 

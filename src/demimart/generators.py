@@ -116,17 +116,16 @@ class IncrementLaw:
             return 0.0
         return self.a
 
-    def support(self) -> list[tuple[float, float]] | None:
-        """Finite support as (value, probability) pairs, or None if continuous.
-
-        Zero-probability atoms (degenerate bernoulli) are dropped.
-        """
+    def support(self) -> list[tuple[float, float]]:
+        """Finite support as (value, probability) pairs; ValueError for a
+        continuous law.  Zero-probability atoms (degenerate bernoulli) are
+        dropped."""
         if self.name == "rademacher":
             return [(-1.0, 0.5), (1.0, 0.5)]
         if self.name == "bernoulli":
             pairs = [(0.0, 1.0 - self.p), (1.0, self.p)]
             return [(v, p) for v, p in pairs if p > 0.0]
-        return None
+        raise ValueError("not enumerable: continuous increment law")
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Draw an array of ``shape``: int8 for the lattice laws, else float64.
@@ -729,32 +728,33 @@ def classify(spec: GeneratorSpec) -> StructuralClass:
 
 @dataclass(frozen=True)
 class DiscreteChainSpec:
-    """Finite-support increment chain enabling exact enumeration.
+    """Finite-support chain for exact enumeration: increments
+    X = Y_1 + ... + Y_d + W * (1, ..., 1) - drift, and S = offset + cumsum(X).
 
-    ``coupling`` is "independent" for i.i.d. increments (optionally plus the
-    shared component W added to every step) or "alternating" for the
-    sign-flip construction where a single draw fixes the whole path as
-    X_i = (-1)^{i+1} X_1.
+    Independent draws Y_k of the law ``atoms`` ((row, probability) pairs,
+    rows of one length) add their row to X from 0-based step ``steps[k]`` on,
+    cut at both ends of the horizon; W, from ``shared_component``, is
+    independent of them.  An i.i.d. walk draws (v,) at every step, the sign
+    flip v * (1, -1, 1, ...) at step 0, and a moving sum v * (w_0, ..., w_q)
+    at each step from -q to n - 1.
     """
 
-    increment_support: tuple[tuple[float, float], ...]
+    atoms: tuple[tuple[tuple[float, ...], float], ...]
+    steps: tuple[int, ...]
     horizon: int
     shared_component: tuple[tuple[float, float], ...] | None = None
     drift: float = 0.0
     offset: float = 0.0
-    coupling: str = "independent"
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
-        if self.coupling not in ("independent", "alternating"):
-            raise ValueError("coupling must be 'independent' or 'alternating'")
-        for sup in (self.increment_support, self.shared_component or ()):
-            for _, p in sup:
-                if p <= 0:
-                    raise ValueError("support probabilities must be positive")
-        for sup in (self.increment_support, self.shared_component):
-            if sup is not None and abs(math.fsum(p for _, p in sup) - 1.0) > _PROB_TOL:
+        if len({len(row) for row, _ in self.atoms}) > 1:
+            raise ValueError("atom rows must have one length")
+        for sup in (self.atoms, self.shared_component or ((0.0, 1.0),)):
+            if any(p <= 0 for _, p in sup):
+                raise ValueError("support probabilities must be positive")
+            if abs(math.fsum(p for _, p in sup) - 1.0) > _PROB_TOL:
                 raise ValueError("support probabilities must sum to 1")
         if self.outcome_count > ENUMERATION_CAP:
             raise ValueError(
@@ -764,34 +764,31 @@ class DiscreteChainSpec:
 
     @property
     def outcome_count(self) -> int:
-        s = len(self.increment_support)
-        w = len(self.shared_component) if self.shared_component else 1
-        if self.coupling == "alternating":
-            return s * w
-        return (s**self.horizon) * w
+        shared = len(self.shared_component) if self.shared_component else 1
+        return len(self.atoms) ** len(self.steps) * shared
 
-
-def _support(law: IncrementLaw) -> tuple[tuple[float, float], ...]:
-    sup = law.support()
-    if sup is None:
-        raise ValueError("not enumerable: continuous increment law")
-    return tuple(sup)
+    @property
+    def lattice(self) -> bool:
+        """Whether every atom entry and shared value is an integer (S_n on a lattice)."""
+        values = [x for row, _ in self.atoms for x in row]
+        values += [w for w, _ in self.shared_component or ()]
+        return all(float(x).is_integer() for x in values)
 
 
 def to_chain(spec: GeneratorSpec) -> DiscreteChainSpec:
     """Exact chain with the same path law, for finite-support families only."""
-    if spec.family == "iid":
-        return DiscreteChainSpec(_support(spec.law), spec.horizon, offset=spec.offset)
-    if spec.family == "shared_shock":
-        return DiscreteChainSpec(
-            _support(spec.law), spec.horizon, _support(spec.shock), offset=spec.offset
-        )
     if spec.family == "centered_partial_sum":
         inner = to_chain(spec.inner)
-        mu = step_mean(spec.inner)
-        return replace(inner, drift=inner.drift + mu, offset=spec.offset)
-    if spec.family == "adversarial_sign_flip":
-        return DiscreteChainSpec(
-            _support(spec.law), spec.horizon, coupling="alternating", offset=spec.offset
-        )
-    raise ValueError(f"not enumerable: family {spec.family!r}")
+        return replace(inner, drift=inner.drift + step_mean(spec.inner), offset=spec.offset)
+    if spec.family == "gaussian_assoc":
+        raise ValueError(f"not enumerable: family {spec.family!r}")
+    # each draw of the law adds v times this row from its step on
+    if spec.family == "moving_sum":
+        row, steps = spec.weights, range(1 - len(spec.weights), spec.horizon)
+    elif spec.family == "adversarial_sign_flip":
+        row, steps = [(-1.0) ** i for i in range(spec.horizon)], [0]
+    else:
+        row, steps = [1.0], range(spec.horizon)
+    atoms = tuple((tuple([v * w for w in row]), p) for v, p in spec.law.support())
+    shared = tuple(spec.shock.support()) if spec.family == "shared_shock" else None
+    return DiscreteChainSpec(atoms, tuple(steps), spec.horizon, shared, offset=spec.offset)

@@ -2,10 +2,11 @@
 
 Ground truth for every Monte-Carlo check: expectations, tail probabilities,
 and the defining projection statistic are computed by walking the full
-product space of increment outcomes.  Enumeration streams fixed-size blocks
-(no full outcome list is ever materialized) and combines probabilities with
-Kahan-compensated summation.  Statistics of S_n alone fold over the law of
-S_n instead, convolved from the integer step law.
+product space of the chain's independent draws.  Enumeration streams
+fixed-size blocks (no full outcome list is ever materialized) and combines
+probabilities with Kahan-compensated summation.  Statistics of S_n alone
+fold over the law of S_n instead when it is a lattice sum, convolved from
+each draw's law of row sums.
 """
 
 from __future__ import annotations
@@ -51,22 +52,47 @@ def iter_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (paths, probabilities) blocks covering every outcome exactly once.
 
-    Outcomes are indexed base-|support| over the independent steps; the
-    shared component, when present, multiplies the space.  Paths are
-    cumulative sums of (increment + shared) minus the per-step drift, plus
-    the start offset.  Each block is built time-major, one contiguous row
-    per step, and yielded as its column-major ``(outcomes, n)`` transpose,
-    the layout of a sampled chunk; the values are those of the row-wise
-    ``np.cumsum`` and ``np.prod`` bit for bit.
+    Outcomes are indexed mixed-radix over the draws (digit k picks draw k's
+    atom); the shared component, when present, multiplies the space.  A
+    step's increment sums the entries of the draws reaching it, in draw
+    order.  Paths are cumulative sums of (increment + shared) minus the
+    per-step drift, plus the start offset.  Each block is built time-major,
+    one contiguous row per step, and yielded as its column-major
+    ``(outcomes, n)`` transpose, the layout of a sampled chunk; the values
+    are those of the row-wise ``np.cumsum`` and ``np.prod`` bit for bit.
     """
     n = chain.horizon
-    # float64 even for integer atoms: the block is built in place from vals
-    vals = np.array([v for v, _ in chain.increment_support], dtype=np.float64)
-    probs = np.array([p for _, p in chain.increment_support], dtype=np.float64)
+    # float64 even for integer atoms; cols[c] is entry c of every atom's row
+    cols = np.array([row for row, _ in chain.atoms], dtype=np.float64).T.copy()
+    probs = np.array([p for _, p in chain.atoms], dtype=np.float64)
     shared = chain.shared_component or ((0.0, 1.0),)
     drift_line = chain.drift * np.arange(1, n + 1, dtype=np.float64)[:, None]
+    s = len(probs)
+    per_shared = s ** len(chain.steps)
+    strides = s ** np.arange(len(chain.steps) - 1, -1, -1, dtype=np.int64)
+    # per draw, (step, column, whether an earlier draw reached it) for each step
+    writes, reached = [], set()
+    for start in chain.steps:
+        steps = range(max(start, 0), min(start + len(cols), n))
+        writes.append([(j, cols[j - start], j in reached) for j in steps])
+        reached.update(steps)
+    unreached = [j for j in range(n) if j not in reached]
 
-    def paths(rows: np.ndarray, w_val: float) -> np.ndarray:
+    def outcomes(lo: int, w_val: float, w_prob: float) -> tuple[np.ndarray, np.ndarray]:
+        idx = np.arange(lo, min(lo + block, per_shared), dtype=np.int64)
+        rows = np.empty((n, idx.size))
+        rows[unreached] = 0.0
+        p = np.ones(idx.size)
+        for stride, draw in zip(strides, writes):
+            digit = idx // stride
+            digit %= s
+            for j, col, added in draw:
+                if added:
+                    rows[j] += col[digit]
+                else:
+                    np.take(col, digit, out=rows[j])
+            p *= probs[digit]  # np.prod's left-to-right product, a draw at a time
+        p *= w_prob
         # the operations of cumsum(inc + w, axis=1) - drift_line + offset, in
         # place along the time axis; += offset runs even at 0.0, as the
         # expression does, so a -0.0 comes out as 0.0 there too
@@ -74,29 +100,7 @@ def iter_blocks(
         _accumulate_rows(np.add, rows, rows)
         rows -= drift_line
         rows += chain.offset
-        return rows.T
-
-    if chain.coupling == "alternating":
-        alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        for w_val, w_prob in shared:
-            yield paths(np.multiply.outer(alt, vals), w_val), probs * w_prob
-        return
-
-    s = len(vals)
-    per_shared = s**n
-    strides = s ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-    def outcomes(lo: int, w_val: float, w_prob: float) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.arange(lo, min(lo + block, per_shared), dtype=np.int64)
-        rows = np.empty((n, idx.size))
-        p = np.ones(idx.size)
-        for j in range(n):
-            digit = idx // strides[j]
-            digit %= s
-            np.take(vals, digit, out=rows[j])
-            p *= probs[digit]  # np.prod's left-to-right product, a step at a time
-        p *= w_prob
-        return paths(rows, w_val), p
+        return rows.T, p
 
     # the generator keeps no reference to a block it has yielded
     for w_val, w_prob in shared:
@@ -109,43 +113,45 @@ def _check_total(total: float) -> None:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
 
 
-def _integer_atoms(support) -> list[tuple[int, float]]:
-    atoms = [(int(v), p) for v, p in support]
-    if any(k != v for (k, _), (v, _) in zip(atoms, support)):
-        raise ValueError("terminal law needs integer-valued atoms")
-    return atoms
-
-
 def terminal_law(chain: DiscreteChainSpec) -> tuple[np.ndarray, np.ndarray]:
     """Atoms of S_n and their probabilities, without enumerating paths.
 
-    The integer step law is convolved n times and mixed over the shared
-    component.  Each atom is float(K) - drift * n + offset for its integer
-    sum K, the operations that give the last column of ``iter_blocks``, so
-    atoms equal the enumerated S_n bit for bit.  Zero-probability atoms are
-    dropped.  Raises ValueError for non-integer atoms and for alternating
-    coupling.
+    The laws of the draws' integer row sums (each row cut to the horizon)
+    are convolved in draw order and mixed over the shared component, which
+    adds n times its value.  Each atom is float(K) - drift * n + offset for
+    its integer sum K, the operations that give the last column of
+    ``iter_blocks``, so atoms equal the enumerated S_n bit for bit.
+    Zero-probability atoms are dropped.  Raises ValueError unless the chain
+    is ``lattice``.
     """
-    if chain.coupling != "independent":
-        raise ValueError("terminal law needs independent coupling")
+    if not chain.lattice:
+        raise ValueError("terminal law needs integer-valued atoms")
     n = chain.horizon
-    steps = _integer_atoms(chain.increment_support)
-    shared = _integer_atoms(chain.shared_component or ((0.0, 1.0),))
-    lo = min(k for k, _ in steps)
-    step_pmf = np.zeros(max(k for k, _ in steps) - lo + 1)
-    for k, p in steps:
-        step_pmf[k - lo] += p
-    base = np.ones(1)
-    for _ in range(n):
-        base = np.convolve(base, step_pmf)
-    # S_n = n * lo + j + n * w for index j of base and shared atom w
+    width = len(chain.atoms[0][0])
+    # (lowest sum, pmf from it) of a draw's row sum, once per cut of the row
+    pmfs: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
+    lo, base = 0, np.ones(1)
+    for start in chain.steps:
+        cut = (-start if start < 0 else 0, width if start <= n - width else max(n - start, 0))
+        draw = pmfs.get(cut)
+        if draw is None:
+            sums = [(int(sum(row[slice(*cut)])), p) for row, p in chain.atoms]
+            k_lo = min(k for k, _ in sums)
+            pmf = np.zeros(max(k for k, _ in sums) - k_lo + 1)
+            for k, p in sums:
+                pmf[k - k_lo] += p
+            draw = pmfs[cut] = k_lo, pmf
+        lo += draw[0]
+        base = np.convolve(base, draw[1])
+    shared = [(int(w), p) for w, p in chain.shared_component or ((0, 1.0),)]
+    # S_n = lo + j + n * w for index j of base and shared atom w
     w_lo = min(w for w, _ in shared)
     pmf = np.zeros(base.size + n * (max(w for w, _ in shared) - w_lo))
     for w, p in shared:
         start = n * (w - w_lo)
         pmf[start : start + base.size] += p * base
     (keep,) = np.nonzero(pmf)
-    values = (n * (lo + w_lo) + keep).astype(np.float64) - chain.drift * n + chain.offset
+    values = (lo + n * w_lo + keep).astype(np.float64) - chain.drift * n + chain.offset
     probs = pmf[keep]
     _check_total(math.fsum(probs.tolist()))
     return values, probs
@@ -185,15 +191,11 @@ def fold_terminal(
 def _fold(outcome_blocks, functionals: Callable, checks: int | None) -> list[float]:
     sums = KahanSum()
     total = KahanSum()
-    blocks = 0
     for paths, probs in outcome_blocks:
         sums.add(_block_expectations(probs, functionals(paths), checks))
         total.add(float(np.sum(probs)))
-        blocks += 1
         # free this block before the next one is built
         del paths, probs
-    if not blocks:
-        raise ValueError("chain produced no outcomes")
     _check_total(total.total)
     return sums.total.tolist()
 

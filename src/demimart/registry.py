@@ -949,7 +949,7 @@ def expectations(
 
     This is the one place an engine is chosen.  Exact mode folds outcome
     probabilities: over the law of S_n alone when ``terminal_only`` is set
-    and the chain's steps are independent, else over every enumerated path,
+    and S_n is a lattice sum, else over every enumerated path,
     ``tile_paths(checks)`` outcomes per block; each result has stderr 0 and
     the chain's outcome count.  Monte Carlo averages ``paths`` sampled paths
     from chunk ``chunk_base`` of ``seed`` on (S_n alone as an (m, 1) matrix
@@ -966,7 +966,7 @@ def expectations(
                 chain = gen.to_chain(spec)
             except ValueError as exc:
                 raise PreconditionError("mode", f"exact mode unavailable: {exc}") from exc
-        if terminal_only and chain.coupling == "independent":
+        if terminal_only and chain.lattice:
             values = fold_terminal(chain, evaluate, checks)
         else:
             values = fold_expectations(chain, evaluate, block=tile_paths(checks), checks=checks)

@@ -1,5 +1,6 @@
 """Config parsing, report schema, exit codes, and suite aggregation."""
 
+import itertools
 import json
 import re
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from demimart.cli import build_generator_spec, main, parse_config_text
+from demimart.cli import build_generator_spec, build_rule, main, parse_config_text
 from demimart.core import CHUNK_PATHS, summarize
 from demimart.generators import generate, iid_spec, rademacher, uniform
 from demimart.registry import PreconditionError, verify_detailed
@@ -616,6 +617,40 @@ class TestShippedSuite:
         golden = (self.ROOT / "tests" / "data" / "suite_aggregate.json").read_text()
         assert text == golden
 
+    def _results(self, name: str):
+        doc = parse_config_text((self.ROOT / "configs" / name).read_text())
+        _, results, _ = verify_detailed(
+            doc["theorem_id"],
+            build_generator_spec(doc["generator"]),
+            rule=build_rule(doc["stopping"]),
+            mode=doc["mode"],
+            paths=doc.get("paths", 0),
+            seed=doc["seed"],
+        )
+        return results
+
+    def test_moving_sum_twins_agree(self):
+        """Config 24 enumerates config 23's moving sum: each exact C2.2 check
+        lies within 4 standard errors of its Monte-Carlo value."""
+        exact = self._results("24-c22-moving-sum-exact.cfg")
+        sampled = self._results("23-c22-moving-sum-mc.cfg")
+        assert [r.name for r in exact] == [r.name for r in sampled] and len(exact) == 8
+        for e, m in zip(exact, sampled):
+            assert e.stats.stderr == 0.0
+            assert abs(e.stats.mean - m.stats.mean) <= 4.0 * m.stats.stderr, e.name
+
+    def test_exact_moving_sum_equals_brute_force(self):
+        """Exact C2.2 on the moving sum X_i = Y_(i+1) + Y_i / 2 - 3/4 equals
+        E[S_j - S_(tau^j)] over all 2^9 Bernoulli(1/2) draw vectors, tau the
+        first passage of S above 1."""
+        want = np.zeros(8)
+        for y in itertools.product((0.0, 1.0), repeat=9):
+            s = np.cumsum([y[i + 1] + 0.5 * y[i] - 0.75 for i in range(8)])
+            tau = next((k for k in range(8) if s[k] >= 1.0), 8)
+            want += [s[j] - s[min(tau, j)] for j in range(8)]
+        got = [r.stats.mean for r in self._results("24-c22-moving-sum-exact.cfg")]
+        np.testing.assert_allclose(got, want / 2**9, rtol=0, atol=1e-12)
+
     def test_every_probe_fails(self, tmp_path, capsys):
         probes = self.ROOT / "configs" / "probes"
         out = tmp_path / "probes.json"
@@ -645,6 +680,8 @@ class TestIOErrors:
         assert main(["verify", "--config", cfg, "--out", out]) == 3
         error = _last_error(capsys)
         assert error["field"] == "out" and "no-such-dir" in error["message"]
+        # the message names the file given, not the temporary file written first
+        assert repr(out) in error["message"] and ".tmp" not in error["message"]
 
     def test_missing_suite_directory(self, tmp_path, capsys):
         assert main(["suite", str(tmp_path / "no-such-dir")]) == 3
@@ -657,7 +694,9 @@ class TestIOErrors:
         (d / "a_pass.cfg").write_text(T31_CFG)
         out = str(tmp_path / "no-such-dir" / "agg.json")
         assert main(["suite", str(d), "--out", out]) == 3
-        assert _stderr_error(capsys)["field"] == "out"
+        error = _stderr_error(capsys)
+        assert error["field"] == "out"
+        assert repr(out) in error["message"] and ".tmp" not in error["message"]
 
     def test_unreadable_suite_config_is_an_error_row(self, tmp_path, capsys):
         d = tmp_path / "suite"

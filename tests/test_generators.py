@@ -1,6 +1,7 @@
 """Generator families: sampling laws, exact moments, structural class,
 and conversion to enumerable chains."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -419,18 +420,31 @@ class TestClassify:
 class TestToChain:
     def test_rademacher_chain_counts(self):
         chain = to_chain(iid_spec(rademacher(), 3))
-        assert chain.increment_support == ((-1.0, 0.5), (1.0, 0.5))
+        assert chain.atoms == (((-1.0,), 0.5), ((1.0,), 0.5))
+        assert chain.steps == (0, 1, 2)
         assert chain.outcome_count == 8
 
     def test_shared_shock_chain_counts(self):
         chain = to_chain(shared_shock_spec(rademacher(), rademacher(), 2))
         assert chain.outcome_count == 8  # 2^2 increments x 2 shared values
 
+    def test_sign_flip_is_one_draw(self):
+        chain = to_chain(adversarial_spec(3))
+        assert chain.atoms == (((-1.0, 1.0, -1.0), 0.5), ((1.0, -1.0, 1.0), 0.5))
+        assert chain.steps == (0,) and chain.outcome_count == 2
+
+    def test_moving_sum_draws_a_window_at_every_step(self):
+        chain = to_chain(GeneratorSpec("moving_sum", 3, law=bernoulli(0.3), weights=(1.0, 0.5)))
+        assert chain.atoms == (((0.0, 0.0), 0.7), ((1.0, 0.5), 0.3))
+        assert chain.steps == (-1, 0, 1, 2) and chain.outcome_count == 16
+
     def test_continuous_families_not_enumerable(self):
         with pytest.raises(ValueError, match="not enumerable"):
             to_chain(iid_spec(uniform(0.0, 1.0), 3))
         with pytest.raises(ValueError, match="not enumerable"):
             to_chain(gaussian_assoc_spec(np.eye(3), 3))
+        with pytest.raises(ValueError, match="not enumerable"):
+            to_chain(GeneratorSpec("moving_sum", 3, law=uniform(0.0, 1.0), weights=(1.0,)))
 
     def test_centered_chain_carries_drift(self):
         chain = to_chain(centered(iid_spec(bernoulli(0.5), 4)))
@@ -439,9 +453,41 @@ class TestToChain:
     def test_enumeration_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             DiscreteChainSpec(
-                increment_support=((-1.0, 0.5), (1.0, 0.5)), horizon=25
+                atoms=(((-1.0,), 0.5), ((1.0,), 0.5)), steps=tuple(range(25)), horizon=25
             )
 
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            DiscreteChainSpec(increment_support=((0.0, 0.4), (1.0, 0.4)), horizon=2)
+            DiscreteChainSpec(atoms=(((0.0,), 0.4), ((1.0,), 0.4)), steps=(0, 1), horizon=2)
+
+    def test_atom_rows_share_one_length(self):
+        with pytest.raises(ValueError, match="one length"):
+            DiscreteChainSpec(atoms=(((0.0,), 0.5), ((1.0, 1.0), 0.5)), steps=(0,), horizon=2)
+
+    @pytest.mark.parametrize("law", [rademacher(), bernoulli(0.3)], ids=["rademacher", "bernoulli"])
+    @pytest.mark.parametrize(
+        "weights",
+        [(2.0,), (1.0, 0.5), (0.0, 1.0, 0.5), (1.0, 0.0, 0.0, 2.0)],
+        ids=["w1", "w2", "w3-zero-first", "w4-zeros"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_moving_sum_enumeration_equals_brute_force(self, n, weights, law):
+        """Every vector of the n + q window draws y, in lexicographic order,
+        gives X_i = sum_k w_k y_(i+q-k) with probability prod p(y): the
+        enumerated paths and probabilities, windows longer than the horizon
+        included."""
+        q = len(weights) - 1
+        support = law.support()
+        want_paths, want_probs = [], []
+        for draws in itertools.product(support, repeat=n + q):
+            y = [v for v, _ in draws]
+            x = [sum(w * y[i + q - k] for k, w in enumerate(weights)) for i in range(n)]
+            want_paths.append(np.cumsum(x))
+            want_probs.append(math.prod(p for _, p in draws))
+        chain = to_chain(GeneratorSpec("moving_sum", n, law=law, weights=weights))
+        blocks = list(iter_blocks(chain, block=64))
+        paths = np.vstack([p for p, _ in blocks])
+        probs = np.concatenate([p for _, p in blocks])
+        assert chain.outcome_count == len(want_probs)
+        np.testing.assert_allclose(paths, np.array(want_paths), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)

@@ -2,6 +2,7 @@
 and the defining projection statistic."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from demimart.core import CHUNK_PATHS, tile_paths
 from demimart.generators import (
     DiscreteChainSpec,
+    GeneratorSpec,
     adversarial_spec,
     bernoulli,
     centered,
@@ -160,16 +162,23 @@ _LAWS = st.one_of(
 
 @st.composite
 def _lattice_specs(draw):
-    """iid or shared-shock lattice families, plain, centered or offset."""
+    """iid, shared-shock or integer-weight moving-sum lattice families, plain,
+    centered or offset, and the sign flip, plain or offset."""
     n = draw(st.integers(min_value=1, max_value=12))
     laws = [draw(_LAWS)]
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["iid", "shared_shock", "moving_sum", "sign_flip"]))
+    if kind == "shared_shock":
         laws.append(draw(_LAWS))
         spec = shared_shock_spec(laws[0], laws[1], n)
+    elif kind == "moving_sum":
+        weights = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=1, max_size=3))
+        spec = GeneratorSpec("moving_sum", n, law=laws[0], weights=weights)
+    elif kind == "sign_flip":
+        spec = adversarial_spec(n, laws[0])
     else:
         spec = iid_spec(laws[0], n)
     offset = draw(st.sampled_from([0.0, 2.5, -1.0 / 3.0]))
-    if draw(st.booleans()):
+    if kind != "sign_flip" and draw(st.booleans()):
         spec = centered(spec, offset=offset)
     else:
         spec = dataclasses.replace(spec, offset=offset)
@@ -200,6 +209,30 @@ class TestTerminalLaw:
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-14 * abs(w)
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_cut_rows_match_enumeration(self, data):
+        """Integer rows drawn before step 0, past the horizon or across both
+        ends: the terminal law is the law of the enumerated S_n."""
+        n = data.draw(st.integers(1, 6))
+        width = data.draw(st.integers(1, 4))
+        entry = st.sampled_from([-2, -1, 0, 1, 3])
+        rows = data.draw(st.lists(st.tuples(*[entry] * width), min_size=1, max_size=3))
+        chain = DiscreteChainSpec(
+            tuple((row, 1 / len(rows)) for row in rows),
+            tuple(data.draw(st.lists(st.integers(-5, n + 2), max_size=5))),
+            n,
+            data.draw(st.sampled_from([None, ((-1.0, 0.5), (2.0, 0.5))])),
+            offset=1.5,
+        )
+        values, probs = terminal_law(chain)
+        blocks = list(iter_blocks(chain))
+        last = np.concatenate([paths[:, -1] for paths, _ in blocks])
+        weights = np.concatenate([p for _, p in blocks])
+        assert np.array_equal(values, np.unique(last))
+        want = [weights[last == v].sum() for v in values]
+        np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
+
     def test_shared_shock_closed_form(self):
         # S_20 = B_20 + 20 W: P(S_20 >= 12) = (P(B >= -8) + P(B >= 32)) / 2
         chain = to_chain(shared_shock_spec(rademacher(), rademacher(), 20))
@@ -208,13 +241,16 @@ class TestTerminalLaw:
         assert tail == hits / 2**21
 
     def test_non_integer_atom_rejected(self):
-        chain = DiscreteChainSpec(((-0.5, 0.5), (0.5, 0.5)), horizon=3)
+        chain = DiscreteChainSpec((((-0.5,), 0.5), ((0.5,), 0.5)), (0, 1, 2), horizon=3)
         with pytest.raises(ValueError, match="integer"):
             terminal_law(chain)
 
-    def test_alternating_coupling_rejected(self):
-        with pytest.raises(ValueError, match="independent"):
-            terminal_law(to_chain(adversarial_spec(4)))
+    def test_sign_flip_terminal_law(self):
+        """S_n = X_1 at odd n and 0 at even n: one draw, two atoms."""
+        values, probs = terminal_law(to_chain(adversarial_spec(5)))
+        assert values.tolist() == [-1.0, 1.0] and probs.tolist() == [0.5, 0.5]
+        values, probs = terminal_law(to_chain(adversarial_spec(4)))
+        assert values.tolist() == [0.0] and probs.tolist() == [1.0]
 
 
 class TestTiledFold:
@@ -248,38 +284,41 @@ def _expression_blocks(chain, block):
     """iter_blocks written as expressions, one new array per operation: the
     reference the in-place block build must reproduce bit for bit."""
     n = chain.horizon
-    vals = np.array([v for v, _ in chain.increment_support])
-    probs = np.array([p for _, p in chain.increment_support])
+    atoms = np.array([row for row, _ in chain.atoms], dtype=np.float64)
+    probs = np.array([p for _, p in chain.atoms])
     shared = chain.shared_component or ((0.0, 1.0),)
     drift_line = chain.drift * np.arange(1, n + 1, dtype=np.float64)
-    if chain.coupling == "alternating":
-        alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        for w_val, w_prob in shared:
-            inc = vals[:, None] * alt[None, :] + w_val
-            yield np.cumsum(inc, axis=1) - drift_line + chain.offset, probs * w_prob
-        return
-    s = len(vals)
-    strides = s ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    s, d = len(probs), len(chain.steps)
+    strides = s ** np.arange(d - 1, -1, -1, dtype=np.int64)
     for w_val, w_prob in shared:
-        for lo in range(0, s**n, block):
-            idx = np.arange(lo, min(lo + block, s**n), dtype=np.int64)
+        for lo in range(0, s**d, block):
+            idx = np.arange(lo, min(lo + block, s**d), dtype=np.int64)
             digits = (idx[:, None] // strides[None, :]) % s
-            inc = vals[digits] + w_val
+            # step j adds the entries of the draws that reach it, in draw order
+            inc = np.zeros((idx.size, n))
+            for j in range(n):
+                terms = [
+                    atoms[digits[:, k], j - start]
+                    for k, start in enumerate(chain.steps)
+                    if 0 <= j - start < atoms.shape[1]
+                ]
+                if terms:
+                    inc[:, j] = functools.reduce(np.add, terms)
             p = np.prod(probs[digits], axis=1) * w_prob
-            yield np.cumsum(inc, axis=1) - drift_line + chain.offset, p
+            yield np.cumsum(inc + w_val, axis=1) - drift_line + chain.offset, p
 
 
 @st.composite
 def _chains(draw):
     # non-dyadic atoms make a reordered sum round differently; -0.0 atoms
     # make a skipped "+ 0.0" (which turns -0.0 into 0.0) show in the bits;
-    # Python int atoms must still give float64 paths
-    values = draw(
-        st.lists(st.sampled_from([-1.0, -0.0, 0.1, 0.7, 1.0, 2.0, -2, 3]), min_size=1,
-                 max_size=3, unique_by=repr)
-    )
-    weights = draw(st.lists(st.integers(1, 5), min_size=len(values), max_size=len(values)))
-    support = tuple((v, w / sum(weights)) for v, w in zip(values, weights))
+    # Python int atoms must still give float64 paths; draws may start before
+    # step 0 or past the horizon, repeat a step, or leave a step unreached
+    n = draw(st.integers(1, 8))
+    width = draw(st.integers(1, 3))
+    entry = st.sampled_from([-1.0, -0.0, 0.1, 0.7, 1.0, 2.0, -2, 3])
+    rows = draw(st.lists(st.tuples(*[entry] * width), min_size=1, max_size=3))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(rows), max_size=len(rows)))
     shared = draw(
         st.sampled_from(
             [None, ((-1.0, 0.5), (1.0, 0.5)), ((-0.0, 0.3), (0.3, 0.7)), ((-0.0, 1.0),),
@@ -287,27 +326,40 @@ def _chains(draw):
         )
     )
     return DiscreteChainSpec(
-        increment_support=support,
-        horizon=draw(st.integers(1, 8)),
+        atoms=tuple((row, w / sum(weights)) for row, w in zip(rows, weights)),
+        steps=tuple(draw(st.lists(st.integers(-3, n + 1), max_size=6))),
+        horizon=n,
         shared_component=shared,
         drift=draw(st.sampled_from([0.0, 0.3, -0.5])),
         offset=draw(st.sampled_from([0.0, 1.5, -2.0, 1])),
-        coupling=draw(st.sampled_from(["independent", "alternating"])),
     )
 
 
 class TestInPlaceBlocks:
     @given(chain=_chains(), block=st.sampled_from([1, 7, 64, 1 << 16]))
     @example(
-        chain=DiscreteChainSpec(((-0.0, 0.5), (1.0, 0.5)), 3, shared_component=((-0.0, 1.0),)),
+        chain=DiscreteChainSpec(
+            (((-0.0,), 0.5), ((1.0,), 0.5)), (0, 1, 2), 3, shared_component=((-0.0, 1.0),)
+        ),
         block=7,
     )
     @example(
-        chain=DiscreteChainSpec(((0.1, 0.5), (0.7, 0.5)), 6, ((0.3, 1.0),), drift=0.3),
+        chain=DiscreteChainSpec(
+            (((0.1,), 0.5), ((0.7,), 0.5)), tuple(range(6)), 6, ((0.3, 1.0),), drift=0.3
+        ),
         block=64,
     )
     @example(
-        chain=DiscreteChainSpec(((-1, 0.5), (1, 0.5)), 4, ((-1, 0.5), (1, 0.5)), offset=1),
+        chain=DiscreteChainSpec(
+            (((-1,), 0.5), ((1,), 0.5)), (0, 1, 2, 3), 4, ((-1, 0.5), (1, 0.5)), offset=1
+        ),
+        block=7,
+    )
+    # a window of three non-dyadic entries cut at both ends, step 4 unreached
+    @example(
+        chain=DiscreteChainSpec(
+            (((0.1, 0.7, -0.0), 0.25), ((1.0, 0.1, 0.7), 0.75)), (-2, 0, 1, 5), 5, drift=0.3
+        ),
         block=7,
     )
     @settings(max_examples=150, deadline=None)
@@ -328,6 +380,7 @@ class TestInPlaceBlocks:
             shared_shock_spec(rademacher(), bernoulli(0.3), 6, offset=0.5),
             centered(iid_spec(bernoulli(0.3), 7), offset=-1.0),
             adversarial_spec(5),
+            centered(GeneratorSpec("moving_sum", 5, law=bernoulli(0.3), weights=(1.0, 0.0, 0.7))),
         ],
     )
     def test_library_chains_equal_the_expressions(self, spec):
