@@ -17,7 +17,7 @@ import numpy as np
 from . import generators as gen
 from .bounds import bernstein_tail
 from .core import DEFAULT_TOLERANCE_Z, FAIL, SummaryStats, iter_chunks
-from .registry import CheckMeta, _check_result, expectations
+from .registry import CheckMeta, _check_result, expectations, family_z
 
 __all__ = [
     "ECF_T_GRID",
@@ -188,7 +188,8 @@ def complete_convergence_diagnose(
 
     The tail is exact when the support makes it impossible (threshold above
     the largest reachable |S_n|) or when the chain is small enough to
-    enumerate; otherwise it is estimated by chunked sampling.
+    enumerate; otherwise it is estimated by chunked sampling, and the grid's
+    horizons are one family of checks gated at ``family_z``.
     """
     if r <= 0 or epsilon <= 0:
         raise ValueError("r and epsilon must be positive")
@@ -199,6 +200,7 @@ def complete_convergence_diagnose(
     records = []
     running = []
     total = 0.0
+    z = family_z(tolerance_z, len(n_grid))
     for i, n in enumerate(n_grid):
         sub = gen.with_horizon(spec, n)
         threshold = float(n**r * epsilon)
@@ -208,7 +210,7 @@ def complete_convergence_diagnose(
             stats, exact = SummaryStats(mean=0.0, stderr=0.0, count=1), True
         else:
             stats, exact = _tail_probability(sub, threshold, paths, seed, chunk_base=i << 32)
-        result = _check_result(stats, meta, tolerance_z, 0 if exact else paths)
+        result = _check_result(stats, meta, z, 0 if exact else paths)
         records.append(
             TailRecord(
                 n=n,

@@ -47,7 +47,8 @@ TILE_BYTES = 1 << 25
 # cache.
 _REDUCE_BLOCK_BYTES = 1 << 20
 
-# Monte-Carlo checks fail only when violated by more than this many stderrs.
+# A lone Monte-Carlo check fails only when violated by more than this many
+# stderrs; a family of checks splits its one-sided level (registry.family_z).
 DEFAULT_TOLERANCE_Z = 3.0
 
 # Exact (oracle) checks fail when violated beyond this relative epsilon.

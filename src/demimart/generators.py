@@ -128,28 +128,23 @@ class IncrementLaw:
         raise ValueError("not enumerable: continuous increment law")
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Draw an array of ``shape``: int8 for the lattice laws, else float64.
+        """Draw an (m, c) array: int8 for the lattice laws, else float64.
 
-        The lattice laws read raw 64-bit words.  They give bit for bit the
-        values of numpy's ``rng.integers(0, 2, dtype=np.int8) * 2 - 1`` and
-        ``rng.random() < p``, and leave the generator in the state those
-        would leave it in.  ``integers`` on an 8-bit range of 2 (Lemire's
-        multiply-shift, whose rejection threshold is 0 there) keeps the top
-        bit of each byte of the buffered uint32 stream; ``random`` is
-        ``(word >> 11) * 2**-53``, which is below p exactly when
-        ``word >> 11 < ceil(p * 2**53)``, that is when
-        ``word < ceil(p * 2**53) << 11`` (every word, for p = 1, where that
-        bound is 2**64).  They need one of the bit generators in
-        ``_RAW64``; ``derive_stream`` gives Philox.
+        The lattice laws read raw 64-bit words.  A Rademacher step is one
+        bit: the m rows take ceil(m / 64) blocks of c consecutive words, and
+        entry (p, j) is +1 exactly when bit p % 64 of word (p // 64, j) is
+        set, so a row's steps depend only on the stream and the row, not on
+        m.  The array is the column-major view of time-major (c, m) rows.
+        A Bernoulli step is one word, ``(word >> 11) * 2**-53 < p`` as in
+        numpy's ``rng.random() < p``, that is ``word < ceil(p * 2**53) << 11``
+        (every word, for p = 1, where that bound is 2**64).  They need one of
+        the bit generators in ``_RAW64``; ``derive_stream`` gives Philox.
         """
         if self.name == "rademacher":
-            count = int(np.prod(shape))
-            steps = _uint32_stream_bytes(_raw64(rng), count)
-            steps >>= 7
+            steps = _step_bits(_rademacher_words(rng, *shape), shape[0])
             steps <<= 1
-            steps = steps.view(np.int8)
             steps -= 1
-            return steps.reshape(shape)
+            return steps.view(np.int8).T
         if self.name == "bernoulli":
             words = _raw64(rng).random_raw(shape)
             bound = math.ceil(self.p * 2.0**53) << 11
@@ -172,8 +167,7 @@ class IncrementLaw:
         return theta * mid + math.log(math.sinh(theta * half) / (theta * half))
 
 
-# numpy bit generators whose raw output is one 64-bit word, handed out as
-# uint32 halves low half first (MT19937's raw output is 32 bits wide)
+# numpy bit generators whose raw output is one 64-bit word (MT19937's is 32)
 _RAW64 = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
 
 
@@ -186,33 +180,25 @@ def _raw64(rng: np.random.Generator):
     return bitgen
 
 
-def _uint32_stream_bytes(bitgen, count: int) -> np.ndarray:
-    """The ``count`` bytes, writable, that numpy's buffered uint32 stream
-    hands to an 8-bit ``integers`` draw.
+def _rademacher_words(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """The raw words of m paths' n Rademacher steps: ceil(m / 64) blocks of n."""
+    return _raw64(rng).random_raw((-(-m // 64), n))
 
-    A 64-bit word gives two uint32s, low half first, and a uint32 gives its
-    bytes least significant first, so the stream is the little-endian bytes of
-    the raw words.  A half-word that an earlier draw left pending in the
-    generator's state comes first.  The state is then written back as numpy
-    leaves it: the high half of the last word fetched is stored, and it is
-    pending exactly when this draw used an odd number of fresh uint32s.
-    """
-    if count == 0:
-        return np.empty(0, dtype=np.uint8)
-    state = bitgen.state
-    head = 4 if state["has_uint32"] else 0
-    halves = -(-max(count - head, 0) // 4)
-    words = bitgen.random_raw((halves + 1) // 2)
-    out = words.astype("<u8", copy=False).view(np.uint8)
-    if head:
-        pending = np.array([state["uinteger"]], dtype="<u4").view(np.uint8)
-        out = np.concatenate([pending, out])
-    state = bitgen.state
-    state["has_uint32"] = halves % 2
-    if words.size:
-        state["uinteger"] = int(words[-1] >> np.uint64(32))
-    bitgen.state = state
-    return out[:count]
+
+def _step_bits(words: np.ndarray, m: int) -> np.ndarray:
+    """The time-major (n, m) 0/1 rows of m paths' steps from their raw words:
+    bit p % 64 of word (p // 64, j) at (j, p); see ``IncrementLaw.sample``."""
+    rows = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
+    return np.unpackbits(rows, axis=1, count=m, bitorder="little")
+
+
+def _bit_sums(bits: np.ndarray) -> np.ndarray:
+    """S_n = 2K - n per path of (n, m) 0/1 step rows, K the count of set
+    bits; fewer than 256 bits fit in a uint8."""
+    n = len(bits)
+    s = bits.sum(axis=0, dtype=np.uint8 if n < 256 else np.int64) * 2.0
+    s -= n
+    return s
 
 
 def rademacher() -> IncrementLaw:
@@ -443,8 +429,8 @@ def sample_paths(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) ->
         s = sample_paths(spec.inner, n_paths, rng)
         s -= step_mean(spec.inner) * np.arange(1, spec.horizon + 1)
     else:
-        # the time-major rows (a byte transpose for lattice steps, none for
-        # a moving sum), then the running sum in place, one row per step
+        # the time-major rows (a byte transpose for Bernoulli steps, none for
+        # Rademacher steps or a moving sum), then the running sum in place
         rows = np.ascontiguousarray(sample_increments(spec, n_paths, rng).T)
         if rows.dtype == np.int8 and spec.horizon >= 128:
             rows = rows.astype(np.int16 if spec.horizon < 1 << 15 else np.int64)
@@ -470,23 +456,11 @@ def _row_sums(inc: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(inc).sum(axis=1, dtype=np.float64)
 
 
-def _rademacher_final_sums(stream: np.ndarray, n: int) -> np.ndarray:
-    # a Rademacher step is +1 exactly when the top bit of its stream byte is
-    # set (see IncrementLaw.sample), so S_n = 2K - n with K the count of set
-    # top bits among the path's n bytes; fewer than 256 bits fit in a uint8.
-    # The stream is shifted in place.
-    stream >>= 7
-    k = stream.reshape(-1, n).sum(axis=1, dtype=np.uint8 if n < 256 else np.int64)
-    s = k * 2.0
-    s -= n
-    return s
-
-
 def sample_final_sums(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) -> np.ndarray:
     """Draw S_n alone for n_paths paths, from the draws ``sample_paths`` makes.
 
     No partial-sum matrix is built, and iid Rademacher steps are counted
-    straight from the random bytes, without building the +-1 matrix.
+    straight from their bits, without building the +-1 matrix.
     Integer-valued draws sum exactly, so on lattice families this equals
     ``sample_paths(...)[:, -1]`` bit for bit and leaves the generator in the
     same state; a centered family subtracts n * mean once from the inner sum,
@@ -497,8 +471,7 @@ def sample_final_sums(spec: GeneratorSpec, n_paths: int, rng: np.random.Generato
         inner = sample_final_sums(spec.inner, n_paths, rng)
         s = inner - spec.horizon * step_mean(spec.inner)
     elif spec.family == "iid" and spec.law.name == "rademacher":
-        stream = _uint32_stream_bytes(_raw64(rng), n_paths * spec.horizon)
-        s = _rademacher_final_sums(stream, spec.horizon)
+        s = _bit_sums(_step_bits(_rademacher_words(rng, n_paths, spec.horizon), n_paths))
     else:
         s = _row_sums(sample_increments(spec, n_paths, rng))
     if spec.offset:

@@ -5,14 +5,15 @@ Every entry reduces its claim to K per-path statistics compared against
 constants, so one statistic definition serves both modes: ``expectations``,
 the one engine, averages them over chunked samples or folds them against
 exact outcome probabilities.  A report FAILs only when a statistic violates
-its bound by more than ``tolerance_z`` stderrs (Monte Carlo) or beyond a
-relative 1e-12 (exact).
+its bound by more than ``family_z(tolerance_z, K)`` stderrs, K the number of
+checks in its family (Monte Carlo), or beyond a relative 1e-12 (exact).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -49,6 +50,7 @@ __all__ = [
     "all_entries",
     "check_definition",
     "expectations",
+    "family_z",
     "lookup",
     "read_param",
     "verify",
@@ -894,6 +896,17 @@ def _margin(mean: float, meta: CheckMeta) -> float:
     return (meta.rhs - mean) if meta.direction == "<=" else (mean - meta.rhs)
 
 
+def family_z(tolerance_z: float, checks: int) -> float:
+    """The z a Monte-Carlo check must fall below to FAIL, in a family of
+    ``checks`` = K checks: the one-sided level Phi(-tolerance_z) split over
+    the family (Bonferroni), z_K = Phi^-1(1 - Phi(-tolerance_z) / K).  A
+    family FAILs when any check rejects, and Holm's step-down rejects one
+    exactly when Bonferroni does.  K = 1 keeps ``tolerance_z``, as does a
+    level too small to split in floating point."""
+    level = NormalDist().cdf(-tolerance_z) / checks
+    return -NormalDist().inv_cdf(level) if checks > 1 and level > 0.0 else tolerance_z
+
+
 def _check_result(
     stats: SummaryStats, meta: CheckMeta, tolerance_z: float = DEFAULT_TOLERANCE_Z, paths: int = 0
 ) -> CheckResult:
@@ -1004,9 +1017,9 @@ def _run_checkset(
         inst.spec, checkset.evaluate, len(checkset.metas), mode, paths, inst.seed, terminal_only
     )
     exact = mode == "exact"
+    z = family_z(tolerance_z, len(checkset.metas))
     results = [
-        _check_result(st, meta, tolerance_z, 0 if exact else paths)
-        for st, meta in zip(stats, checkset.metas)
+        _check_result(st, meta, z, 0 if exact else paths) for st, meta in zip(stats, checkset.metas)
     ]
     return _aggregate(theorem_id, results, exact), results
 

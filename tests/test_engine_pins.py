@@ -199,7 +199,8 @@ MONTE_CARLO = (
 
 # (label, spec, paths, seed, chunk): sampled paths and final sums; a zero
 # weight, float draws and a horizon above 8, where numpy's row sum depends on
-# the memory order of the increments
+# the memory order of the increments; Rademacher bits over two full 64-path
+# blocks and a partial one, at a horizon past the uint8 bit count
 SAMPLES = (
     (
         "moving-sum-uniform",
@@ -208,6 +209,7 @@ SAMPLES = (
         40,
         3,
     ),
+    ("iid-rademacher-n300", iid_spec(rademacher(), 300), 130, 46, 5),
 )
 
 

@@ -4,18 +4,20 @@ and conversion to enumerable chains."""
 import itertools
 import math
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demimart.core import derive_stream
+from demimart.core import CHUNK_PATHS, derive_stream, iter_chunks
 from demimart.generators import (
     DiscreteChainSpec,
+    _bit_sums,
     _row_sums,
+    _step_bits,
     GeneratorSpec,
-    _rademacher_final_sums,
     adversarial_spec,
     bernoulli,
     centered,
@@ -79,11 +81,18 @@ _LATTICE_LAWS = [rademacher()] + [
 ]
 
 
-def _numpy_draw(law, rng, shape):
-    """Reference: the lattice draws through numpy's Generator API."""
-    if law.name == "rademacher":
-        return rng.integers(0, 2, size=shape, dtype=np.int8) * np.int8(2) - np.int8(1)
-    return (rng.random(size=shape) < law.p).astype(np.int8)
+def _reference_draw(law, rng, shape):
+    """Reference: Bernoulli steps through numpy's Generator API; Rademacher
+    step (p, j) is +1 exactly when bit p % 64 of raw word (p // 64, j) is
+    set, the rows taking ceil(rows / 64) blocks of ``cols`` words in turn."""
+    if law.name == "bernoulli":
+        return (rng.random(size=shape) < law.p).astype(np.int8)
+    rows, cols = shape
+    words = rng.bit_generator.random_raw((-(-rows // 64), cols))
+    out = np.empty(shape, dtype=np.int8)
+    for p, j in itertools.product(range(rows), range(cols)):
+        out[p, j] = 1 if int(words[p // 64, j]) >> (p % 64) & 1 else -1
+    return out
 
 
 def _plain(state):
@@ -101,7 +110,7 @@ class TestSampling:
         st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=len(_LATTICE_LAWS) - 1),
-                st.integers(min_value=0, max_value=9),
+                st.one_of(st.integers(min_value=0, max_value=9), st.sampled_from([63, 64, 130])),
                 st.integers(min_value=1, max_value=13),
             ),
             min_size=1,
@@ -110,8 +119,9 @@ class TestSampling:
     )
     @settings(max_examples=150, deadline=None)
     def test_lattice_draws_equal_numpy_draws(self, seed, chunk, pending, draws):
-        """Raw-word lattice draws give numpy's values and leave the generator
-        in numpy's state, also when a half-word is pending before a draw."""
+        """Bernoulli draws give numpy's values, Rademacher draws the pinned
+        bit layout, and both leave the generator in the reference's state,
+        also when a half-word of numpy's uint32 buffer is pending."""
         rng, twin = derive_stream(seed, chunk), derive_stream(seed, chunk)
         if pending:  # one uint32 leaves the high half of a word pending
             assert rng.integers(0, 2**32, dtype=np.uint32) == twin.integers(
@@ -120,7 +130,7 @@ class TestSampling:
         for law_index, rows, cols in draws:
             law = _LATTICE_LAWS[law_index]
             got = law.sample(rng, (rows, cols))
-            want = _numpy_draw(law, twin, (rows, cols))
+            want = _reference_draw(law, twin, (rows, cols))
             assert got.dtype == want.dtype == np.int8
             assert got.shape == want.shape
             assert np.array_equal(got, want)
@@ -228,7 +238,7 @@ class TestSampling:
     ):
         """Same draws, same S_n: integer lattices sum exactly either way, and
         a centered family subtracts the same n * mean from the same sum.  The
-        Rademacher top-bit count switches from uint8 to int64 at n = 256, and
+        Rademacher bit count switches from uint8 to int64 at n = 256, and
         both builds leave the generator in the same state, also when an
         earlier draw left half a raw word pending."""
         law = bernoulli(0.3) if family.startswith("bernoulli") else rademacher()
@@ -262,15 +272,88 @@ class TestSampling:
     @pytest.mark.parametrize("n", [255, 256, 300])
     @pytest.mark.parametrize("byte, step", [(0xFF, 1.0), (0x80, 1.0), (0x7F, -1.0)])
     def test_top_bit_counts_exact_at_the_uint8_boundary(self, n, byte, step):
-        """Counting a path's top bits in a narrow integer type never wraps."""
-        stream = np.full(3 * n, byte, dtype=np.uint8)
-        got = _rademacher_final_sums(stream, n)
+        """Counting a path's set step bits in a narrow integer type never
+        wraps, and each path counts its own bit only: with every byte of
+        the raw words equal, path p steps up exactly when bit p % 8 of that
+        byte is set, so paths 7, 15, ... take the top bit (``step``)."""
+        words = np.full((3, n), byte * 0x0101010101010101, dtype=np.uint64)
+        got = _bit_sums(_step_bits(words, 130))
         assert got.dtype == np.float64
-        assert got.tobytes() == np.full(3, step * n).tobytes()
+        want = [n if byte >> (p % 8) & 1 else -n for p in range(130)]
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        assert set(got[7::8]) == {step * n}
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):
             GeneratorSpec("brownian", 3)
+
+
+class TestBitDraws:
+    """The law of the paths built from one raw-word bit per Rademacher step."""
+
+    LATTICE = {
+        "iid rademacher": iid_spec(rademacher(), 16),
+        "iid bernoulli": iid_spec(bernoulli(0.3), 9),
+        "shared shock": shared_shock_spec(rademacher(), rademacher(), 6),
+        "bernoulli base shock": shared_shock_spec(bernoulli(0.3), rademacher(), 5),
+        "moving sum": GeneratorSpec("moving_sum", 8, law=rademacher(), weights=(1.0, 0.5)),
+        "centered offset": centered(iid_spec(bernoulli(0.3), 10), offset=0.5),
+        "sign flip": adversarial_spec(7),
+    }
+
+    @staticmethod
+    def _stats(p):
+        return [*p.T, p[:, -1] ** 2, (p[:, -1] >= 1.0).astype(np.float64), p[:, 0] * p[:, -1]]
+
+    @pytest.mark.parametrize("name", sorted(LATTICE))
+    def test_monte_carlo_means_match_the_exact_fold(self, name):
+        """Each S_j, S_n^2, 1{S_n >= 1} and S_1 S_n averaged over 50 seeds of
+        1,000 paths lies within 4 stderr of its exact expectation."""
+        spec = self.LATTICE[name]
+        exact = fold_expectations(to_chain(spec), self._stats)
+        paths = np.vstack([sample_paths(spec, 1000, derive_stream(seed, 0)) for seed in range(50)])
+        rows = np.array(self._stats(paths))
+        stderr = rows.std(axis=1, ddof=1) / math.sqrt(rows.shape[1])
+        assert np.all(np.abs(rows.mean(axis=1) - exact) <= 4.0 * stderr + 1e-12)
+
+    def test_final_sums_are_binomial(self):
+        """S_100 = 2K - 100 with K ~ Binomial(100, 1/2): a chi-square test over
+        2^20 paths, tails pooled into cells of >= 50 expected paths, at the
+        Wilson-Hilferty 1 - 1e-4 quantile."""
+        n = 100
+        counts = np.zeros(n + 1)
+        for s in iter_chunks(sample_final_sums, iid_spec(rademacher(), n), 16 * CHUNK_PATHS, 77):
+            k = (s + n) / 2
+            assert np.array_equal(k, np.round(k))
+            counts += np.bincount(k.astype(np.int64), minlength=n + 1)
+        expected = counts.sum() * np.array([math.comb(n, k) for k in range(n + 1)]) / 2.0**n
+        keep = expected >= 50
+        lo, hi = ~keep & (np.arange(n + 1) < n // 2), ~keep & (np.arange(n + 1) > n // 2)
+        obs = [counts[lo].sum(), *counts[keep], counts[hi].sum()]
+        exp = [expected[lo].sum(), *expected[keep], expected[hi].sum()]
+        chi2 = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
+        df = len(obs) - 1
+        z = NormalDist().inv_cdf(1 - 1e-4)
+        assert chi2 <= df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            iid_spec(rademacher(), 20),
+            GeneratorSpec("moving_sum", 9, law=rademacher(), weights=(1.0, 0.0, 0.5)),
+            adversarial_spec(5),
+            centered(iid_spec(bernoulli(0.3), 7), offset=1.0),
+        ],
+        ids=["iid", "moving sum", "sign flip", "bernoulli"],
+    )
+    def test_a_path_does_not_depend_on_the_chunk_size(self, spec):
+        """A path's steps depend on (seed, chunk, row, horizon) only, so the
+        first 300 paths of a 300-path and of a 1,000-path chunk agree."""
+        few = sample_paths(spec, 300, derive_stream(4, 9))
+        many = sample_paths(spec, 1000, derive_stream(4, 9))
+        assert np.ascontiguousarray(few).tobytes() == np.ascontiguousarray(many[:300]).tobytes()
+        few = sample_final_sums(spec, 300, derive_stream(4, 9))
+        assert few.tobytes() == sample_final_sums(spec, 1000, derive_stream(4, 9))[:300].tobytes()
 
 
 def _cumsum_paths(spec, n_paths, rng):

@@ -5,6 +5,7 @@ import inspect
 import math
 import tracemalloc
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from demimart.generators import (
     to_chain,
     uniform,
 )
+from demimart import asymptotics, registry
 from demimart.oracle import fold_expectations, iter_blocks, terminal_law
 from demimart.registry import (
     CheckMeta,
@@ -53,6 +55,7 @@ from demimart.registry import (
     all_entries,
     check_definition,
     expectations,
+    family_z,
     lookup,
     verify,
     verify_detailed,
@@ -666,7 +669,7 @@ class TestStatisticTiles:
         for lo in range(0, paths, CHUNK_PATHS):
             ref.update(evaluate_rows(checkset, whole[lo : lo + CHUNK_PATHS]))
         want = [
-            _check_result(stats, meta, 3.0, paths)
+            _check_result(stats, meta, family_z(3.0, 288), paths)
             for stats, meta in zip(ref.summaries(), checkset.metas)
         ]
         assert [r.stats.count for r in results] == [paths] * 288
@@ -1119,24 +1122,24 @@ PINNED_RUNS = {
 # two chunks.
 PINNED = {
     'def_demi_mc': ('PASS', [
-        ('j=1|f0:one', 0.008484813621721123, 0.005366748975012434, 'PASS'),
-        ('j=1|f1:last', 1.0066728025770824, 0.0065829345022426974, 'PASS'),
-        ('j=1|f2:minus_one', -0.008484813621721123, 0.005366748975012434, 'PASS'),
-        ('j=1|f3:linear', 0.2088986999539807, 0.001366051070298391, 'PASS'),
-        ('j=1|f4:clipped', -0.0008858909054302808, 0.0005603368937320733, 'PASS'),
-        ('j=1|f5:threshold', 0.25394040497008746, 0.0025251879353665398, 'PASS'),
-        ('j=2|f0:one', 0.008139668660837552, 0.005349464346022179, 'PASS'),
-        ('j=2|f1:last', 1.9947653014265991, 0.010701098558070674, 'PASS'),
-        ('j=2|f2:minus_one', -0.008139668660837552, 0.005349464346022179, 'PASS'),
-        ('j=2|f3:linear', 3.250980103888633, 0.01745737343453233, 'PASS'),
-        ('j=2|f4:clipped', -0.0008498546652093878, 0.0005585322229038295, 'PASS'),
-        ('j=2|f5:threshold', 0.37721468016566956, 0.0029670379323775533, 'PASS'),
-        ('j=3|f0:one', 0.009865393465255407, 0.0053539054482616396, 'PASS'),
-        ('j=3|f1:last', 2.9882075471698113, 0.014674054873423055, 'PASS'),
-        ('j=3|f2:minus_one', -0.009865393465255407, 0.0053539054482616396, 'PASS'),
-        ('j=3|f3:linear', 7.275037430740912, 0.03640737151909016, 'PASS'),
-        ('j=3|f4:clipped', -0.001030035866313852, 0.0005589959139475495, 'PASS'),
-        ('j=3|f5:threshold', 0.43994477680625865, 0.0031417190066923076, 'PASS'),
+        ('j=1|f0:one', 0.0016106764841233318, 0.0053562726512279175, 'PASS'),
+        ('j=1|f1:last', 0.991428900138058, 0.006549515848983861, 'PASS'),
+        ('j=1|f2:minus_one', -0.0016106764841233318, 0.0053562726512279175, 'PASS'),
+        ('j=1|f3:linear', 0.20573537678324896, 0.001359116231886037, 'PASS'),
+        ('j=1|f4:clipped', -0.00016816912103083279, 0.0005592430712420556, 'PASS'),
+        ('j=1|f5:threshold', 0.2505752416014726, 0.0025108165558400987, 'PASS'),
+        ('j=2|f0:one', 0.004889553612517257, 0.0053421706464171735, 'PASS'),
+        ('j=2|f1:last', 1.978255867464335, 0.010683158247253927, 'PASS'),
+        ('j=2|f2:minus_one', -0.004889553612517257, 0.0053421706464171735, 'PASS'),
+        ('j=2|f3:linear', 3.2226730808789688, 0.017424182234354747, 'PASS'),
+        ('j=2|f4:clipped', -0.0005105134031293142, 0.0005577706950217707, 'PASS'),
+        ('j=2|f5:threshold', 0.374223423838012, 0.0029579728636270684, 'PASS'),
+        ('j=3|f0:one', 0.0006615278416935113, 0.005361755667614369, 'PASS'),
+        ('j=3|f1:last', 2.9894155545329038, 0.014623184884666223, 'PASS'),
+        ('j=3|f2:minus_one', -0.0006615278416935113, 0.005361755667614369, 'PASS'),
+        ('j=3|f3:linear', 7.264057884951679, 0.03624710950805063, 'PASS'),
+        ('j=3|f4:clipped', -6.906946042337786e-05, 0.0005598155474999486, 'PASS'),
+        ('j=3|f5:threshold', 0.4379601932811781, 0.003136618058254178, 'PASS'),
     ]),
     'def_demisub_mc': ('PASS', [
         ('j=1|f0:one', 0.298, 0.0064689697413036935, 'PASS'),
@@ -1159,18 +1162,18 @@ PINNED = {
         ('j=3|f5:threshold', 0.308, 0.006529603904175894, 'PASS'),
     ]),
     'c410_precheck_mc': ('PASS', [
-        ('transformed j=1|f0:one', 0.0473429321159639, 0.004660572045227027, 'PASS'),
-        ('transformed j=1|f1:threshold', 0.0473429321159639, 0.004660572045227027, 'PASS'),
-        ('transformed j=1|f2:clipped', 0.031017432119755495, 0.0030534436840111653, 'PASS'),
-        ('transformed j=1|f3:threshold', 0.0473429321159639, 0.004660572045227027, 'PASS'),
-        ('transformed j=2|f0:one', 0.04368621523855916, 0.0050766014867435275, 'PASS'),
-        ('transformed j=2|f1:threshold', 0.04368621523855916, 0.0050766014867435275, 'PASS'),
-        ('transformed j=2|f2:clipped', 0.01688839436572684, 0.0029062507454926476, 'PASS'),
-        ('transformed j=2|f3:threshold', 0.04368621523855916, 0.0050766014867435275, 'PASS'),
-        ('transformed j=3|f0:one', 0.0532319972965627, 0.005508718224453583, 'PASS'),
-        ('transformed j=3|f1:threshold', 0.0532319972965627, 0.005508718224453583, 'PASS'),
-        ('transformed j=3|f2:clipped', 0.0215768842945855, 0.0031522970319447442, 'PASS'),
-        ('transformed j=3|f3:threshold', 0.0532319972965627, 0.005508718224453583, 'PASS'),
+        ('transformed j=1|f0:one', 0.04239438951624603, 0.0046689665232631785, 'PASS'),
+        ('transformed j=1|f1:threshold', 0.04239438951624603, 0.0046689665232631785, 'PASS'),
+        ('transformed j=1|f2:clipped', 0.027775320207411323, 0.0030589434522137206, 'PASS'),
+        ('transformed j=1|f3:threshold', 0.04239438951624603, 0.0046689665232631785, 'PASS'),
+        ('transformed j=2|f0:one', 0.04736278604191218, 0.005066591239647338, 'PASS'),
+        ('transformed j=2|f1:threshold', 0.04736278604191218, 0.005066591239647338, 'PASS'),
+        ('transformed j=2|f2:clipped', 0.019926729749452084, 0.0029056694489053023, 'PASS'),
+        ('transformed j=2|f3:threshold', 0.04736278604191218, 0.005066591239647338, 'PASS'),
+        ('transformed j=3|f0:one', 0.043199142810959816, 0.0054957046911561355, 'PASS'),
+        ('transformed j=3|f1:threshold', 0.043199142810959816, 0.0054957046911561355, 'PASS'),
+        ('transformed j=3|f2:clipped', 0.015110762626525491, 0.003144580768583133, 'PASS'),
+        ('transformed j=3|f3:threshold', 0.043199142810959816, 0.0054957046911561355, 'PASS'),
     ]),
     't21_mc': ('PASS', [
         ('E[(S_M - S_tau) f0:one(S_tau)]', 0.366, 0.006813081800237198, 'PASS'),
@@ -1181,9 +1184,9 @@ PINNED = {
         ('E[(S_M - S_tau) f5:threshold(S_tau)]', 0.366, 0.006813081800237198, 'PASS'),
     ]),
     't23_mc': ('PASS', [
-        ('E[(S_tau2 - S_tau1) f0:one(S_tau1)]', -0.0112, 0.0243526902559972, 'PASS'),
-        ('E[(S_tau2 - S_tau1) f1:threshold(S_tau1)]', -0.0028, 0.012245342856953285, 'PASS'),
-        ('E[(S_tau2 - S_tau1) f2:clipped(S_tau1)]', -0.003333292730320001, 0.01457761154477083, 'PASS'),
+        ('E[(S_tau2 - S_tau1) f0:one(S_tau1)]', 0.0412, 0.024267226698952062, 'PASS'),
+        ('E[(S_tau2 - S_tau1) f1:threshold(S_tau1)]', -0.004, 0.012021052414003862, 'PASS'),
+        ('E[(S_tau2 - S_tau1) f2:clipped(S_tau1)]', -0.004761846757599993, 0.014310602365140982, 'PASS'),
         ('E[(S_tau2 - S_tau1) f3:threshold(S_tau1)]', 0.0, 0.0, 'PASS'),
     ]),
     'def_demi_exact': ('PASS', [
@@ -1271,3 +1274,70 @@ class TestOneVerdictRule:
         with pytest.raises(PreconditionError) as info:
             expectations(RAD6, lambda p: p[:, -1][None], 1, mode, paths=paths, seed=1)
         assert info.value.name == field
+
+
+class TestFamilyWiseGate:
+    """A Monte-Carlo check FAILs below z_K = Phi^-1(1 - Phi(-tolerance_z) / K),
+    K the size of its family: the one-sided level split over the family."""
+
+    BATTERY = {"battery_size": 32}
+
+    def test_threshold(self):
+        assert family_z(3.0, 1) == 3.0
+        assert family_z(3.0, 288) == pytest.approx(4.4311, abs=1e-4)
+        for k in (2, 9, 288):
+            z = family_z(3.0, k)
+            assert NormalDist().cdf(-z) * k == pytest.approx(NormalDist().cdf(-3.0), rel=1e-9)
+            assert 3.0 < z < family_z(3.0, 2 * k)
+        # a level that underflows cannot be split
+        assert family_z(math.inf, 288) == math.inf
+
+    def test_each_checkset_is_its_own_family(self, monkeypatch):
+        sizes = []
+
+        def spy(tolerance_z, checks):
+            sizes.append((tolerance_z, checks))
+            return family_z(tolerance_z, checks)
+
+        monkeypatch.setattr(registry, "family_z", spy)
+        rule = capped(first_passage_up(1.0), 6)
+        report, results, extras = verify_detailed(
+            "C4.10", RAD6, rule=rule, params={"theta": 0.3}, mode="monte_carlo", paths=500,
+            seed=3, tolerance_z=2.5,
+        )
+        (precheck,) = _c410_precheck(Instance(RAD6, rule, None, {"theta": 0.3}, 3)).values()
+        assert sizes == [(2.5, len(results)), (2.5, len(precheck.metas))]
+
+    def test_complete_convergence_grid_is_one_family(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(
+            asymptotics, "family_z", lambda z, k: sizes.append((z, k)) or family_z(z, k)
+        )
+        asymptotics.complete_convergence_diagnose(
+            iid_spec(uniform(-1.0, 1.0), 4), 0.75, 0.5, [4, 8, 16], 2000, 11, tolerance_z=3.5
+        )
+        assert sizes == [(3.5, 3)]
+
+    def test_false_fail_rate_on_a_martingale(self):
+        """iid Rademacher steps are a martingale, so every one of the 288
+        battery checks holds; at 3 sigma per check 21 of these 200 seeds
+        FAIL (binding z down to -3.71), at z_K = 4.43 none may."""
+        spec = iid_spec(rademacher(), 10)
+        verdicts = [
+            verify_detailed(
+                "Def1.2-demi", spec, params=self.BATTERY, mode="monte_carlo", paths=4000, seed=s
+            )
+            for s in range(5000, 5200)
+        ]
+        assert {len(results) for _, results, _ in verdicts} == {288}
+        assert sum(report.verdict == FAIL for report, _, _ in verdicts) <= 2
+
+    @pytest.mark.parametrize(
+        "spec", [adversarial_spec(4), iid_spec(bernoulli(0.3), 10)], ids=["sign flip", "drift"]
+    )
+    def test_controls_still_fail(self, spec):
+        report = verify(
+            "Def1.2-demi", spec, params=self.BATTERY, mode="monte_carlo", paths=1000, seed=7
+        )
+        assert report.verdict == FAIL
+        assert report.z_margin < -family_z(3.0, 288)
