@@ -10,7 +10,7 @@ the horizon grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,7 +113,7 @@ def clt_diagnose(
     n_grid, _ = _horizons(spec, n_grid)
     diags = []
     for i, n in enumerate(n_grid):
-        sub = gen.with_horizon(spec, n)
+        sub = replace(spec, horizon=n)
         chunks = iter_chunks(gen.sample_final_sums, sub, paths, seed, chunk_base=i << 32)
         s_n = np.concatenate(list(chunks))
         sigma = gen.sigma_n_exact(sub)
@@ -202,7 +202,7 @@ def complete_convergence_diagnose(
     total = 0.0
     z = family_z(tolerance_z, len(n_grid))
     for i, n in enumerate(n_grid):
-        sub = gen.with_horizon(spec, n)
+        sub = replace(spec, horizon=n)
         threshold = float(n**r * epsilon)
         v = gen.v_n(sub)
         meta = CheckMeta("P(|S_n| >= t)", 2.0 * bernstein_tail(threshold, v, c), "<=")

@@ -193,10 +193,11 @@ def build_generator_spec(d: dict) -> gen.GeneratorSpec:
                 "shock": _law_from(shock, "generator.shock"),
             }
         elif family == "centered_partial_sum":
+            # the config spelling of ``centered(inner spec)``
             inner = d.get("inner")
             if not isinstance(inner, dict):
                 raise PreconditionError("generator.inner", "required")
-            fields = {"inner": build_generator_spec({**inner, "horizon": horizon})}
+            return gen.centered(build_generator_spec({**inner, "horizon": horizon}), offset)
         elif family == "adversarial_sign_flip":
             fields = {"law": _law_from(d, "generator") if "law" in d else gen.rademacher()}
         else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,7 +42,6 @@ __all__ = [
     "to_chain",
     "uniform",
     "v_n",
-    "with_horizon",
 ]
 
 FAMILIES = (
@@ -49,7 +49,6 @@ FAMILIES = (
     "moving_sum",
     "gaussian_assoc",
     "shared_shock",
-    "centered_partial_sum",
     "adversarial_sign_flip",
 )
 
@@ -180,6 +179,15 @@ def _raw64(rng: np.random.Generator):
     return bitgen
 
 
+def _jumpable(rng: np.random.Generator):
+    bitgen = rng.bit_generator
+    if not hasattr(bitgen, "jumped"):  # SFC64 cannot jump
+        raise TypeError(
+            f"shared shocks need a bit generator that can jump, not {type(bitgen).__name__}"
+        )
+    return bitgen
+
+
 def _rademacher_words(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     """The raw words of m paths' n Rademacher steps: ceil(m / 64) blocks of n."""
     return _raw64(rng).random_raw((-(-m // 64), n))
@@ -235,15 +243,14 @@ class GeneratorSpec:
     shared_shock
         X_i = B_i + W with B_i i.i.d. from ``law`` and one shared draw W per
         path from ``shock``.
-    centered_partial_sum
-        The ``inner`` family with i * mean subtracted at step i, so the
-        wrapped process has mean-zero increments.
     adversarial_sign_flip
         X_1 drawn from ``law``; afterwards X_{i+1} = -X_i.  Violates the
         nonnegative-projection property and exists to prove the harness can
         fail.
 
-    ``offset`` shifts every S_i by a constant (a nonzero start), which
+    ``centered`` subtracts the drift, the step mean of the family as given,
+    from every step, so the increments are mean zero (see ``centered``).
+    ``offset`` then shifts every S_i by a constant (a nonzero start), which
     preserves association-based structure and is how nonnegative or
     strictly-positive processes are produced.
     """
@@ -254,7 +261,7 @@ class GeneratorSpec:
     shock: IncrementLaw | None = None
     weights: tuple[float, ...] | None = None
     covariance: np.ndarray | None = None
-    inner: "GeneratorSpec | None" = None
+    centered: bool = False
     offset: float = 0.0
 
     def __post_init__(self):
@@ -285,15 +292,8 @@ class GeneratorSpec:
             if eigmin < -_PSD_EIG_TOL:
                 raise ValueError(f"covariance not PSD (min eigenvalue {eigmin:.3e})")
             object.__setattr__(self, "covariance", cov)
-        if self.family == "centered_partial_sum":
-            if self.inner is None:
-                raise ValueError("centered_partial_sum requires an inner spec")
-            if self.inner.horizon != self.horizon:
-                raise ValueError("inner horizon must match")
-            if self.inner.family in ("centered_partial_sum", "adversarial_sign_flip"):
-                raise ValueError("cannot center this inner family")
-            if self.inner.offset != 0.0:
-                raise ValueError("center the family first, then apply an offset")
+        if self.centered and self.family == "adversarial_sign_flip":
+            raise ValueError("cannot center adversarial_sign_flip: its step means alternate")
 
     @property
     def generator_id(self) -> str:
@@ -306,10 +306,10 @@ class GeneratorSpec:
             parts.append("w=(" + ",".join(repr(w) for w in self.weights) + ")")
         if self.covariance is not None:
             parts.append(f"cov=sha[{_cov_digest(self.covariance)}]")
-        if self.inner is not None:
-            parts.append(f"inner=({self.inner.generator_id})")
         if self.offset:
             parts.append(f"offset={self.offset!r}")
+        if self.centered:
+            parts.append("centered")
         return "/".join(parts)
 
 
@@ -343,22 +343,18 @@ def gaussian_assoc_spec(covariance, horizon: int, offset: float = 0.0) -> Genera
     )
 
 
-def centered(inner: GeneratorSpec, offset: float = 0.0) -> GeneratorSpec:
-    return GeneratorSpec(
-        "centered_partial_sum", inner.horizon, inner=inner, offset=offset
-    )
+def centered(spec: GeneratorSpec, offset: float = 0.0) -> GeneratorSpec:
+    """``spec`` with its drift subtracted at every step, then started at
+    ``offset``: S_i = offset + sum_{k<=i} (X_k - drift)."""
+    if spec.centered:
+        raise ValueError("the family is already centered")
+    if spec.offset != 0.0:
+        raise ValueError("center the family first, then apply an offset")
+    return replace(spec, centered=True, offset=offset)
 
 
 def adversarial_spec(horizon: int, law: IncrementLaw | None = None) -> GeneratorSpec:
     return GeneratorSpec("adversarial_sign_flip", horizon, law=law or rademacher())
-
-
-def with_horizon(spec: GeneratorSpec, n: int) -> GeneratorSpec:
-    """The same process at horizon n.  A Gaussian covariance fixes its
-    horizon, so ``GeneratorSpec`` refuses a Gaussian spec at any other."""
-    if spec.family == "centered_partial_sum":
-        return replace(spec, horizon=n, inner=replace(spec.inner, horizon=n))
-    return replace(spec, horizon=n)
 
 
 # ---------------------------------------------------------------------------
@@ -370,38 +366,38 @@ def sample_increments(spec: GeneratorSpec, n_paths: int, rng: np.random.Generato
     """Draw an (n_paths, horizon) matrix of increments X_i (offset excluded).
 
     The matrix may be column-major: a moving sum is built time-major, one
-    contiguous (n_paths,) row per step, and returned transposed.
+    contiguous (n_paths,) row per step, and returned transposed.  These are
+    the family's draws before centering: ``sample_paths`` and
+    ``sample_final_sums`` take the drift off the sums, not the steps.
     """
     n = spec.horizon
     if spec.family == "iid":
-        return spec.law.sample(rng, (n_paths, n))
-    if spec.family == "shared_shock":
+        x = spec.law.sample(rng, (n_paths, n))
+    elif spec.family == "shared_shock":
+        # the shocks come from a jumped copy of the stream, taken before the
+        # base steps, so row p's shock does not depend on n_paths
+        shocks = np.random.Generator(_jumpable(rng).jumped())
         base = spec.law.sample(rng, (n_paths, n)).astype(np.float64, copy=False)
-        w = spec.shock.sample(rng, (n_paths, 1)).astype(np.float64, copy=False)
-        return base + w
-    if spec.family == "moving_sum":
+        x = base + spec.shock.sample(shocks, (n_paths, 1)).astype(np.float64, copy=False)
+    elif spec.family == "moving_sum":
         # X_i = 0 + w_0 y_(i+q) + w_1 y_(i+q-1) + ..., added in that order
         # into row i of a time-major build from the transposed draws (bytes,
         # for a lattice law); the products are those of the float64 draws
         q = len(spec.weights) - 1
         y = np.ascontiguousarray(spec.law.sample(rng, (n_paths, n + q)).T)
-        x = np.zeros((n, n_paths))
+        rows = np.zeros((n, n_paths))
         term = np.empty(n_paths)
-        for i, row in enumerate(x):
+        for i, row in enumerate(rows):
             for k, w in enumerate(spec.weights):
                 if w:
                     row += np.multiply(w, y[q - k + i], out=term)
-        return x.T
-    if spec.family == "gaussian_assoc":
-        z = rng.standard_normal((n_paths, n))
-        return z @ _factor(spec.covariance).T
-    if spec.family == "centered_partial_sum":
-        inner = sample_increments(spec.inner, n_paths, rng)
-        return inner.astype(np.float64, copy=False) - step_mean(spec.inner)
-    # adversarial_sign_flip
-    first = spec.law.sample(rng, (n_paths, 1)).astype(np.float64, copy=False)
-    alt = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return first * alt
+        x = rows.T
+    elif spec.family == "gaussian_assoc":
+        x = rng.standard_normal((n_paths, n)) @ _factor(spec.covariance).T
+    else:  # adversarial_sign_flip
+        first = spec.law.sample(rng, (n_paths, 1)).astype(np.float64, copy=False)
+        x = first * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return x
 
 
 def _factor(cov: np.ndarray) -> np.ndarray:
@@ -421,20 +417,18 @@ def sample_paths(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) ->
     are summed exactly in the narrowest signed integer type that holds
     +-horizon, then cast to float64 once.
 
-    A centered family sums the inner draws first and then subtracts i * mean,
-    as the exact oracle does, so lattice paths stay exactly on their shifted
-    lattice (summing x - mean step by step drifts off it by ulps).
+    A centered family sums its uncentered draws, then subtracts i * drift
+    from S_i as the exact oracle does, so lattice paths stay exactly on their
+    shifted lattice (summing x - drift step by step drifts off it by ulps).
     """
-    if spec.family == "centered_partial_sum":
-        s = sample_paths(spec.inner, n_paths, rng)
-        s -= step_mean(spec.inner) * np.arange(1, spec.horizon + 1)
-    else:
-        # the time-major rows (a byte transpose for Bernoulli steps, none for
-        # Rademacher steps or a moving sum), then the running sum in place
-        rows = np.ascontiguousarray(sample_increments(spec, n_paths, rng).T)
-        if rows.dtype == np.int8 and spec.horizon >= 128:
-            rows = rows.astype(np.int16 if spec.horizon < 1 << 15 else np.int64)
-        s = _accumulate_rows(np.add, rows, rows).astype(np.float64, copy=False).T
+    # the time-major rows (a byte transpose for Bernoulli steps, none for
+    # Rademacher steps or a moving sum), then the running sum in place
+    rows = np.ascontiguousarray(sample_increments(spec, n_paths, rng).T)
+    if rows.dtype == np.int8 and spec.horizon >= 128:
+        rows = rows.astype(np.int16 if spec.horizon < 1 << 15 else np.int64)
+    s = _accumulate_rows(np.add, rows, rows).astype(np.float64, copy=False).T
+    if spec.centered:
+        s -= _parts(spec)[1] * np.arange(1, spec.horizon + 1)
     if spec.offset:
         s += spec.offset
     return s
@@ -463,17 +457,15 @@ def sample_final_sums(spec: GeneratorSpec, n_paths: int, rng: np.random.Generato
     straight from their bits, without building the +-1 matrix.
     Integer-valued draws sum exactly, so on lattice families this equals
     ``sample_paths(...)[:, -1]`` bit for bit and leaves the generator in the
-    same state; a centered family subtracts n * mean once from the inner sum,
-    so its S_n stays on the shifted lattice (the step-by-step sum drifts off
-    it by ulps).
+    same state; a centered family subtracts n * drift once from the
+    uncentered sum, so its S_n stays on the shifted lattice.
     """
-    if spec.family == "centered_partial_sum":
-        inner = sample_final_sums(spec.inner, n_paths, rng)
-        s = inner - spec.horizon * step_mean(spec.inner)
-    elif spec.family == "iid" and spec.law.name == "rademacher":
+    if spec.family == "iid" and spec.law.name == "rademacher":
         s = _bit_sums(_step_bits(_rademacher_words(rng, n_paths, spec.horizon), n_paths))
     else:
         s = _row_sums(sample_increments(spec, n_paths, rng))
+    if spec.centered:
+        s -= spec.horizon * _parts(spec)[1]
     if spec.offset:
         s += spec.offset
     return s
@@ -492,18 +484,58 @@ def generate(spec: GeneratorSpec, n_paths: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class _Window(NamedTuple):
+    """sum_k w_k Y_k over independent draws Y_k of one law, with the step
+    facts of an ``IncrementLaw``: a moving-sum step's one part."""
+
+    mean: float
+    second_moment: float
+    abs_bound: float
+    min_value: float
+    log_mgf: Callable[[float], float]
+
+
+def _window(law: IncrementLaw, weights: tuple[float, ...]) -> _Window:
+    """The window's own closed forms: even at weights (1.0,) they are not a
+    draw's, as Var Y * sum w^2 + (E Y sum w) ** 2 can differ from E Y^2."""
+    mu, wsum = law.mean, sum(weights)
+    var = law.second_moment - mu * mu
+    return _Window(
+        mean=mu * wsum,
+        second_moment=var * sum(w * w for w in weights) + (mu * wsum) ** 2,
+        abs_bound=law.abs_bound * wsum,
+        min_value=sum(w * law.min_value for w in weights),
+        log_mgf=lambda theta: sum(law.log_mgf(theta * w) for w in weights),
+    )
+
+
+def _parts(spec: GeneratorSpec) -> tuple[tuple, float]:
+    """A step X_i (i >= 2) as the independent parts it sums, each a draw of
+    a law or a window, and the drift a centered family subtracts from it:
+    the uncentered step mean (else 0.0).  A Gaussian step has no parts, nor
+    has the sign flip's, one draw with alternating signs."""
+    if spec.family in ("gaussian_assoc", "adversarial_sign_flip"):
+        return (), 0.0
+    if spec.family == "moving_sum":
+        parts = (_window(spec.law, spec.weights),)
+    elif spec.family == "shared_shock":
+        parts = (spec.law, spec.shock)
+    else:
+        parts = (spec.law,)
+    return parts, _sum(p.mean for p in parts) if spec.centered else 0.0
+
+
+def _sum(values) -> float:
+    """Left-to-right sum: -0.0 is the one start that changes no value."""
+    return sum(values, -0.0)
+
+
 def step_mean(spec: GeneratorSpec) -> float:
     """E X_i for steps i >= 2 (the start offset rides on step 1 only)."""
-    if spec.family == "iid":
-        return spec.law.mean
-    if spec.family == "shared_shock":
-        return spec.law.mean + spec.shock.mean
-    if spec.family == "moving_sum":
-        return spec.law.mean * sum(spec.weights)
-    if spec.family in ("gaussian_assoc", "centered_partial_sum"):
-        return 0.0
-    # adversarial_sign_flip
-    raise ValueError("adversarial_sign_flip has alternating step means")
+    if spec.family == "adversarial_sign_flip":
+        raise ValueError("adversarial_sign_flip has alternating step means")
+    parts, drift = _parts(spec)
+    return _sum(p.mean for p in parts) - drift if parts else 0.0
 
 
 def _first_step_mean(spec: GeneratorSpec) -> float:
@@ -514,67 +546,49 @@ def _first_step_mean(spec: GeneratorSpec) -> float:
 
 
 def step_second_moment(spec: GeneratorSpec) -> float:
-    """E X_i^2 for steps i >= 2."""
-    if spec.family == "iid":
+    """E X_i^2 for steps i >= 2: each further independent part Q of the
+    sum P adds 2 E P E Q + E Q^2."""
+    if spec.family == "adversarial_sign_flip":
         return spec.law.second_moment
-    if spec.family == "shared_shock":
-        return (
-            spec.law.second_moment
-            + 2.0 * spec.law.mean * spec.shock.mean
-            + spec.shock.second_moment
-        )
-    if spec.family == "moving_sum":
-        m2, mu = spec.law.second_moment, spec.law.mean
-        var = m2 - mu * mu
-        wsum = sum(spec.weights)
-        wsq = sum(w * w for w in spec.weights)
-        return var * wsq + (mu * wsum) ** 2
-    if spec.family == "gaussian_assoc":
+    parts, drift = _parts(spec)
+    if not parts:
         raise ValueError("gaussian_assoc has per-step second moments; use v_n")
-    if spec.family == "centered_partial_sum":
-        mu = step_mean(spec.inner)
-        return step_second_moment(spec.inner) - mu * mu
-    # adversarial_sign_flip
-    return spec.law.second_moment
+    m2, mean = parts[0].second_moment, parts[0].mean
+    for part in parts[1:]:
+        m2 = m2 + 2.0 * mean * part.mean + part.second_moment
+        mean = mean + part.mean
+    return m2 - drift * drift
 
 
 def v_n(spec: GeneratorSpec) -> float:
     """Cumulative increment second moment V_n = sum_i E (S_i - S_{i-1})^2.
 
     The first step includes the start offset (S_0 = 0 convention), so an
-    offset inflates V_n through E (offset + X_1)^2.
+    offset inflates V_n through E (offset + X_1)^2.  Gaussian steps are mean
+    zero, so centering them changes nothing.
     """
-    # Gaussian steps are mean zero, so centering them changes nothing
-    gauss = spec.inner if spec.family == "centered_partial_sum" else spec
-    if gauss.family == "gaussian_assoc":
-        return float(np.trace(gauss.covariance)) + spec.offset * spec.offset
+    if spec.family == "gaussian_assoc":
+        return float(np.trace(spec.covariance)) + spec.offset * spec.offset
     m2 = step_second_moment(spec)
     first = m2 + 2.0 * spec.offset * _first_step_mean(spec) + spec.offset * spec.offset
     return first + (spec.horizon - 1) * m2
 
 
-def _sum_variance(spec: GeneratorSpec) -> float | None:
-    """Var(S_n) in closed form where the family permits it."""
+def sigma_n_exact(spec: GeneratorSpec) -> float | None:
+    """sqrt(E S_n^2) in closed form (centering keeps Var S_n), or None when
+    only sampling can estimate it."""
     n = spec.horizon
     if spec.family == "iid":
-        return n * (spec.law.second_moment - spec.law.mean**2)
-    if spec.family == "shared_shock":
+        var = n * (spec.law.second_moment - spec.law.mean**2)
+    elif spec.family == "shared_shock":
         var_b = spec.law.second_moment - spec.law.mean**2
         var_w = spec.shock.second_moment - spec.shock.mean**2
-        return n * var_b + n * n * var_w
-    if spec.family == "gaussian_assoc":
-        return float(spec.covariance.sum())
-    if spec.family == "centered_partial_sum":
-        return _sum_variance(spec.inner)
-    return None
-
-
-def sigma_n_exact(spec: GeneratorSpec) -> float | None:
-    """sqrt(E S_n^2) in closed form, or None when only sampling can estimate it."""
-    var = _sum_variance(spec)
-    if var is None:
+        var = n * var_b + n * n * var_w
+    elif spec.family == "gaussian_assoc":
+        var = float(spec.covariance.sum())
+    else:
         return None
-    mean_sn = spec.offset + spec.horizon * step_mean(spec)
+    mean_sn = spec.offset + n * step_mean(spec)
     return math.sqrt(mean_sn * mean_sn + var)
 
 
@@ -584,38 +598,21 @@ def mean_s1(spec: GeneratorSpec) -> float:
 
 
 def step_log_mgf(spec: GeneratorSpec, theta: float) -> float:
-    """log E exp(theta X_i) for one increment, exact from the parametric law.
-
-    Available when increments are identically distributed with a tractable
-    moment generating function (iid, shared_shock, moving_sum, and their
-    centered wrappers).
-    """
-    if spec.family == "iid":
-        return spec.law.log_mgf(theta)
-    if spec.family == "shared_shock":
-        return spec.law.log_mgf(theta) + spec.shock.log_mgf(theta)
-    if spec.family == "moving_sum":
-        return sum(spec.law.log_mgf(theta * w) for w in spec.weights)
-    if spec.family == "centered_partial_sum":
-        return -theta * step_mean(spec.inner) + step_log_mgf(spec.inner, theta)
-    raise ValueError(f"no closed-form log-MGF for family {spec.family!r}")
+    """log E exp(theta X_i) for one increment, exact from the parametric law:
+    the sum over the step's independent parts, less theta * drift."""
+    parts, drift = _parts(spec)
+    if not parts:
+        raise ValueError(f"no closed-form log-MGF for family {spec.family!r}")
+    total = _sum(p.log_mgf(theta) for p in parts)
+    return total - theta * drift if spec.centered else total
 
 
 def increment_bound(spec: GeneratorSpec) -> float | None:
     """Almost-sure bound C with |S_i - S_{i-1}| <= C for i >= 2, None if unbounded."""
-    if spec.family == "iid":
+    if spec.family == "adversarial_sign_flip":
         return spec.law.abs_bound
-    if spec.family == "shared_shock":
-        return spec.law.abs_bound + spec.shock.abs_bound
-    if spec.family == "moving_sum":
-        return spec.law.abs_bound * sum(spec.weights)
-    if spec.family == "gaussian_assoc":
-        return None
-    if spec.family == "centered_partial_sum":
-        inner = increment_bound(spec.inner)
-        return None if inner is None else inner + abs(step_mean(spec.inner))
-    # adversarial_sign_flip
-    return spec.law.abs_bound
+    parts, drift = _parts(spec)
+    return _sum(p.abs_bound for p in parts) + abs(drift) if parts else None
 
 
 def first_step_bound(spec: GeneratorSpec) -> float | None:
@@ -626,18 +623,10 @@ def first_step_bound(spec: GeneratorSpec) -> float | None:
 
 def step_min(spec: GeneratorSpec) -> float | None:
     """Almost-sure lower bound of one increment, None if unbounded."""
-    if spec.family == "iid":
-        return spec.law.min_value
-    if spec.family == "shared_shock":
-        return spec.law.min_value + spec.shock.min_value
-    if spec.family == "moving_sum":
-        return sum(w * spec.law.min_value for w in spec.weights)
-    if spec.family == "centered_partial_sum":
-        lo = step_min(spec.inner)
-        return None if lo is None else lo - step_mean(spec.inner)
     if spec.family == "adversarial_sign_flip":
         return -spec.law.abs_bound
-    return None
+    parts, drift = _parts(spec)
+    return _sum(p.min_value for p in parts) - drift if parts else None
 
 
 def path_min_bound(spec: GeneratorSpec) -> float | None:
@@ -750,9 +739,6 @@ class DiscreteChainSpec:
 
 def to_chain(spec: GeneratorSpec) -> DiscreteChainSpec:
     """Exact chain with the same path law, for finite-support families only."""
-    if spec.family == "centered_partial_sum":
-        inner = to_chain(spec.inner)
-        return replace(inner, drift=inner.drift + step_mean(spec.inner), offset=spec.offset)
     if spec.family == "gaussian_assoc":
         raise ValueError(f"not enumerable: family {spec.family!r}")
     # each draw of the law adds v times this row from its step on
@@ -764,4 +750,6 @@ def to_chain(spec: GeneratorSpec) -> DiscreteChainSpec:
         row, steps = [1.0], range(spec.horizon)
     atoms = tuple((tuple([v * w for w in row]), p) for v, p in spec.law.support())
     shared = tuple(spec.shock.support()) if spec.family == "shared_shock" else None
-    return DiscreteChainSpec(atoms, tuple(steps), spec.horizon, shared, offset=spec.offset)
+    # 0.0 + drift: a drift of -0.0 (a Bernoulli(-0.0) step) is stored as 0.0
+    drift = 0.0 + _parts(spec)[1]
+    return DiscreteChainSpec(atoms, tuple(steps), spec.horizon, shared, drift, spec.offset)

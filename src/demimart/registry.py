@@ -284,9 +284,14 @@ def _probe_seed(seed: int) -> int:
 
 
 def _certify(inst: Instance, rule: StoppingRule, direction: str, target: str) -> None:
-    """Analytic certificate or sampled probe for the needed indicator direction."""
+    """Analytic certificate for the needed indicator direction, or a sampled
+    probe for a rule with a user predicate.  A built-in rule without one is
+    refused: the probe moves S by at most 1, so on a lattice of spacing 2 a
+    first passage the wrong way never shows."""
     if rule.has_analytic_certificate(direction, target):
         return
+    _require(rule.user_defined, "stopping.direction",
+             f"indicator of {rule.label} is not {direction} (target {target})")
     probe = gen.generate(inst.spec, _PROBE_PATHS, _probe_seed(inst.seed))
     cert = certify_indicator_monotonicity(
         rule, direction, probe, _PROBES_PER_PATH, _probe_seed(inst.seed), target=target
@@ -739,8 +744,8 @@ def _entry_list() -> list[RegistryEntry]:
         RegistryEntry(
             "C2.2-stop-vs-fixed",
             ("C2.2",),
-            "E S_(tau^j) <= E S_j for every j",
-            requires=(_generator, _rule, _demisubmartingale, _certified(None, "le")),
+            "E S_(tau^j) <= E S_j for every j (nondecreasing indicator)",
+            requires=(_generator, _rule, _demisubmartingale, _certified("nondecreasing", "le")),
             build=_build_c22,
         ),
         RegistryEntry(

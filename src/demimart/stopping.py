@@ -137,6 +137,11 @@ class StoppingRule:
             return self.user_bound
         return None
 
+    @property
+    def user_defined(self) -> bool:
+        """Whether a user predicate decides tau, under any caps."""
+        return self.kind == "user" or self.kind == "capped" and self.inner.user_defined
+
     def has_analytic_certificate(self, direction: str, target: str = "le") -> bool:
         """Monotonicity of the indicator, known by construction.
 

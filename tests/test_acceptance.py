@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from demimart import (
+    PreconditionError,
     bernstein_tail,
     capped,
     centered,
@@ -149,8 +150,10 @@ def test_criterion_03_optional_sampling_exact():
             r = verify("T1.4", bern, rule=down, params={"n": max(1, h // 2), "m": h},
                        mode="exact", seed=2026)
             assert r.verdict == "PASS", ("T1.4 down", h, lam)
-            r = verify("C2.2", bern, rule=down, mode="exact", seed=2026)
-            assert r.verdict == "PASS", ("C2.2 down", h, lam)
+            # C2.2's claim does not reverse for a nonincreasing rule: refused
+            with pytest.raises(PreconditionError) as err:
+                verify("C2.2", bern, rule=down, mode="exact", seed=2026)
+            assert err.value.name == "stopping.direction", ("C2.2 down", h, lam)
 
     for h in range(2, 9):
         for lam in (0.0, 1.0):
@@ -185,7 +188,7 @@ def _agreement_pairs():
         ("T2.1", bern6, dict(rule=deterministic(4), params=small_battery)),
         ("T2.1", rad6, dict(rule=jump_if_high(2, 1.0, 3, 6), params=small_battery)),
         ("C2.2", rad6, dict(rule=capped(first_passage_up(1.0), 6))),
-        ("C2.2", bern6, dict(rule=first_passage_down(1.0))),
+        ("C2.2", bern6, dict(rule=first_passage_up(3.0))),
         ("T2.3", rad6, dict(rule=deterministic(2), rule2=deterministic(5),
                             params=small_battery)),
         ("T2.3", rad6, dict(rule=jump_if_high(2, 1.0, 3, 6), rule2=deterministic(6),

@@ -476,8 +476,24 @@ class TestPreconditionFields:
                 "must be >= 1",
             ),
             (T31_CFG.replace("stopping.cap = 3", "stopping.cap = 0"), "stopping.cap", "must be >= 1"),
+            (
+                "seed = 3\ntheorem_id = C2.2\nmode = exact\n"
+                "generator.family = shared_shock\ngenerator.horizon = 6\n"
+                "generator.base.law = rademacher\ngenerator.shock.law = rademacher\n"
+                "stopping.kind = first_passage_down\nstopping.threshold = -1\n",
+                "stopping.direction",
+                "indicator of down(-1.0) is not nondecreasing (target le)",
+            ),
+            (
+                "seed = 3\ntheorem_id = Def1.2\nmode = exact\n"
+                "generator.family = centered_partial_sum\ngenerator.horizon = 4\n"
+                "generator.inner.family = adversarial_sign_flip\n",
+                "generator",
+                "cannot center adversarial_sign_flip: its step means alternate",
+            ),
         ],
-        ids=["c55-gaussian", "l45-sign-flip", "sideways-direction", "step-zero", "cap-zero"],
+        ids=["c55-gaussian", "l45-sign-flip", "sideways-direction", "step-zero", "cap-zero",
+             "c22-down-rule", "centered-sign-flip"],
     )
     def test_refusal_names_its_field(self, tmp_path, capsys, text, field, message):
         cfg = _write(tmp_path, "bad.cfg", text)
@@ -494,6 +510,14 @@ class TestPreconditionFields:
         assert main(["gen", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert out.startswith("generator_id: adversarial_sign_flip/n=3/law=rademacher/offset=5.0\n")
+
+    def test_centered_config_spelling_builds_the_flag(self, capsys):
+        """``generator.family = centered_partial_sum`` with ``generator.inner.*``
+        is the config spelling of ``centered(spec)``."""
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "23-c22-moving-sum-mc.cfg"
+        assert main(["gen", "--config", str(cfg), "--paths", "10"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == "generator_id: moving_sum/n=8/law=bernoulli(0.5)/w=(1.0,0.5)/centered"
 
     def test_gen_prints_v_n_of_a_centered_gaussian(self, tmp_path, capsys):
         cfg = _write(

@@ -40,7 +40,6 @@ from demimart.generators import (
     to_chain,
     uniform,
     v_n,
-    with_horizon,
 )
 from demimart.oracle import fold_expectations, iter_blocks
 
@@ -143,6 +142,20 @@ class TestSampling:
             with pytest.raises(TypeError, match="64-bit"):
                 law.sample(rng, (2, 3))
 
+    def test_shared_shocks_refuse_generators_that_cannot_jump(self):
+        """A shared shock is drawn from a jumped stream; SFC64 has no
+        ``jumped``, so it is refused by name, though its lattice draws work."""
+        sfc = lambda: np.random.Generator(np.random.SFC64(1))  # noqa: E731
+        for law in (rademacher(), uniform(-1.0, 1.0)):
+            spec = shared_shock_spec(law, law, 4)
+            for sampler in (sample_paths, sample_final_sums):
+                with pytest.raises(TypeError, match="can jump, not SFC64"):
+                    sampler(spec, 3, sfc())
+        assert sample_paths(iid_spec(rademacher(), 4), 3, sfc()).shape == (3, 4)
+        mt = np.random.Generator(np.random.MT19937(1))
+        spec = shared_shock_spec(uniform(-1.0, 1.0), uniform(-1.0, 1.0), 4)
+        assert sample_paths(spec, 3, mt).shape == (3, 4)
+
     def test_rademacher_path_support_and_parity(self):
         spec = iid_spec(rademacher(), 3)
         path = generate(spec, 1, seed=5)[0]
@@ -212,14 +225,15 @@ class TestSampling:
             gaussian_assoc_spec(bad, 2)
 
     def test_gaussian_horizon_is_fixed_by_its_covariance(self):
-        """``with_horizon`` keeps a Gaussian spec's horizon only; the
-        covariance-shape check refuses any other, centered or not."""
+        """A Gaussian spec keeps its horizon only; the covariance-shape check
+        refuses any other, centered or not."""
         spec = gaussian_assoc_spec(np.eye(3), 3)
         for s in (spec, centered(spec)):
-            assert with_horizon(s, 3) == s
+            assert replace(s, horizon=3) == s
             with pytest.raises(ValueError, match=r"covariance must be \(horizon, horizon\)"):
-                with_horizon(s, 4)
-        assert with_horizon(centered(iid_spec(rademacher(), 3)), 5).inner.horizon == 5
+                replace(s, horizon=4)
+        longer = replace(centered(iid_spec(rademacher(), 3)), horizon=5)
+        assert longer.centered and longer.horizon == 5
 
     @given(
         st.integers(min_value=0, max_value=2**63),
@@ -283,6 +297,21 @@ class TestSampling:
         assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
         assert set(got[7::8]) == {step * n}
 
+    def test_centering_refusals(self):
+        """The sign flip has no single step mean to take off; a spec is
+        centered once; an offset comes after centering, not before."""
+        with pytest.raises(ValueError, match="cannot center adversarial_sign_flip"):
+            centered(adversarial_spec(4))
+        with pytest.raises(ValueError, match="cannot center adversarial_sign_flip"):
+            GeneratorSpec("adversarial_sign_flip", 4, law=rademacher(), centered=True)
+        with pytest.raises(ValueError, match="already centered"):
+            centered(centered(iid_spec(bernoulli(0.3), 4)))
+        with pytest.raises(ValueError, match="center the family first"):
+            centered(iid_spec(bernoulli(0.3), 4, offset=1.0))
+        spec = centered(iid_spec(bernoulli(0.3), 4), offset=1.0)
+        assert spec.centered and spec.offset == 1.0
+        assert spec.generator_id == "iid/n=4/law=bernoulli(0.3)/offset=1.0/centered"
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):
             GeneratorSpec("brownian", 3)
@@ -343,12 +372,18 @@ class TestBitDraws:
             GeneratorSpec("moving_sum", 9, law=rademacher(), weights=(1.0, 0.0, 0.5)),
             adversarial_spec(5),
             centered(iid_spec(bernoulli(0.3), 7), offset=1.0),
+            shared_shock_spec(rademacher(), rademacher(), 6),
+            shared_shock_spec(bernoulli(0.3), rademacher(), 6),
+            shared_shock_spec(rademacher(), bernoulli(0.5), 6),
+            centered(shared_shock_spec(bernoulli(0.3), uniform(0.0, 1.0), 5), offset=0.5),
         ],
-        ids=["iid", "moving sum", "sign flip", "bernoulli"],
+        ids=["iid", "moving sum", "sign flip", "bernoulli", "shock", "bernoulli base shock",
+             "bernoulli shock", "centered uniform shock"],
     )
     def test_a_path_does_not_depend_on_the_chunk_size(self, spec):
         """A path's steps depend on (seed, chunk, row, horizon) only, so the
-        first 300 paths of a 300-path and of a 1,000-path chunk agree."""
+        first 300 paths of a 300-path and of a 1,000-path chunk agree; a
+        shared shock too, drawn from its own jumped stream."""
         few = sample_paths(spec, 300, derive_stream(4, 9))
         many = sample_paths(spec, 1000, derive_stream(4, 9))
         assert np.ascontiguousarray(few).tobytes() == np.ascontiguousarray(many[:300]).tobytes()
@@ -359,11 +394,10 @@ class TestBitDraws:
 def _cumsum_paths(spec, n_paths, rng):
     """The row-major reference build: ``np.cumsum`` along each path of the
     same increments, with the centered and offset rules of ``sample_paths``."""
-    if spec.family == "centered_partial_sum":
-        s = _cumsum_paths(spec.inner, n_paths, rng)
-        s -= step_mean(spec.inner) * np.arange(1, spec.horizon + 1)
-    else:
-        s = np.cumsum(sample_increments(spec, n_paths, rng), axis=1, dtype=np.float64)
+    inc = sample_increments(spec, n_paths, rng)
+    s = np.cumsum(inc, axis=1, dtype=np.float64)
+    if spec.centered:
+        s -= step_mean(replace(spec, centered=False)) * np.arange(1, spec.horizon + 1)
     if spec.offset:
         s += spec.offset
     return s
@@ -492,6 +526,13 @@ class TestClassify:
         cls = classify(iid_spec(bernoulli(0.5), 5))
         assert not cls.demimartingale
         assert cls.demisubmartingale
+
+    def test_centered_gaussian_keeps_its_unequal_variances(self):
+        """Centering a mean-zero Gaussian changes nothing, so unequal variances
+        still mean the increments are not identically distributed."""
+        gauss = gaussian_assoc_spec(np.diag([2.0, 1.0, 1.0, 1.0]), 4)
+        assert classify(centered(gauss)) == classify(gauss)
+        assert not classify(centered(gauss)).identically_distributed
 
     def test_adversarial_is_neither(self):
         cls = classify(adversarial_spec(4))

@@ -41,6 +41,7 @@ from demimart.generators import (
     uniform,
 )
 from demimart import asymptotics, registry
+from demimart.monotone import SAMPLED_OK, MonotonicityCertificate
 from demimart.oracle import fold_expectations, iter_blocks, terminal_law
 from demimart.registry import (
     CheckMeta,
@@ -105,9 +106,47 @@ class TestPreconditions:
             verify("T3.1", BERN6, rule=capped(first_passage_up(1.0), 6), mode="exact", seed=1)
 
     def test_t31_rejects_wrong_direction_rule(self):
-        """A down rule on a symmetric walk gets refuted by probing."""
+        """A down rule has no nondecreasing certificate, so it is refused."""
         with pytest.raises(PreconditionError, match="not nondecreasing"):
             verify("T3.1", RAD6, rule=capped(first_passage_down(-1.0), 6), mode="exact", seed=1)
+
+    SHOCK6 = shared_shock_spec(rademacher(), rademacher(), 6)
+
+    @pytest.mark.parametrize(
+        "tid, spec, rule",
+        [
+            # E S_(tau^j) - E S_j reads 0, -0.25, ..., -2.02: the claim fails
+            ("C2.2", SHOCK6, first_passage_down(-1.0)),
+            # 0, 0.5, ..., 2.5: the reversed claim fails too
+            ("C2.2", BERN6, first_passage_down(1.0)),
+            # S is even, so no probe of size <= 1 lifts S = -2 past -1
+            ("T3.1", SHOCK6, capped(first_passage_down(-1.0), 6)),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    def test_rules_a_theorem_excludes_are_refused(self, tid, spec, rule, mode):
+        with pytest.raises(PreconditionError) as exc:
+            verify(tid, spec, rule=rule, mode=mode, paths=1000, seed=1)
+        assert exc.value.name == "stopping.direction"
+        assert "is not nondecreasing" in exc.value.message
+
+    def test_built_in_rules_are_never_probed(self, monkeypatch):
+        """Built-in rules are certified or refused by construction; only a
+        rule with a user predicate reaches the sampled probe."""
+        probed = []
+
+        def probe(rule, *args, **kwargs):
+            probed.append(rule.label)
+            return MonotonicityCertificate(SAMPLED_OK)
+
+        monkeypatch.setattr(registry, "certify_indicator_monotonicity", probe)
+        for rule in (capped(first_passage_up(1.0), 6), capped(first_passage_down(-1.0), 6),
+                     deterministic(3), jump_if_high(2, 1.0, 3, 6)):
+            try:
+                verify("T3.1", RAD6, rule=rule, mode="exact", seed=1)
+            except PreconditionError:
+                pass
+        assert probed == [jump_if_high(2, 1.0, 3, 6).label]
 
     def test_uncapped_rule_not_finite_at_horizon(self):
         with pytest.raises(PreconditionError, match="not a.s. finite"):
@@ -132,6 +171,15 @@ class TestPreconditions:
         shifted = iid_spec(bernoulli(0.5), 6, offset=1.0)
         with pytest.raises(PreconditionError, match="identically distributed"):
             verify("C5.2", shifted, rule=deterministic(3), mode="exact", seed=1)
+
+    def test_wald_refuses_a_centered_unequal_variance_gaussian(self):
+        """Centering leaves a mean-zero Gaussian as it is, so C5.2 refuses it
+        centered just as it refuses it uncentered."""
+        gauss = gaussian_assoc_spec(np.diag([2.0, 1.0, 1.0, 1.0]), 4)
+        for spec in (gauss, centered(gauss)):
+            with pytest.raises(PreconditionError, match="identically distributed"):
+                verify("C5.2", spec, rule=deterministic(2), mode="monte_carlo",
+                       paths=20_000, seed=1)
 
     def test_bernstein_rejects_offset_process(self):
         shifted = iid_spec(rademacher(), 6, offset=1.0)
@@ -1122,24 +1170,24 @@ PINNED_RUNS = {
 # two chunks.
 PINNED = {
     'def_demi_mc': ('PASS', [
-        ('j=1|f0:one', 0.0016106764841233318, 0.0053562726512279175, 'PASS'),
-        ('j=1|f1:last', 0.991428900138058, 0.006549515848983861, 'PASS'),
-        ('j=1|f2:minus_one', -0.0016106764841233318, 0.0053562726512279175, 'PASS'),
-        ('j=1|f3:linear', 0.20573537678324896, 0.001359116231886037, 'PASS'),
-        ('j=1|f4:clipped', -0.00016816912103083279, 0.0005592430712420556, 'PASS'),
-        ('j=1|f5:threshold', 0.2505752416014726, 0.0025108165558400987, 'PASS'),
-        ('j=2|f0:one', 0.004889553612517257, 0.0053421706464171735, 'PASS'),
-        ('j=2|f1:last', 1.978255867464335, 0.010683158247253927, 'PASS'),
-        ('j=2|f2:minus_one', -0.004889553612517257, 0.0053421706464171735, 'PASS'),
-        ('j=2|f3:linear', 3.2226730808789688, 0.017424182234354747, 'PASS'),
-        ('j=2|f4:clipped', -0.0005105134031293142, 0.0005577706950217707, 'PASS'),
-        ('j=2|f5:threshold', 0.374223423838012, 0.0029579728636270684, 'PASS'),
-        ('j=3|f0:one', 0.0006615278416935113, 0.005361755667614369, 'PASS'),
-        ('j=3|f1:last', 2.9894155545329038, 0.014623184884666223, 'PASS'),
-        ('j=3|f2:minus_one', -0.0006615278416935113, 0.005361755667614369, 'PASS'),
-        ('j=3|f3:linear', 7.264057884951679, 0.03624710950805063, 'PASS'),
-        ('j=3|f4:clipped', -6.906946042337786e-05, 0.0005598155474999486, 'PASS'),
-        ('j=3|f5:threshold', 0.4379601932811781, 0.003136618058254178, 'PASS'),
+        ('j=1|f0:one', 0.002387252646111367, 0.005378693836491103, 'PASS'),
+        ('j=1|f1:last', 1.0022434422457431, 0.006573294088544425, 'PASS'),
+        ('j=1|f2:minus_one', -0.002387252646111367, 0.005378693836491103, 'PASS'),
+        ('j=1|f3:linear', 0.20797954567418317, 0.0013640505494902078, 'PASS'),
+        ('j=1|f4:clipped', -0.0002492506615278416, 0.0005615840447741996, 'PASS'),
+        ('j=1|f5:threshold', 0.2511792452830189, 0.0025134068564606226, 'PASS'),
+        ('j=2|f0:one', 0.005666129774505292, 0.005365723289365725, 'PASS'),
+        ('j=2|f1:last', 2.0066152784169353, 0.010764907467430387, 'PASS'),
+        ('j=2|f2:minus_one', -0.005666129774505292, 0.005365723289365725, 'PASS'),
+        ('j=2|f3:linear', 3.26827392395306, 0.017555666169345185, 'PASS'),
+        ('j=2|f4:clipped', -0.000591594943626323, 0.0005602298029193861, 'PASS'),
+        ('j=2|f5:threshold', 0.3780487804878049, 0.0029695530317085804, 'PASS'),
+        ('j=3|f0:one', 0.0014381040036815463, 0.005359515797621895, 'PASS'),
+        ('j=3|f1:last', 3.006500230096641, 0.01470350120383921, 'PASS'),
+        ('j=3|f2:minus_one', -0.0014381040036815463, 0.005359515797621895, 'PASS'),
+        ('j=3|f3:linear', 7.3013193561896, 0.0364273392103127, 'PASS'),
+        ('j=3|f4:clipped', -0.00015015100092038652, 0.0005595816849139044, 'PASS'),
+        ('j=3|f5:threshold', 0.4385066728025771, 0.0031380252953397917, 'PASS'),
     ]),
     'def_demisub_mc': ('PASS', [
         ('j=1|f0:one', 0.298, 0.0064689697413036935, 'PASS'),
