@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -54,6 +55,8 @@ FAMILIES = (
 
 # Total outcome count an exact chain may require.
 ENUMERATION_CAP = 1 << 24
+# Points of its lattice on either side of 0 a terminal law may reach.
+_GRID_SPAN = 1 << 20
 
 _PSD_EIG_TOL = 1e-10
 _PROB_TOL = 1e-12
@@ -129,28 +132,19 @@ class IncrementLaw:
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Draw an (m, c) array: int8 for the lattice laws, else float64.
 
-        The lattice laws read raw 64-bit words.  A Rademacher step is one
-        bit: the m rows take ceil(m / 64) blocks of c consecutive words, and
-        entry (p, j) is +1 exactly when bit p % 64 of word (p // 64, j) is
-        set, so a row's steps depend only on the stream and the row, not on
-        m.  The array is the column-major view of time-major (c, m) rows.
-        A Bernoulli step is one word, ``(word >> 11) * 2**-53 < p`` as in
-        numpy's ``rng.random() < p``, that is ``word < ceil(p * 2**53) << 11``
-        (every word, for p = 1, where that bound is 2**64).  They need one of
-        the bit generators in ``_RAW64``; ``derive_stream`` gives Philox.
+        A lattice step is a bit of ``_lattice_bits``, 1 with the probability
+        of numpy's ``rng.random() < p`` (p = 1/2 for Rademacher, whose step
+        is 2 * bit - 1).  The array is the column-major view of the
+        time-major (c, m) rows, and a row depends only on the stream and the
+        row, not on m.
         """
+        if self.name == "uniform":
+            return rng.uniform(self.a, self.b, size=shape)
+        steps = _lattice_bits(self, rng, *shape)
         if self.name == "rademacher":
-            steps = _step_bits(_rademacher_words(rng, *shape), shape[0])
             steps <<= 1
             steps -= 1
-            return steps.view(np.int8).T
-        if self.name == "bernoulli":
-            words = _raw64(rng).random_raw(shape)
-            bound = math.ceil(self.p * 2.0**53) << 11
-            if bound == 1 << 64:
-                return np.ones(shape, dtype=np.int8)
-            return (words < np.uint64(bound)).view(np.int8)
-        return rng.uniform(self.a, self.b, size=shape)
+        return steps.view(np.int8).T
 
     def log_mgf(self, theta: float) -> float:
         """log E exp(theta * X), finite for every theta since X is bounded."""
@@ -188,24 +182,55 @@ def _jumpable(rng: np.random.Generator):
     return bitgen
 
 
-def _rademacher_words(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    """The raw words of m paths' n Rademacher steps: ceil(m / 64) blocks of n."""
-    return _raw64(rng).random_raw((-(-m // 64), n))
+def _lattice_bits(law: IncrementLaw, rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """The time-major (n, m) 0/1 rows of m paths' n steps, each 1 with
+    probability a / 2**k = ceil(p * 2**53) / 2**53 in lowest terms, the law
+    of ``random() < p`` (p = 1/2 for Rademacher; k = 0 for p = 0 or 1).
+
+    The m paths take ceil(m / 64) blocks of k * n raw words, level i of
+    step j at (block, i, j).  Step j of path p reads the k-bit number U
+    whose i-th most significant bit is bit p % 64 of word (p // 64, i, j),
+    and is 1 exactly when U >= 2**k - a.  At k = 1 (p = 1/2) that is bit
+    p % 64 of word (p // 64, 0, j); at k = 0 no word is drawn.
+    """
+    num = math.ceil((0.5 if law.name == "rademacher" else law.p) * 2.0**53)
+    k = 54 - (num & -num).bit_length() if 0 < num < 1 << 53 else 0
+    words = _raw64(rng).random_raw((-(-m // 64), k, n))
+    return _step_bits(_at_least(words, (1 << k) - (num >> (53 - k))), m)
+
+
+def _at_least(words: np.ndarray, t: int) -> np.ndarray:
+    """Per lane of (blocks, k, n) level words, whether the k-bit number U it
+    reads, most significant level first, is at least t, for odd t < 2**k or
+    k = 0.  One pass per level, from the least significant: U's low bits
+    are at least t's when U's next bit exceeds t's, or equals it with the
+    bits below at least t's.  Overwrites the words' lowest level."""
+    k = words.shape[1]
+    if k == 0:
+        return np.full(words.shape[::2], 0 if t else 2**64 - 1, dtype=np.uint64)
+    ge = words[:, k - 1]  # t is odd: a lane's lowest bit is at least t's when set
+    for i in range(k - 2, -1, -1):
+        if (t >> (k - 1 - i)) & 1:
+            ge &= words[:, i]
+        else:
+            ge |= words[:, i]
+    return ge
 
 
 def _step_bits(words: np.ndarray, m: int) -> np.ndarray:
-    """The time-major (n, m) 0/1 rows of m paths' steps from their raw words:
-    bit p % 64 of word (p // 64, j) at (j, p); see ``IncrementLaw.sample``."""
+    """The time-major (n, m) 0/1 rows of m paths' steps from (ceil(m / 64),
+    n) words: bit p % 64 of word (p // 64, j) at (j, p)."""
     rows = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
     return np.unpackbits(rows, axis=1, count=m, bitorder="little")
 
 
-def _bit_sums(bits: np.ndarray) -> np.ndarray:
-    """S_n = 2K - n per path of (n, m) 0/1 step rows, K the count of set
-    bits; fewer than 256 bits fit in a uint8."""
-    n = len(bits)
-    s = bits.sum(axis=0, dtype=np.uint8 if n < 256 else np.int64) * 2.0
-    s -= n
+def _bit_sums(bits: np.ndarray, law: IncrementLaw) -> np.ndarray:
+    """S_n = n * lo + (1 - lo) * K per path of (n, m) 0/1 step rows of a
+    lattice law with steps lo and 1, K the count of set bits: K for
+    Bernoulli, 2K - n for Rademacher.  Fewer than 256 bits fit in a uint8."""
+    n, lo = len(bits), law.min_value
+    s = bits.sum(axis=0, dtype=np.uint8 if n < 256 else np.int64) * (1.0 - lo)
+    s += n * lo
     return s
 
 
@@ -381,8 +406,9 @@ def sample_increments(spec: GeneratorSpec, n_paths: int, rng: np.random.Generato
         x = base + spec.shock.sample(shocks, (n_paths, 1)).astype(np.float64, copy=False)
     elif spec.family == "moving_sum":
         # X_i = 0 + w_0 y_(i+q) + w_1 y_(i+q-1) + ..., added in that order
-        # into row i of a time-major build from the transposed draws (bytes,
-        # for a lattice law); the products are those of the float64 draws
+        # into row i of a time-major build from the time-major draws (a
+        # lattice law's rows as drawn); the products are those of the
+        # float64 draws
         q = len(spec.weights) - 1
         y = np.ascontiguousarray(spec.law.sample(rng, (n_paths, n + q)).T)
         rows = np.zeros((n, n_paths))
@@ -421,8 +447,8 @@ def sample_paths(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) ->
     from S_i as the exact oracle does, so lattice paths stay exactly on their
     shifted lattice (summing x - drift step by step drifts off it by ulps).
     """
-    # the time-major rows (a byte transpose for Bernoulli steps, none for
-    # Rademacher steps or a moving sum), then the running sum in place
+    # the time-major rows (as drawn for lattice steps and a moving sum, a
+    # transposed copy of continuous draws), then the running sum in place
     rows = np.ascontiguousarray(sample_increments(spec, n_paths, rng).T)
     if rows.dtype == np.int8 and spec.horizon >= 128:
         rows = rows.astype(np.int16 if spec.horizon < 1 << 15 else np.int64)
@@ -435,33 +461,25 @@ def sample_paths(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) ->
 
 
 def _row_sums(inc: np.ndarray) -> np.ndarray:
-    """Per-path float64 sums of an (n_paths, horizon) increment matrix.
-
-    Integer lattices sum exactly, and much faster, in integers (fewer than
-    256 int8 steps cannot overflow int16, which halves the cast).  Float
-    increments are summed from a row-major copy when they are column-major
-    (a moving sum): numpy's row sum is pairwise along a contiguous row but
-    sequential across columns, and the two differ in the last bits.
-    """
-    if inc.dtype == np.int8 and inc.shape[1] * 128 < 1 << 15:
-        return inc.sum(axis=1, dtype=np.int16).astype(np.float64)
-    if inc.dtype.kind in "iu":
-        return inc.sum(axis=1, dtype=np.int64).astype(np.float64)
+    """Per-path float64 sums of an (n_paths, horizon) increment matrix,
+    summed from a row-major copy when it is column-major (a moving sum):
+    numpy's row sum is pairwise along a contiguous row but sequential
+    across columns, and the two differ in the last bits."""
     return np.ascontiguousarray(inc).sum(axis=1, dtype=np.float64)
 
 
 def sample_final_sums(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) -> np.ndarray:
     """Draw S_n alone for n_paths paths, from the draws ``sample_paths`` makes.
 
-    No partial-sum matrix is built, and iid Rademacher steps are counted
-    straight from their bits, without building the +-1 matrix.
+    No partial-sum matrix is built, and iid lattice steps are counted
+    straight from their bits, without building a step matrix.
     Integer-valued draws sum exactly, so on lattice families this equals
     ``sample_paths(...)[:, -1]`` bit for bit and leaves the generator in the
     same state; a centered family subtracts n * drift once from the
     uncentered sum, so its S_n stays on the shifted lattice.
     """
-    if spec.family == "iid" and spec.law.name == "rademacher":
-        s = _bit_sums(_step_bits(_rademacher_words(rng, n_paths, spec.horizon), n_paths))
+    if spec.family == "iid" and spec.law.name != "uniform":
+        s = _bit_sums(_lattice_bits(spec.law, rng, n_paths, spec.horizon), spec.law)
     else:
         s = _row_sums(sample_increments(spec, n_paths, rng))
     if spec.centered:
@@ -729,12 +747,23 @@ class DiscreteChainSpec:
         shared = len(self.shared_component) if self.shared_component else 1
         return len(self.atoms) ** len(self.steps) * shared
 
+    @cached_property
+    def grid(self) -> int | None:
+        """The least e with every atom entry and shared value a multiple of
+        2**-e, or None when S_n may then lie more than ``_GRID_SPAN`` points
+        of the lattice 2**-e Z from 0.  Scaled by 2**e, every sum the
+        enumeration forms is an integer far below 2**53, exact in float64."""
+        values = [x for row, _ in self.atoms for x in row]
+        shared = [w for w, _ in self.shared_component or ()]
+        e = max(x.as_integer_ratio()[1].bit_length() - 1 for x in values + shared)
+        reach = len(self.steps) * max(sum(map(abs, row)) for row, _ in self.atoms)
+        reach += self.horizon * max(map(abs, shared), default=0.0)
+        return e if reach <= math.ldexp(_GRID_SPAN, -e) else None
+
     @property
     def lattice(self) -> bool:
-        """Whether every atom entry and shared value is an integer (S_n on a lattice)."""
-        values = [x for row, _ in self.atoms for x in row]
-        values += [w for w, _ in self.shared_component or ()]
-        return all(float(x).is_integer() for x in values)
+        """Whether S_n lies on a lattice 2**-e Z that ``grid`` accepts."""
+        return self.grid is not None
 
 
 def to_chain(spec: GeneratorSpec) -> DiscreteChainSpec:

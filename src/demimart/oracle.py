@@ -5,8 +5,8 @@ and the defining projection statistic are computed by walking the full
 product space of the chain's independent draws.  Enumeration streams
 fixed-size blocks (no full outcome list is ever materialized) and combines
 probabilities with Kahan-compensated summation.  Statistics of S_n alone
-fold over the law of S_n instead when it is a lattice sum, convolved from
-each draw's law of row sums.
+fold over the law of S_n instead when it is a lattice sum (on a grid of
+2**-e), convolved from each draw's law of row sums.
 """
 
 from __future__ import annotations
@@ -116,16 +116,19 @@ def _check_total(total: float) -> None:
 def terminal_law(chain: DiscreteChainSpec) -> tuple[np.ndarray, np.ndarray]:
     """Atoms of S_n and their probabilities, without enumerating paths.
 
-    The laws of the draws' integer row sums (each row cut to the horizon)
-    are convolved in draw order and mixed over the shared component, which
-    adds n times its value.  Each atom is float(K) - drift * n + offset for
-    its integer sum K, the operations that give the last column of
+    Every entry is scaled by 2**e (``DiscreteChainSpec.grid``) to an
+    integer, exactly.  The laws of the draws' integer row sums (each row cut
+    to the horizon) are convolved in draw order and mixed over the shared
+    component, which adds n times its value.  Each atom is float(K) * 2**-e
+    - drift * n + offset for its integer sum K: the exact sum of the entries
+    the enumeration adds, then the operations that give the last column of
     ``iter_blocks``, so atoms equal the enumerated S_n bit for bit.
     Zero-probability atoms are dropped.  Raises ValueError unless the chain
     is ``lattice``.
     """
-    if not chain.lattice:
-        raise ValueError("terminal law needs integer-valued atoms")
+    e = chain.grid
+    if e is None:
+        raise ValueError("terminal law needs atoms on a coarse grid of 2**-e")
     n = chain.horizon
     width = len(chain.atoms[0][0])
     # (lowest sum, pmf from it) of a draw's row sum, once per cut of the row
@@ -135,7 +138,7 @@ def terminal_law(chain: DiscreteChainSpec) -> tuple[np.ndarray, np.ndarray]:
         cut = (-start if start < 0 else 0, width if start <= n - width else max(n - start, 0))
         draw = pmfs.get(cut)
         if draw is None:
-            sums = [(int(sum(row[slice(*cut)])), p) for row, p in chain.atoms]
+            sums = [(int(math.ldexp(sum(row[slice(*cut)]), e)), p) for row, p in chain.atoms]
             k_lo = min(k for k, _ in sums)
             pmf = np.zeros(max(k for k, _ in sums) - k_lo + 1)
             for k, p in sums:
@@ -143,15 +146,16 @@ def terminal_law(chain: DiscreteChainSpec) -> tuple[np.ndarray, np.ndarray]:
             draw = pmfs[cut] = k_lo, pmf
         lo += draw[0]
         base = np.convolve(base, draw[1])
-    shared = [(int(w), p) for w, p in chain.shared_component or ((0, 1.0),)]
-    # S_n = lo + j + n * w for index j of base and shared atom w
+    shared = [(int(math.ldexp(w, e)), p) for w, p in chain.shared_component or ((0, 1.0),)]
+    # S_n = (lo + j + n * w) * 2**-e for index j of base and shared atom w
     w_lo = min(w for w, _ in shared)
     pmf = np.zeros(base.size + n * (max(w for w, _ in shared) - w_lo))
     for w, p in shared:
         start = n * (w - w_lo)
         pmf[start : start + base.size] += p * base
     (keep,) = np.nonzero(pmf)
-    values = (lo + n * w_lo + keep).astype(np.float64) - chain.drift * n + chain.offset
+    sums = np.ldexp((lo + n * w_lo + keep).astype(np.float64), -e)
+    values = sums - chain.drift * n + chain.offset
     probs = pmf[keep]
     _check_total(math.fsum(probs.tolist()))
     return values, probs

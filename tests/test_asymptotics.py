@@ -16,12 +16,15 @@ from demimart.asymptotics import (
 from demimart.bounds import bernstein_tail
 from demimart.core import derive_stream
 from demimart.generators import (
+    GeneratorSpec,
     bernoulli,
     gaussian_assoc_spec,
     iid_spec,
     rademacher,
     shared_shock_spec,
+    to_chain,
 )
+from demimart.oracle import fold_expectations
 
 
 class TestKolmogorovSmirnov:
@@ -108,6 +111,25 @@ class TestCompleteConvergence:
         # P(|S_10| >= 5) = P(|S_10| >= 6) for the lattice walk
         p10 = 2 * sum(math.comb(10, k) for k in range(8, 11)) / 2**10
         assert diag.tail_estimates[0].estimate == pytest.approx(p10, abs=1e-12)
+
+    def test_fractional_weights_fold_the_law_of_s_n(self, monkeypatch):
+        """A moving sum with weights (1, 0.5) puts S_n on the grid Z / 2, so
+        its exact tails fold the law of S_n and never enumerate paths; the
+        values equal the enumeration's."""
+        spec = GeneratorSpec("moving_sum", 4, law=rademacher(), weights=(1.0, 0.5))
+        want = []
+        for n in (10, 12):
+            chain = to_chain(GeneratorSpec("moving_sum", n, law=rademacher(), weights=(1.0, 0.5)))
+            thr = n**0.75 * 0.5
+            (tail,) = fold_expectations(chain, lambda p: [(np.abs(p[:, -1]) >= thr) * 1.0])
+            want.append(tail)
+        monkeypatch.setattr("demimart.registry.fold_expectations", None)
+        diag = complete_convergence_diagnose(
+            spec, r=0.75, epsilon=0.5, n_grid=[10, 12], paths=1000, seed=3
+        )
+        got = [rec.estimate for rec in diag.tail_estimates]
+        assert all(rec.exact for rec in diag.tail_estimates)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_unreachable_threshold_is_exactly_zero(self):
         """n^r eps beyond n C makes the tail impossible."""

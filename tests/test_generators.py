@@ -4,6 +4,7 @@ and conversion to enumerable chains."""
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from demimart.core import CHUNK_PATHS, derive_stream, iter_chunks
 from demimart.generators import (
     DiscreteChainSpec,
+    _at_least,
     _bit_sums,
     _row_sums,
     _step_bits,
@@ -73,20 +75,32 @@ class TestLaws:
         assert bernoulli(1.0).support() == [(1.0, 1.0)]
 
 
-# p = 2**-53 and 1 - 2**-53 put the bound on raw words one step from 0 and
-# from 2**64, where p = 1 takes every word
+# p = 0 and 1 draw no word (k = 0), p = 1/2 one level (k = 1), 1/4 and 3/4
+# two, 0.3 52; 1/3, 2**-53 and 1 - 2**-53 (the laws one step from 0 and
+# from 1) take 53
 _LATTICE_LAWS = [rademacher()] + [
-    bernoulli(p) for p in (0.0, 1.0, 0.3, 0.5, 1 / 3, 2.0**-53, 1.0 - 2.0**-53)
+    bernoulli(p) for p in (0.0, 1.0, 0.5, 0.25, 0.75, 0.3, 1 / 3, 2.0**-53, 1.0 - 2.0**-53)
 ]
 
 
 def _reference_draw(law, rng, shape):
-    """Reference: Bernoulli steps through numpy's Generator API; Rademacher
-    step (p, j) is +1 exactly when bit p % 64 of raw word (p // 64, j) is
-    set, the rows taking ceil(rows / 64) blocks of ``cols`` words in turn."""
-    if law.name == "bernoulli":
-        return (rng.random(size=shape) < law.p).astype(np.int8)
+    """Reference: a Bernoulli(p) step is 1 with probability a / 2**k =
+    ceil(p * 2**53) / 2**53 in lowest terms; the rows take ceil(rows / 64)
+    blocks of k levels of ``cols`` words, and step (p, j) is 1 exactly when
+    U >= 2**k - a, U the k-bit number whose i-th most significant bit is
+    bit p % 64 of raw word (p // 64, i, j).  Rademacher step (p, j) is +1
+    exactly when bit p % 64 of raw word (p // 64, j) is set, the rows
+    taking ceil(rows / 64) blocks of ``cols`` words in turn."""
     rows, cols = shape
+    if law.name == "bernoulli":
+        q = Fraction(math.ceil(law.p * 2**53), 2**53)
+        a, k = q.numerator, q.denominator.bit_length() - 1
+        words = rng.bit_generator.random_raw((-(-rows // 64), k, cols))
+        lane = np.arange(rows, dtype=np.uint64)[:, None] % np.uint64(64)
+        u = np.zeros(shape, dtype=np.int64)
+        for i in range(k):
+            u = 2 * u + (words[np.arange(rows) // 64, i] >> lane & np.uint64(1)).astype(np.int64)
+        return (u >= 2**k - a).astype(np.int8)
     words = rng.bit_generator.random_raw((-(-rows // 64), cols))
     out = np.empty(shape, dtype=np.int8)
     for p, j in itertools.product(range(rows), range(cols)):
@@ -117,10 +131,12 @@ class TestSampling:
         ),
     )
     @settings(max_examples=150, deadline=None)
-    def test_lattice_draws_equal_numpy_draws(self, seed, chunk, pending, draws):
-        """Bernoulli draws give numpy's values, Rademacher draws the pinned
-        bit layout, and both leave the generator in the reference's state,
-        also when a half-word of numpy's uint32 buffer is pending."""
+    def test_lattice_draws_follow_the_raw_word_layout(self, seed, chunk, pending, draws):
+        """Bernoulli draws follow the k-level layout, Rademacher draws the
+        pinned one-bit layout (Bernoulli(1/2)'s at k = 1), and both leave
+        the generator where the reference's words leave it, ceil(rows / 64)
+        * k * cols words on, also when a half-word of numpy's uint32 buffer
+        is pending."""
         rng, twin = derive_stream(seed, chunk), derive_stream(seed, chunk)
         if pending:  # one uint32 leaves the high half of a word pending
             assert rng.integers(0, 2**32, dtype=np.uint32) == twin.integers(
@@ -135,6 +151,21 @@ class TestSampling:
             assert np.array_equal(got, want)
             assert _plain(rng.bit_generator.state) == _plain(twin.bit_generator.state)
         assert rng.random() == twin.random()
+
+    def test_bit_sliced_compare_is_exhaustive(self):
+        """For every k <= 6 and odd a < 2**k, level words whose 64 lanes run
+        through every k-bit U give exactly the lanes with U >= 2**k - a; at
+        k = 0 a threshold of 1 (p = 0) takes no lane and 0 (p = 1) all."""
+        for k in range(7):
+            u = [lane % 2**k for lane in range(64)]
+            levels = np.array(
+                [[[sum(1 << lane for lane in range(64) if u[lane] >> (k - 1 - i) & 1)]]
+                 for i in range(k)],
+                dtype=np.uint64,
+            ).reshape(1, k, 1)
+            for t in [2**k - a for a in range(1, 2**k, 2)] + ([0, 1] if k == 0 else []):
+                want = sum(1 << lane for lane in range(64) if u[lane] >= t)
+                assert int(_at_least(levels.copy(), t)[0, 0]) == want, (k, t)
 
     def test_lattice_draws_refuse_32_bit_generators(self):
         rng = np.random.Generator(np.random.MT19937(1))
@@ -242,20 +273,22 @@ class TestSampling:
             st.integers(min_value=1, max_value=150), st.sampled_from([255, 256, 300])
         ),
         st.sampled_from(["rademacher", "bernoulli", "shock", "bernoulli shock"]),
+        st.sampled_from([0.3, 0.5, 0.25, 0.0, 1.0]),
         st.sampled_from([0.0, 1.5]),
         st.booleans(),
         st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_final_sums_equal_last_column(
-        self, seed, chunk, n, family, offset, center, pending
+        self, seed, chunk, n, family, p, offset, center, pending
     ):
         """Same draws, same S_n: integer lattices sum exactly either way, and
         a centered family subtracts the same n * mean from the same sum.  The
-        Rademacher bit count switches from uint8 to int64 at n = 256, and
-        both builds leave the generator in the same state, also when an
-        earlier draw left half a raw word pending."""
-        law = bernoulli(0.3) if family.startswith("bernoulli") else rademacher()
+        iid bit count (K for Bernoulli(p), 2K - n for Rademacher) switches
+        from uint8 to int64 at n = 256, and both builds leave the generator
+        in the same state, also when an earlier draw left half a raw word
+        pending."""
+        law = bernoulli(p) if family.startswith("bernoulli") else rademacher()
         if family.endswith("shock"):
             spec = shared_shock_spec(law, rademacher(), n)
         else:
@@ -277,7 +310,7 @@ class TestSampling:
     @pytest.mark.parametrize("n", [255, 256, 300])
     @pytest.mark.parametrize("value", [127, -128])
     def test_row_sums_exact_at_the_int16_boundary(self, n, value):
-        """int8 steps summed in a narrow integer type never overflow."""
+        """int8 steps sum exactly, past where an int8 or int16 sum would wrap."""
         inc = np.full((3, n), value, dtype=np.int8)
         got = _row_sums(inc)
         assert got.dtype == np.float64
@@ -291,11 +324,20 @@ class TestSampling:
         the raw words equal, path p steps up exactly when bit p % 8 of that
         byte is set, so paths 7, 15, ... take the top bit (``step``)."""
         words = np.full((3, n), byte * 0x0101010101010101, dtype=np.uint64)
-        got = _bit_sums(_step_bits(words, 130))
+        got = _bit_sums(_step_bits(words, 130), rademacher())
         assert got.dtype == np.float64
         want = [n if byte >> (p % 8) & 1 else -n for p in range(130)]
         assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
         assert set(got[7::8]) == {step * n}
+
+    @pytest.mark.parametrize("n", [255, 256, 300])
+    def test_bernoulli_bit_counts_are_the_sums(self, n):
+        """A Bernoulli path's S_n is its count of set step bits, n or 0 here,
+        also past the uint8 limit."""
+        words = np.full((3, n), 0x0F * 0x0101010101010101, dtype=np.uint64)
+        got = _bit_sums(_step_bits(words, 130), bernoulli(0.5))
+        want = [n if p % 8 < 4 else 0 for p in range(130)]
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
     def test_centering_refusals(self):
         """The sign flip has no single step mean to take off; a spec is
@@ -318,11 +360,13 @@ class TestSampling:
 
 
 class TestBitDraws:
-    """The law of the paths built from one raw-word bit per Rademacher step."""
+    """The law of the paths built from k raw-word bits per lattice step."""
 
     LATTICE = {
         "iid rademacher": iid_spec(rademacher(), 16),
         "iid bernoulli": iid_spec(bernoulli(0.3), 9),
+        "iid bernoulli 1/2": iid_spec(bernoulli(0.5), 12),
+        "iid bernoulli 1/4": iid_spec(bernoulli(0.25), 9),
         "shared shock": shared_shock_spec(rademacher(), rademacher(), 6),
         "bernoulli base shock": shared_shock_spec(bernoulli(0.3), rademacher(), 5),
         "moving sum": GeneratorSpec("moving_sum", 8, law=rademacher(), weights=(1.0, 0.5)),
@@ -345,19 +389,22 @@ class TestBitDraws:
         stderr = rows.std(axis=1, ddof=1) / math.sqrt(rows.shape[1])
         assert np.all(np.abs(rows.mean(axis=1) - exact) <= 4.0 * stderr + 1e-12)
 
-    def test_final_sums_are_binomial(self):
-        """S_100 = 2K - 100 with K ~ Binomial(100, 1/2): a chi-square test over
-        2^20 paths, tails pooled into cells of >= 50 expected paths, at the
-        Wilson-Hilferty 1 - 1e-4 quantile."""
+    @staticmethod
+    def _chi_square_binomial(law, q, to_k):
+        """K = to_k(S_100) over 2^20 paths of iid ``law`` against
+        Binomial(100, q): a chi-square test, tails pooled into cells of >= 50
+        expected paths, at the Wilson-Hilferty 1 - 1e-4 quantile."""
         n = 100
         counts = np.zeros(n + 1)
-        for s in iter_chunks(sample_final_sums, iid_spec(rademacher(), n), 16 * CHUNK_PATHS, 77):
-            k = (s + n) / 2
+        for s in iter_chunks(sample_final_sums, iid_spec(law, n), 16 * CHUNK_PATHS, 77):
+            k = to_k(s)
             assert np.array_equal(k, np.round(k))
             counts += np.bincount(k.astype(np.int64), minlength=n + 1)
-        expected = counts.sum() * np.array([math.comb(n, k) for k in range(n + 1)]) / 2.0**n
+        pmf = np.array([math.comb(n, k) * q**k * (1 - q) ** (n - k) for k in range(n + 1)])
+        expected = counts.sum() * pmf
         keep = expected >= 50
-        lo, hi = ~keep & (np.arange(n + 1) < n // 2), ~keep & (np.arange(n + 1) > n // 2)
+        mode = int(np.argmax(pmf))
+        lo, hi = ~keep & (np.arange(n + 1) < mode), ~keep & (np.arange(n + 1) > mode)
         obs = [counts[lo].sum(), *counts[keep], counts[hi].sum()]
         exp = [expected[lo].sum(), *expected[keep], expected[hi].sum()]
         chi2 = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
@@ -365,10 +412,22 @@ class TestBitDraws:
         z = NormalDist().inv_cdf(1 - 1e-4)
         assert chi2 <= df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
 
+    def test_final_sums_are_binomial(self):
+        """Rademacher S_100 = 2K - 100 with K ~ Binomial(100, 1/2)."""
+        self._chi_square_binomial(rademacher(), 0.5, lambda s: (s + 100) / 2)
+
+    def test_bernoulli_final_sums_are_binomial(self):
+        """Bernoulli(0.3) S_100 = K ~ Binomial(100, ceil(0.3 * 2**53) / 2**53),
+        its 52-level steps counted straight from their bits."""
+        q = math.ceil(0.3 * 2**53) / 2**53
+        self._chi_square_binomial(bernoulli(0.3), q, lambda s: s)
+
     @pytest.mark.parametrize(
         "spec",
         [
             iid_spec(rademacher(), 20),
+            iid_spec(bernoulli(0.5), 20),
+            iid_spec(bernoulli(0.25), 20),
             GeneratorSpec("moving_sum", 9, law=rademacher(), weights=(1.0, 0.0, 0.5)),
             adversarial_spec(5),
             centered(iid_spec(bernoulli(0.3), 7), offset=1.0),
@@ -377,7 +436,7 @@ class TestBitDraws:
             shared_shock_spec(rademacher(), bernoulli(0.5), 6),
             centered(shared_shock_spec(bernoulli(0.3), uniform(0.0, 1.0), 5), offset=0.5),
         ],
-        ids=["iid", "moving sum", "sign flip", "bernoulli", "shock", "bernoulli base shock",
+        ids=["iid", "bernoulli 1/2", "bernoulli 1/4", "moving sum", "sign flip", "bernoulli", "shock", "bernoulli base shock",
              "bernoulli shock", "centered uniform shock"],
     )
     def test_a_path_does_not_depend_on_the_chunk_size(self, spec):

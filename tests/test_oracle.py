@@ -162,7 +162,7 @@ _LAWS = st.one_of(
 
 @st.composite
 def _lattice_specs(draw):
-    """iid, shared-shock or integer-weight moving-sum lattice families, plain,
+    """iid, shared-shock or dyadic-weight moving-sum lattice families, plain,
     centered or offset, and the sign flip, plain or offset."""
     n = draw(st.integers(min_value=1, max_value=12))
     laws = [draw(_LAWS)]
@@ -171,7 +171,9 @@ def _lattice_specs(draw):
         laws.append(draw(_LAWS))
         spec = shared_shock_spec(laws[0], laws[1], n)
     elif kind == "moving_sum":
-        weights = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=1, max_size=3))
+        weights = draw(
+            st.lists(st.sampled_from([0.0, 1.0, 2.0, 0.5, 0.25, 1.5]), min_size=1, max_size=3)
+        )
         spec = GeneratorSpec("moving_sum", n, law=laws[0], weights=weights)
     elif kind == "sign_flip":
         spec = adversarial_spec(n, laws[0])
@@ -212,17 +214,17 @@ class TestTerminalLaw:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_cut_rows_match_enumeration(self, data):
-        """Integer rows drawn before step 0, past the horizon or across both
-        ends: the terminal law is the law of the enumerated S_n."""
+        """Integer or dyadic rows drawn before step 0, past the horizon or
+        across both ends: the terminal law is the law of the enumerated S_n."""
         n = data.draw(st.integers(1, 6))
         width = data.draw(st.integers(1, 4))
-        entry = st.sampled_from([-2, -1, 0, 1, 3])
+        entry = st.sampled_from([-2, -1, 0, 1, 3, 0.5, -0.75])
         rows = data.draw(st.lists(st.tuples(*[entry] * width), min_size=1, max_size=3))
         chain = DiscreteChainSpec(
             tuple((row, 1 / len(rows)) for row in rows),
             tuple(data.draw(st.lists(st.integers(-5, n + 2), max_size=5))),
             n,
-            data.draw(st.sampled_from([None, ((-1.0, 0.5), (2.0, 0.5))])),
+            data.draw(st.sampled_from([None, ((-1.0, 0.5), (2.0, 0.5)), ((0.25, 1.0),)])),
             offset=1.5,
         )
         values, probs = terminal_law(chain)
@@ -240,10 +242,35 @@ class TestTerminalLaw:
         hits = sum(math.comb(20, k) for k in range(20 + 1) if 2 * k - 20 >= -8)
         assert tail == hits / 2**21
 
-    def test_non_integer_atom_rejected(self):
+    def test_off_grid_atom_rejected(self):
+        """Atoms need a grid 2**-e on which S_n reaches at most 2**20 points:
+        0.1 is a multiple of 2**-55 only, and 2**-20 + 1 takes 3 * 2**20."""
+        for v in (0.1, 2.0**-20 + 1.0):
+            chain = DiscreteChainSpec((((-v,), 0.5), ((v,), 0.5)), (0, 1, 2), horizon=3)
+            assert chain.grid is None and not chain.lattice
+            with pytest.raises(ValueError, match="grid"):
+                terminal_law(chain)
         chain = DiscreteChainSpec((((-0.5,), 0.5), ((0.5,), 0.5)), (0, 1, 2), horizon=3)
-        with pytest.raises(ValueError, match="integer"):
-            terminal_law(chain)
+        assert chain.grid == 1 and chain.lattice
+        assert terminal_law(chain)[0].tolist() == [-1.5, -0.5, 0.5, 1.5]
+
+    @pytest.mark.parametrize("weights", [(1.0, 0.5), (0.25, 1.0, 0.75), (1.5,)])
+    def test_fractional_weights_fold_the_terminal_law(self, weights):
+        """A moving sum with weights on a grid 2**-e: every atom is an
+        enumerated S_n bit for bit, and folded values equal the enumeration's
+        to 1e-12 relative."""
+        spec = GeneratorSpec("moving_sum", 9, law=bernoulli(0.3), weights=weights, offset=-0.5)
+        chain = to_chain(spec)
+        values, _ = terminal_law(chain)
+        last = np.concatenate([paths[:, -1] for paths, _ in iter_blocks(chain)])
+        assert values.tobytes() == np.unique(last).tobytes()
+
+        def stats(p):
+            s_n = p[:, -1]
+            return [s_n, s_n**2, (s_n >= 1.0).astype(float), np.exp(0.3 * s_n)]
+
+        for got, want in zip(fold_terminal(chain, stats), fold_expectations(chain, stats)):
+            assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_sign_flip_terminal_law(self):
         """S_n = X_1 at odd n and 0 at even n: one draw, two atoms."""
