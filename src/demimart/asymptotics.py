@@ -189,7 +189,10 @@ def complete_convergence_diagnose(
     The tail is exact when the support makes it impossible (threshold above
     the largest reachable |S_n|) or when the chain is small enough to
     enumerate; otherwise it is estimated by chunked sampling, and the grid's
-    horizons are one family of checks gated at ``family_z``.
+    horizons are one family of checks gated at ``family_z``.  Each horizon is
+    a tail check, as T4.7's two-sided row is: a sampled one whose envelope
+    expects fewer than ``MIN_EXPECTED_HITS`` hits is INCONCLUSIVE, which
+    counts as within the envelope.
     """
     if r <= 0 or epsilon <= 0:
         raise ValueError("r and epsilon must be positive")
@@ -205,7 +208,7 @@ def complete_convergence_diagnose(
         sub = replace(spec, horizon=n)
         threshold = float(n**r * epsilon)
         v = gen.v_n(sub)
-        meta = CheckMeta("P(|S_n| >= t)", 2.0 * bernstein_tail(threshold, v, c), "<=")
+        meta = CheckMeta("P(|S_n| >= t)", 2.0 * bernstein_tail(threshold, v, c), "<=", tail=True)
         if threshold > gen.first_step_bound(sub) + (n - 1) * c:
             stats, exact = SummaryStats(mean=0.0, stderr=0.0, count=1), True
         else:

@@ -209,13 +209,19 @@ class RunningStats:
     mean: np.ndarray | None = None
     m2: np.ndarray | None = None
 
-    def update(self, stats, checks: int | None = None) -> None:
+    def update(self, stats, checks: int | None = None, weights: np.ndarray | None = None) -> None:
         """Fold in one statistic evaluation over m paths: a (K, m) matrix,
         one row per statistic, or its pieces (``statistic_pieces``), each
         piece reduced before the next is asked for.  Every row is reduced
         on its own, so pieces and the matrix they make give the same bits.
+
+        ``weights``, a positive integer count per path, makes path i stand
+        for weights[i] samples: the batch holds sum(weights) samples, and its
+        mean and M2 are the weighted ones, as if each path were repeated.
         """
         k, pieces = statistic_pieces(stats, checks)
+        if weights is not None:
+            weights = weights.astype(np.float64)
         bmean = np.empty(k)
         bm2 = np.empty(k)
         m = 0
@@ -229,14 +235,14 @@ class RunningStats:
             if scratch is None:
                 step = max(1, _REDUCE_BLOCK_BYTES // (8 * m))
                 scratch = np.empty((min(step, k), m))
-            _reduce_row_blocks(block, bmean[rows], bm2[rows], scratch)
+            _reduce_row_blocks(block, bmean[rows], bm2[rows], scratch, weights)
         if m == 0:
             return
         # a NaN or infinite sample makes its row's mean non-finite, so checking
         # the K means covers every sample
         if not np.all(np.isfinite(bmean)):
             raise ValueError("samples must be finite")
-        self._combine(m, bmean, bm2)
+        self._combine(m if weights is None else int(weights.sum()), bmean, bm2)
 
     def merge(self, other: "RunningStats") -> None:
         if other.count:
@@ -269,10 +275,11 @@ class RunningStats:
 
 
 def _reduce_row_blocks(
-    rows: np.ndarray, bmean: np.ndarray, bm2: np.ndarray, scratch: np.ndarray
+    rows: np.ndarray, bmean: np.ndarray, bm2: np.ndarray, scratch: np.ndarray, weights=None
 ) -> None:
     """Row means and sums of squared deviations of a (k, m) matrix, a block
-    of ``len(scratch)`` rows (about _REDUCE_BLOCK_BYTES) at a time.
+    of ``len(scratch)`` rows (about _REDUCE_BLOCK_BYTES) at a time, with
+    column i counted ``weights[i]`` times (float64) when given.
 
     Each block is taken as a C-contiguous float64 matrix (a view when the
     rows already are one), whose rows numpy sums pairwise along axis 1 as it
@@ -284,10 +291,17 @@ def _reduce_row_blocks(
     step = len(scratch)
     for lo in range(0, len(rows), step):
         blk = np.ascontiguousarray(rows[lo : lo + step], dtype=np.float64)
-        mean = blk.mean(axis=1, out=bmean[lo : lo + step])
+        mean, m2 = bmean[lo : lo + step], bm2[lo : lo + step]
+        if weights is None:
+            blk.mean(axis=1, out=mean)
+        else:
+            np.divide(blk @ weights, weights.sum(), out=mean)
         dev = np.subtract(blk, mean[:, None], out=scratch[: len(blk)])
         np.square(dev, out=dev)
-        dev.sum(axis=1, out=bm2[lo : lo + step])
+        if weights is None:
+            dev.sum(axis=1, out=m2)
+        else:
+            np.matmul(dev, weights, out=m2)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ __all__ = [
     "rademacher",
     "sample_final_sums",
     "sample_increments",
+    "sample_outcomes",
     "sample_paths",
     "shared_shock_spec",
     "sigma_n_exact",
@@ -387,6 +388,20 @@ def adversarial_spec(horizon: int, law: IncrementLaw | None = None) -> Generator
 # ---------------------------------------------------------------------------
 
 
+def _draws(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator):
+    """The independent draws of n_paths paths of a family with a law: the
+    (n_paths, c) matrix ``spec.law.sample`` gives for its c draws
+    (``_draw_rows``), and the (n_paths, 1) shared shocks or None.  The one
+    statement of how a family uses its stream: the shocks come from a
+    jumped copy of the stream, taken before the base draws, so row p's
+    shock does not depend on n_paths."""
+    shocks = None
+    if spec.family == "shared_shock":
+        shocks = np.random.Generator(_jumpable(rng).jumped())
+    y = spec.law.sample(rng, (n_paths, len(_draw_rows(spec)[1])))
+    return y, None if shocks is None else spec.shock.sample(shocks, (n_paths, 1))
+
+
 def sample_increments(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an (n_paths, horizon) matrix of increments X_i (offset excluded).
 
@@ -396,34 +411,54 @@ def sample_increments(spec: GeneratorSpec, n_paths: int, rng: np.random.Generato
     ``sample_final_sums`` take the drift off the sums, not the steps.
     """
     n = spec.horizon
+    if spec.family == "gaussian_assoc":
+        return rng.standard_normal((n_paths, n)) @ _factor(spec.covariance).T
+    y, shocks = _draws(spec, n_paths, rng)
     if spec.family == "iid":
-        x = spec.law.sample(rng, (n_paths, n))
-    elif spec.family == "shared_shock":
-        # the shocks come from a jumped copy of the stream, taken before the
-        # base steps, so row p's shock does not depend on n_paths
-        shocks = np.random.Generator(_jumpable(rng).jumped())
-        base = spec.law.sample(rng, (n_paths, n)).astype(np.float64, copy=False)
-        x = base + spec.shock.sample(shocks, (n_paths, 1)).astype(np.float64, copy=False)
-    elif spec.family == "moving_sum":
-        # X_i = 0 + w_0 y_(i+q) + w_1 y_(i+q-1) + ..., added in that order
-        # into row i of a time-major build from the time-major draws (a
-        # lattice law's rows as drawn); the products are those of the
-        # float64 draws
-        q = len(spec.weights) - 1
-        y = np.ascontiguousarray(spec.law.sample(rng, (n_paths, n + q)).T)
-        rows = np.zeros((n, n_paths))
-        term = np.empty(n_paths)
-        for i, row in enumerate(rows):
-            for k, w in enumerate(spec.weights):
-                if w:
-                    row += np.multiply(w, y[q - k + i], out=term)
-        x = rows.T
-    elif spec.family == "gaussian_assoc":
-        x = rng.standard_normal((n_paths, n)) @ _factor(spec.covariance).T
-    else:  # adversarial_sign_flip
-        first = spec.law.sample(rng, (n_paths, 1)).astype(np.float64, copy=False)
-        x = first * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return x
+        return y
+    if spec.family == "shared_shock":
+        return y.astype(np.float64, copy=False) + shocks.astype(np.float64, copy=False)
+    if spec.family == "adversarial_sign_flip":
+        return y.astype(np.float64, copy=False) * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    # a moving sum: X_i = 0 + w_0 y_(i+q) + w_1 y_(i+q-1) + ..., added in
+    # that order into row i of a time-major build from the time-major draws
+    # (a lattice law's rows as drawn); the products are those of the float64
+    # draws
+    q = len(spec.weights) - 1
+    y = np.ascontiguousarray(y.T)
+    rows = np.zeros((n, n_paths))
+    term = np.empty(n_paths)
+    for i, row in enumerate(rows):
+        for k, w in enumerate(spec.weights):
+            if w:
+                row += np.multiply(w, y[q - k + i], out=term)
+    return rows.T
+
+
+def sample_outcomes(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) -> np.ndarray:
+    """The int64 outcome index in ``to_chain(spec)`` of each of n_paths
+    paths, from the draws ``sample_paths`` makes with the same stream: the
+    path ``oracle.iter_blocks`` builds for index p's value is row p of
+    ``sample_paths``, and the generator ends in the same state.
+
+    An index is mixed-radix over the chain's draws, most significant first,
+    with the shared shock above them all; a digit is the position of the
+    drawn value in its law's ``support()``.  A lattice law has at most two
+    atoms, so that position is whether the value exceeds the lowest atom.
+    ValueError for a family without a chain.
+    """
+    chain = to_chain(spec)
+    y, shocks = _draws(spec, n_paths, rng)
+    idx = np.zeros(n_paths, dtype=np.int64)
+    # in the draws' own integer type: a float atom would cast each row to float64
+    lo = y.dtype.type(spec.law.support()[0][0])
+    for row in y.T:
+        idx *= len(chain.atoms)
+        idx += row > lo
+    if shocks is not None:
+        w_lo = shocks.dtype.type(spec.shock.support()[0][0])
+        idx += (shocks[:, 0] > w_lo) * len(chain.atoms) ** len(chain.steps)
+    return idx
 
 
 def _factor(cov: np.ndarray) -> np.ndarray:
@@ -766,17 +801,22 @@ class DiscreteChainSpec:
         return self.grid is not None
 
 
+def _draw_rows(spec: GeneratorSpec) -> tuple[tuple[float, ...], range]:
+    """Each draw v of a family's law adds v times one row to its steps from
+    its own on: that row, and the 0-based first steps of the draws in draw
+    order, the order in which ``_draws`` takes them from the stream."""
+    if spec.family == "moving_sum":
+        return spec.weights, range(1 - len(spec.weights), spec.horizon)
+    if spec.family == "adversarial_sign_flip":
+        return tuple((-1.0) ** i for i in range(spec.horizon)), range(1)
+    return (1.0,), range(spec.horizon)
+
+
 def to_chain(spec: GeneratorSpec) -> DiscreteChainSpec:
     """Exact chain with the same path law, for finite-support families only."""
     if spec.family == "gaussian_assoc":
         raise ValueError(f"not enumerable: family {spec.family!r}")
-    # each draw of the law adds v times this row from its step on
-    if spec.family == "moving_sum":
-        row, steps = spec.weights, range(1 - len(spec.weights), spec.horizon)
-    elif spec.family == "adversarial_sign_flip":
-        row, steps = [(-1.0) ** i for i in range(spec.horizon)], [0]
-    else:
-        row, steps = [1.0], range(spec.horizon)
+    row, steps = _draw_rows(spec)
     atoms = tuple((tuple([v * w for w in row]), p) for v, p in spec.law.support())
     shared = tuple(spec.shock.support()) if spec.family == "shared_shock" else None
     # 0.0 + drift: a drift of -0.0 (a Bernoulli(-0.0) step) is stored as 0.0

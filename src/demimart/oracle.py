@@ -24,6 +24,7 @@ __all__ = [
     "fold_expectations",
     "fold_terminal",
     "iter_blocks",
+    "terminal_cost",
     "terminal_law",
 ]
 
@@ -48,24 +49,27 @@ class KahanSum:
 
 
 def iter_blocks(
-    chain: DiscreteChainSpec, block: int = _BLOCK
+    chain: DiscreteChainSpec, block: int = _BLOCK, outcomes: np.ndarray | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (paths, probabilities) blocks covering every outcome exactly once.
+    """Yield (paths, probabilities) blocks covering every outcome exactly once,
+    or only ``outcomes``, an array of outcome indices, in that order.
 
     Outcomes are indexed mixed-radix over the draws (digit k picks draw k's
-    atom); the shared component, when present, multiplies the space.  A
-    step's increment sums the entries of the draws reaching it, in draw
-    order.  Paths are cumulative sums of (increment + shared) minus the
+    atom); the shared component, when present, is the most significant
+    digit, and every block of the full enumeration lies within one shared
+    atom.  A step's increment sums the entries of the draws reaching it, in
+    draw order.  Paths are cumulative sums of (increment + shared) minus the
     per-step drift, plus the start offset.  Each block is built time-major,
     one contiguous row per step, and yielded as its column-major
     ``(outcomes, n)`` transpose, the layout of a sampled chunk; the values
-    are those of the row-wise ``np.cumsum`` and ``np.prod`` bit for bit.
+    are those of the row-wise ``np.cumsum`` and ``np.prod`` bit for bit, so
+    an outcome's path does not depend on the block it is built in.
     """
     n = chain.horizon
     # float64 even for integer atoms; cols[c] is entry c of every atom's row
     cols = np.array([row for row, _ in chain.atoms], dtype=np.float64).T.copy()
     probs = np.array([p for _, p in chain.atoms], dtype=np.float64)
-    shared = chain.shared_component or ((0.0, 1.0),)
+    w_vals, w_probs = np.array(chain.shared_component or ((0.0, 1.0),), dtype=np.float64).T
     drift_line = chain.drift * np.arange(1, n + 1, dtype=np.float64)[:, None]
     s = len(probs)
     per_shared = s ** len(chain.steps)
@@ -78,8 +82,7 @@ def iter_blocks(
         reached.update(steps)
     unreached = [j for j in range(n) if j not in reached]
 
-    def outcomes(lo: int, w_val: float, w_prob: float) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.arange(lo, min(lo + block, per_shared), dtype=np.int64)
+    def paths_of(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows = np.empty((n, idx.size))
         rows[unreached] = 0.0
         p = np.ones(idx.size)
@@ -92,20 +95,25 @@ def iter_blocks(
                 else:
                     np.take(col, digit, out=rows[j])
             p *= probs[digit]  # np.prod's left-to-right product, a draw at a time
-        p *= w_prob
+        w = idx // per_shared
+        p *= w_probs[w]
         # the operations of cumsum(inc + w, axis=1) - drift_line + offset, in
         # place along the time axis; += offset runs even at 0.0, as the
         # expression does, so a -0.0 comes out as 0.0 there too
-        rows += w_val
+        rows += w_vals[w]
         _accumulate_rows(np.add, rows, rows)
         rows -= drift_line
         rows += chain.offset
         return rows.T, p
 
     # the generator keeps no reference to a block it has yielded
-    for w_val, w_prob in shared:
-        for lo in range(0, per_shared, block):
-            yield outcomes(lo, w_val, w_prob)
+    if outcomes is not None:
+        for lo in range(0, len(outcomes), block):
+            yield paths_of(outcomes[lo : lo + block])
+        return
+    for first in range(0, len(w_vals) * per_shared, per_shared):
+        for lo in range(first, first + per_shared, block):
+            yield paths_of(np.arange(lo, min(lo + block, first + per_shared), dtype=np.int64))
 
 
 def _check_total(total: float) -> None:
@@ -126,26 +134,11 @@ def terminal_law(chain: DiscreteChainSpec) -> tuple[np.ndarray, np.ndarray]:
     Zero-probability atoms are dropped.  Raises ValueError unless the chain
     is ``lattice``.
     """
-    e = chain.grid
-    if e is None:
-        raise ValueError("terminal law needs atoms on a coarse grid of 2**-e")
-    n = chain.horizon
-    width = len(chain.atoms[0][0])
-    # (lowest sum, pmf from it) of a draw's row sum, once per cut of the row
-    pmfs: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
     lo, base = 0, np.ones(1)
-    for start in chain.steps:
-        cut = (-start if start < 0 else 0, width if start <= n - width else max(n - start, 0))
-        draw = pmfs.get(cut)
-        if draw is None:
-            sums = [(int(math.ldexp(sum(row[slice(*cut)]), e)), p) for row, p in chain.atoms]
-            k_lo = min(k for k, _ in sums)
-            pmf = np.zeros(max(k for k, _ in sums) - k_lo + 1)
-            for k, p in sums:
-                pmf[k - k_lo] += p
-            draw = pmfs[cut] = k_lo, pmf
-        lo += draw[0]
-        base = np.convolve(base, draw[1])
+    for k_lo, pmf in _draw_laws(chain):
+        lo += k_lo
+        base = np.convolve(base, pmf)
+    e, n = chain.grid, chain.horizon
     shared = [(int(math.ldexp(w, e)), p) for w, p in chain.shared_component or ((0, 1.0),)]
     # S_n = (lo + j + n * w) * 2**-e for index j of base and shared atom w
     w_lo = min(w for w, _ in shared)
@@ -159,6 +152,43 @@ def terminal_law(chain: DiscreteChainSpec) -> tuple[np.ndarray, np.ndarray]:
     probs = pmf[keep]
     _check_total(math.fsum(probs.tolist()))
     return values, probs
+
+
+def _draw_laws(chain: DiscreteChainSpec) -> list[tuple[int, np.ndarray]]:
+    """(lowest sum, pmf from it) of each draw's integer row sum, each row cut
+    to the horizon and scaled by 2**e (``DiscreteChainSpec.grid``), exactly,
+    in draw order.  Raises ValueError unless the chain is ``lattice``."""
+    e = chain.grid
+    if e is None:
+        raise ValueError("terminal law needs atoms on a coarse grid of 2**-e")
+    n = chain.horizon
+    width = len(chain.atoms[0][0])
+    # once per cut of the row
+    pmfs: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
+    laws = []
+    for start in chain.steps:
+        cut = (-start if start < 0 else 0, width if start <= n - width else max(n - start, 0))
+        draw = pmfs.get(cut)
+        if draw is None:
+            sums = [(int(math.ldexp(sum(row[slice(*cut)]), e)), p) for row, p in chain.atoms]
+            k_lo = min(k for k, _ in sums)
+            pmf = np.zeros(max(k for k, _ in sums) - k_lo + 1)
+            for k, p in sums:
+                pmf[k - k_lo] += p
+            draw = pmfs[cut] = k_lo, pmf
+        laws.append(draw)
+    return laws
+
+
+def terminal_cost(chain: DiscreteChainSpec) -> int:
+    """Multiply-adds of ``terminal_law``: each draw's pmf convolved with the
+    law of the draws before it, then that law added once per shared atom.
+    Raises ValueError unless the chain is ``lattice``."""
+    size, cost = 1, 0
+    for _, pmf in _draw_laws(chain):
+        cost += size * pmf.size
+        size += pmf.size - 1
+    return cost + size * len(chain.shared_component or ((0.0, 1.0),))
 
 
 def fold_expectations(

@@ -21,6 +21,7 @@ import numpy as np
 from . import bounds as bnd
 from . import generators as gen
 from .core import (
+    CHUNK_PATHS,
     DEFAULT_TOLERANCE_Z,
     EXACT_REL_EPS,
     FAIL,
@@ -40,7 +41,7 @@ from .monotone import (
     evaluate_prefixes,
     sample_battery,
 )
-from .oracle import fold_expectations, fold_terminal
+from .oracle import fold_expectations, fold_terminal, iter_blocks, terminal_cost
 from .stopping import StoppingRule, _wedge
 
 __all__ = [
@@ -966,13 +967,19 @@ def expectations(
     engines consume one at a time.
 
     This is the one place an engine is chosen.  Exact mode folds outcome
-    probabilities: over the law of S_n alone when ``terminal_only`` is set
-    and S_n is a lattice sum, else over every enumerated path,
-    ``tile_paths(checks)`` outcomes per block; each result has stderr 0 and
-    the chain's outcome count.  Monte Carlo averages ``paths`` sampled paths
-    from chunk ``chunk_base`` of ``seed`` on (S_n alone as an (m, 1) matrix
-    when ``terminal_only``), evaluated and reduced one tile of
-    ``tile_paths(checks)`` paths at a time.
+    probabilities: over the law of S_n alone when ``terminal_only`` is set,
+    S_n is a lattice sum and its convolutions (``oracle.terminal_cost``)
+    cost less than building every path (outcomes x horizon), else over
+    every enumerated path, ``tile_paths(checks)`` outcomes per block; each
+    result has stderr 0 and the chain's outcome count.  Monte Carlo
+    averages ``paths`` sampled paths from chunk ``chunk_base`` of ``seed``
+    on (S_n alone as an (m, 1) matrix when ``terminal_only``), evaluated
+    and reduced one tile of ``tile_paths(checks)`` paths at a time.  On a
+    lattice chain of at most CHUNK_PATHS outcomes, the chunks are drawn as
+    outcome indices (``gen.sample_outcomes``) and counted, and each distinct
+    sampled path is built (``oracle.iter_blocks``) and evaluated once,
+    weighted by its count: the same sample, the same values up to the order
+    of summation.
 
     In exact mode ``spec`` may be the chain itself, for a caller that built
     it; a generator without one raises PreconditionError("mode").
@@ -984,7 +991,8 @@ def expectations(
                 chain = gen.to_chain(spec)
             except ValueError as exc:
                 raise PreconditionError("mode", f"exact mode unavailable: {exc}") from exc
-        if terminal_only and chain.lattice:
+        n = chain.horizon
+        if terminal_only and chain.lattice and terminal_cost(chain) < chain.outcome_count * n:
             values = fold_terminal(chain, evaluate, checks)
         else:
             values = fold_expectations(chain, evaluate, block=tile_paths(checks), checks=checks)
@@ -993,9 +1001,22 @@ def expectations(
         raise PreconditionError("mode", f"unknown mode {mode!r}")
     if paths < 1:
         raise PreconditionError("paths", "paths must be >= 1")
-    sample = _sample_terminal if terminal_only else gen.sample_paths
     tile = tile_paths(checks)
     acc = RunningStats()
+    chain = _counted_chain(spec)
+    if chain is not None:
+        counts = np.zeros(chain.outcome_count, dtype=np.int64)
+        for idx in iter_chunks(gen.sample_outcomes, spec, paths, seed, chunk_base):
+            counts += np.bincount(idx, minlength=len(counts))
+            # release the chunk before the next is drawn
+            del idx
+        (hits,) = np.nonzero(counts)
+        blocks = iter_blocks(chain, tile, hits)
+        for lo, (block, _) in zip(range(0, len(hits), tile), blocks):
+            stats = evaluate(block[:, -1:] if terminal_only else block)
+            acc.update(stats, checks, weights=counts[hits[lo : lo + tile]])
+        return acc.summaries()
+    sample = _sample_terminal if terminal_only else gen.sample_paths
     for block in iter_chunks(sample, spec, paths, seed, chunk_base):
         for lo in range(0, len(block), tile):
             # each tile's statistics are released once reduced
@@ -1003,6 +1024,18 @@ def expectations(
         # release the chunk before the next is drawn
         del block
     return acc.summaries()
+
+
+def _counted_chain(spec: gen.GeneratorSpec) -> gen.DiscreteChainSpec | None:
+    """The chain whose outcomes Monte Carlo counts instead of evaluating
+    every sampled path, or None: a lattice chain (so its enumerated paths are
+    the sampled ones bit for bit) of at most CHUNK_PATHS outcomes (so its
+    counts and one tile of its paths bound the memory, whatever ``paths``)."""
+    try:
+        chain = gen.to_chain(spec)
+    except ValueError:
+        return None
+    return chain if chain.outcome_count <= CHUNK_PATHS and chain.lattice else None
 
 
 def _sample_terminal(spec: gen.GeneratorSpec, m: int, rng) -> np.ndarray:

@@ -201,6 +201,30 @@ class TestRunningStats:
         with pytest.raises(ValueError, match="not 3"):
             RunningStats().update(np.zeros((2, 3)), 3)
 
+    @given(
+        st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=40),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_weights_count_each_path_that_many_times(self, xs, data):
+        """A weighted update, pieces included, is the update of every path
+        repeated by its count, to rounding, over one or more batches."""
+        counts = data.draw(st.lists(st.integers(1, 50), min_size=len(xs), max_size=len(xs)))
+        rows = np.stack([np.array(xs), np.array(xs) ** 2])
+        cut = data.draw(st.integers(0, len(xs)))
+        got, want = RunningStats(), RunningStats()
+        for part in (slice(0, cut), slice(cut, None)):
+            w = np.array(counts[part], dtype=np.int64)
+            if len(w):
+                pieces = iter([(slice(1, 2), rows[1:, part]), (slice(0, 1), rows[:1, part])])
+                got.update(pieces, 2, weights=w)
+                want.update(np.repeat(rows[:, part], w, axis=1))
+        assert got.count == want.count == sum(counts)
+        for g, r in zip(got.summaries(), want.summaries()):
+            assert g.mean == pytest.approx(r.mean, rel=1e-12, abs=1e-9)
+            if math.isfinite(r.stderr):
+                assert g.stderr == pytest.approx(r.stderr, rel=1e-9, abs=1e-9)
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_matrix_with_a_nonfinite_sample_rejected(self):
         stats = np.zeros((5, 100))

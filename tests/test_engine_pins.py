@@ -103,14 +103,27 @@ EXACT_FOLDS = (
 
 # (label, theorem_id, spec, paths, seed, keyword arguments): Monte-Carlo
 # verdicts of the battery and stopped statistics, each over several tiles;
-# statistics with K < 64 rows take whole chunks, so they run on two chunks
+# statistics with K < 64 rows take whole chunks, so they run on two chunks.
+# On a chain of at most CHUNK_PATHS outcomes the sampled outcomes are
+# counted and each distinct path is evaluated once, weighted by its count
 _RAD6 = iid_spec(rademacher(), 6)
 # nonnegative steps, as C5.4 requires
 _BER6 = iid_spec(bernoulli(0.3), 6)
 MONTE_CARLO = (
-    # K = 288 statistics, 8,192-path tiles; CHUNK_PATHS + 3 paths end in a
-    # three-path tile of a second chunk
+    # K = 288 statistics; the 2^10 outcomes of CHUNK_PATHS + 3 sampled paths
+    # are counted, and each distinct one is evaluated once in one tile
     ("def12-demi-rademacher", "Def1.2-demi", iid_spec(rademacher(), 10), CHUNK_PATHS + 3, 31, {}),
+    # K = 18 x 16 = 288 per path: 2^17 outcomes is above CHUNK_PATHS, so
+    # every sampled path is evaluated in 8,192-path tiles, ending in a
+    # three-path tile of a second chunk
+    (
+        "def12-demi-rademacher-n17",
+        "Def1.2-demi",
+        iid_spec(rademacher(), 17),
+        CHUNK_PATHS + 3,
+        31,
+        dict(params={"battery_size": 18}),
+    ),
     ("def12-demisub-bernoulli", "Def1.2-demisub", iid_spec(bernoulli(0.3), 10), 20_000, 32, {}),
     ("def12-demi-uniform", "Def1.2-demi", iid_spec(uniform(-1.0, 1.0), 10), 20_000, 33, {}),
     ("t21-jump", "T2.1", _RAD6, CHUNK_PATHS + 3, 34, dict(rule=jump_if_high(2, 1.0, 3, 6))),

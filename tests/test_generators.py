@@ -33,6 +33,7 @@ from demimart.generators import (
     rademacher,
     sample_final_sums,
     sample_increments,
+    sample_outcomes,
     sample_paths,
     shared_shock_spec,
     sigma_n_exact,
@@ -674,3 +675,60 @@ class TestToChain:
         assert chain.outcome_count == len(want_probs)
         np.testing.assert_allclose(paths, np.array(want_paths), rtol=0, atol=1e-12)
         np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
+
+
+# families whose chain has few outcomes, with an offset where a start point
+# matters; each draws 200 paths, three full 64-path blocks and a partial one
+_COUNTED = {
+    "iid-rademacher": iid_spec(rademacher(), 6),
+    "bernoulli-half": iid_spec(bernoulli(0.5), 6),
+    "bernoulli-quarter": iid_spec(bernoulli(0.25), 6),
+    "bernoulli-0.3": iid_spec(bernoulli(0.3), 6),
+    "bernoulli-0": iid_spec(bernoulli(0.0), 6),
+    "bernoulli-1": iid_spec(bernoulli(1.0), 6),
+    "shared-shock": shared_shock_spec(bernoulli(0.3), rademacher(), 5),
+    "moving-sum": GeneratorSpec("moving_sum", 6, law=rademacher(), weights=(1.0, 0.5)),
+    "centered": centered(iid_spec(bernoulli(0.3), 6)),
+    "centered-shock": centered(shared_shock_spec(rademacher(), bernoulli(0.3), 5), offset=2.0),
+    "offset": iid_spec(bernoulli(0.25), 6, offset=-1.5),
+    "sign-flip": adversarial_spec(6, bernoulli(0.3)),
+}
+
+
+class TestSampleOutcomes:
+    """``sample_outcomes`` reads the draws of ``sample_paths`` as outcome
+    indices of the chain, which ``iter_blocks`` turns back into the very
+    paths sampled."""
+
+    @pytest.mark.parametrize("label", sorted(_COUNTED))
+    def test_each_index_is_the_sampled_path(self, label):
+        spec = _COUNTED[label]
+        chain = to_chain(spec)
+        rng, twin = derive_stream(17, 3), derive_stream(17, 3)
+        idx = sample_outcomes(spec, 200, rng)
+        want = sample_paths(spec, 200, twin)
+        assert idx.dtype == np.int64 and idx.shape == (200,)
+        assert idx.min() >= 0 and idx.max() < chain.outcome_count
+        every = np.vstack([p for p, _ in iter_blocks(chain)])
+        assert every[idx].view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert _plain(rng.bit_generator.state) == _plain(twin.bit_generator.state)
+
+    @pytest.mark.parametrize("label", sorted(_COUNTED))
+    def test_indexed_blocks_are_the_enumerated_ones(self, label):
+        """Blocks of chosen outcomes hold those outcomes' enumerated paths
+        and probabilities bit for bit, across shared atoms too."""
+        chain = to_chain(_COUNTED[label])
+        blocks = list(iter_blocks(chain, block=16))
+        every = np.vstack([p for p, _ in blocks])
+        probs = np.concatenate([p for _, p in blocks])
+        pick = np.unique(np.random.default_rng(5).integers(0, chain.outcome_count, 40))
+        got = list(iter_blocks(chain, 16, pick))
+        assert [len(p) for p, _ in got] == [len(pick[lo : lo + 16]) for lo in range(0, len(pick), 16)]
+        paths = np.vstack([p for p, _ in got])
+        assert paths.view(np.int64).tolist() == every[pick].view(np.int64).tolist()
+        assert np.concatenate([p for _, p in got]).tolist() == probs[pick].tolist()
+
+    def test_families_without_a_chain_are_refused(self):
+        for spec in (iid_spec(uniform(-1.0, 1.0), 3), gaussian_assoc_spec(np.eye(3), 3)):
+            with pytest.raises(ValueError, match="not enumerable"):
+                sample_outcomes(spec, 4, derive_stream(0, 0))

@@ -25,6 +25,7 @@ from demimart.core import (
     tile_paths,
 )
 from demimart.generators import (
+    DiscreteChainSpec,
     GeneratorSpec,
     adversarial_spec,
     bernoulli,
@@ -42,7 +43,7 @@ from demimart.generators import (
 )
 from demimart import asymptotics, registry
 from demimart.monotone import SAMPLED_OK, MonotonicityCertificate
-from demimart.oracle import fold_expectations, iter_blocks, terminal_law
+from demimart.oracle import fold_expectations, iter_blocks, terminal_cost, terminal_law
 from demimart.registry import (
     CheckMeta,
     CheckSet,
@@ -696,9 +697,11 @@ class TestStatisticTiles:
     tiles of paths; values must be those of whole chunks up to rounding."""
 
     def test_monte_carlo_tiles_match_whole_chunks(self):
-        spec = iid_spec(rademacher(), 10)
+        # 2^17 outcomes, above CHUNK_PATHS: every sampled path is evaluated;
+        # 18 members over 16 steps make K = 288
+        spec = iid_spec(rademacher(), 17)
         paths = CHUNK_PATHS + 3
-        inst = Instance(spec=spec, rule=None, rule2=None, params={"battery_size": 32}, seed=41)
+        inst = Instance(spec=spec, rule=None, rule2=None, params={"battery_size": 18}, seed=41)
         checkset = lookup("Def1.2-demi").build(inst)
         sizes = []
 
@@ -729,6 +732,26 @@ class TestStatisticTiles:
         )
         assert [r.verdict for r in results] == [w.verdict for w in want]
 
+    def test_per_path_pieces_never_build_a_tile_matrix(self):
+        """A K = 288 battery sampled path by path (2^17 outcomes, above
+        CHUNK_PATHS) over one chunk peaks below one (288, tile) float64
+        matrix, as its pieces are reduced when computed."""
+        tracemalloc.start()
+        try:
+            _, results, _ = verify_detailed(
+                "Def1.2-demi",
+                iid_spec(rademacher(), 17),
+                params={"battery_size": 18},
+                mode="monte_carlo",
+                paths=CHUNK_PATHS,
+                seed=3,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 288
+        assert peak < 288 * tile_paths(288) * 8, peak
+
     def test_exact_entries_fold_in_tiles(self):
         spec = iid_spec(bernoulli(0.3), 14)
         inst = Instance(spec=spec, rule=None, rule2=None, params={"battery_size": 32}, seed=42)
@@ -746,6 +769,126 @@ class TestStatisticTiles:
         assert sizes == [tile] * (2**14 // tile) and len(sizes) > 1
         want = fold_expectations(to_chain(spec), lambda p: evaluate_rows(checkset, p))
         np.testing.assert_allclose([r.stats.mean for r in results], want, rtol=1e-12, atol=0)
+
+
+class TestCountedMonteCarlo:
+    """Monte Carlo on a lattice chain of at most CHUNK_PATHS outcomes counts
+    the sampled outcomes and evaluates each distinct path once, weighted by
+    its count: the same sample as a per-path pass, so the same estimates up
+    to the order of summation."""
+
+    # (theorem_id, spec, rule, params)
+    CASES = {
+        "def12-rademacher": ("Def1.2-demi", iid_spec(rademacher(), 10), None, {}),
+        "c22-moving-sum": (
+            "C2.2",
+            centered(GeneratorSpec("moving_sum", 8, law=bernoulli(0.5), weights=(1.0, 0.5))),
+            first_passage_up(1.0),
+            {},
+        ),
+        "t21-shared-shock": (
+            "T2.1",
+            centered(shared_shock_spec(rademacher(), bernoulli(0.3), 6)),
+            jump_if_high(2, 1.0, 3, 6),
+            {},
+        ),
+        "l51-bernoulli": (
+            "L5.1", iid_spec(bernoulli(0.3), 8), capped(first_passage_up(2.0), 8), {}
+        ),
+        "t47-terminal": ("T4.7", iid_spec(rademacher(), 12), None, {"t": 4.0}),
+    }
+
+    @pytest.mark.parametrize("paths", [CHUNK_PATHS + 3, 300], ids=["two-chunks", "few-paths"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_estimates_equal_a_per_path_pass(self, case, paths):
+        tid, spec, rule, params = self.CASES[case]
+        chain = registry._counted_chain(spec)
+        assert chain is not None and chain.outcome_count <= CHUNK_PATHS
+        entry = lookup(tid)
+        inst = Instance(spec=spec, rule=rule, rule2=None, params=params, seed=7)
+        checkset = entry.build(inst)
+        k = len(checkset.metas)
+        seen = []
+
+        def evaluate(block):
+            seen.append(len(block))
+            return checkset.evaluate(block)
+
+        got = expectations(spec, evaluate, k, "monte_carlo", paths, 7, entry.terminal_only)
+        assert sum(seen) <= min(paths, chain.outcome_count)
+        tile = tile_paths(k)
+        whole = generate(spec, paths, 7)
+        ref = RunningStats()
+        for lo in range(0, paths, tile):
+            ref.update(evaluate_rows(checkset, whole[lo : lo + tile]))
+        for g, w in zip(got, ref.summaries(), strict=True):
+            assert g.count == paths
+            assert abs(g.mean - w.mean) <= 1e-12 * w.stderr, (g, w)
+            assert abs(g.stderr - w.stderr) <= 1e-12 * w.stderr, (g, w)
+
+    def test_memory_does_not_grow_with_paths(self):
+        """Counts and one tile of distinct paths bound the memory: K = 288
+        over 16 chunks peaks within 1.25 times one chunk's peak."""
+        spec = iid_spec(rademacher(), 10)
+
+        def peak(chunks: int) -> int:
+            tracemalloc.start()
+            try:
+                check_definition(spec, mode="monte_carlo", paths=chunks * CHUNK_PATHS, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, many = peak(1), peak(16)
+        assert many <= 1.25 * one, (one, many)
+
+    def test_chains_that_are_not_counted(self):
+        """Continuous laws, chains above CHUNK_PATHS outcomes and chains off
+        a coarse lattice keep the per-path pass."""
+        for spec in (
+            iid_spec(uniform(-1.0, 1.0), 4),
+            gaussian_assoc_spec(np.eye(3), 3),
+            iid_spec(rademacher(), 17),
+            GeneratorSpec("moving_sum", 4, law=bernoulli(0.3), weights=(0.3, 0.7)),
+        ):
+            assert registry._counted_chain(spec) is None, spec.generator_id
+        assert registry._counted_chain(iid_spec(rademacher(), 16)) is not None
+
+
+class TestTerminalEngineCost:
+    """Exact mode folds the law of S_n only when its convolutions cost less
+    than building every path."""
+
+    def test_cost_counts_the_convolutions(self):
+        # pmfs of 3 points: a law of 2k + 1 points against each, then one mix
+        for n in (1, 2, 5, 20):
+            assert terminal_cost(to_chain(iid_spec(rademacher(), n))) == 3 * n * n + 2 * n + 1
+
+    def test_wide_draws_enumerate(self, monkeypatch):
+        """Three draws of {0, 2^13}: 8 outcomes, against about 2 x 10^8
+        multiply-adds of convolution."""
+        chain = DiscreteChainSpec((((0.0,), 0.5), ((8192.0,), 0.5)), (0, 1, 2), 3)
+        want = registry.fold_terminal(chain, lambda p: (p[:, -1] >= 16384.0)[None] * 1.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("folded the terminal law")
+
+        monkeypatch.setattr(registry, "fold_terminal", refuse)
+        (got,) = expectations(
+            chain, lambda p: (p[:, -1] >= 16384.0)[None] * 1.0, 1, "exact", terminal_only=True
+        )
+        assert terminal_cost(chain) > chain.outcome_count * chain.horizon
+        assert got.mean == want[0] == 0.5 and got.stderr == 0.0
+
+    def test_t56_on_two_million_outcomes_still_folds(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated every path")
+
+        monkeypatch.setattr(registry, "fold_expectations", refuse)
+        spec = shared_shock_spec(rademacher(), rademacher(), 20)
+        assert to_chain(spec).outcome_count == 2**21
+        report = verify("T5.6", spec, params={"t": 12.0}, mode="exact")
+        assert report.exact and report.verdict == FAIL
 
 
 class TestStatisticContract:
@@ -1322,6 +1465,25 @@ class TestOneVerdictRule:
         with pytest.raises(PreconditionError) as info:
             expectations(RAD6, lambda p: p[:, -1][None], 1, mode, paths=paths, seed=1)
         assert info.value.name == field
+
+    def test_t47_and_the_sweep_share_one_tail_rule(self, monkeypatch):
+        """The same 500 paths give P(|S_4| >= 3.5) against the same envelope
+        (500 x 0.17 < MIN_EXPECTED_HITS expected hits) in T4.7 and at the
+        sweep's first horizon: INCONCLUSIVE both ways."""
+        spec = iid_spec(uniform(-1.0, 1.0), 4)
+        _, results, _ = verify_detailed(
+            "T4.7", spec, params={"t": 3.5}, mode="monte_carlo", paths=500, seed=9
+        )
+        swept = []
+        monkeypatch.setattr(
+            asymptotics, "_check_result", lambda *a: swept.append(_check_result(*a)) or swept[-1]
+        )
+        diag = asymptotics.complete_convergence_diagnose(spec, 1.0, 0.875, [4], 500, 9)
+        (row,) = swept
+        assert 500 * row.rhs < registry.MIN_EXPECTED_HITS
+        assert (row.stats, row.rhs) == (results[1].stats, results[1].rhs)
+        assert row.verdict == results[1].verdict == INCONCLUSIVE
+        assert diag.tail_estimates[0].within_envelope
 
 
 class TestFamilyWiseGate:
