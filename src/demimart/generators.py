@@ -133,19 +133,35 @@ class IncrementLaw:
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Draw an (m, c) array: int8 for the lattice laws, else float64.
 
-        A lattice step is a bit of ``_lattice_bits``, 1 with the probability
-        of numpy's ``rng.random() < p`` (p = 1/2 for Rademacher, whose step
-        is 2 * bit - 1).  The array is the column-major view of the
-        time-major (c, m) rows, and a row depends only on the stream and the
-        row, not on m.
+        These are the ``values`` of the (c, m) rows ``draw_rows`` draws,
+        transposed: column-major for a lattice law.
+        """
+        return self.values(self.draw_rows(rng, *shape)).T
+
+    def draw_rows(self, rng: np.random.Generator, m: int, c: int) -> np.ndarray:
+        """The time-major (c, m) rows of m paths' c draws.
+
+        A lattice draw is its 0/1 digit, a bit of ``_lattice_bits``: 1 with
+        the probability of numpy's ``rng.random() < p`` (p = 1/2 for
+        Rademacher).  For a two-atom law the digit is the position of the
+        value in ``support()``; a one-atom law (p = 0 or 1) draws the bit p
+        every time.  A row depends only on the stream and the row, not on m.
+        A uniform law's rows are a view of its (m, c) float64 draws.
         """
         if self.name == "uniform":
-            return rng.uniform(self.a, self.b, size=shape)
-        steps = _lattice_bits(self, rng, *shape)
+            return rng.uniform(self.a, self.b, size=(m, c)).T
+        return _lattice_bits(self, rng, m, c)
+
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        """The values of the draws of ``draw_rows``, mapped in place: a
+        lattice step as int8, the bit for Bernoulli and 2 * bit - 1 for
+        Rademacher; uniform draws are their own values."""
+        if self.name == "uniform":
+            return rows
         if self.name == "rademacher":
-            steps <<= 1
-            steps -= 1
-        return steps.view(np.int8).T
+            rows <<= 1
+            rows -= 1
+        return rows.view(np.int8)
 
     def log_mgf(self, theta: float) -> float:
         """log E exp(theta * X), finite for every theta since X is bounded."""
@@ -389,35 +405,39 @@ def adversarial_spec(horizon: int, law: IncrementLaw | None = None) -> Generator
 
 
 def _draws(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator):
-    """The independent draws of n_paths paths of a family with a law: the
-    (n_paths, c) matrix ``spec.law.sample`` gives for its c draws
-    (``_draw_rows``), and the (n_paths, 1) shared shocks or None.  The one
-    statement of how a family uses its stream: the shocks come from a
-    jumped copy of the stream, taken before the base draws, so row p's
-    shock does not depend on n_paths."""
+    """The independent draws of n_paths paths of a family with a law, as
+    ``IncrementLaw.draw_rows`` gives them: the time-major (c, n_paths) rows
+    of its c draws (``_draw_rows``), a lattice law's as 0/1 digits, and the
+    (1, n_paths) row of shared shocks or None.  The one statement of how a
+    family uses its stream: the shocks come from a jumped copy of the
+    stream, taken before the base draws, so path p's shock does not depend
+    on n_paths."""
     shocks = None
     if spec.family == "shared_shock":
         shocks = np.random.Generator(_jumpable(rng).jumped())
-    y = spec.law.sample(rng, (n_paths, len(_draw_rows(spec)[1])))
-    return y, None if shocks is None else spec.shock.sample(shocks, (n_paths, 1))
+    rows = spec.law.draw_rows(rng, n_paths, len(_draw_rows(spec)[1]))
+    return rows, None if shocks is None else spec.shock.draw_rows(shocks, n_paths, 1)
 
 
 def sample_increments(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an (n_paths, horizon) matrix of increments X_i (offset excluded).
 
-    The matrix may be column-major: a moving sum is built time-major, one
-    contiguous (n_paths,) row per step, and returned transposed.  These are
-    the family's draws before centering: ``sample_paths`` and
-    ``sample_final_sums`` take the drift off the sums, not the steps.
+    The matrix may be column-major: a lattice walk's steps and a moving sum
+    are built time-major, one contiguous (n_paths,) row per step, and
+    returned transposed.  These are the family's draws before centering:
+    ``sample_paths`` and ``sample_final_sums`` take the drift off the sums,
+    not the steps.
     """
     n = spec.horizon
     if spec.family == "gaussian_assoc":
         return rng.standard_normal((n_paths, n)) @ _factor(spec.covariance).T
-    y, shocks = _draws(spec, n_paths, rng)
+    rows, shocks = _draws(spec, n_paths, rng)
+    y = spec.law.values(rows).T
     if spec.family == "iid":
         return y
     if spec.family == "shared_shock":
-        return y.astype(np.float64, copy=False) + shocks.astype(np.float64, copy=False)
+        w = spec.shock.values(shocks).T
+        return y.astype(np.float64, copy=False) + w.astype(np.float64, copy=False)
     if spec.family == "adversarial_sign_flip":
         return y.astype(np.float64, copy=False) * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     # a moving sum: X_i = 0 + w_0 y_(i+q) + w_1 y_(i+q-1) + ..., added in
@@ -443,22 +463,24 @@ def sample_outcomes(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator)
 
     An index is mixed-radix over the chain's draws, most significant first,
     with the shared shock above them all; a digit is the position of the
-    drawn value in its law's ``support()``.  A lattice law has at most two
-    atoms, so that position is whether the value exceeds the lowest atom.
-    ValueError for a family without a chain.
+    drawn value in its law's ``support()``, which for a lattice law is the
+    0/1 digit row ``_draws`` hands over, or 0 for a one-atom law (Bernoulli
+    0 or 1).  A lattice law has at most two atoms, so the index is built by
+    doubling, idx += idx then idx += digit per draw, in the narrowest
+    unsigned type that holds ``outcome_count - 1`` (uint16 up to 2**16
+    outcomes), then widened.  ValueError for a family without a chain.
     """
     chain = to_chain(spec)
-    y, shocks = _draws(spec, n_paths, rng)
-    idx = np.zeros(n_paths, dtype=np.int64)
-    # in the draws' own integer type: a float atom would cast each row to float64
-    lo = y.dtype.type(spec.law.support()[0][0])
-    for row in y.T:
-        idx *= len(chain.atoms)
-        idx += row > lo
-    if shocks is not None:
-        w_lo = shocks.dtype.type(spec.shock.support()[0][0])
-        idx += (shocks[:, 0] > w_lo) * len(chain.atoms) ** len(chain.steps)
-    return idx
+    rows, shocks = _draws(spec, n_paths, rng)
+    idx = np.zeros(n_paths, dtype=np.min_scalar_type(chain.outcome_count - 1))
+    # the shock's digit first: each draw's doubling lifts it one place
+    if shocks is not None and len(chain.shared_component) > 1:
+        idx += shocks[0]
+    if len(chain.atoms) > 1:
+        for row in rows:
+            idx += idx
+            idx += row
+    return idx.astype(np.int64)
 
 
 def _factor(cov: np.ndarray) -> np.ndarray:

@@ -86,16 +86,20 @@ def iter_blocks(
         rows = np.empty((n, idx.size))
         rows[unreached] = 0.0
         p = np.ones(idx.size)
+        w = idx // per_shared
+        # draw k's digit is q_k - s * q_(k-1) for q_k = idx // stride_k, the
+        # shared quotient w above the first: one floor-divide per draw, no %
+        q = w.copy()
         for stride, draw in zip(strides, writes):
-            digit = idx // stride
-            digit %= s
+            digit, q = q, idx // stride
+            digit *= s
+            np.subtract(q, digit, out=digit)
             for j, col, added in draw:
                 if added:
                     rows[j] += col[digit]
                 else:
                     np.take(col, digit, out=rows[j])
             p *= probs[digit]  # np.prod's left-to-right product, a draw at a time
-        w = idx // per_shared
         p *= w_probs[w]
         # the operations of cumsum(inc + w, axis=1) - drift_line + offset, in
         # place along the time axis; += offset runs even at 0.0, as the

@@ -695,6 +695,35 @@ _COUNTED = {
 }
 
 
+# chains at the edges of the index's unsigned type, each with the least
+# index its top digit gives: the largest counted chain (2^16 outcomes, all
+# of uint16), a shock digit at 2^15, one past 16 bits (uint32), k-level
+# Bernoulli digits, and a one-atom draw under a shock (its digit is 0)
+_WIDTHS = {
+    "rademacher-16": (iid_spec(rademacher(), 16), 2**15),
+    "shock-15": (shared_shock_spec(rademacher(), rademacher(), 15), 2**15),
+    "rademacher-17": (iid_spec(rademacher(), 17), 2**16),
+    "bernoulli-0.3-16": (iid_spec(bernoulli(0.3), 16), 2**15),
+    "bernoulli-1-shock": (shared_shock_spec(bernoulli(1.0), rademacher(), 6), 1),
+}
+
+
+def _sampled_outcomes(spec, m):
+    """``sample_outcomes``' m indices, checked to pick from the full
+    enumeration the very paths ``sample_paths`` draws from the same stream,
+    bit for bit, with the generator left in the same state."""
+    chain = to_chain(spec)
+    rng, twin = derive_stream(17, 3), derive_stream(17, 3)
+    idx = sample_outcomes(spec, m, rng)
+    want = sample_paths(spec, m, twin)
+    assert idx.dtype == np.int64 and idx.shape == (m,)
+    assert idx.min() >= 0 and idx.max() < chain.outcome_count
+    every = np.vstack([p for p, _ in iter_blocks(chain)])
+    assert every[idx].view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert _plain(rng.bit_generator.state) == _plain(twin.bit_generator.state)
+    return idx
+
+
 class TestSampleOutcomes:
     """``sample_outcomes`` reads the draws of ``sample_paths`` as outcome
     indices of the chain, which ``iter_blocks`` turns back into the very
@@ -702,16 +731,15 @@ class TestSampleOutcomes:
 
     @pytest.mark.parametrize("label", sorted(_COUNTED))
     def test_each_index_is_the_sampled_path(self, label):
-        spec = _COUNTED[label]
-        chain = to_chain(spec)
-        rng, twin = derive_stream(17, 3), derive_stream(17, 3)
-        idx = sample_outcomes(spec, 200, rng)
-        want = sample_paths(spec, 200, twin)
-        assert idx.dtype == np.int64 and idx.shape == (200,)
-        assert idx.min() >= 0 and idx.max() < chain.outcome_count
-        every = np.vstack([p for p, _ in iter_blocks(chain)])
-        assert every[idx].view(np.int64).tolist() == want.view(np.int64).tolist()
-        assert _plain(rng.bit_generator.state) == _plain(twin.bit_generator.state)
+        _sampled_outcomes(_COUNTED[label], 200)
+
+    @pytest.mark.parametrize("label", sorted(_WIDTHS))
+    def test_index_width_boundaries(self, label):
+        """1,000 paths (15 full 64-path blocks and a partial one) reach the
+        top digit of each chain's index, and every index is still its
+        sampled path."""
+        spec, top = _WIDTHS[label]
+        assert _sampled_outcomes(spec, 1000).max() >= top
 
     @pytest.mark.parametrize("label", sorted(_COUNTED))
     def test_indexed_blocks_are_the_enumerated_ones(self, label):

@@ -418,6 +418,36 @@ class TestInPlaceBlocks:
             assert paths.tobytes() == want_paths.tobytes()
             assert probs.tobytes() == want_probs.tobytes()
 
+    def test_chosen_outcomes_of_a_three_atom_chain(self):
+        """Blocks of a sorted random subset of outcomes hold the full
+        enumeration's rows and probabilities bit for bit, on a 3-atom chain
+        (a radix no lattice law reaches) with negative entries, a draw
+        starting before step 0, one cut at the horizon and a shared
+        component; the full enumeration equals the expressions."""
+        chain = DiscreteChainSpec(
+            atoms=(((-1.0, 0.1), 0.2), ((0.7, -0.0), 0.5), ((2.0, -0.5), 0.3)),
+            steps=(-1, 0, 1, 2, 4),
+            horizon=5,
+            shared_component=((-1.0, 0.4), (0.3, 0.6)),
+            drift=0.3,
+            offset=1.5,
+        )
+        assert chain.outcome_count == 3**5 * 2
+        blocks = list(iter_blocks(chain, 64))
+        for (paths, probs), (want_paths, want_probs) in zip(
+            blocks, _expression_blocks(chain, 64), strict=True
+        ):
+            assert paths.tobytes() == want_paths.tobytes()
+            assert probs.tobytes() == want_probs.tobytes()
+        every = np.vstack([p for p, _ in blocks])
+        every_probs = np.concatenate([p for _, p in blocks])
+        pick = np.unique(np.random.default_rng(11).integers(0, chain.outcome_count, 120))
+        assert pick[0] < 3**5 <= pick[-1]
+        got = list(iter_blocks(chain, 16, pick))
+        paths = np.vstack([p for p, _ in got])
+        assert paths.tobytes() == every[pick].tobytes()
+        assert np.concatenate([p for _, p in got]).tobytes() == every_probs[pick].tobytes()
+
     def test_exact_stopped_fold_peak_memory(self):
         """Exact L5.1 at n = 16 folds one 65,536-outcome block of 8 MiB.
         Built in place, the block costs about two block-sized arrays at a

@@ -648,14 +648,17 @@ class TestBatteryMemory:
 
     def test_large_battery_never_builds_the_chunk_matrix(self):
         """K = 288 statistics over one chunk stay far below the (K, chunk)
-        float64 matrix that whole-chunk evaluation would build."""
-        spec = iid_spec(rademacher(), 10)
+        float64 matrix that whole-chunk evaluation would build.  The walk
+        has 2^17 outcomes, above CHUNK_PATHS, so every sampled path is
+        evaluated; 18 members over 16 steps make K = 288."""
+        spec = iid_spec(rademacher(), 17)
+        assert registry._counted_chain(spec) is None
         tracemalloc.start()
         try:
             _, results, _ = verify_detailed(
                 "Def1.2-demi",
                 spec,
-                params={"battery_size": 32},
+                params={"battery_size": 18},
                 mode="monte_carlo",
                 paths=CHUNK_PATHS,
                 seed=3,
@@ -668,19 +671,22 @@ class TestBatteryMemory:
 
     def test_battery_pieces_never_build_a_tile_matrix(self):
         """Battery pieces are reduced as they are computed: a Monte-Carlo
-        K = 288 verdict over one chunk and an exact K = 416 fold at n = 14
-        each peak below one (288, tile) float64 matrix."""
+        K = 288 verdict sampled path by path over one chunk (battery 18 at
+        n = 17, whose 2^17 outcomes are above CHUNK_PATHS) and an exact
+        K = 416 fold (battery 32 at n = 14) each peak below one (288, tile)
+        float64 matrix."""
         one_tile = 288 * tile_paths(288) * 8
-        for spec, mode, checks in (
-            (iid_spec(rademacher(), 10), "monte_carlo", 288),
-            (centered(iid_spec(bernoulli(0.3), 14)), "exact", 416),
+        for spec, mode, battery, checks in (
+            (iid_spec(rademacher(), 17), "monte_carlo", 18, 288),
+            (centered(iid_spec(bernoulli(0.3), 14)), "exact", 32, 416),
         ):
+            assert mode == "exact" or registry._counted_chain(spec) is None
             tracemalloc.start()
             try:
                 _, results, _ = verify_detailed(
                     "Def1.2-demi",
                     spec,
-                    params={"battery_size": 32},
+                    params={"battery_size": battery},
                     mode=mode,
                     paths=CHUNK_PATHS,
                     seed=3,
@@ -731,26 +737,6 @@ class TestStatisticTiles:
             [r.stats.stderr for r in results], [w.stats.stderr for w in want], rtol=1e-12, atol=0
         )
         assert [r.verdict for r in results] == [w.verdict for w in want]
-
-    def test_per_path_pieces_never_build_a_tile_matrix(self):
-        """A K = 288 battery sampled path by path (2^17 outcomes, above
-        CHUNK_PATHS) over one chunk peaks below one (288, tile) float64
-        matrix, as its pieces are reduced when computed."""
-        tracemalloc.start()
-        try:
-            _, results, _ = verify_detailed(
-                "Def1.2-demi",
-                iid_spec(rademacher(), 17),
-                params={"battery_size": 18},
-                mode="monte_carlo",
-                paths=CHUNK_PATHS,
-                seed=3,
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(results) == 288
-        assert peak < 288 * tile_paths(288) * 8, peak
 
     def test_exact_entries_fold_in_tiles(self):
         spec = iid_spec(bernoulli(0.3), 14)
