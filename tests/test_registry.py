@@ -738,6 +738,26 @@ class TestStatisticTiles:
         )
         assert [r.verdict for r in results] == [w.verdict for w in want]
 
+    def test_per_path_pieces_never_build_a_tile_matrix(self):
+        """A K = 288 battery sampled path by path (2^17 outcomes, above
+        CHUNK_PATHS) over one chunk peaks below one (288, tile) float64
+        matrix, as its pieces are reduced when computed."""
+        tracemalloc.start()
+        try:
+            _, results, _ = verify_detailed(
+                "Def1.2-demi",
+                iid_spec(rademacher(), 17),
+                params={"battery_size": 18},
+                mode="monte_carlo",
+                paths=CHUNK_PATHS,
+                seed=3,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 288
+        assert peak < 288 * tile_paths(288) * 8, peak
+
     def test_exact_entries_fold_in_tiles(self):
         spec = iid_spec(bernoulli(0.3), 14)
         inst = Instance(spec=spec, rule=None, rule2=None, params={"battery_size": 32}, seed=42)
