@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import asymptotics, bounds, generators as gen, registry
-from .core import DEFAULT_TOLERANCE_Z, FAIL, INCONCLUSIVE, PASS, iter_chunks
+from .core import DEFAULT_TOLERANCE_Z, FAIL, INCONCLUSIVE, PASS, iter_chunks, summarize
 from .registry import PreconditionError, read_param
 from .stopping import StoppingRule, capped, deterministic, first_passage_down, first_passage_up
 
@@ -396,11 +396,11 @@ def _cmd_gen(args, config: ExperimentConfig, spec: gen.GeneratorSpec) -> int:
         _write(args.out, _csv_rows(spec, config.paths, config.seed))
         return 0
     paths = gen.generate(spec, config.paths, config.seed)
-    s_n = paths[:, -1]
+    s_n = summarize(paths[:, -1])
     print(f"generator_id: {spec.generator_id}")
     print(f"paths: {paths.shape[0]}")
     print(f"horizon: {paths.shape[1]}")
-    print(f"E[S_n]: {_fmt(s_n.mean())} +- {_fmt(s_n.std(ddof=1) / math.sqrt(len(s_n)))}")
+    print(f"E[S_n]: {_fmt(s_n.mean)} +- {_fmt(s_n.stderr)}")
     print(f"V_n (exact): {_fmt(gen.v_n(spec))}")
     return 0
 

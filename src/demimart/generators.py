@@ -130,14 +130,6 @@ class IncrementLaw:
             return [(v, p) for v, p in pairs if p > 0.0]
         raise ValueError("not enumerable: continuous increment law")
 
-    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Draw an (m, c) array: int8 for the lattice laws, else float64.
-
-        These are the ``values`` of the (c, m) rows ``draw_rows`` draws,
-        transposed: column-major for a lattice law.
-        """
-        return self.values(self.draw_rows(rng, *shape)).T
-
     def draw_rows(self, rng: np.random.Generator, m: int, c: int) -> np.ndarray:
         """The time-major (c, m) rows of m paths' c draws.
 
@@ -422,44 +414,46 @@ def _draws(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator):
 def sample_increments(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an (n_paths, horizon) matrix of increments X_i (offset excluded).
 
-    The matrix may be column-major: a lattice walk's steps and a moving sum
-    are built time-major, one contiguous (n_paths,) row per step, and
-    returned transposed.  These are the family's draws before centering:
-    ``sample_paths`` and ``sample_final_sums`` take the drift off the sums,
-    not the steps.
+    iid draws come as drawn (int8 steps for a lattice law).  Every other
+    family with a law sums at step j, from 0.0 and oldest draw first, w * y
+    over the draws y whose row entry w reaches it (``_draw_rows``,
+    ``_reach``), then adds the shared shock: the sums ``oracle.iter_blocks``
+    forms, so a sampled path is its enumerated one bit for bit.  Both are
+    built time-major and returned transposed, column-major.  These are the
+    family's draws before centering: ``sample_paths`` and
+    ``sample_final_sums`` take the drift off the sums, not the steps.
     """
     n = spec.horizon
     if spec.family == "gaussian_assoc":
         return rng.standard_normal((n_paths, n)) @ _factor(spec.covariance).T
     rows, shocks = _draws(spec, n_paths, rng)
-    y = spec.law.values(rows).T
+    y = spec.law.values(rows)
     if spec.family == "iid":
-        return y
-    if spec.family == "shared_shock":
-        w = spec.shock.values(shocks).T
-        return y.astype(np.float64, copy=False) + w.astype(np.float64, copy=False)
-    if spec.family == "adversarial_sign_flip":
-        return y.astype(np.float64, copy=False) * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    # a moving sum: X_i = 0 + w_0 y_(i+q) + w_1 y_(i+q-1) + ..., added in
-    # that order into row i of a time-major build from the time-major draws
-    # (a lattice law's rows as drawn); the products are those of the float64
-    # draws
-    q = len(spec.weights) - 1
-    y = np.ascontiguousarray(y.T)
-    rows = np.zeros((n, n_paths))
+        return y.T
+    y = np.ascontiguousarray(y)  # a uniform law's rows are a transposed view
+    row, starts = _draw_rows(spec)
+    # per step, the (entry, draw row) pairs that reach it, oldest draw first
+    terms = [[] for _ in range(n)]
+    for draw, start, cut in zip(y, starts, _reach(starts, len(row), n)):
+        for i in range(*cut):
+            if row[i]:  # a 0.0 term changes no sum that starts at 0.0
+                terms[start + i].append((row[i], draw))
+    shock = None if shocks is None else spec.shock.values(shocks)[0].astype(np.float64)
+    x = np.zeros((n, n_paths))
     term = np.empty(n_paths)
-    for i, row in enumerate(rows):
-        for k, w in enumerate(spec.weights):
-            if w:
-                row += np.multiply(w, y[q - k + i], out=term)
-    return rows.T
+    for xj, step in zip(x, terms):
+        for w, draw in step:
+            xj += np.multiply(w, draw, out=term)
+        if shock is not None:
+            xj += shock
+    return x.T
 
 
 def sample_outcomes(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) -> np.ndarray:
     """The int64 outcome index in ``to_chain(spec)`` of each of n_paths
     paths, from the draws ``sample_paths`` makes with the same stream: the
     path ``oracle.iter_blocks`` builds for index p's value is row p of
-    ``sample_paths``, and the generator ends in the same state.
+    ``sample_paths`` bit for bit, and the generator ends in the same state.
 
     An index is mixed-radix over the chain's draws, most significant first,
     with the shared shock above them all; a digit is the position of the
@@ -519,7 +513,7 @@ def sample_paths(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) ->
 
 def _row_sums(inc: np.ndarray) -> np.ndarray:
     """Per-path float64 sums of an (n_paths, horizon) increment matrix,
-    summed from a row-major copy when it is column-major (a moving sum):
+    summed from a row-major copy when it is column-major (built time-major):
     numpy's row sum is pairwise along a contiguous row but sequential
     across columns, and the two differ in the last bits."""
     return np.ascontiguousarray(inc).sum(axis=1, dtype=np.float64)
@@ -817,11 +811,6 @@ class DiscreteChainSpec:
         reach += self.horizon * max(map(abs, shared), default=0.0)
         return e if reach <= math.ldexp(_GRID_SPAN, -e) else None
 
-    @property
-    def lattice(self) -> bool:
-        """Whether S_n lies on a lattice 2**-e Z that ``grid`` accepts."""
-        return self.grid is not None
-
 
 def _draw_rows(spec: GeneratorSpec) -> tuple[tuple[float, ...], range]:
     """Each draw v of a family's law adds v times one row to its steps from
@@ -832,6 +821,16 @@ def _draw_rows(spec: GeneratorSpec) -> tuple[tuple[float, ...], range]:
     if spec.family == "adversarial_sign_flip":
         return tuple((-1.0) ** i for i in range(spec.horizon)), range(1)
     return (1.0,), range(spec.horizon)
+
+
+def _reach(starts, width: int, horizon: int) -> list[tuple[int, int]]:
+    """Per draw whose row of ``width`` entries is added from 0-based step
+    ``start`` on, the bounds (first, stop) of the entries that reach a step,
+    the row cut at both ends of the horizon: entry i goes to step start + i."""
+    return [
+        (-s if s < 0 else 0, width if s <= horizon - width else max(horizon - s, 0))
+        for s in starts
+    ]
 
 
 def to_chain(spec: GeneratorSpec) -> DiscreteChainSpec:

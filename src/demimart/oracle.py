@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .core import _accumulate_rows, statistic_pieces
-from .generators import DiscreteChainSpec
+from .generators import DiscreteChainSpec, _reach
 
 __all__ = [
     "KahanSum",
@@ -76,8 +76,8 @@ def iter_blocks(
     strides = s ** np.arange(len(chain.steps) - 1, -1, -1, dtype=np.int64)
     # per draw, (step, column, whether an earlier draw reached it) for each step
     writes, reached = [], set()
-    for start in chain.steps:
-        steps = range(max(start, 0), min(start + len(cols), n))
+    for start, cut in zip(chain.steps, _reach(chain.steps, len(cols), n)):
+        steps = range(start + cut[0], start + cut[1])
         writes.append([(j, cols[j - start], j in reached) for j in steps])
         reached.update(steps)
     unreached = [j for j in range(n) if j not in reached]
@@ -136,7 +136,7 @@ def terminal_law(chain: DiscreteChainSpec) -> tuple[np.ndarray, np.ndarray]:
     the enumeration adds, then the operations that give the last column of
     ``iter_blocks``, so atoms equal the enumerated S_n bit for bit.
     Zero-probability atoms are dropped.  Raises ValueError unless the chain
-    is ``lattice``.
+    has a ``grid``.
     """
     lo, base = 0, np.ones(1)
     for k_lo, pmf in _draw_laws(chain):
@@ -161,7 +161,7 @@ def terminal_law(chain: DiscreteChainSpec) -> tuple[np.ndarray, np.ndarray]:
 def _draw_laws(chain: DiscreteChainSpec) -> list[tuple[int, np.ndarray]]:
     """(lowest sum, pmf from it) of each draw's integer row sum, each row cut
     to the horizon and scaled by 2**e (``DiscreteChainSpec.grid``), exactly,
-    in draw order.  Raises ValueError unless the chain is ``lattice``."""
+    in draw order.  Raises ValueError unless the chain has a ``grid``."""
     e = chain.grid
     if e is None:
         raise ValueError("terminal law needs atoms on a coarse grid of 2**-e")
@@ -170,8 +170,7 @@ def _draw_laws(chain: DiscreteChainSpec) -> list[tuple[int, np.ndarray]]:
     # once per cut of the row
     pmfs: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
     laws = []
-    for start in chain.steps:
-        cut = (-start if start < 0 else 0, width if start <= n - width else max(n - start, 0))
+    for cut in _reach(chain.steps, width, n):
         draw = pmfs.get(cut)
         if draw is None:
             sums = [(int(math.ldexp(sum(row[slice(*cut)]), e)), p) for row, p in chain.atoms]
@@ -187,7 +186,7 @@ def _draw_laws(chain: DiscreteChainSpec) -> list[tuple[int, np.ndarray]]:
 def terminal_cost(chain: DiscreteChainSpec) -> int:
     """Multiply-adds of ``terminal_law``: each draw's pmf convolved with the
     law of the draws before it, then that law added once per shared atom.
-    Raises ValueError unless the chain is ``lattice``."""
+    Raises ValueError unless the chain has a ``grid``."""
     size, cost = 1, 0
     for _, pmf in _draw_laws(chain):
         cost += size * pmf.size

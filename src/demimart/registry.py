@@ -968,18 +968,18 @@ def expectations(
 
     This is the one place an engine is chosen.  Exact mode folds outcome
     probabilities: over the law of S_n alone when ``terminal_only`` is set,
-    S_n is a lattice sum and its convolutions (``oracle.terminal_cost``)
-    cost less than building every path (outcomes x horizon), else over
-    every enumerated path, ``tile_paths(checks)`` outcomes per block; each
-    result has stderr 0 and the chain's outcome count.  Monte Carlo
-    averages ``paths`` sampled paths from chunk ``chunk_base`` of ``seed``
-    on (S_n alone as an (m, 1) matrix when ``terminal_only``), evaluated
-    and reduced one tile of ``tile_paths(checks)`` paths at a time.  On a
-    lattice chain of at most CHUNK_PATHS outcomes, the chunks are drawn as
-    outcome indices (``gen.sample_outcomes``) and counted, and each distinct
-    sampled path is built (``oracle.iter_blocks``) and evaluated once,
-    weighted by its count: the same sample, the same values up to the order
-    of summation.
+    S_n is a lattice sum (the chain has a ``grid``) and its convolutions
+    (``oracle.terminal_cost``) cost less than building every path (outcomes
+    x horizon), else over every enumerated path, ``tile_paths(checks)``
+    outcomes per block; each result has stderr 0 and the chain's outcome
+    count.  Monte Carlo averages ``paths`` sampled paths from chunk
+    ``chunk_base`` of ``seed`` on (S_n alone as an (m, 1) matrix when
+    ``terminal_only``), evaluated and reduced one tile of
+    ``tile_paths(checks)`` paths at a time.  On a chain of at most
+    CHUNK_PATHS outcomes, the chunks are drawn as outcome indices
+    (``gen.sample_outcomes``) and counted, and each distinct sampled path is
+    built (``oracle.iter_blocks``) and evaluated once, weighted by its
+    count: the same sample, the same values up to the order of summation.
 
     In exact mode ``spec`` may be the chain itself, for a caller that built
     it; a generator without one raises PreconditionError("mode").
@@ -991,8 +991,8 @@ def expectations(
                 chain = gen.to_chain(spec)
             except ValueError as exc:
                 raise PreconditionError("mode", f"exact mode unavailable: {exc}") from exc
-        n = chain.horizon
-        if terminal_only and chain.lattice and terminal_cost(chain) < chain.outcome_count * n:
+        build_cost = chain.outcome_count * chain.horizon
+        if terminal_only and chain.grid is not None and terminal_cost(chain) < build_cost:
             values = fold_terminal(chain, evaluate, checks)
         else:
             values = fold_expectations(chain, evaluate, block=tile_paths(checks), checks=checks)
@@ -1028,14 +1028,14 @@ def expectations(
 
 def _counted_chain(spec: gen.GeneratorSpec) -> gen.DiscreteChainSpec | None:
     """The chain whose outcomes Monte Carlo counts instead of evaluating
-    every sampled path, or None: a lattice chain (so its enumerated paths are
-    the sampled ones bit for bit) of at most CHUNK_PATHS outcomes (so its
-    counts and one tile of its paths bound the memory, whatever ``paths``)."""
+    every sampled path, or None: any chain of at most CHUNK_PATHS outcomes,
+    so its counts and one tile of its paths bound the memory, whatever
+    ``paths``; its enumerated paths are the sampled ones bit for bit."""
     try:
         chain = gen.to_chain(spec)
     except ValueError:
         return None
-    return chain if chain.outcome_count <= CHUNK_PATHS and chain.lattice else None
+    return chain if chain.outcome_count <= CHUNK_PATHS else None
 
 
 def _sample_terminal(spec: gen.GeneratorSpec, m: int, rng) -> np.ndarray:

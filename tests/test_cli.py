@@ -2,7 +2,10 @@
 
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -518,6 +521,23 @@ class TestPreconditionFields:
         assert main(["gen", "--config", str(cfg), "--paths", "10"]) == 0
         first = capsys.readouterr().out.splitlines()[0]
         assert first == "generator_id: moving_sum/n=8/law=bernoulli(0.5)/w=(1.0,0.5)/centered"
+
+    def test_gen_of_one_path_prints_an_infinite_stderr(self):
+        """One path carries no spread: ``gen`` prints the +inf stderr of
+        ``summarize``, and numpy writes no warning to stderr."""
+        root = Path(__file__).resolve().parents[1]
+        cfg = root / "configs" / "23-c22-moving-sum-mc.cfg"
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "demimart.cli", "gen", "--config", str(cfg), "--paths", "1"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            check=False,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "\nE[S_n]: 2.5 +- inf\n" in run.stdout, run.stdout
+        assert run.stderr == ""
 
     def test_gen_prints_v_n_of_a_centered_gaussian(self, tmp_path, capsys):
         cfg = _write(

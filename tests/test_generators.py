@@ -145,7 +145,7 @@ class TestSampling:
             )
         for law_index, rows, cols in draws:
             law = _LATTICE_LAWS[law_index]
-            got = law.sample(rng, (rows, cols))
+            got = law.values(law.draw_rows(rng, rows, cols)).T
             want = _reference_draw(law, twin, (rows, cols))
             assert got.dtype == want.dtype == np.int8
             assert got.shape == want.shape
@@ -172,7 +172,7 @@ class TestSampling:
         rng = np.random.Generator(np.random.MT19937(1))
         for law in (rademacher(), bernoulli(0.3)):
             with pytest.raises(TypeError, match="64-bit"):
-                law.sample(rng, (2, 3))
+                law.values(law.draw_rows(rng, 2, 3)).T
 
     def test_shared_shocks_refuse_generators_that_cannot_jump(self):
         """A shared shock is drawn from a jumped stream; SFC64 has no
@@ -678,7 +678,9 @@ class TestToChain:
 
 
 # families whose chain has few outcomes, with an offset where a start point
-# matters; each draws 200 paths, three full 64-path blocks and a partial one
+# matters, and windows off a dyadic grid, where the order in which a step's
+# draws are added shows in the last bits; each draws 200 paths, three full
+# 64-path blocks and a partial one
 _COUNTED = {
     "iid-rademacher": iid_spec(rademacher(), 6),
     "bernoulli-half": iid_spec(bernoulli(0.5), 6),
@@ -688,6 +690,14 @@ _COUNTED = {
     "bernoulli-1": iid_spec(bernoulli(1.0), 6),
     "shared-shock": shared_shock_spec(bernoulli(0.3), rademacher(), 5),
     "moving-sum": GeneratorSpec("moving_sum", 6, law=rademacher(), weights=(1.0, 0.5)),
+    "window-3": GeneratorSpec("moving_sum", 8, law=bernoulli(0.5), weights=(0.3, 0.7, 0.1)),
+    "window-4": GeneratorSpec("moving_sum", 6, law=rademacher(), weights=(0.3, 0.7, 0.1, 0.9)),
+    "window-past-horizon": GeneratorSpec(
+        "moving_sum", 4, law=bernoulli(0.3), weights=(0.3, 0.7, 0.1, 0.9, 0.2, 0.6)
+    ),
+    "centered-window": centered(
+        GeneratorSpec("moving_sum", 6, law=bernoulli(0.3), weights=(0.3, 0.0, 0.7)), offset=0.1
+    ),
     "centered": centered(iid_spec(bernoulli(0.3), 6)),
     "centered-shock": centered(shared_shock_spec(rademacher(), bernoulli(0.3), 5), offset=2.0),
     "offset": iid_spec(bernoulli(0.25), 6, offset=-1.5),

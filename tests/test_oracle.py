@@ -247,11 +247,11 @@ class TestTerminalLaw:
         0.1 is a multiple of 2**-55 only, and 2**-20 + 1 takes 3 * 2**20."""
         for v in (0.1, 2.0**-20 + 1.0):
             chain = DiscreteChainSpec((((-v,), 0.5), ((v,), 0.5)), (0, 1, 2), horizon=3)
-            assert chain.grid is None and not chain.lattice
+            assert chain.grid is None
             with pytest.raises(ValueError, match="grid"):
                 terminal_law(chain)
         chain = DiscreteChainSpec((((-0.5,), 0.5), ((0.5,), 0.5)), (0, 1, 2), horizon=3)
-        assert chain.grid == 1 and chain.lattice
+        assert chain.grid == 1
         assert terminal_law(chain)[0].tolist() == [-1.5, -0.5, 0.5, 1.5]
 
     @pytest.mark.parametrize("weights", [(1.0, 0.5), (0.25, 1.0, 0.75), (1.5,)])

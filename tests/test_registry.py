@@ -624,13 +624,16 @@ class TestDefinitionBattery:
 
 
 class TestBatteryMemory:
-    @staticmethod
-    def _traced_peak(paths: int) -> int:
+    # 2^17 outcomes, above CHUNK_PATHS: every sampled path is evaluated
+    RAD17 = iid_spec(rademacher(), 17)
+
+    @classmethod
+    def _traced_peak(cls, paths: int) -> int:
         tracemalloc.start()
         try:
             verify_detailed(
                 "Def1.2-demi",
-                RAD6,
+                cls.RAD17,
                 params={"battery_size": 4},
                 mode="monte_carlo",
                 paths=paths,
@@ -641,7 +644,9 @@ class TestBatteryMemory:
             tracemalloc.stop()
 
     def test_chunk_statistics_released_before_next_chunk(self):
-        """A second chunk must not hold the first chunk's statistics."""
+        """A second chunk must not hold the first chunk's statistics, on a
+        walk whose paths are evaluated one by one, not counted."""
+        assert registry._counted_chain(self.RAD17) is None
         one = self._traced_peak(CHUNK_PATHS)
         two = self._traced_peak(2 * CHUNK_PATHS)
         assert two <= 1.25 * one, (one, two)
@@ -802,6 +807,13 @@ class TestCountedMonteCarlo:
             "L5.1", iid_spec(bernoulli(0.3), 8), capped(first_passage_up(2.0), 8), {}
         ),
         "t47-terminal": ("T4.7", iid_spec(rademacher(), 12), None, {"t": 4.0}),
+        # weights off a dyadic grid: float sums whose order matters
+        "t31-moving-sum-off-grid": (
+            "T3.1",
+            GeneratorSpec("moving_sum", 4, law=bernoulli(0.3), weights=(0.3, 0.7)),
+            capped(first_passage_up(1.0), 4),
+            {},
+        ),
     }
 
     @pytest.mark.parametrize("paths", [CHUNK_PATHS + 3, 300], ids=["two-chunks", "few-paths"])
@@ -848,14 +860,26 @@ class TestCountedMonteCarlo:
         one, many = peak(1), peak(16)
         assert many <= 1.25 * one, (one, many)
 
+    def test_off_grid_moving_sum_agrees_with_exact(self):
+        """Sampled and enumerated paths add a window's draws in one order,
+        so float ties at the threshold break alike in both modes: T3.1 on a
+        centered moving sum with weights (0.3, 0.7, 0.1) estimates the exact
+        value (about -0.0797) within 4 standard errors."""
+        spec = centered(GeneratorSpec("moving_sum", 8, law=bernoulli(0.5), weights=(0.3, 0.7, 0.1)))
+        rule = capped(first_passage_up(1.0), 8)
+        _, (exact,), _ = verify_detailed("T3.1", spec, rule=rule, mode="exact")
+        _, (mc,), _ = verify_detailed(
+            "T3.1", spec, rule=rule, mode="monte_carlo", paths=2**20, seed=5
+        )
+        assert abs(mc.stats.mean - exact.stats.mean) <= 4.0 * mc.stats.stderr, (mc, exact)
+
     def test_chains_that_are_not_counted(self):
-        """Continuous laws, chains above CHUNK_PATHS outcomes and chains off
-        a coarse lattice keep the per-path pass."""
+        """Continuous laws and chains above CHUNK_PATHS outcomes keep the
+        per-path pass."""
         for spec in (
             iid_spec(uniform(-1.0, 1.0), 4),
             gaussian_assoc_spec(np.eye(3), 3),
             iid_spec(rademacher(), 17),
-            GeneratorSpec("moving_sum", 4, law=bernoulli(0.3), weights=(0.3, 0.7)),
         ):
             assert registry._counted_chain(spec) is None, spec.generator_id
         assert registry._counted_chain(iid_spec(rademacher(), 16)) is not None
