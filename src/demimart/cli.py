@@ -390,16 +390,16 @@ def _cmd_check_demi(args, config: ExperimentConfig, spec: gen.GeneratorSpec | No
 
 def _cmd_gen(args, config: ExperimentConfig, spec: gen.GeneratorSpec) -> int:
     if config.paths < 1:
-        # the chunked dump never reaches generate()'s own check
+        # both branches sample chunk by chunk, past generate()'s own check
         raise ValueError("paths must be >= 1")
     if args.dump_paths:
         _write(args.out, _csv_rows(spec, config.paths, config.seed))
         return 0
-    paths = gen.generate(spec, config.paths, config.seed)
-    s_n = summarize(paths[:, -1])
+    chunks = iter_chunks(gen.sample_final_sums, spec, config.paths, config.seed)
+    s_n = summarize(np.concatenate(list(chunks)))
     print(f"generator_id: {spec.generator_id}")
-    print(f"paths: {paths.shape[0]}")
-    print(f"horizon: {paths.shape[1]}")
+    print(f"paths: {config.paths}")
+    print(f"horizon: {spec.horizon}")
     print(f"E[S_n]: {_fmt(s_n.mean)} +- {_fmt(s_n.stderr)}")
     print(f"V_n (exact): {_fmt(gen.v_n(spec))}")
     return 0

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import _accumulate_rows, iter_chunks
+from .core import CHUNK_PATHS, _accumulate_rows, iter_chunks
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -420,8 +420,9 @@ def sample_increments(spec: GeneratorSpec, n_paths: int, rng: np.random.Generato
     ``_reach``), then adds the shared shock: the sums ``oracle.iter_blocks``
     forms, so a sampled path is its enumerated one bit for bit.  Both are
     built time-major and returned transposed, column-major.  These are the
-    family's draws before centering: ``sample_paths`` and
-    ``sample_final_sums`` take the drift off the sums, not the steps.
+    family's draws before centering: ``sample_paths`` takes the drift off
+    their running sums, not the steps, and ``sample_final_sums`` reads S_n
+    from those sums.
     """
     n = spec.horizon
     if spec.family == "gaussian_assoc":
@@ -511,28 +512,20 @@ def sample_paths(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) ->
     return s
 
 
-def _row_sums(inc: np.ndarray) -> np.ndarray:
-    """Per-path float64 sums of an (n_paths, horizon) increment matrix,
-    summed from a row-major copy when it is column-major (built time-major):
-    numpy's row sum is pairwise along a contiguous row but sequential
-    across columns, and the two differ in the last bits."""
-    return np.ascontiguousarray(inc).sum(axis=1, dtype=np.float64)
-
-
 def sample_final_sums(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw S_n alone for n_paths paths, from the draws ``sample_paths`` makes.
+    """Draw S_n alone for n_paths paths: ``sample_paths(...)[:, -1]`` bit for
+    bit, leaving the generator in the same state, as an array of its own.
 
-    No partial-sum matrix is built, and iid lattice steps are counted
-    straight from their bits, without building a step matrix.
-    Integer-valued draws sum exactly, so on lattice families this equals
-    ``sample_paths(...)[:, -1]`` bit for bit and leaves the generator in the
-    same state; a centered family subtracts n * drift once from the
-    uncentered sum, so its S_n stays on the shifted lattice.
+    iid lattice steps are counted exactly from their bits (``_bit_sums``),
+    and a centered walk subtracts n * drift once from the uncentered count,
+    as ``sample_paths`` does from S_n.  Every other family copies the last
+    column of ``sample_paths``, so that the path matrix is freed: the
+    running sum that builds the path and that ``oracle.iter_blocks``
+    enumerates, one S_n per path.
     """
-    if spec.family == "iid" and spec.law.name != "uniform":
-        s = _bit_sums(_lattice_bits(spec.law, rng, n_paths, spec.horizon), spec.law)
-    else:
-        s = _row_sums(sample_increments(spec, n_paths, rng))
+    if spec.family != "iid" or spec.law.name == "uniform":
+        return sample_paths(spec, n_paths, rng)[:, -1].copy()
+    s = _bit_sums(_lattice_bits(spec.law, rng, n_paths, spec.horizon), spec.law)
     if spec.centered:
         s -= spec.horizon * _parts(spec)[1]
     if spec.offset:
@@ -541,11 +534,16 @@ def sample_final_sums(spec: GeneratorSpec, n_paths: int, rng: np.random.Generato
 
 
 def generate(spec: GeneratorSpec, n_paths: int, seed: int) -> np.ndarray:
-    """The (n_paths, horizon) path matrix of ``sample_paths`` over the chunks
-    of ``iter_chunks``, so values depend only on (seed, path index)."""
+    """The column-major (n_paths, horizon) path matrix of ``sample_paths``
+    over the chunks of ``iter_chunks``, each copied into place as it is
+    drawn, so values depend only on (seed, path index)."""
     if n_paths < 1:
         raise ValueError("paths must be >= 1")
-    return np.vstack(list(iter_chunks(sample_paths, spec, n_paths, seed)))
+    out = np.empty((n_paths, spec.horizon), order="F")
+    chunks = iter_chunks(sample_paths, spec, n_paths, seed)
+    for lo, block in zip(range(0, n_paths, CHUNK_PATHS), chunks):
+        out[lo : lo + len(block)] = block
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -974,7 +974,8 @@ def expectations(
     outcomes per block; each result has stderr 0 and the chain's outcome
     count.  Monte Carlo averages ``paths`` sampled paths from chunk
     ``chunk_base`` of ``seed`` on (S_n alone as an (m, 1) matrix when
-    ``terminal_only``), evaluated and reduced one tile of
+    ``terminal_only``: ``gen.sample_final_sums``, the paths' last column bit
+    for bit), evaluated and reduced one tile of
     ``tile_paths(checks)`` paths at a time.  On a chain of at most
     CHUNK_PATHS outcomes, the chunks are drawn as outcome indices
     (``gen.sample_outcomes``) and counted, and each distinct sampled path is

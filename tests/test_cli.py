@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,15 @@ import pytest
 
 from demimart.cli import build_generator_spec, build_rule, main, parse_config_text
 from demimart.core import CHUNK_PATHS, summarize
-from demimart.generators import generate, iid_spec, rademacher, uniform
+from demimart.generators import (
+    GeneratorSpec,
+    centered,
+    generate,
+    iid_spec,
+    rademacher,
+    uniform,
+    v_n,
+)
 from demimart.registry import PreconditionError, verify_detailed
 
 T31_CFG = """\
@@ -174,6 +183,53 @@ class TestDataCommands:
         out = capsys.readouterr().out
         assert "paths: 500" in out
         assert "V_n (exact): 5" in out
+
+    def test_gen_summary_over_two_chunks_is_the_last_column(self, tmp_path, capsys):
+        """Over two chunks of a continuous moving sum, ``gen`` prints the
+        lines of ``summarize`` over the last column of ``generate``."""
+        n = 70_000
+        cfg = _write(
+            tmp_path,
+            "gen.cfg",
+            f"seed = 6\npaths = {n}\n"
+            "generator.family = centered_partial_sum\ngenerator.inner.family = moving_sum\n"
+            "generator.inner.law = uniform\ngenerator.inner.a = -0.5\ngenerator.inner.b = 2\n"
+            "generator.inner.weights = [0.3, 0.7, 0.1]\ngenerator.horizon = 12\n",
+        )
+        assert main(["gen", "--config", cfg]) == 0
+        spec = centered(
+            GeneratorSpec("moving_sum", 12, law=uniform(-0.5, 2.0), weights=(0.3, 0.7, 0.1))
+        )
+        s_n = summarize(generate(spec, n, seed=6)[:, -1])
+        assert capsys.readouterr().out.splitlines() == [
+            f"generator_id: {spec.generator_id}",
+            f"paths: {n}",
+            "horizon: 12",
+            f"E[S_n]: {s_n.mean:.12g} +- {s_n.stderr:.12g}",
+            f"V_n (exact): {v_n(spec):.12g}",
+        ]
+
+    def test_gen_summary_memory_does_not_grow_with_paths(self, tmp_path, capsys):
+        """``gen`` keeps one chunk of paths and the S_n column, not every
+        path: four times the paths of a horizon-20 walk raise its traced
+        peak by the 8-byte S_n of each path only, well under 25%."""
+        peaks = []
+        for paths in (1 << 17, 1 << 19):
+            cfg = _write(
+                tmp_path,
+                "gen.cfg",
+                f"seed = 2\npaths = {paths}\ngenerator.family = iid\n"
+                "generator.law = uniform\ngenerator.a = -1\ngenerator.b = 1\n"
+                "generator.horizon = 20\n",
+            )
+            tracemalloc.start()
+            try:
+                assert main(["gen", "--config", cfg]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert f"paths: {paths}" in capsys.readouterr().out
+        assert peaks[1] < 1.25 * peaks[0], peaks
 
     def test_gen_dump_paths_csv(self, tmp_path, capsys):
         cfg = _write(

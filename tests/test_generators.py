@@ -17,7 +17,6 @@ from demimart.generators import (
     DiscreteChainSpec,
     _at_least,
     _bit_sums,
-    _row_sums,
     _step_bits,
     GeneratorSpec,
     adversarial_spec,
@@ -202,6 +201,18 @@ class TestSampling:
         assert a.shape == (1000, 5)
         assert np.array_equal(a, b)
 
+    def test_generate_fills_one_matrix_with_the_chunks(self):
+        """``generate`` copies each chunk into one column-major matrix, the
+        chunks' own layout: the ``np.vstack`` of the chunks bit for bit,
+        across a chunk boundary."""
+        law = uniform(-0.5, 2.0)
+        spec = centered(GeneratorSpec("moving_sum", 3, law=law, weights=(0.3, 0.7)))
+        n = CHUNK_PATHS + 5
+        got = generate(spec, n, seed=3)
+        want = np.vstack(list(iter_chunks(sample_paths, spec, n, 3)))
+        assert got.flags.f_contiguous and got.dtype == np.float64
+        assert got.tobytes(order="C") == want.tobytes(order="C")
+
     def test_centered_bernoulli_mean_zero_self_check(self):
         """Monte-Carlo self check: centered partial sums average to zero."""
         spec = centered(iid_spec(bernoulli(0.5), 8))
@@ -273,49 +284,55 @@ class TestSampling:
         st.one_of(
             st.integers(min_value=1, max_value=150), st.sampled_from([255, 256, 300])
         ),
-        st.sampled_from(["rademacher", "bernoulli", "shock", "bernoulli shock"]),
         st.sampled_from([0.3, 0.5, 0.25, 0.0, 1.0]),
         st.sampled_from([0.0, 1.5]),
         st.booleans(),
         st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_final_sums_equal_last_column(
-        self, seed, chunk, n, family, p, offset, center, pending
-    ):
-        """Same draws, same S_n: integer lattices sum exactly either way, and
-        a centered family subtracts the same n * mean from the same sum.  The
-        iid bit count (K for Bernoulli(p), 2K - n for Rademacher) switches
-        from uint8 to int64 at n = 256, and both builds leave the generator
-        in the same state, also when an earlier draw left half a raw word
-        pending."""
-        law = bernoulli(p) if family.startswith("bernoulli") else rademacher()
-        if family.endswith("shock"):
-            spec = shared_shock_spec(law, rademacher(), n)
-        else:
-            spec = iid_spec(law, n)
-        spec = centered(spec, offset=offset) if center else replace(spec, offset=offset)
-        rng_paths, rng_sums = derive_stream(seed, chunk), derive_stream(seed, chunk)
-        if pending:
-            for rng in (rng_paths, rng_sums):
-                rng.integers(0, 2, size=1, dtype=np.int8)
-                assert rng.bit_generator.state["has_uint32"]
-        paths = sample_paths(spec, 300, rng_paths)
-        s_n = sample_final_sums(spec, 300, rng_sums)
-        assert s_n.dtype == np.float64
-        assert np.array_equal(s_n, paths[:, -1])
-        assert s_n.tobytes() == np.ascontiguousarray(paths[:, -1]).tobytes()
-        assert repr(rng_sums.bit_generator.state) == repr(rng_paths.bit_generator.state)
-        assert rng_sums.random() == rng_paths.random()
-
-    @pytest.mark.parametrize("n", [255, 256, 300])
-    @pytest.mark.parametrize("value", [127, -128])
-    def test_row_sums_exact_at_the_int16_boundary(self, n, value):
-        """int8 steps sum exactly, past where an int8 or int16 sum would wrap."""
-        inc = np.full((3, n), value, dtype=np.int8)
-        got = _row_sums(inc)
-        assert got.dtype == np.float64
-        assert np.array_equal(got, inc.sum(axis=1, dtype=np.int64).astype(np.float64))
+    def test_final_sums_equal_last_column(self, seed, chunk, n, p, offset, center, pending):
+        """Same draws, same S_n, for every family shape: each S_n is the last
+        column of ``sample_paths`` byte for byte, in an array of its own, and
+        both builds leave the generator in the same state, also when an
+        earlier draw left half a raw word pending.  The iid lattice bit count
+        (K for Bernoulli(p), 2K - n for Rademacher) switches from uint8 to
+        int64 at n = 256 and subtracts the same n * mean from the same sum
+        when centered; every other family, continuous and off a dyadic grid
+        too, is its running sum.  The sign flip cannot be centered."""
+        uni = uniform(-0.5, 2.0)
+        shapes = {
+            "rademacher": iid_spec(rademacher(), n),
+            "bernoulli": iid_spec(bernoulli(p), n),
+            "shock": shared_shock_spec(rademacher(), rademacher(), n),
+            "bernoulli shock": shared_shock_spec(bernoulli(p), rademacher(), n),
+            "uniform": iid_spec(uni, n),
+            "gaussian": gaussian_assoc_spec(np.full((n, n), 0.3) + 0.7 * np.eye(n), n),
+            "window (0.3, 0.7, 0.1)": GeneratorSpec(
+                "moving_sum", n, law=uni, weights=(0.3, 0.7, 0.1)
+            ),
+            "window (1, 0.5, 0.25)": GeneratorSpec(
+                "moving_sum", n, law=uni, weights=(1.0, 0.5, 0.25)
+            ),
+            "uniform shock": shared_shock_spec(rademacher(), uni, n),
+            "sign flip": adversarial_spec(n, bernoulli(p)),
+        }
+        for label, spec in shapes.items():
+            if center and label != "sign flip":
+                spec = centered(spec, offset=offset)
+            else:
+                spec = replace(spec, offset=offset)
+            rng_paths, rng_sums = derive_stream(seed, chunk), derive_stream(seed, chunk)
+            if pending:
+                for rng in (rng_paths, rng_sums):
+                    rng.integers(0, 2, size=1, dtype=np.int8)
+                    assert rng.bit_generator.state["has_uint32"]
+            paths = sample_paths(spec, 300, rng_paths)
+            s_n = sample_final_sums(spec, 300, rng_sums)
+            assert s_n.dtype == np.float64, label
+            assert s_n.flags.owndata, label
+            assert s_n.tobytes() == np.ascontiguousarray(paths[:, -1]).tobytes(), label
+            assert repr(rng_sums.bit_generator.state) == repr(rng_paths.bit_generator.state)
+            assert rng_sums.random() == rng_paths.random(), label
 
     @pytest.mark.parametrize("n", [255, 256, 300])
     @pytest.mark.parametrize("byte, step", [(0xFF, 1.0), (0x80, 1.0), (0x7F, -1.0)])
@@ -741,7 +758,14 @@ class TestSampleOutcomes:
 
     @pytest.mark.parametrize("label", sorted(_COUNTED))
     def test_each_index_is_the_sampled_path(self, label):
-        _sampled_outcomes(_COUNTED[label], 200)
+        """... and each S_n ``sample_final_sums`` draws from the same stream
+        is the enumerated S_n of its index, byte for byte, off a dyadic grid
+        too."""
+        spec = _COUNTED[label]
+        idx = _sampled_outcomes(spec, 200)
+        s_n = sample_final_sums(spec, 200, derive_stream(17, 3))
+        every = np.vstack([p for p, _ in iter_blocks(to_chain(spec))])
+        assert s_n.tobytes() == np.ascontiguousarray(every[idx, -1]).tobytes()
 
     @pytest.mark.parametrize("label", sorted(_WIDTHS))
     def test_index_width_boundaries(self, label):

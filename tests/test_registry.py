@@ -873,6 +873,21 @@ class TestCountedMonteCarlo:
         )
         assert abs(mc.stats.mean - exact.stats.mean) <= 4.0 * mc.stats.stderr, (mc, exact)
 
+    def test_off_grid_terminal_monte_carlo_agrees_with_exact(self):
+        """Per-path terminal Monte Carlo reads the S_n of the running sum
+        that exact mode enumerates, so ties at t break alike: T4.7 at t = 1
+        on the window (0.3, 0.7, 0.1) at n = 16 (2^18 outcomes, not counted)
+        estimates both exact rows within 4 standard errors."""
+        spec = centered(GeneratorSpec("moving_sum", 16, law=bernoulli(0.5), weights=(0.3, 0.7, 0.1)))
+        assert registry._counted_chain(spec) is None
+        _, exact, _ = verify_detailed("T4.7", spec, params={"t": 1.0}, mode="exact")
+        _, mc, _ = verify_detailed(
+            "T4.7", spec, params={"t": 1.0}, mode="monte_carlo", paths=2**20, seed=5
+        )
+        assert len(mc) == len(exact) == 2
+        for m, e in zip(mc, exact):
+            assert abs(m.stats.mean - e.stats.mean) <= 4.0 * m.stats.stderr, (m, e)
+
     def test_chains_that_are_not_counted(self):
         """Continuous laws and chains above CHUNK_PATHS outcomes keep the
         per-path pass."""
