@@ -77,9 +77,9 @@ def ecf_distance(samples, t_grid=ECF_T_GRID) -> float:
 class CltDiagnostics:
     """Per-horizon normal-approximation diagnostics for Z_n = S_n / sigma_n.
 
-    ratio_cubed = (sqrt(V_n)/sigma_n)^3 is the quantity whose decay drives
-    the remainder in the normal limit; sigma_exact records whether sigma_n
-    came from a closed form or from the sample.
+    sigma_n = sqrt(E S_n^2) is exact (``generators.sigma_n_exact``), never
+    estimated from the sample it scales; ratio_cubed = (sqrt(V_n)/sigma_n)^3
+    is the quantity whose decay drives the remainder in the normal limit.
     """
 
     n: int
@@ -88,7 +88,6 @@ class CltDiagnostics:
     ratio_cubed: float
     ks_distance: float
     ecf_distance: float
-    sigma_exact: bool
 
 
 def _horizons(spec: gen.GeneratorSpec, n_grid) -> tuple[list[int], float]:
@@ -107,32 +106,27 @@ def clt_diagnose(
 ) -> list[CltDiagnostics]:
     """Normal-approximation diagnostics along an increasing horizon grid.
 
-    V_n comes exactly from the increment law; sigma_n is exact where the
-    family has a closed form and sample-based otherwise.
+    V_n and sigma_n come exactly from the family's law; only the
+    distances to N(0, 1) of Z_n = S_n / sigma_n are sampled.
     """
     n_grid, _ = _horizons(spec, n_grid)
     diags = []
     for i, n in enumerate(n_grid):
         sub = replace(spec, horizon=n)
-        chunks = iter_chunks(gen.sample_final_sums, sub, paths, seed, chunk_base=i << 32)
-        s_n = np.concatenate(list(chunks))
         sigma = gen.sigma_n_exact(sub)
-        sigma_exact = sigma is not None
-        if sigma is None:
-            sigma = math.sqrt(float(np.mean(s_n * s_n)))
         if sigma <= 0:
             raise ValueError("sigma_n must be positive")
-        z = s_n / sigma
+        chunks = iter_chunks(gen.sample_final_sums, sub, paths, seed, chunk_base=i << 32)
+        z = np.concatenate(list(chunks)) / sigma
         v = gen.v_n(sub)
         diags.append(
             CltDiagnostics(
                 n=n,
-                sigma_n=float(sigma),
+                sigma_n=sigma,
                 V_n=float(v),
                 ratio_cubed=float((math.sqrt(v) / sigma) ** 3),
                 ks_distance=ks_distance_to_normal(z),
                 ecf_distance=ecf_distance(z),
-                sigma_exact=sigma_exact,
             )
         )
     return diags

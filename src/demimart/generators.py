@@ -46,13 +46,15 @@ __all__ = [
     "v_n",
 ]
 
-FAMILIES = (
-    "iid",
-    "moving_sum",
-    "gaussian_assoc",
-    "shared_shock",
-    "adversarial_sign_flip",
-)
+# The GeneratorSpec fields each family reads: it requires them, refuses others.
+_FIELDS = {
+    "iid": ("law",),
+    "moving_sum": ("law", "weights"),
+    "gaussian_assoc": ("covariance",),
+    "shared_shock": ("law", "shock"),
+    "adversarial_sign_flip": ("law",),
+}
+FAMILIES = tuple(_FIELDS)
 
 # Total outcome count an exact chain may require.
 ENUMERATION_CAP = 1 << 24
@@ -303,11 +305,11 @@ class GeneratorSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be a positive integer")
-        if self.family in ("iid", "shared_shock", "moving_sum", "adversarial_sign_flip"):
-            if self.law is None:
-                raise ValueError(f"family {self.family!r} requires a law")
-        if self.family == "shared_shock" and self.shock is None:
-            raise ValueError("shared_shock requires a shock law")
+        for name in ("law", "shock", "weights", "covariance"):
+            given = getattr(self, name) is not None
+            if given != (name in _FIELDS[self.family]):
+                verb = "does not read" if given else "requires"
+                raise ValueError(f"family {self.family!r} {verb} {name!r}")
         if self.family == "moving_sum":
             if not self.weights:
                 raise ValueError("moving_sum requires nonempty weights")
@@ -405,7 +407,7 @@ def _draws(spec: GeneratorSpec, n_paths: int, rng: np.random.Generator):
     stream, taken before the base draws, so path p's shock does not depend
     on n_paths."""
     shocks = None
-    if spec.family == "shared_shock":
+    if spec.shock is not None:
         shocks = np.random.Generator(_jumpable(rng).jumped())
     rows = spec.law.draw_rows(rng, n_paths, len(_draw_rows(spec)[1]))
     return rows, None if shocks is None else spec.shock.draw_rows(shocks, n_paths, 1)
@@ -583,12 +585,8 @@ def _parts(spec: GeneratorSpec) -> tuple[tuple, float]:
     has the sign flip's, one draw with alternating signs."""
     if spec.family in ("gaussian_assoc", "adversarial_sign_flip"):
         return (), 0.0
-    if spec.family == "moving_sum":
-        parts = (_window(spec.law, spec.weights),)
-    elif spec.family == "shared_shock":
-        parts = (spec.law, spec.shock)
-    else:
-        parts = (spec.law,)
+    parts = (spec.law if spec.weights is None else _window(spec.law, spec.weights),)
+    parts += () if spec.shock is None else (spec.shock,)
     return parts, _sum(p.mean for p in parts) if spec.centered else 0.0
 
 
@@ -641,21 +639,24 @@ def v_n(spec: GeneratorSpec) -> float:
     return first + (spec.horizon - 1) * m2
 
 
-def sigma_n_exact(spec: GeneratorSpec) -> float | None:
-    """sqrt(E S_n^2) in closed form (centering keeps Var S_n), or None when
-    only sampling can estimate it."""
+def sigma_n_exact(spec: GeneratorSpec) -> float:
+    """sqrt(E S_n^2) for every family; centering keeps Var S_n.  Draw k of
+    the chain form adds c_k Y_k to S_n, c_k its row's sum cut to the horizon
+    (``_draw_rows``, ``_reach``), and a shared shock W adds n W, so Var S_n
+    = Var Y sum_k c_k^2 + n^2 Var W; a Gaussian's is its covariance's sum.
+    E S_n is offset + n * ``step_mean``, or offset + E Y c_0 for the sign
+    flip, which has no step mean."""
     n = spec.horizon
-    if spec.family == "iid":
-        var = n * (spec.law.second_moment - spec.law.mean**2)
-    elif spec.family == "shared_shock":
-        var_b = spec.law.second_moment - spec.law.mean**2
-        var_w = spec.shock.second_moment - spec.shock.mean**2
-        var = n * var_b + n * n * var_w
-    elif spec.family == "gaussian_assoc":
+    if spec.family == "gaussian_assoc":
         var = float(spec.covariance.sum())
     else:
-        return None
-    mean_sn = spec.offset + n * step_mean(spec)
+        row, starts = _draw_rows(spec)
+        c = [_sum(row[a:b]) for a, b in _reach(starts, len(row), n)]
+        var = (spec.law.second_moment - spec.law.mean**2) * _sum(x * x for x in c)
+        if spec.shock is not None:
+            var += n * n * (spec.shock.second_moment - spec.shock.mean**2)
+    sign_flip = spec.family == "adversarial_sign_flip"
+    mean_sn = spec.offset + (spec.law.mean * c[0] if sign_flip else n * step_mean(spec))
     return math.sqrt(mean_sn * mean_sn + var)
 
 
@@ -814,7 +815,7 @@ def _draw_rows(spec: GeneratorSpec) -> tuple[tuple[float, ...], range]:
     """Each draw v of a family's law adds v times one row to its steps from
     its own on: that row, and the 0-based first steps of the draws in draw
     order, the order in which ``_draws`` takes them from the stream."""
-    if spec.family == "moving_sum":
+    if spec.weights is not None:
         return spec.weights, range(1 - len(spec.weights), spec.horizon)
     if spec.family == "adversarial_sign_flip":
         return tuple((-1.0) ** i for i in range(spec.horizon)), range(1)
@@ -837,7 +838,7 @@ def to_chain(spec: GeneratorSpec) -> DiscreteChainSpec:
         raise ValueError(f"not enumerable: family {spec.family!r}")
     row, steps = _draw_rows(spec)
     atoms = tuple((tuple([v * w for w in row]), p) for v, p in spec.law.support())
-    shared = tuple(spec.shock.support()) if spec.family == "shared_shock" else None
+    shared = None if spec.shock is None else tuple(spec.shock.support())
     # 0.0 + drift: a drift of -0.0 (a Bernoulli(-0.0) step) is stored as 0.0
     drift = 0.0 + _parts(spec)[1]
     return DiscreteChainSpec(atoms, tuple(steps), spec.horizon, shared, drift, spec.offset)

@@ -42,7 +42,7 @@ from .monotone import (
     sample_battery,
 )
 from .oracle import fold_expectations, fold_terminal, iter_blocks, terminal_cost
-from .stopping import StoppingRule, _wedge
+from .stopping import StoppingRule, _wedge, deterministic
 
 __all__ = [
     "CheckResult",
@@ -446,19 +446,8 @@ def _build_t14(inst: Instance) -> CheckSet:
 
 
 def _build_t21(inst: Instance) -> CheckSet:
-    rule = inst.rule
-    m_bound = rule.bound()
-    battery = _battery(inst, nonneg=True)
-    metas = tuple(
-        CheckMeta(f"E[(S_M - S_tau) {f.label}(S_tau)]", 0.0, ">=") for f in battery
-    )
-
-    def evaluate(paths: np.ndarray) -> Pieces:
-        _, s_tau = _stopped(rule, paths)
-        gap = paths[:, m_bound - 1] - s_tau
-        return _battery_stats(battery, gap, s_tau[None, :])
-
-    return CheckSet(metas, evaluate)
+    # T2.3's pair with tau2 = M, the rule's bound
+    return _pair_checkset(inst, inst.rule, deterministic(inst.rule.bound()), "S_M", "S_tau")
 
 
 def _build_c22(inst: Instance) -> CheckSet:
@@ -478,10 +467,18 @@ def _build_c22(inst: Instance) -> CheckSet:
 
 
 def _build_t23(inst: Instance) -> CheckSet:
-    rule1, rule2 = inst.rule, inst.rule2
+    return _pair_checkset(inst, inst.rule, inst.rule2)
+
+
+def _pair_checkset(
+    inst: Instance, rule1: StoppingRule, rule2: StoppingRule, late="S_tau2", early="S_tau1"
+) -> CheckSet:
+    """E[(S_tau2 - S_tau1) f(S_tau1)] >= 0 over the nonnegative battery, for
+    tau1 <= tau2 on every path, with S_tau2 and S_tau1 named ``late`` and
+    ``early`` in the check names."""
     battery = _battery(inst, nonneg=True)
     metas = tuple(
-        CheckMeta(f"E[(S_tau2 - S_tau1) {f.label}(S_tau1)]", 0.0, ">=") for f in battery
+        CheckMeta(f"E[({late} - {early}) {f.label}({early})]", 0.0, ">=") for f in battery
     )
 
     def evaluate(paths: np.ndarray) -> Pieces:

@@ -23,6 +23,7 @@ from demimart.generators import (
     rademacher,
     shared_shock_spec,
     to_chain,
+    uniform,
 )
 from demimart.oracle import fold_expectations
 
@@ -61,7 +62,7 @@ class TestCltDiagnose:
         diags = clt_diagnose(iid_spec(rademacher(), 4), [4, 16, 64], paths=4000, seed=1)
         for d in diags:
             assert d.ratio_cubed == pytest.approx(1.0, rel=1e-12)
-            assert d.sigma_exact
+            assert d.sigma_n == math.sqrt(d.n)
         assert not ratio_cubed_decreasing(diags)
 
     def test_shared_shock_ratio_closed_form(self):
@@ -72,6 +73,15 @@ class TestCltDiagnose:
             want = (2.0 * d.n / (d.n**2 + d.n)) ** 1.5
             assert d.ratio_cubed == pytest.approx(want, rel=1e-9)
         assert ratio_cubed_decreasing(diags)
+
+    def test_moving_sum_trend_does_not_depend_on_the_seed(self):
+        """sigma_n of a moving sum is exact, not estimated from the paths the
+        diagnostic then tests, so the exact trend of its ratios (0.432,
+        0.418, 0.415) reads decreasing at every seed."""
+        spec = GeneratorSpec("moving_sum", 4, law=uniform(-1.0, 1.0), weights=(1.0, 0.5))
+        for seed in range(20):
+            diags = clt_diagnose(spec, [16, 64, 256], paths=2_000, seed=seed)
+            assert ratio_cubed_decreasing(diags), seed
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -24,6 +24,7 @@ from demimart.generators import (
     v_n,
 )
 from demimart.registry import PreconditionError, verify_detailed
+from demimart.stopping import first_passage_up
 
 T31_CFG = """\
 experiment_id = t31-rademacher-n3-exact
@@ -256,6 +257,53 @@ class TestDataCommands:
         out = capsys.readouterr().out
         assert "P(stopped): 1" in out
 
+    def test_stop_summary_over_two_chunks_is_that_of_generate(self, tmp_path, capsys):
+        """Over two chunks, ``stop`` prints the lines computed from the whole
+        path matrix of ``generate``."""
+        n = 70_000
+        cfg = _write(
+            tmp_path,
+            "stop.cfg",
+            f"seed = 4\npaths = {n}\ngenerator.family = iid\ngenerator.law = uniform\n"
+            "generator.a = -1\ngenerator.b = 1\ngenerator.horizon = 20\n"
+            "stopping.kind = first_passage_up\nstopping.threshold = 2\n",
+        )
+        assert main(["stop", "--config", cfg]) == 0
+        paths = generate(iid_spec(uniform(-1.0, 1.0), 20), n, seed=4)
+        tau = first_passage_up(2.0).tau_batch(paths)
+        stopped = tau != -1
+        t = tau[stopped]
+        s_tau = paths[np.flatnonzero(stopped), t - 1]
+        assert capsys.readouterr().out.splitlines() == [
+            "rule: up(2.0)",
+            f"P(stopped): {stopped.mean():.12g}",
+            f"E[tau | stopped]: {t.mean():.12g}",
+            f"E[S_tau | stopped]: {s_tau.mean():.12g}",
+        ]
+
+    def test_stop_memory_does_not_grow_with_paths(self, tmp_path, capsys):
+        """``stop`` keeps one chunk of paths and the stopped paths' S_tau,
+        not every path: four times the paths of a horizon-20 walk raise its
+        traced peak by at most 8 bytes a path, well under 25%."""
+        peaks = []
+        for paths in (1 << 17, 1 << 19):
+            cfg = _write(
+                tmp_path,
+                "stop.cfg",
+                f"seed = 2\npaths = {paths}\ngenerator.family = iid\n"
+                "generator.law = uniform\ngenerator.a = -1\ngenerator.b = 1\n"
+                "generator.horizon = 20\nstopping.kind = first_passage_up\n"
+                "stopping.threshold = 3\n",
+            )
+            tracemalloc.start()
+            try:
+                assert main(["stop", "--config", cfg]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert "P(stopped): " in capsys.readouterr().out
+        assert peaks[1] < 1.25 * peaks[0], peaks
+
     @pytest.mark.parametrize("command", ["gen", "stop"])
     def test_zero_paths_is_a_json_error(self, tmp_path, capsys, command):
         """A library ValueError exits 3 with the JSON error, not a
@@ -401,7 +449,7 @@ class TestDataCommands:
         out = str(tmp_path / "clt.csv")
         assert main(["clt", "--config", cfg, "--out", out]) == 0
         lines = open(out).read().splitlines()
-        assert lines[0].startswith("n,sigma_n,V_n,ratio_cubed")
+        assert lines[0] == "n,sigma_n,V_n,ratio_cubed,ks_distance,ecf_distance"
         assert len(lines) == 3
 
     def test_slln_csv_and_exit(self, tmp_path, capsys):

@@ -259,7 +259,6 @@ def _clt(spec, grid, paths, seed) -> list[dict]:
             "ratio_cubed": _hex(d.ratio_cubed),
             "ks_distance": _hex(d.ks_distance),
             "ecf_distance": _hex(d.ecf_distance),
-            "sigma_exact": d.sigma_exact,
         }
         for d in clt_diagnose(spec, grid, paths, seed)
     ]

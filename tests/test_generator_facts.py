@@ -173,7 +173,15 @@ def ref_v_n(spec):
 
 
 def ref_sigma_n_exact(spec):
+    """A moving sum's draw Y_s (s = -q, ..., n - 1) adds Y_s times the sum of
+    its weights that reach a step to S_n; the sign flip's one draw adds Y at
+    odd n and nothing at even n."""
     n = spec.horizon
+    if spec.family == "adversarial_sign_flip":
+        odd = float(n % 2)
+        mean_sn = spec.offset + spec.law.mean * odd
+        var = (spec.law.second_moment - spec.law.mean**2) * (odd * odd)
+        return math.sqrt(mean_sn * mean_sn + var)
     if spec.family == "iid":
         var = n * (spec.law.second_moment - spec.law.mean**2)
     elif spec.family == "shared_shock":
@@ -183,7 +191,9 @@ def ref_sigma_n_exact(spec):
     elif spec.family == "gaussian_assoc":
         var = float(spec.covariance.sum())
     else:
-        return None
+        w = spec.weights
+        cover = [sum(w[max(0, -s) : n - s]) for s in range(1 - len(w), n)]
+        var = (spec.law.second_moment - spec.law.mean**2) * sum(c * c for c in cover)
     mean_sn = spec.offset + spec.horizon * ref_step_mean(spec)
     return math.sqrt(mean_sn * mean_sn + var)
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from demimart.core import CHUNK_PATHS, derive_stream, iter_chunks
 from demimart.generators import (
+    FAMILIES,
     DiscreteChainSpec,
     _at_least,
     _bit_sums,
@@ -376,6 +377,34 @@ class TestSampling:
         with pytest.raises(ValueError, match="unknown family"):
             GeneratorSpec("brownian", 3)
 
+    def test_a_family_requires_the_fields_it_reads_and_refuses_the_others(self):
+        """A field a family does not read would name a spec (its id) that it
+        does not sample, so it is refused, as is a missing field it reads."""
+        value = {
+            "law": rademacher(),
+            "shock": bernoulli(0.5),
+            "weights": (2.0,),
+            "covariance": np.eye(4),
+        }
+        reads = {
+            "iid": {"law"},
+            "moving_sum": {"law", "weights"},
+            "gaussian_assoc": {"covariance"},
+            "shared_shock": {"law", "shock"},
+            "adversarial_sign_flip": {"law"},
+        }
+        assert list(reads) == list(FAMILIES)
+        for family, fields in reads.items():
+            own = {name: value[name] for name in fields}
+            GeneratorSpec(family, 4, **own)
+            for name in value.keys() - fields:
+                with pytest.raises(ValueError, match=f"family '{family}' does not read '{name}'"):
+                    GeneratorSpec(family, 4, **own, **{name: value[name]})
+            for name in fields:
+                rest = {k: v for k, v in own.items() if k != name}
+                with pytest.raises(ValueError, match=f"family '{family}' requires '{name}'"):
+                    GeneratorSpec(family, 4, **rest)
+
 
 class TestBitDraws:
     """The law of the paths built from k raw-word bits per lattice step."""
@@ -529,6 +558,40 @@ class TestTimeMajorPaths:
         assert all(paths[:, j].flags.c_contiguous for j in range(paths.shape[1]))
 
 
+def _second_moment(spec) -> float:
+    (m2,) = fold_expectations(to_chain(spec), lambda p: np.square(p[:, -1])[None], checks=1)
+    return m2
+
+
+def _close(got: float, want: float) -> bool:
+    """1e-12 relative; a zero-variance S_n (a one-atom law, centered) folds
+    to the square of its rounding, about 1e-32, where the closed form is 0."""
+    return math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-24)
+
+
+_lattice_laws = st.one_of(
+    st.just(rademacher()), st.sampled_from([0.3, 0.5, 1.0]).map(bernoulli)
+)
+
+
+@st.composite
+def _lattice_specs(draw):
+    n = draw(st.integers(1, 8))
+    law = draw(_lattice_laws)
+    family = draw(st.sampled_from(["iid", "moving_sum", "shared_shock", "adversarial_sign_flip"]))
+    if family == "moving_sum":
+        w = draw(st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0, 1.5]), min_size=1, max_size=n + 2))
+        spec = GeneratorSpec(family, n, law=law, weights=tuple(w))
+    elif family == "shared_shock":
+        spec = shared_shock_spec(law, draw(_lattice_laws), n)
+    else:
+        spec = GeneratorSpec(family, n, law=law)
+    offset = draw(st.sampled_from([0.0, 1.5, -0.7]))
+    if family != "adversarial_sign_flip" and draw(st.booleans()):
+        return centered(spec, offset)
+    return replace(spec, offset=offset)
+
+
 class TestMoments:
     def test_v_n_iid(self):
         assert v_n(iid_spec(rademacher(), 10)) == pytest.approx(10.0)
@@ -550,6 +613,52 @@ class TestMoments:
         n = 6
         spec = shared_shock_spec(rademacher(), rademacher(), n)
         assert sigma_n_exact(spec) == pytest.approx(math.sqrt(n + n * n))
+
+    def test_sigma_n_squared_is_the_enumerated_second_moment_on_every_fact_spec(self):
+        """sigma_n^2 = E S_n^2 folded over the chain, to 1e-12 relative, for
+        every lattice spec of the facts table: each family, centered and
+        offset."""
+        from test_generator_facts import SPECS
+
+        lattice = [s for s in SPECS if s.law is not None and s.law.name != "uniform"]
+        assert {s.family for s in lattice} == set(FAMILIES) - {"gaussian_assoc"}
+        for spec in lattice:
+            assert _close(sigma_n_exact(spec) ** 2, _second_moment(spec)), spec.generator_id
+
+    @given(_lattice_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_sigma_n_squared_is_the_enumerated_second_moment(self, spec):
+        """The same on random lattice specs up to n = 8: windows with zero
+        entries and longer than the horizon, shocks, sign flips, offsets."""
+        assert _close(sigma_n_exact(spec) ** 2, _second_moment(spec)), spec.generator_id
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_sigma_n_of_uniform_families_is_the_covariance_sum(self, n):
+        """sigma_n^2 = sum_i sum_j Cov(X_i, X_j) + (E S_n)^2 from each
+        uniform family's own step covariance and means."""
+        law, shock = uniform(-1.0, 0.5), uniform(-0.5, 2.0)
+        var, var_w = law.second_moment - law.mean**2, shock.second_moment - shock.mean**2
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        sign = (-1.0) ** lag
+        shocked = shared_shock_spec(law, shock, n)
+        cases = [
+            (iid_spec(law, n), var * np.eye(n), np.full(n, law.mean)),
+            (shocked, var * np.eye(n) + var_w, np.full(n, law.mean + shock.mean)),
+        ]
+        for w in ((1.0, 0.5), (0.3, 0.0, 0.7, 1.2, 0.1, 0.4, 0.9, 0.2, 0.5)):
+            w_pad = np.concatenate([w, np.zeros(n)])
+            auto = [float(w_pad[: len(w)] @ w_pad[k : k + len(w)]) for k in range(n)]
+            spec = GeneratorSpec("moving_sum", n, law=law, weights=w)
+            cases.append((spec, var * np.array(auto)[lag], np.full(n, law.mean * sum(w))))
+        flip = adversarial_spec(n, law)
+        cases.append((flip, var * sign, law.mean * sign[0]))
+        for spec, cov, means in cases:
+            variants = [(spec, means.sum()), (replace(spec, offset=1.5), 1.5 + means.sum())]
+            if spec.family != "adversarial_sign_flip":
+                variants.append((centered(spec, -0.5), -0.5))
+            for sub, mean_sn in variants:
+                want = cov.sum() + mean_sn**2
+                assert _close(sigma_n_exact(sub) ** 2, want), sub.generator_id
 
     def test_sigma_matches_sample(self):
         spec = shared_shock_spec(rademacher(), bernoulli(0.3), 5)
