@@ -17,7 +17,7 @@ import numpy as np
 from . import generators as gen
 from .bounds import bernstein_tail
 from .core import DEFAULT_TOLERANCE_Z, FAIL, SummaryStats, iter_chunks
-from .registry import CheckMeta, _check_result, expectations, family_z
+from .registry import CheckMeta, _check_result, _checked_tolerance_z, expectations, family_z
 
 __all__ = [
     "ECF_T_GRID",
@@ -190,6 +190,7 @@ def complete_convergence_diagnose(
     """
     if r <= 0 or epsilon <= 0:
         raise ValueError("r and epsilon must be positive")
+    _checked_tolerance_z(tolerance_z)
     n_grid, c = _horizons(spec, n_grid)
     cls = gen.classify(spec)
     if not (cls.demimartingale and cls.mean_zero_process):

@@ -92,15 +92,12 @@ def psi_sup(t, V_n, C):
     return _ret(9.0 * V_n / (C * C) * h1(C * arr / (3.0 * V_n)), scalar)
 
 
-def bernstein_tail(t, V_n, C, two_sided: bool = False):
-    """exp(-t^2 / (2 (V_n + t C / 3))); the two-sided variant doubles it."""
+def bernstein_tail(t, V_n, C):
+    """exp(-t^2 / (2 (V_n + t C / 3))), one-sided; a two-sided tail is twice it."""
     arr, scalar = _as_array(t)
     if np.any(arr <= 0.0) or V_n <= 0.0 or C <= 0.0:
         raise ValueError("bernstein_tail requires positive t, V_n, C")
-    out = np.exp(-arr * arr / (2.0 * (V_n + arr * C / 3.0)))
-    if two_sided:
-        out = 2.0 * out
-    return _ret(out, scalar)
+    return _ret(np.exp(-arr * arr / (2.0 * (V_n + arr * C / 3.0))), scalar)
 
 
 def doob_max_bound(ES1: float, lam: float) -> float:

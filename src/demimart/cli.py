@@ -93,7 +93,7 @@ def _list_of(kind: type):
     def convert(value) -> list:
         if not isinstance(value, list):
             raise TypeError(value)
-        return [kind(v) for v in value]
+        return [(registry._integer if kind is int else kind)(v) for v in value]
 
     convert.__name__ = f"list of {kind.__name__}"
     return convert
@@ -125,7 +125,9 @@ def config_from_dict(doc: dict, required=("theorem_id", "seed")) -> ExperimentCo
         mode=mode,
         paths=read_param(doc, "paths", int, 100_000, prefix=""),
         seed=read_param(doc, "seed", int, 0, prefix=""),
-        tolerance_z=read_param(doc, "tolerance_z", float, DEFAULT_TOLERANCE_Z, prefix=""),
+        tolerance_z=registry._checked_tolerance_z(
+            read_param(doc, "tolerance_z", float, DEFAULT_TOLERANCE_Z, prefix="")
+        ),
     )
 
 

@@ -158,7 +158,8 @@ _REQUIRED = object()
 
 
 def read_param(params: dict, name: str, kind: type, default=_REQUIRED, prefix: str = "params"):
-    """``kind(params[name])``, or ``default`` as given when the key is absent.
+    """``kind(params[name])`` (``_integer`` for int), or ``default`` as given
+    when the key is absent.
 
     A missing required value or one ``kind`` cannot convert raises a
     PreconditionError that names the key ``<prefix>.<name>`` (``name``
@@ -171,9 +172,25 @@ def read_param(params: dict, name: str, kind: type, default=_REQUIRED, prefix: s
         return default
     value = params[name]
     try:
-        return kind(value)
+        return (_integer if kind is int else kind)(value)
     except (TypeError, ValueError):
         raise PreconditionError(field, f"expected {kind.__name__}, got {value!r}") from None
+
+
+def _integer(value) -> int:
+    """``int(value)``, refusing what ``int`` would coerce: a bool, or a float
+    that is not a whole number (an integral one such as ``1e6`` is kept)."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise TypeError(value)
+    return int(value)
+
+
+def _checked_tolerance_z(tolerance_z: float) -> float:
+    """``tolerance_z`` if it is positive and finite: a NaN or infinite one
+    would disable the Monte-Carlo gate (``z < -nan`` is never true), and a
+    nonpositive one would FAIL true claims."""
+    _require(0.0 < tolerance_z < math.inf, "tolerance_z", "must be positive and finite")
+    return tolerance_z
 
 
 def _generator(inst: Instance) -> None:
@@ -362,8 +379,7 @@ def _stopped_at(
 
 def _battery(inst: Instance, nonneg: bool, default_size: int = 16):
     size = read_param(inst.params, "battery_size", int, default_size)
-    seed = read_param(inst.params, "battery_seed", int, inst.seed)
-    return sample_battery(seed, size, require_nonnegative=nonneg)
+    return sample_battery(inst.seed, size, require_nonnegative=nonneg)
 
 
 # ---------------------------------------------------------------------------
@@ -1075,6 +1091,7 @@ def verify_detailed(
     """Run one registry entry; return the report, every per-check result, and
     any auxiliary reports (e.g. the transformed-process precheck)."""
     entry = lookup(theorem_id)
+    _checked_tolerance_z(tolerance_z)
     inst = Instance(
         spec=generator, rule=rule, rule2=rule2, params=dict(params or {}), seed=int(seed)
     )

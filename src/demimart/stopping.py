@@ -1,4 +1,4 @@
-"""Stopping rules: first passage, deterministic, capped and user-defined.
+"""Stopping rules: first passage, deterministic and user-defined, each capped or not.
 
 A rule maps a path to the first step at which it triggers; NOT_STOPPED (None
 in the scalar API, -1 in batch arrays) means the rule never fired within the
@@ -10,7 +10,7 @@ it satisfies by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -37,12 +37,13 @@ class StoppingRule:
 
     ``declared_direction`` is how the rule is *claimed* to behave; built-in
     kinds carry analytic certificates, user rules are certified by probing.
+    A set ``cap`` stops every path by that step: tau is the kind's tau
+    wedge cap.
     """
 
-    kind: str  # first_passage_up | first_passage_down | deterministic | capped | user
+    kind: str  # first_passage_up | first_passage_down | deterministic | user
     threshold: float = math.nan
     step: int = 0
-    inner: "StoppingRule | None" = None
     cap: int | None = None
     predicate: Callable | None = field(default=None, compare=False)
     declared_direction: str = "none"
@@ -50,25 +51,19 @@ class StoppingRule:
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in (
-            "first_passage_up",
-            "first_passage_down",
-            "deterministic",
-            "capped",
-            "user",
-        ):
+        if self.kind not in ("first_passage_up", "first_passage_down", "deterministic", "user"):
             raise ValueError(f"unknown stopping kind {self.kind!r}")
         if self.declared_direction not in ("nondecreasing", "nonincreasing", "none"):
             raise ValueError("invalid declared_direction")
         if self.kind == "deterministic" and self.step < 1:
             raise ValueError("deterministic rule needs step >= 1")
-        if self.kind == "capped":
-            if self.inner is None or self.cap is None or self.cap < 1:
-                raise ValueError("capped rule needs an inner rule and cap >= 1")
+        if self.cap is not None and self.cap < 1:
+            raise ValueError("a cap must be >= 1")
         if self.kind == "user" and self.predicate is None:
             raise ValueError("user rule needs a predicate")
         if not self.label:
-            object.__setattr__(self, "label", self._default_label())
+            cap = "" if self.cap is None else f"^cap{self.cap}"
+            object.__setattr__(self, "label", self._default_label() + cap)
 
     def _default_label(self) -> str:
         if self.kind == "first_passage_up":
@@ -77,8 +72,6 @@ class StoppingRule:
             return f"down({self.threshold!r})"
         if self.kind == "deterministic":
             return f"fixed({self.step})"
-        if self.kind == "capped":
-            return f"{self.inner.label}^cap{self.cap}"
         return "user"
 
     # -- evaluation ---------------------------------------------------------
@@ -90,30 +83,25 @@ class StoppingRule:
             raise ValueError("paths must be an (m, n) matrix")
         m, n = p.shape
         if self.kind == "first_passage_up":
-            hit = p >= self.threshold
-            return _first_true(hit)
-        if self.kind == "first_passage_down":
-            hit = p <= self.threshold
-            return _first_true(hit)
-        if self.kind == "deterministic":
-            if self.step > n:
-                return np.full(m, -1, dtype=np.int64)
-            return np.full(m, self.step, dtype=np.int64)
-        if self.kind == "capped":
-            return _wedge(self.inner.tau_batch(p), min(self.cap, n))
-        # user predicate: first j with predicate(prefix) true
-        tau = np.full(m, -1, dtype=np.int64)
-        open_rows = np.ones(m, dtype=bool)
-        for j in range(1, n + 1):
-            if not open_rows.any():
-                break
-            fired = np.asarray(self.predicate(p[:, :j]), dtype=bool)
-            if fired.shape != (m,):
-                raise ValueError("user predicate must return one bool per path")
-            fired = fired & open_rows  # not in place: the array is the predicate's
-            tau[fired] = j
-            open_rows &= ~fired
-        return tau
+            tau = _first_true(p >= self.threshold)
+        elif self.kind == "first_passage_down":
+            tau = _first_true(p <= self.threshold)
+        elif self.kind == "deterministic":
+            tau = np.full(m, self.step if self.step <= n else -1, dtype=np.int64)
+        else:
+            # user predicate: first j with predicate(prefix) true
+            tau = np.full(m, -1, dtype=np.int64)
+            open_rows = np.ones(m, dtype=bool)
+            for j in range(1, n + 1):
+                if not open_rows.any():
+                    break
+                fired = np.asarray(self.predicate(p[:, :j]), dtype=bool)
+                if fired.shape != (m,):
+                    raise ValueError("user predicate must return one bool per path")
+                fired = fired & open_rows  # not in place: the array is the predicate's
+                tau[fired] = j
+                open_rows &= ~fired
+        return tau if self.cap is None else _wedge(tau, min(self.cap, n))
 
     def tau(self, path) -> int | None:
         """First triggering step of one path S_1..S_n; None if it never fires."""
@@ -123,24 +111,19 @@ class StoppingRule:
     # -- structure ----------------------------------------------------------
 
     def bound(self) -> int | None:
-        """An integer M with tau <= M almost surely, when one is known.
+        """An integer M with tau <= M almost surely, when one is known: the
+        smaller of the cap and the kind's own bound.
 
         User rules may declare a bound; the verification driver re-checks it
         against every evaluated path.
         """
-        if self.kind == "deterministic":
-            return self.step
-        if self.kind == "capped":
-            inner = self.inner.bound()
-            return self.cap if inner is None else min(self.cap, inner)
-        if self.kind == "user":
-            return self.user_bound
-        return None
+        own = {"deterministic": self.step, "user": self.user_bound}.get(self.kind)
+        return min((b for b in (own, self.cap) if b is not None), default=None)
 
     @property
     def user_defined(self) -> bool:
-        """Whether a user predicate decides tau, under any caps."""
-        return self.kind == "user" or self.kind == "capped" and self.inner.user_defined
+        """Whether a user predicate decides tau."""
+        return self.kind == "user"
 
     def has_analytic_certificate(self, direction: str, target: str = "le") -> bool:
         """Monotonicity of the indicator, known by construction.
@@ -148,14 +131,12 @@ class StoppingRule:
         first_passage_up: I{tau <= j} = max_{i <= j} I{S_i >= lambda}, which
         is nondecreasing in every coordinate; first_passage_down is the
         mirror image.  Deterministic indicators ignore the path entirely.
-        Capping replaces the indicator by 1 at and beyond the cap, which
+        A cap replaces the indicator by 1 at and beyond the cap, which
         preserves either monotonicity type; for the "eq" target only the
         below-cap steps (the ones a bounded-stop theorem inspects) inherit.
         """
         if self.kind == "deterministic":
             return True
-        if self.kind == "capped":
-            return self.inner.has_analytic_certificate(direction, target)
         if target == "le":
             if self.kind == "first_passage_up":
                 return direction == "nondecreasing"
@@ -211,10 +192,11 @@ def deterministic(step: int, direction: str = "nondecreasing") -> StoppingRule:
     return StoppingRule("deterministic", step=int(step), declared_direction=direction)
 
 
-def capped(inner: StoppingRule, cap: int) -> StoppingRule:
-    """tau wedge cap; always stops by ``cap``."""
-    return StoppingRule(
-        "capped", inner=inner, cap=int(cap), declared_direction=inner.declared_direction
+def capped(rule: StoppingRule, cap: int) -> StoppingRule:
+    """tau wedge cap; always stops by ``cap``.  Caps nest by ``min``."""
+    cap = int(cap)
+    return replace(
+        rule, cap=cap if rule.cap is None else min(cap, rule.cap), label=f"{rule.label}^cap{cap}"
     )
 
 

@@ -112,10 +112,6 @@ class TestBernsteinTail:
         assert bernstein_tail(10.0, 100.0, 1.0) == pytest.approx(want, rel=1e-12)
         assert want == pytest.approx(0.61639, rel=1e-4)
 
-    def test_two_sided_doubles(self):
-        one = bernstein_tail(2.0, 4.0, 1.0)
-        assert bernstein_tail(2.0, 4.0, 1.0, two_sided=True) == pytest.approx(2 * one)
-
     def test_monotone_in_arguments(self):
         """Decreasing in t; increasing in V_n and C (grid differencing)."""
         t = np.linspace(0.5, 20.0, 200)

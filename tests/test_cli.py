@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from demimart.cli import build_generator_spec, build_rule, main, parse_config_text
+from demimart.cli import build_generator_spec, build_rule, config_from_dict, main, parse_config_text
 from demimart.core import CHUNK_PATHS, summarize
 from demimart.generators import (
     GeneratorSpec,
@@ -512,6 +512,13 @@ class TestConfigValues:
             ("verify", "stopping.threshold = 1", "stopping.threshold = abc", "stopping.threshold"),
             ("verify", "seed = 3", "seed = [1]", "seed"),
             ("verify", "params.t = 1", "params = 3", "params"),
+            ("gen", "generator.horizon = 3", "generator.horizon = 6.7", "generator.horizon"),
+            ("verify", "seed = 3", "seed = 3\npaths = true", "paths"),
+            ("verify", "seed = 3", "seed = 3.5", "seed"),
+            ("verify", "seed = 3", "seed = 3\ntolerance_z = NaN", "tolerance_z"),
+            ("verify", "seed = 3", "seed = 3\ntolerance_z = Infinity", "tolerance_z"),
+            ("verify", "seed = 3", "seed = 3\ntolerance_z = 0", "tolerance_z"),
+            ("verify", "seed = 3", "seed = 3\ntolerance_z = -3", "tolerance_z"),
             (
                 "gen",
                 "generator.law = rademacher",
@@ -519,6 +526,7 @@ class TestConfigValues:
                 "generator.p",
             ),
             ("clt", "params.t = 1", "params.n_grid = 5", "params.n_grid"),
+            ("clt", "params.t = 1", "params.n_grid = [4, 6.5]", "params.n_grid"),
             (
                 "slln",
                 "params.t = 1",
@@ -532,6 +540,16 @@ class TestConfigValues:
         cfg = _write(tmp_path, "bad.cfg", T31_STOP_CFG.replace(line, bad))
         assert main([command, "--config", cfg]) == 3
         assert _last_error(capsys)["field"] == field
+
+    def test_integer_keys_refuse_what_int_would_coerce(self):
+        """``int(6.7)`` is 6 and ``int(True)`` is 1: such a value is refused
+        under its key, while an integral float such as ``1e6`` is kept."""
+        doc = parse_config_text("seed = 1\npaths = 1e6\ngenerator.horizon = 6.7\n")
+        assert config_from_dict(doc, ()).paths == 1_000_000
+        with pytest.raises(PreconditionError, match=r"generator\.horizon: expected int, got 6\.7"):
+            build_generator_spec({**doc["generator"], "family": "iid", "law": "rademacher"})
+        with pytest.raises(PreconditionError, match="paths: expected int, got True"):
+            config_from_dict(parse_config_text("seed = 1\npaths = true\n"), ())
 
     def test_suite_runs_past_a_wrongly_typed_file(self, tmp_path, capsys):
         d = tmp_path / "suite"

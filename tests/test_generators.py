@@ -482,14 +482,18 @@ class TestBitDraws:
             shared_shock_spec(bernoulli(0.3), rademacher(), 6),
             shared_shock_spec(rademacher(), bernoulli(0.5), 6),
             centered(shared_shock_spec(bernoulli(0.3), uniform(0.0, 1.0), 5), offset=0.5),
+            iid_spec(uniform(-1.0, 1.0), 20),
+            GeneratorSpec("moving_sum", 9, law=uniform(-1.0, 1.0), weights=(1.0, 0.5, 0.25)),
+            gaussian_assoc_spec(0.5 * np.eye(6) + 0.5, 6),
         ],
         ids=["iid", "bernoulli 1/2", "bernoulli 1/4", "moving sum", "sign flip", "bernoulli", "shock", "bernoulli base shock",
-             "bernoulli shock", "centered uniform shock"],
+             "bernoulli shock", "centered uniform shock", "iid uniform", "uniform moving sum", "gaussian"],
     )
     def test_a_path_does_not_depend_on_the_chunk_size(self, spec):
         """A path's steps depend on (seed, chunk, row, horizon) only, so the
         first 300 paths of a 300-path and of a 1,000-path chunk agree; a
-        shared shock too, drawn from its own jumped stream."""
+        shared shock too, drawn from its own jumped stream, and continuous
+        draws, drawn path-major (a time-major draw would break this)."""
         few = sample_paths(spec, 300, derive_stream(4, 9))
         many = sample_paths(spec, 1000, derive_stream(4, 9))
         assert np.ascontiguousarray(few).tobytes() == np.ascontiguousarray(many[:300]).tobytes()

@@ -1573,6 +1573,21 @@ class TestFamilyWiseGate:
         )
         assert sizes == [(3.5, 3)]
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, 0.0, -3.0])
+    def test_a_tolerance_that_disables_the_gate_is_refused(self, z):
+        """``z < -nan`` is never true, so a NaN or infinite tolerance would
+        PASS the drifting walk that FAILs at 3 (z_margin -21.88); a
+        nonpositive one would FAIL true claims."""
+        with pytest.raises(PreconditionError, match="tolerance_z"):
+            verify_detailed(
+                "Def1.2-demi", iid_spec(bernoulli(0.3), 6), mode="monte_carlo", paths=1000,
+                seed=1, tolerance_z=z,
+            )
+        with pytest.raises(ValueError, match="tolerance_z"):
+            asymptotics.complete_convergence_diagnose(
+                iid_spec(uniform(-1.0, 1.0), 4), 0.75, 0.5, [4], 100, 11, tolerance_z=z
+            )
+
     def test_false_fail_rate_on_a_martingale(self):
         """iid Rademacher steps are a martingale, so every one of the 288
         battery checks holds; at 3 sigma per check 21 of these 200 seeds

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from demimart import registry
 from demimart.stopping import (
+    StoppingRule,
     _wedge,
     capped,
     deterministic,
@@ -142,19 +143,32 @@ class TestWedge:
     @settings(max_examples=100, deadline=None)
     def test_capped_tau_equals_where(self, stops, cap):
         """A user rule that stops row i at stops[i] (never for -1 or 0),
-        capped at ``cap`` on a 9-step horizon."""
+        with and without a declared bound, capped at ``cap`` on a 9-step
+        horizon, then at 5 and 3 in either order; and a capped
+        ``deterministic(8)``, which alone never stops by the horizon 6."""
         stops = np.array(stops, dtype=np.int64)
         stops[stops == 0] = -1
 
         def pred(prefix):
             return stops == prefix.shape[1]
 
-        inner = user_rule(pred)
         p = np.zeros((len(stops), 9))
-        want = _where_wedge(inner.tau_batch(p), min(cap, 9))
-        got = capped(inner, cap).tau_batch(p)
-        assert got.dtype == np.int64
-        assert got.tolist() == want.tolist()
+        for bound in (None, 9):
+            inner = user_rule(pred, bound=bound)
+            for more in ((), (5, 3), (3, 5)):
+                rule = inner
+                for c in (cap, *more):
+                    rule = capped(rule, c)
+                want = _where_wedge(inner.tau_batch(p), min(cap, *more, 9))
+                got = rule.tau_batch(p)
+                assert got.dtype == np.int64
+                assert got.tolist() == want.tolist()
+                assert rule.user_defined
+        fixed = deterministic(8).tau_batch(p[:, :6])
+        assert fixed.tolist() == [-1] * len(stops)
+        assert capped(deterministic(8), cap).tau_batch(p[:, :6]).tolist() == _where_wedge(
+            fixed, min(cap, 6)
+        ).tolist()
 
 
 class TestCapping:
@@ -177,10 +191,39 @@ class TestCapping:
         assert down.has_analytic_certificate("nonincreasing", "le")
 
     def test_bounds(self):
-        assert first_passage_up(1.0).bound() is None
-        assert capped(first_passage_up(1.0), 7).bound() == 7
+        """The smaller of every cap and the kind's own bound, if it has one."""
+        up = first_passage_up(1.0)
+        assert up.bound() is None
+        assert capped(up, 7).bound() == 7
+        assert capped(capped(up, 5), 3).bound() == capped(capped(up, 3), 5).bound() == 3
         assert deterministic(3).bound() == 3
+        assert capped(deterministic(8), 5).bound() == 5
         assert jump_if_high(1, 0.5, 2, 6).bound() == 6
+        never = user_rule(lambda prefix: np.zeros(len(prefix), dtype=bool))
+        assert never.bound() is None
+        assert capped(never, 4).bound() == 4
+        assert capped(user_rule(never.predicate, bound=2), 4).bound() == 2
+        assert capped(capped(user_rule(never.predicate, bound=6), 5), 3).bound() == 3
+
+    def test_caps_nest_by_min_and_keep_the_kind(self):
+        """A cap is a field of the rule it caps: nesting keeps the kind, the
+        smaller cap and a label naming every cap in order."""
+        up = first_passage_up(1.0)
+        five_three, three_five = capped(capped(up, 5), 3), capped(capped(up, 3), 5)
+        assert five_three.label == "up(1.0)^cap5^cap3"
+        assert three_five.label == "up(1.0)^cap3^cap5"
+        assert (five_three.kind, five_three.cap) == (three_five.kind, three_five.cap) == (
+            "first_passage_up",
+            3,
+        )
+        assert StoppingRule("deterministic", step=8, cap=5).label == "fixed(8)^cap5"
+        assert not five_three.user_defined
+        with pytest.raises(ValueError, match="unknown stopping kind 'capped'"):
+            StoppingRule("capped", cap=3)
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            capped(up, 0)
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            capped(capped(up, 5), 0)
 
 
 class TestUserRules:
