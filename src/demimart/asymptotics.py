@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import generators as gen
-from .bounds import bernstein_tail
 from .core import DEFAULT_TOLERANCE_Z, FAIL, SummaryStats, iter_chunks
-from .registry import CheckMeta, _check_result, _checked_tolerance_z, expectations, family_z
+from .registry import Instance, _check_result, _checked_tolerance_z, expectations, family_z, lookup
 
 __all__ = [
     "ECF_T_GRID",
@@ -90,15 +89,12 @@ class CltDiagnostics:
     ecf_distance: float
 
 
-def _horizons(spec: gen.GeneratorSpec, n_grid) -> tuple[list[int], float]:
-    """The horizons of a strictly increasing ``n_grid`` and the bound C of ``spec``."""
+def _horizons(n_grid) -> list[int]:
+    """The horizons of a strictly increasing ``n_grid``."""
     n_grid = [int(n) for n in n_grid]
     if any(b >= a for a, b in zip(n_grid[1:], n_grid)):
         raise ValueError("n_grid must be strictly increasing")
-    c = gen.increment_bound(spec)
-    if c is None:
-        raise ValueError("unbounded-increment generator")
-    return n_grid, c
+    return n_grid
 
 
 def clt_diagnose(
@@ -109,7 +105,9 @@ def clt_diagnose(
     V_n and sigma_n come exactly from the family's law; only the
     distances to N(0, 1) of Z_n = S_n / sigma_n are sampled.
     """
-    n_grid, _ = _horizons(spec, n_grid)
+    n_grid = _horizons(n_grid)
+    if gen.increment_bound(spec) is None:
+        raise ValueError("unbounded-increment generator")
     diags = []
     for i, n in enumerate(n_grid):
         sub = replace(spec, horizon=n)
@@ -177,24 +175,22 @@ def complete_convergence_diagnose(
     seed: int,
     tolerance_z: float = DEFAULT_TOLERANCE_Z,
 ) -> CompleteConvergenceDiagnostics:
-    """Estimate P(|S_n| >= n^r eps) per horizon and compare to the envelope
-    2 exp(-n^r eps^2 / (2 (V_n/n^r + eps C/3))).
+    """T5.6's two-sided row, P(|S_n| >= t) <= 2 exp(-t^2 / (2 (V_n + t C/3))),
+    at t = n^r eps along the grid, on a ``spec`` that meets T5.6's conditions.
 
-    The tail is exact when the support makes it impossible (threshold above
-    the largest reachable |S_n|) or when the chain is small enough to
-    enumerate; otherwise it is estimated by chunked sampling, and the grid's
-    horizons are one family of checks gated at ``family_z``.  Each horizon is
-    a tail check, as T4.7's two-sided row is: a sampled one whose envelope
-    expects fewer than ``MIN_EXPECTED_HITS`` hits is INCONCLUSIVE, which
-    counts as within the envelope.
+    The tail is exact when the support makes it impossible (t above the
+    largest reachable |S_n|) or when the family has a chain; otherwise it is
+    sampled, and the grid's horizons are one family of checks gated at
+    ``family_z``.  A sampled horizon whose envelope expects fewer than
+    ``MIN_EXPECTED_HITS`` hits is INCONCLUSIVE, which counts as within it.
     """
     if r <= 0 or epsilon <= 0:
         raise ValueError("r and epsilon must be positive")
     _checked_tolerance_z(tolerance_z)
-    n_grid, c = _horizons(spec, n_grid)
-    cls = gen.classify(spec)
-    if not (cls.demimartingale and cls.mean_zero_process):
-        raise ValueError("requires mean-zero associated increments with E S_n = 0")
+    n_grid = _horizons(n_grid)
+    entry = lookup("T5.6")
+    for check in entry.requires:
+        check(Instance(spec, None, None, {}, seed))
     records = []
     running = []
     total = 0.0
@@ -202,12 +198,18 @@ def complete_convergence_diagnose(
     for i, n in enumerate(n_grid):
         sub = replace(spec, horizon=n)
         threshold = float(n**r * epsilon)
-        v = gen.v_n(sub)
-        meta = CheckMeta("P(|S_n| >= t)", 2.0 * bernstein_tail(threshold, v, c), "<=", tail=True)
-        if threshold > gen.first_step_bound(sub) + (n - 1) * c:
+        checks = entry.build(Instance(sub, None, None, {"t": threshold}, seed))
+        meta = checks.metas[1]
+        if threshold > gen.first_step_bound(sub) + (n - 1) * gen.increment_bound(sub):
             stats, exact = SummaryStats(mean=0.0, stderr=0.0, count=1), True
         else:
-            stats, exact = _tail_probability(sub, threshold, paths, seed, chunk_base=i << 32)
+            try:
+                target, exact = gen.to_chain(sub), True
+            except ValueError:
+                target, exact = sub, False
+            mode = "exact" if exact else "monte_carlo"
+            _, stats = expectations(target, checks.evaluate, 2, mode, paths, seed,
+                                    terminal_only=True, chunk_base=i << 32)
         result = _check_result(stats, meta, z, 0 if exact else paths)
         records.append(
             TailRecord(
@@ -215,7 +217,7 @@ def complete_convergence_diagnose(
                 estimate=stats.mean,
                 stderr=stats.stderr,
                 envelope=meta.rhs,
-                vn_over_nr=v / n**r,
+                vn_over_nr=gen.v_n(sub) / n**r,
                 within_envelope=result.verdict != FAIL,
                 exact=exact,
             )
@@ -236,23 +238,3 @@ def complete_convergence_diagnose(
         partial_sum=tuple(running),
         geometric_fit=slope,
     )
-
-
-def _tail_probability(
-    spec: gen.GeneratorSpec, threshold: float, paths: int, seed: int, chunk_base: int
-) -> tuple[SummaryStats, bool]:
-    """P(|S_n| >= threshold), and whether it is exact: over a chain when the
-    family has one, else sampled from chunk ``chunk_base`` on."""
-    try:
-        chain = gen.to_chain(spec)
-    except ValueError:
-        chain = None
-
-    def tail(p: np.ndarray) -> np.ndarray:
-        return (np.abs(p[:, -1]) >= threshold).astype(np.float64)[None]
-
-    mode = "monte_carlo" if chain is None else "exact"
-    (stats,) = expectations(
-        chain or spec, tail, 1, mode, paths, seed, terminal_only=True, chunk_base=chunk_base
-    )
-    return stats, chain is not None

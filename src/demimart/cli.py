@@ -93,48 +93,76 @@ def _list_of(kind: type):
     def convert(value) -> list:
         if not isinstance(value, list):
             raise TypeError(value)
-        return [(registry._integer if kind is int else kind)(v) for v in value]
+        return [registry._coerce(kind, v) for v in value]
 
     convert.__name__ = f"list of {kind.__name__}"
     return convert
+
+
+class _Table(dict):
+    """A config table that records each key read from it: every reader asks
+    ``key in table`` (as ``read_param`` does) or ``table.get(key)``."""
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        return super().get(key) if key in self else default
+
+
+@contextlib.contextmanager
+def _table(d, field: str):
+    """The table ``d`` named ``field`` ("" at the top level), recording its
+    reads: a key that nothing read by the end of the block is refused."""
+    if d is None:
+        raise PreconditionError(field, "required")
+    if not isinstance(d, dict):
+        raise PreconditionError(field, "must be a table of dotted keys")
+    table = _Table(d)
+    table.read = set()
+    yield table
+    for key in table:
+        if key not in table.read:
+            raise PreconditionError(f"{field}.{key}" if field else key, "unknown key")
 
 
 def config_from_dict(doc: dict, required=("theorem_id", "seed")) -> ExperimentConfig:
     """The experiment in ``doc``; the keys in ``required`` must be present.
 
     Every value is read through ``registry.read_param``, so a missing or
-    wrongly typed one raises a PreconditionError that names its key.
+    wrongly typed one raises a PreconditionError that names its key, as does
+    a key nothing reads (``_table``; ``params`` stays open).
     """
-    for key in required:
-        if key not in doc:
-            raise PreconditionError(key, "required")
-    mode = doc.get("mode", "exact")
-    if mode not in ("exact", "monte_carlo"):
-        raise PreconditionError("mode", "must be 'exact' or 'monte_carlo'")
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise PreconditionError("params", "must be a table of dotted keys")
-    theorem_id = str(doc.get("theorem_id", ""))
-    return ExperimentConfig(
-        experiment_id=str(doc.get("experiment_id", theorem_id)),
-        theorem_id=theorem_id,
-        generator=doc.get("generator"),
-        stopping=doc.get("stopping"),
-        stopping2=doc.get("stopping2"),
-        params=dict(params),
-        mode=mode,
-        paths=read_param(doc, "paths", int, 100_000, prefix=""),
-        seed=read_param(doc, "seed", int, 0, prefix=""),
-        tolerance_z=registry._checked_tolerance_z(
-            read_param(doc, "tolerance_z", float, DEFAULT_TOLERANCE_Z, prefix="")
-        ),
-    )
+    with _table(doc, "") as doc:
+        for key in required:
+            if key not in doc:
+                raise PreconditionError(key, "required")
+        mode = doc.get("mode", "exact")
+        if mode not in ("exact", "monte_carlo"):
+            raise PreconditionError("mode", "must be 'exact' or 'monte_carlo'")
+        params = doc.get("params", {})
+        if not isinstance(params, dict):
+            raise PreconditionError("params", "must be a table of dotted keys")
+        theorem_id = str(doc.get("theorem_id", ""))
+        return ExperimentConfig(
+            experiment_id=str(doc.get("experiment_id", theorem_id)),
+            theorem_id=theorem_id,
+            generator=doc.get("generator"),
+            stopping=doc.get("stopping"),
+            stopping2=doc.get("stopping2"),
+            params=dict(params),
+            mode=mode,
+            paths=read_param(doc, "paths", int, 100_000, prefix=""),
+            seed=read_param(doc, "seed", int, 0, prefix=""),
+            tolerance_z=registry._checked_tolerance_z(
+                read_param(doc, "tolerance_z", float, DEFAULT_TOLERANCE_Z, prefix="")
+            ),
+        )
 
 
 def _law_from(d: dict, prefix: str) -> gen.IncrementLaw:
-    name = d.get("law")
-    if name is None:
-        raise PreconditionError(f"{prefix}.law", "required")
+    name = read_param(d, "law", str, prefix=prefix)
     if name == "rademacher":
         return gen.rademacher()
     if name == "bernoulli":
@@ -147,68 +175,61 @@ def _law_from(d: dict, prefix: str) -> gen.IncrementLaw:
     raise PreconditionError(f"{prefix}.law", f"unknown law {name!r}")
 
 
-def _cov_from(d: dict, n: int) -> np.ndarray:
-    if not isinstance(d, dict):
-        raise PreconditionError("generator.cov", "must be a table of dotted keys")
-    kind = d.get("kind")
-    if kind == "matrix":
-        rows = read_param(d, "matrix", _list_of(_list_of(float)), prefix="generator.cov")
-        return np.asarray(rows, dtype=np.float64)
-    var = read_param(d, "var", float, 1.0, prefix="generator.cov")
-    if kind == "diagonal":
-        return var * np.eye(n)
-    rho = read_param(d, "rho", float, 0.0, prefix="generator.cov")
-    if kind == "equicorrelated":
-        return var * ((1.0 - rho) * np.eye(n) + rho * np.ones((n, n)))
-    if kind == "ar1":
-        idx = np.arange(n)
-        return var * rho ** np.abs(idx[:, None] - idx[None, :])
-    raise PreconditionError(
-        "generator.cov.kind", "must be diagonal, equicorrelated, ar1, or matrix"
-    )
+def _law_table(d, field: str) -> gen.IncrementLaw:
+    with _table(d, field) as d:
+        return _law_from(d, field)
 
 
-def build_generator_spec(d: dict) -> gen.GeneratorSpec:
-    if not isinstance(d, dict):
-        raise PreconditionError("generator", "must be a table of dotted keys")
-    family = d.get("family")
-    if family is None:
-        raise PreconditionError("generator.family", "required")
-    horizon = read_param(d, "horizon", int, prefix="generator")
-    offset = read_param(d, "offset", float, 0.0, prefix="generator")
-    try:
-        if family == "iid":
-            fields = {"law": _law_from(d, "generator")}
-        elif family == "moving_sum":
-            weights = read_param(d, "weights", _list_of(float), prefix="generator")
-            fields = {"weights": tuple(weights), "law": _law_from(d, "generator")}
-        elif family == "gaussian_assoc":
-            if "cov" not in d:
-                raise PreconditionError("generator.cov", "required")
-            fields = {"covariance": _cov_from(d["cov"], horizon)}
-        elif family == "shared_shock":
-            base, shock = d.get("base"), d.get("shock")
-            if not isinstance(base, dict) or not isinstance(shock, dict):
-                raise PreconditionError("generator.base/shock", "required")
-            fields = {
-                "law": _law_from(base, "generator.base"),
-                "shock": _law_from(shock, "generator.shock"),
-            }
-        elif family == "centered_partial_sum":
-            # the config spelling of ``centered(inner spec)``
-            inner = d.get("inner")
-            if not isinstance(inner, dict):
-                raise PreconditionError("generator.inner", "required")
-            return gen.centered(build_generator_spec({**inner, "horizon": horizon}), offset)
-        elif family == "adversarial_sign_flip":
-            fields = {"law": _law_from(d, "generator") if "law" in d else gen.rademacher()}
-        else:
-            raise PreconditionError("generator.family", f"unknown family {family!r}")
-        return gen.GeneratorSpec(family, horizon, offset=offset, **fields)
-    except ValueError as exc:
-        if isinstance(exc, PreconditionError):
-            raise
-        raise PreconditionError("generator", str(exc)) from exc
+def _cov_from(d, n: int, field: str) -> np.ndarray:
+    with _table(d, field) as d:
+        kind = d.get("kind")
+        if kind == "matrix":
+            rows = read_param(d, "matrix", _list_of(_list_of(float)), prefix=field)
+            return np.asarray(rows, dtype=np.float64)
+        var = read_param(d, "var", float, 1.0, prefix=field)
+        if kind == "diagonal":
+            return var * np.eye(n)
+        rho = read_param(d, "rho", float, 0.0, prefix=field)
+        if kind == "equicorrelated":
+            return var * ((1.0 - rho) * np.eye(n) + rho * np.ones((n, n)))
+        if kind == "ar1":
+            idx = np.arange(n)
+            return var * rho ** np.abs(idx[:, None] - idx[None, :])
+        raise PreconditionError(f"{field}.kind", "must be diagonal, equicorrelated, ar1, or matrix")
+
+
+def build_generator_spec(d: dict, field: str = "generator", horizon=None) -> gen.GeneratorSpec:
+    """The spec of the table ``d`` named ``field``; an inner table takes the
+    ``horizon`` of its outer one."""
+    with _table(d, field) as d:
+        family = read_param(d, "family", str, prefix=field)
+        if horizon is None:
+            horizon = read_param(d, "horizon", int, prefix=field)
+        offset = read_param(d, "offset", float, 0.0, prefix=field)
+        try:
+            if family == "iid":
+                fields = {"law": _law_from(d, field)}
+            elif family == "moving_sum":
+                weights = read_param(d, "weights", _list_of(float), prefix=field)
+                fields = {"weights": tuple(weights), "law": _law_from(d, field)}
+            elif family == "gaussian_assoc":
+                fields = {"covariance": _cov_from(d.get("cov"), horizon, f"{field}.cov")}
+            elif family == "shared_shock":
+                fields = {"law": _law_table(d.get("base"), f"{field}.base"),
+                          "shock": _law_table(d.get("shock"), f"{field}.shock")}
+            elif family == "centered_partial_sum":
+                # the config spelling of ``centered(inner spec)``
+                inner = build_generator_spec(d.get("inner"), f"{field}.inner", horizon)
+                return gen.centered(inner, offset)
+            elif family == "adversarial_sign_flip":
+                fields = {"law": _law_from(d, field) if "law" in d else gen.rademacher()}
+            else:
+                raise PreconditionError(f"{field}.family", f"unknown family {family!r}")
+            return gen.GeneratorSpec(family, horizon, offset=offset, **fields)
+        except ValueError as exc:
+            if isinstance(exc, PreconditionError):
+                raise
+            raise PreconditionError("generator", str(exc)) from exc
 
 
 def _step_count(d: dict, name: str, field: str) -> int:
@@ -219,31 +240,28 @@ def _step_count(d: dict, name: str, field: str) -> int:
 
 
 def build_rule(d: dict, field: str = "stopping") -> StoppingRule:
-    if not isinstance(d, dict):
-        raise PreconditionError(field, "must be a table of dotted keys")
-    kind = d.get("kind")
-    if kind is None:
-        raise PreconditionError(f"{field}.kind", "required")
-    if kind == "first_passage_up":
-        rule = first_passage_up(read_param(d, "threshold", float, prefix=field))
-    elif kind == "first_passage_down":
-        rule = first_passage_down(read_param(d, "threshold", float, prefix=field))
-    elif kind == "deterministic":
-        direction = d.get("direction", "nondecreasing")
-        if direction not in ("nondecreasing", "nonincreasing", "none"):
+    with _table(d, field) as d:
+        kind = read_param(d, "kind", str, prefix=field)
+        if kind == "first_passage_up":
+            rule = first_passage_up(read_param(d, "threshold", float, prefix=field))
+        elif kind == "first_passage_down":
+            rule = first_passage_down(read_param(d, "threshold", float, prefix=field))
+        elif kind == "deterministic":
+            direction = d.get("direction", "nondecreasing")
+            if direction not in ("nondecreasing", "nonincreasing", "none"):
+                raise PreconditionError(
+                    f"{field}.direction", "must be nondecreasing, nonincreasing, or none"
+                )
+            rule = deterministic(_step_count(d, "step", field), direction)
+        else:
             raise PreconditionError(
-                f"{field}.direction", "must be nondecreasing, nonincreasing, or none"
+                f"{field}.kind",
+                "must be first_passage_up, first_passage_down, or deterministic "
+                "(user rules are library-only)",
             )
-        rule = deterministic(_step_count(d, "step", field), direction)
-    else:
-        raise PreconditionError(
-            f"{field}.kind",
-            "must be first_passage_up, first_passage_down, or deterministic "
-            "(user rules are library-only)",
-        )
-    if "cap" in d:
-        rule = capped(rule, _step_count(d, "cap", field))
-    return rule
+        if "cap" in d:
+            rule = capped(rule, _step_count(d, "cap", field))
+        return rule
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +270,8 @@ def build_rule(d: dict, field: str = "stopping") -> StoppingRule:
 
 
 def _json_safe(x: float | None):
-    if x is None:
-        return None
-    if isinstance(x, float) and not math.isfinite(x):
-        return None  # strict JSON has no Infinity
-    return x
+    # strict JSON has no Infinity
+    return None if x is None or not math.isfinite(x) else x
 
 
 def report_dict(config: ExperimentConfig, report, runtime_ms: float) -> dict:
@@ -330,8 +345,8 @@ def run(config: ExperimentConfig, spec: gen.GeneratorSpec | None = None):
     spec (built here unless given); returns (report, dict, extras)."""
     if spec is None and config.generator is not None:
         spec = build_generator_spec(config.generator)
-    rule = build_rule(config.stopping) if config.stopping else None
-    rule2 = build_rule(config.stopping2, "stopping2") if config.stopping2 else None
+    rule = None if config.stopping is None else build_rule(config.stopping)
+    rule2 = None if config.stopping2 is None else build_rule(config.stopping2, "stopping2")
     t0 = time.perf_counter()
     report, results, extras = registry.verify_detailed(
         config.theorem_id,

@@ -158,8 +158,8 @@ _REQUIRED = object()
 
 
 def read_param(params: dict, name: str, kind: type, default=_REQUIRED, prefix: str = "params"):
-    """``kind(params[name])`` (``_integer`` for int), or ``default`` as given
-    when the key is absent.
+    """``_coerce(kind, params[name])``, or ``default`` as given when the key
+    is absent.
 
     A missing required value or one ``kind`` cannot convert raises a
     PreconditionError that names the key ``<prefix>.<name>`` (``name``
@@ -172,17 +172,19 @@ def read_param(params: dict, name: str, kind: type, default=_REQUIRED, prefix: s
         return default
     value = params[name]
     try:
-        return (_integer if kind is int else kind)(value)
+        return _coerce(kind, value)
     except (TypeError, ValueError):
         raise PreconditionError(field, f"expected {kind.__name__}, got {value!r}") from None
 
 
-def _integer(value) -> int:
-    """``int(value)``, refusing what ``int`` would coerce: a bool, or a float
-    that is not a whole number (an integral one such as ``1e6`` is kept)."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+def _coerce(kind: type, value):
+    """``kind(value)``, refusing what a numeric ``kind`` would coerce: a bool
+    (``float(True)`` is 1.0), or for int a float that is not a whole number
+    (an integral one such as ``1e6`` is kept)."""
+    fraction = isinstance(value, float) and not value.is_integer()
+    if kind in (int, float) and isinstance(value, bool) or kind is int and fraction:
         raise TypeError(value)
-    return int(value)
+    return kind(value)
 
 
 def _checked_tolerance_z(tolerance_z: float) -> float:

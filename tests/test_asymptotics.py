@@ -1,6 +1,7 @@
 """Normal-approximation and complete-convergence diagnostics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from demimart.asymptotics import (
     ratio_cubed_decreasing,
 )
 from demimart.bounds import bernstein_tail
-from demimart.core import derive_stream
+from demimart.core import FAIL, derive_stream
 from demimart.generators import (
     GeneratorSpec,
     bernoulli,
+    centered,
     gaussian_assoc_spec,
     iid_spec,
     rademacher,
@@ -26,6 +28,7 @@ from demimart.generators import (
     uniform,
 )
 from demimart.oracle import fold_expectations
+from demimart.registry import PreconditionError, verify_detailed
 
 
 class TestKolmogorovSmirnov:
@@ -175,6 +178,32 @@ class TestCompleteConvergence:
             complete_convergence_diagnose(spec, r=1.0, epsilon=0.0, n_grid=[4], paths=10, seed=1)
 
     def test_drifting_family_rejected(self):
+        """The sweep refuses what T5.6 refuses, with T5.6's own message."""
         spec = iid_spec(bernoulli(0.5), 4)
-        with pytest.raises(ValueError, match="mean-zero"):
+        with pytest.raises(PreconditionError) as info:
             complete_convergence_diagnose(spec, r=1.0, epsilon=0.5, n_grid=[4], paths=10, seed=1)
+        assert (info.value.name, info.value.message) == (
+            "generator",
+            "requires a demimartingale family",
+        )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            iid_spec(rademacher(), 4),
+            centered(GeneratorSpec("moving_sum", 4, law=bernoulli(0.5), weights=(1.0, 0.5))),
+        ],
+        ids=["iid-rademacher", "centered-bernoulli-moving-sum"],
+    )
+    def test_each_horizon_is_t56_two_sided_row(self, spec):
+        """Each exact horizon is T5.6's second check at t = n^r eps."""
+        r, eps, n_grid = 0.75, 0.5, [6, 10, 14]
+        diag = complete_convergence_diagnose(spec, r, eps, n_grid, paths=1000, seed=3)
+        for rec in diag.tail_estimates:
+            sub = replace(spec, horizon=rec.n)
+            _, results, _ = verify_detailed("T5.6", sub, params={"t": rec.n**r * eps})
+            row = results[1]
+            assert rec.exact
+            assert (rec.estimate, rec.stderr) == (row.stats.mean, row.stats.stderr)
+            assert rec.envelope == row.rhs
+            assert rec.within_envelope == (row.verdict != FAIL)

@@ -103,6 +103,25 @@ class TestVerifyCommand:
         assert report["z_margin"] is None
         assert report["theorem_id"] == "T3.1-OST-upper"
 
+    def test_one_path_reports_a_null_stderr(self, tmp_path, capsys):
+        """One path has an infinite standard error, which strict JSON writes
+        as null; the verdict is INCONCLUSIVE (exit 2)."""
+        cfg = _write(tmp_path, "one.cfg", T31_CFG.replace("exact", "monte_carlo") + "paths = 1\n")
+        out = str(tmp_path / "report.json")
+        assert main(["verify", "--config", cfg, "--out", out]) == 2
+        report = json.loads(open(out).read())
+        assert report["lhs"]["stderr"] is None
+        assert report["verdict"] == "INCONCLUSIVE"
+
+    def test_readme_example_verifies(self, tmp_path, capsys):
+        """The README's config example is a config that PASSes."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"^```ini\n(.*?)^```$", readme, re.S | re.M)
+        cfg = _write(tmp_path, "readme.cfg", block)
+        out = str(tmp_path / "report.json")
+        assert main(["verify", "--config", cfg, "--out", out]) == 0
+        assert json.loads(open(out).read())["verdict"] == "PASS"
+
     def test_missing_seed_exits_three(self, tmp_path, capsys):
         cfg = _write(tmp_path, "bad.cfg", "theorem_id = T3.1\nmode = exact\n")
         assert main(["verify", "--config", cfg]) == 3
@@ -565,9 +584,109 @@ class TestConfigValues:
         assert "expected int, got [3]" in rows[1]["message"]
 
 
+SHOCK_CFG = (
+    "seed = 3\ntheorem_id = T4.7\nparams.t = 1\ngenerator.family = shared_shock\n"
+    "generator.horizon = 4\ngenerator.base.law = rademacher\ngenerator.shock.law = rademacher\n"
+)
+GAUSS_CFG = (
+    "seed = 3\ntheorem_id = T4.7\nparams.t = 1\ngenerator.family = gaussian_assoc\n"
+    "generator.horizon = 3\n"
+)
+T23_CFG = (Path(__file__).resolve().parents[1] / "configs" / "08-t23-two-stops.cfg").read_text()
+KINDS = (
+    "must be first_passage_up, first_passage_down, or deterministic (user rules are library-only)"
+)
+TABLE = "must be a table of dotted keys"
+NO_FLOAT = "expected float, got True"
+
+# each refusal of a config, by name: (config text, field, message)
+CONFIG_REFUSALS = {
+    "empty-key": (T31_CFG + "= 3\n", "config", "line 11: empty key"),
+    "key-under-scalar": (T31_CFG + "seed.x = 1\n", "seed.x", "conflicts with a scalar key"),
+    "unknown-mode": (
+        T31_CFG.replace("mode = exact", "mode = fast"), "mode", "must be 'exact' or 'monte_carlo'"
+    ),
+    "no-law": (T31_CFG.replace("generator.law = rademacher\n", ""), "generator.law", "required"),
+    "unknown-law": (
+        T31_CFG.replace("= rademacher", "= cauchy"), "generator.law", "unknown law 'cauchy'"
+    ),
+    "generator-scalar": ("seed = 3\ntheorem_id = T3.1\ngenerator = 3\n", "generator", TABLE),
+    "cov-scalar": (GAUSS_CFG + "generator.cov = 3\n", "generator.cov", TABLE),
+    "stopping-scalar": (T31_CFG.split("stopping.")[0] + "stopping = 3\n", "stopping", TABLE),
+    "stopping-zero": (
+        T31_CFG.replace("T3.1", "T4.7").split("stopping.")[0] + "params.t = 1\nstopping = 0\n",
+        "stopping",
+        TABLE,
+    ),
+    "no-family": (
+        T31_CFG.replace("generator.family = iid\n", ""), "generator.family", "required"
+    ),
+    "no-cov": (GAUSS_CFG, "generator.cov", "required"),
+    "no-base": (
+        SHOCK_CFG.replace("generator.base.law = rademacher\n", ""), "generator.base", "required"
+    ),
+    "no-shock": (
+        SHOCK_CFG.replace("generator.shock.law = rademacher\n", ""), "generator.shock", "required"
+    ),
+    "no-inner": (
+        T31_CFG.replace("family = iid", "family = centered_partial_sum"),
+        "generator.inner",
+        "required",
+    ),
+    "no-rule-kind": (
+        T31_CFG.replace("stopping.kind = first_passage_up\n", ""), "stopping.kind", "required"
+    ),
+    "unknown-family": (
+        T31_CFG.replace("family = iid", "family = levy"),
+        "generator.family",
+        "unknown family 'levy'",
+    ),
+    "unknown-rule-kind": (
+        T31_CFG.replace("= first_passage_up", "= sideways"), "stopping.kind", KINDS
+    ),
+    # a key that nothing reads, in every table that is read
+    "stray-top-level": (T31_CFG + "path = 1000\n", "path", "unknown key"),
+    "stray-generator": (T31_CFG + "generator.p = 0.9\n", "generator.p", "unknown key"),
+    "stray-base": (SHOCK_CFG + "generator.base.p = 0.5\n", "generator.base.p", "unknown key"),
+    "stray-shock": (SHOCK_CFG + "generator.shock.a = 0\n", "generator.shock.a", "unknown key"),
+    "stray-cov": (
+        GAUSS_CFG + "generator.cov.kind = diagonal\ngenerator.cov.rho = 0.5\n",
+        "generator.cov.rho",
+        "unknown key",
+    ),
+    "stray-inner-horizon": (
+        "seed = 3\ntheorem_id = T4.7\nparams.t = 1\ngenerator.horizon = 4\n"
+        "generator.family = centered_partial_sum\ngenerator.inner.family = iid\n"
+        "generator.inner.law = bernoulli\ngenerator.inner.p = 0.5\ngenerator.inner.horizon = 9\n",
+        "generator.inner.horizon",
+        "unknown key",
+    ),
+    "stray-stopping": (
+        T31_CFG + "stopping.direction = none\n", "stopping.direction", "unknown key"
+    ),
+    "stray-stopping2": (
+        T23_CFG + "stopping2.threshold = 1\n", "stopping2.threshold", "unknown key"
+    ),
+    # a float key refuses a boolean, as an integer key does
+    "bool-param": (
+        T31_CFG.replace("T3.1", "T4.7") + "params.t = true\n", "params.t", NO_FLOAT
+    ),
+    "bool-tolerance": (T31_CFG + "tolerance_z = true\n", "tolerance_z", NO_FLOAT),
+    "bool-threshold": (
+        T31_CFG.replace("threshold = 1", "threshold = true"), "stopping.threshold", NO_FLOAT
+    ),
+    "bool-weight": (
+        T31_CFG.replace("family = iid", "family = moving_sum") + "generator.weights = [1, true]\n",
+        "generator.weights",
+        "expected list of float, got [1, True]",
+    ),
+}
+
+
 class TestPreconditionFields:
-    """Inputs a library condition refuses exit 3 under the config key or the
-    ``generator`` precondition, not under ``experiment``."""
+    """Inputs a library condition or the config reader refuses exit 3 under
+    the config key or the ``generator`` precondition, not under
+    ``experiment``."""
 
     @pytest.mark.parametrize(
         "text, field, message",
@@ -616,9 +735,10 @@ class TestPreconditionFields:
                 "generator",
                 "cannot center adversarial_sign_flip: its step means alternate",
             ),
+            *CONFIG_REFUSALS.values(),
         ],
         ids=["c55-gaussian", "l45-sign-flip", "sideways-direction", "step-zero", "cap-zero",
-             "c22-down-rule", "centered-sign-flip"],
+             "c22-down-rule", "centered-sign-flip", *CONFIG_REFUSALS],
     )
     def test_refusal_names_its_field(self, tmp_path, capsys, text, field, message):
         cfg = _write(tmp_path, "bad.cfg", text)
@@ -708,6 +828,13 @@ class TestCommandFields:
                 "seed = 3\nparams.variant = sideways\n" + IID4,
                 {"field": "params.variant", "message": "demimartingale or demisubmartingale"},
             ),
+            (
+                "slln",
+                "seed = 3\npaths = 200\nparams.r = 1\nparams.epsilon = 0.5\n"
+                "params.n_grid = [4, 8]\ngenerator.p = 0.5\n"
+                + IID4.replace("rademacher", "bernoulli"),
+                {"field": "generator", "message": "requires a demimartingale family"},
+            ),
             ("stop", "seed = 3\n" + IID4, {"field": "stopping", "message": "required"}),
             (
                 "stop",
@@ -721,6 +848,7 @@ class TestCommandFields:
             "slln",
             "slln-grid",
             "check-demi",
+            "slln-drifting",
             "stop-no-stopping",
             "stop-no-generator",
         ],
