@@ -36,7 +36,6 @@ from .core import (
     SummaryStats,
     VerificationReport,
     derive_stream,
-    summarize,
 )
 from .generators import (
     DiscreteChainSpec,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import asymptotics, bounds, generators as gen, registry
-from .core import DEFAULT_TOLERANCE_Z, FAIL, INCONCLUSIVE, PASS, iter_chunks, summarize
+from .core import DEFAULT_TOLERANCE_Z, FAIL, INCONCLUSIVE, PASS, RunningStats, iter_chunks
 from .registry import PreconditionError, read_param
 from .stopping import StoppingRule, capped, deterministic, first_passage_down, first_passage_up
 
@@ -317,7 +317,8 @@ def _io(field: str, path: str | None = None):
     try:
         yield
     except OSError as exc:
-        exc.filename, exc.filename2 = path or exc.filename, None
+        # rebuilt on one path: a second (os.replace's target) would print too
+        exc = OSError(exc.errno, exc.strerror, path or exc.filename)
         raise PreconditionError(field, str(exc)) from None
 
 
@@ -392,8 +393,6 @@ def _cmd_verify(args, config: ExperimentConfig, spec: gen.GeneratorSpec | None) 
     for name, extra in extras.items():
         z = "n/a" if extra.z_margin is None else _fmt(extra.z_margin)
         print(f"# {name}: {extra.verdict} (z_margin {z})", file=sys.stderr)
-    if args.dump_paths and config.mode == "monte_carlo" and spec is not None:
-        _write((args.out or "paths") + ".csv", _csv_rows(spec, config.paths, config.seed))
     return _EXIT[report.verdict]
 
 
@@ -412,8 +411,10 @@ def _cmd_gen(args, config: ExperimentConfig, spec: gen.GeneratorSpec) -> int:
     if args.dump_paths:
         _write(args.out, _csv_rows(spec, config.paths, config.seed))
         return 0
-    chunks = iter_chunks(gen.sample_final_sums, spec, config.paths, config.seed)
-    s_n = summarize(np.concatenate(list(chunks)))
+    stats = RunningStats()
+    for chunk in iter_chunks(gen.sample_final_sums, spec, config.paths, config.seed):
+        stats.update(chunk[None])
+    s_n = stats.summaries()[0]
     print(f"generator_id: {spec.generator_id}")
     print(f"paths: {config.paths}")
     print(f"horizon: {spec.horizon}")
@@ -426,21 +427,21 @@ def _cmd_stop(args, config: ExperimentConfig, spec: gen.GeneratorSpec) -> int:
     rule = build_rule(config.stopping)
     if config.paths < 1:
         raise ValueError("paths must be >= 1")
-    # an integer tau sum and the S_tau in path order give the whole-matrix means
-    count, tau_sum, s_tau = 0, 0, []
+    # tau and S_tau of the stopped paths; its count is the stopped count
+    stopped = RunningStats()
     for paths in iter_chunks(gen.sample_paths, spec, config.paths, config.seed):
         tau = rule.tau_batch(paths)
         rows = np.flatnonzero(tau != -1)
         t = tau[rows]
-        count, tau_sum = count + len(t), tau_sum + int(t.sum())
-        s_tau.append(paths[rows, t - 1])
+        stopped.update(np.stack([t, paths[rows, t - 1]]))
         # release the chunk before the next is drawn
         del paths
     print(f"rule: {rule.label}")
-    print(f"P(stopped): {_fmt(count / config.paths)}")
-    if count:
-        print(f"E[tau | stopped]: {_fmt(tau_sum / count)}")
-        print(f"E[S_tau | stopped]: {_fmt(np.concatenate(s_tau).mean())}")
+    print(f"P(stopped): {_fmt(stopped.count / config.paths)}")
+    if stopped.count:
+        tau, s_tau = stopped.summaries()
+        print(f"E[tau | stopped]: {_fmt(tau.mean)}")
+        print(f"E[S_tau | stopped]: {_fmt(s_tau.mean)}")
     return 0
 
 
@@ -608,19 +609,19 @@ _OPTIONS = {
     "values": {"nargs": "*", "help": "key=value inputs"},
     "directory": {"help": "directory of *.cfg experiments"},
 }
-_DUMP_OPTIONS = ("--seed", "--paths", "--out", "--dump-paths")
+_RUN_OPTIONS = ("--seed", "--paths", "--out")
 
 # each command: its handler, the arguments it reads besides --config, the
 # top-level keys it requires of its --config (None: it takes none), and
 # the field of a ValueError that names none
 _COMMANDS = {
-    "verify": (_cmd_verify, _DUMP_OPTIONS, ("theorem_id", "seed"), "experiment"),
-    "check-demi": (_cmd_check_demi, _DUMP_OPTIONS, ("seed",), "experiment"),
-    "gen": (_cmd_gen, _DUMP_OPTIONS, ("seed", "generator"), "gen"),
+    "verify": (_cmd_verify, _RUN_OPTIONS, ("theorem_id", "seed"), "experiment"),
+    "check-demi": (_cmd_check_demi, _RUN_OPTIONS, ("seed",), "experiment"),
+    "gen": (_cmd_gen, (*_RUN_OPTIONS, "--dump-paths"), ("seed", "generator"), "gen"),
     "stop": (_cmd_stop, ("--seed", "--paths"), ("seed", "generator", "stopping"), "stop"),
     "oracle": (_cmd_oracle, (), ("generator",), "generator"),
-    "clt": (_cmd_clt, ("--seed", "--paths", "--out"), ("seed", "generator"), "clt"),
-    "slln": (_cmd_slln, ("--seed", "--paths", "--out"), ("seed", "generator"), "slln"),
+    "clt": (_cmd_clt, _RUN_OPTIONS, ("seed", "generator"), "clt"),
+    "slln": (_cmd_slln, _RUN_OPTIONS, ("seed", "generator"), "slln"),
     "bound": (_cmd_bound, ("name", "values"), None, "bound"),
     "suite": (_cmd_suite, ("directory", "--out"), None, "directory"),
 }

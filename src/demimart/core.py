@@ -29,7 +29,6 @@ __all__ = [
     "derive_stream",
     "iter_chunks",
     "statistic_pieces",
-    "summarize",
     "tile_paths",
 ]
 
@@ -136,24 +135,6 @@ class SummaryStats:
             raise ValueError("mean must be finite")
         if self.stderr < 0:
             raise ValueError("stderr must be nonnegative")
-
-
-def summarize(samples) -> SummaryStats:
-    """Arithmetic mean and stderr (= unbiased sample std / sqrt(count)).
-
-    A single observation carries no spread information: its stderr is the
-    +inf sentinel and any verdict built on it must be INCONCLUSIVE.
-    """
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("empty sample")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("samples must be finite")
-    if arr.size == 1:
-        return SummaryStats(mean=float(arr[0]), stderr=math.inf, count=1)
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1))
-    return SummaryStats(mean=mean, stderr=sd / math.sqrt(arr.size), count=int(arr.size))
 
 
 def statistic_pieces(stats, checks: int | None = None) -> tuple[int, Pieces]:

@@ -16,7 +16,6 @@ from demimart.core import (
     VerificationReport,
     derive_stream,
     iter_chunks,
-    summarize,
     tile_paths,
 )
 from demimart.generators import generate, iid_spec, rademacher
@@ -46,33 +45,6 @@ class TestDeriveStream:
         assert derive_stream(1, 0).bytes(8) != derive_stream(2, 0).bytes(8)
 
 
-class TestSummarize:
-    def test_constant_sample(self):
-        s = summarize([1.0, 1.0, 1.0])
-        assert s.mean == 1.0
-        assert s.stderr == 0.0
-        assert s.count == 3
-
-    def test_two_point_sample(self):
-        # sd = sqrt(2), stderr = sqrt(2)/sqrt(2) = 1
-        s = summarize([0.0, 2.0])
-        assert s.mean == pytest.approx(1.0)
-        assert s.stderr == pytest.approx(1.0)
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError, match="empty sample"):
-            summarize([])
-
-    def test_single_point_gets_inf_sentinel(self):
-        s = summarize([3.5])
-        assert s.mean == 3.5
-        assert math.isinf(s.stderr)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([1.0, math.nan])
-
-
 class TestRunningStats:
     @given(
         st.lists(
@@ -94,11 +66,43 @@ class TestRunningStats:
         b.update(rows[:, k:])
         a.merge(b)
         for got, row in zip(a.summaries(), rows):
-            whole = summarize(row)
-            assert got.count == whole.count
-            assert got.mean == pytest.approx(whole.mean, rel=1e-12, abs=1e-12)
-            if math.isfinite(whole.stderr):
-                assert got.stderr == pytest.approx(whole.stderr, rel=1e-9, abs=1e-12)
+            assert got.count == len(row)
+            assert got.mean == pytest.approx(row.mean(), rel=1e-12, abs=1e-12)
+            stderr = row.std(ddof=1) / math.sqrt(len(row))
+            assert got.stderr == pytest.approx(stderr, rel=1e-9, abs=1e-12)
+
+    def test_constant_and_two_point_samples(self):
+        acc = RunningStats()
+        acc.update(np.array([[1.0, 1.0, 1.0], [0.0, 2.0, 1.0]]))
+        constant, spread = acc.summaries()
+        assert (constant.mean, constant.stderr, constant.count) == (1.0, 0.0, 3)
+        # sd = 1, stderr = 1/sqrt(3)
+        assert spread.mean == pytest.approx(1.0)
+        assert spread.stderr == pytest.approx(1.0 / math.sqrt(3.0))
+
+    def test_empty_sample_rejected(self):
+        """No samples, or only updates over zero paths, have no summary."""
+        acc = RunningStats()
+        with pytest.raises(ValueError, match="empty sample"):
+            acc.summaries()
+        acc.update(np.empty((2, 0)))
+        assert acc.count == 0
+        with pytest.raises(ValueError, match="empty sample"):
+            acc.summaries()
+
+    def test_single_point_gets_inf_sentinel(self):
+        acc = RunningStats()
+        acc.update(np.array([[3.5], [-1.0]]))
+        assert [s.mean for s in acc.summaries()] == [3.5, -1.0]
+        assert all(math.isinf(s.stderr) for s in acc.summaries())
+
+    def test_nonfinite_rejected(self):
+        """A NaN sample is refused and leaves the accumulator as it was."""
+        acc = RunningStats()
+        acc.update(np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match="samples must be finite"):
+            acc.update(np.array([[1.0, math.nan]]))
+        assert acc.count == 2
 
     def test_merge_order_independent(self):
         rng = np.random.default_rng(0)
