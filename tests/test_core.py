@@ -45,6 +45,51 @@ class TestDeriveStream:
         assert derive_stream(1, 0).bytes(8) != derive_stream(2, 0).bytes(8)
 
 
+class TestSummarize:
+    """Per-row summaries of a RunningStats: mean, standard error, count."""
+
+    def test_constant_sample(self):
+        acc = RunningStats()
+        acc.update(np.array([[1.0, 1.0, 1.0]]))
+        (s,) = acc.summaries()
+        assert (s.mean, s.stderr, s.count) == (1.0, 0.0, 3)
+
+    def test_two_point_sample(self):
+        # rows [0, 2] and [0, 2, 1]: sd = sqrt(2) and 1, stderr = 1 and 1/sqrt(3)
+        two, three = RunningStats(), RunningStats()
+        two.update(np.array([[0.0, 2.0]]))
+        three.update(np.array([[0.0, 2.0, 1.0]]))
+        ((s2,), (s3,)) = two.summaries(), three.summaries()
+        assert s2.mean == pytest.approx(1.0)
+        assert s2.stderr == pytest.approx(1.0)
+        assert s3.mean == pytest.approx(1.0)
+        assert s3.stderr == pytest.approx(1.0 / math.sqrt(3.0))
+
+    def test_empty_sample_rejected(self):
+        """No samples, or only updates over zero paths, have no summary."""
+        acc = RunningStats()
+        with pytest.raises(ValueError, match="empty sample"):
+            acc.summaries()
+        acc.update(np.empty((2, 0)))
+        assert acc.count == 0
+        with pytest.raises(ValueError, match="empty sample"):
+            acc.summaries()
+
+    def test_single_point_gets_inf_sentinel(self):
+        acc = RunningStats()
+        acc.update(np.array([[3.5], [-1.0]]))
+        assert [s.mean for s in acc.summaries()] == [3.5, -1.0]
+        assert all(math.isinf(s.stderr) for s in acc.summaries())
+
+    def test_nonfinite_rejected(self):
+        """A NaN sample is refused and leaves the accumulator as it was."""
+        acc = RunningStats()
+        acc.update(np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match="samples must be finite"):
+            acc.update(np.array([[1.0, math.nan]]))
+        assert acc.count == 2
+
+
 class TestRunningStats:
     @given(
         st.lists(
@@ -70,39 +115,6 @@ class TestRunningStats:
             assert got.mean == pytest.approx(row.mean(), rel=1e-12, abs=1e-12)
             stderr = row.std(ddof=1) / math.sqrt(len(row))
             assert got.stderr == pytest.approx(stderr, rel=1e-9, abs=1e-12)
-
-    def test_constant_and_two_point_samples(self):
-        acc = RunningStats()
-        acc.update(np.array([[1.0, 1.0, 1.0], [0.0, 2.0, 1.0]]))
-        constant, spread = acc.summaries()
-        assert (constant.mean, constant.stderr, constant.count) == (1.0, 0.0, 3)
-        # sd = 1, stderr = 1/sqrt(3)
-        assert spread.mean == pytest.approx(1.0)
-        assert spread.stderr == pytest.approx(1.0 / math.sqrt(3.0))
-
-    def test_empty_sample_rejected(self):
-        """No samples, or only updates over zero paths, have no summary."""
-        acc = RunningStats()
-        with pytest.raises(ValueError, match="empty sample"):
-            acc.summaries()
-        acc.update(np.empty((2, 0)))
-        assert acc.count == 0
-        with pytest.raises(ValueError, match="empty sample"):
-            acc.summaries()
-
-    def test_single_point_gets_inf_sentinel(self):
-        acc = RunningStats()
-        acc.update(np.array([[3.5], [-1.0]]))
-        assert [s.mean for s in acc.summaries()] == [3.5, -1.0]
-        assert all(math.isinf(s.stderr) for s in acc.summaries())
-
-    def test_nonfinite_rejected(self):
-        """A NaN sample is refused and leaves the accumulator as it was."""
-        acc = RunningStats()
-        acc.update(np.array([[1.0, 2.0]]))
-        with pytest.raises(ValueError, match="samples must be finite"):
-            acc.update(np.array([[1.0, math.nan]]))
-        assert acc.count == 2
 
     def test_merge_order_independent(self):
         rng = np.random.default_rng(0)
