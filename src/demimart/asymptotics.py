@@ -204,11 +204,12 @@ def complete_convergence_diagnose(
             stats, exact = SummaryStats(mean=0.0, stderr=0.0, count=1), True
         else:
             try:
-                target, exact = gen.to_chain(sub), True
+                gen.to_chain(sub)
+                exact = True
             except ValueError:
-                target, exact = sub, False
+                exact = False
             mode = "exact" if exact else "monte_carlo"
-            _, stats = expectations(target, checks.evaluate, 2, mode, paths, seed,
+            _, stats = expectations(sub, checks.evaluate, 2, mode, paths, seed,
                                     terminal_only=True, chunk_base=i << 32)
         result = _check_result(stats, meta, z, 0 if exact else paths)
         records.append(

@@ -494,7 +494,7 @@ def _cmd_oracle(args, config: ExperimentConfig, spec: gen.GeneratorSpec) -> int:
 
     # every statistic reads S_n alone
     checks = 4 if t is None else 5
-    means = registry.expectations(chain, moments, checks, "exact", terminal_only=True)
+    means = registry.expectations(spec, moments, checks, "exact", terminal_only=True)
     stats = [s.mean for s in means]
     print(f"outcomes: {chain.outcome_count}")
     print(f"total_probability: {_fmt(stats[3])}")

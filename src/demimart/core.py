@@ -177,13 +177,12 @@ def _checked_pieces(pieces: Pieces, checks: int) -> Pieces:
 
 @dataclass
 class RunningStats:
-    """Streaming (count, mean, M2) accumulator of K statistics at once, with
-    associative merging.
+    """Streaming (count, mean, M2) accumulator of K statistics at once.
 
     Each update folds in m samples of each of K statistics, so mean and m2
-    hold K-vectors.  Chunk reductions combine through the pairwise update
-    (Chan, Golub & LeVeque 1979), so merging chunk statistics is
-    order-independent up to floating-point roundoff.
+    hold K-vectors.  Each batch joins the running totals through the
+    pairwise update (Chan, Golub & LeVeque 1979), so the order of the
+    batches changes the result only by floating-point roundoff.
     """
 
     count: int = 0
@@ -199,6 +198,8 @@ class RunningStats:
         ``weights``, a positive integer count per path, makes path i stand
         for weights[i] samples: the batch holds sum(weights) samples, and its
         mean and M2 are the weighted ones, as if each path were repeated.
+        A NaN or infinite sample raises ValueError and leaves the
+        accumulator as it was.
         """
         k, pieces = statistic_pieces(stats, checks)
         if weights is not None:
@@ -207,31 +208,25 @@ class RunningStats:
         bm2 = np.empty(k)
         m = 0
         scratch = None
-        for rows, block in pieces:
-            if np.ndim(block) != 2:
-                raise ValueError("update takes a (K, m) matrix of statistic rows")
-            m = block.shape[1]
-            if m == 0:
-                continue
-            if scratch is None:
-                step = max(1, _REDUCE_BLOCK_BYTES // (8 * m))
-                scratch = np.empty((min(step, k), m))
-            _reduce_row_blocks(block, bmean[rows], bm2[rows], scratch, weights)
+        # an infinite sample's deviations are inf - inf; it is refused below
+        with np.errstate(invalid="ignore"):
+            for rows, block in pieces:
+                if np.ndim(block) != 2:
+                    raise ValueError("update takes a (K, m) matrix of statistic rows")
+                m = block.shape[1]
+                if m == 0:
+                    continue
+                if scratch is None:
+                    step = max(1, _REDUCE_BLOCK_BYTES // (8 * m))
+                    scratch = np.empty((min(step, k), m))
+                _reduce_row_blocks(block, bmean[rows], bm2[rows], scratch, weights)
         if m == 0:
             return
         # a NaN or infinite sample makes its row's mean non-finite, so checking
         # the K means covers every sample
         if not np.all(np.isfinite(bmean)):
             raise ValueError("samples must be finite")
-        self._combine(m if weights is None else int(weights.sum()), bmean, bm2)
-
-    def merge(self, other: "RunningStats") -> None:
-        if other.count:
-            self._combine(other.count, other.mean, other.m2)
-
-    def _combine(self, n: int, bmean: np.ndarray, bm2: np.ndarray) -> None:
-        # never in place, because the first batch's arrays may be shared with
-        # the accumulator they were merged from
+        n = m if weights is None else int(weights.sum())
         if self.count == 0:
             self.count, self.mean, self.m2 = n, bmean, bm2
             return

@@ -968,7 +968,7 @@ def _aggregate(theorem_id: str, results: list[CheckResult], exact: bool) -> Veri
 
 
 def expectations(
-    spec: gen.GeneratorSpec | gen.DiscreteChainSpec,
+    spec: gen.GeneratorSpec,
     evaluate: Callable[[np.ndarray], np.ndarray | Pieces],
     checks: int,
     mode: str,
@@ -981,46 +981,45 @@ def expectations(
     given as a matrix or as pieces (``core.statistic_pieces``), which both
     engines consume one at a time.
 
-    This is the one place an engine is chosen.  Exact mode folds outcome
-    probabilities: over the law of S_n alone when ``terminal_only`` is set,
-    S_n is a lattice sum (the chain has a ``grid``) and its convolutions
+    This is the one place an engine is chosen, and the one place the spec's
+    chain is looked up.  Exact mode folds outcome probabilities: over the
+    law of S_n alone when ``terminal_only`` is set, S_n is a lattice sum
+    (the chain has a ``grid``) and its convolutions
     (``oracle.terminal_cost``) cost less than building every path (outcomes
     x horizon), else over every enumerated path, ``tile_paths(checks)``
     outcomes per block; each result has stderr 0 and the chain's outcome
-    count.  Monte Carlo averages ``paths`` sampled paths from chunk
-    ``chunk_base`` of ``seed`` on (S_n alone as an (m, 1) matrix when
-    ``terminal_only``: ``gen.sample_final_sums``, the paths' last column bit
-    for bit), evaluated and reduced one tile of
-    ``tile_paths(checks)`` paths at a time.  On a chain of at most
-    CHUNK_PATHS outcomes, the chunks are drawn as outcome indices
-    (``gen.sample_outcomes``) and counted, and each distinct sampled path is
-    built (``oracle.iter_blocks``) and evaluated once, weighted by its
-    count: the same sample, the same values up to the order of summation.
-
-    In exact mode ``spec`` may be the chain itself, for a caller that built
-    it; a generator without one raises PreconditionError("mode").
+    count.  A spec without a chain raises PreconditionError("mode").  Monte
+    Carlo averages ``paths`` sampled paths from chunk ``chunk_base`` of
+    ``seed`` on (S_n alone as an (m, 1) matrix when ``terminal_only``:
+    ``gen.sample_final_sums``, the paths' last column bit for bit),
+    evaluated and reduced one tile of ``tile_paths(checks)`` paths at a
+    time.  On a chain of at most CHUNK_PATHS outcomes, the chunks are drawn
+    as outcome indices (``gen.sample_outcomes``) and counted, and each
+    distinct sampled path is built (``oracle.iter_blocks``) and evaluated
+    once, weighted by its count: the same sample, the same values up to the
+    order of summation, in memory that the counts and one tile bound
+    whatever ``paths``.
     """
+    if mode not in ("exact", "monte_carlo"):
+        raise PreconditionError("mode", f"unknown mode {mode!r}")
+    try:
+        chain = gen.to_chain(spec)
+    except ValueError as exc:
+        if mode == "exact":
+            raise PreconditionError("mode", f"exact mode unavailable: {exc}") from exc
+        chain = None
     if mode == "exact":
-        chain = spec
-        if not isinstance(spec, gen.DiscreteChainSpec):
-            try:
-                chain = gen.to_chain(spec)
-            except ValueError as exc:
-                raise PreconditionError("mode", f"exact mode unavailable: {exc}") from exc
         build_cost = chain.outcome_count * chain.horizon
         if terminal_only and chain.grid is not None and terminal_cost(chain) < build_cost:
             values = fold_terminal(chain, evaluate, checks)
         else:
             values = fold_expectations(chain, evaluate, block=tile_paths(checks), checks=checks)
         return [SummaryStats(mean=v, stderr=0.0, count=chain.outcome_count) for v in values]
-    if mode != "monte_carlo":
-        raise PreconditionError("mode", f"unknown mode {mode!r}")
     if paths < 1:
         raise PreconditionError("paths", "paths must be >= 1")
     tile = tile_paths(checks)
     acc = RunningStats()
-    chain = _counted_chain(spec)
-    if chain is not None:
+    if chain is not None and chain.outcome_count <= CHUNK_PATHS:
         counts = np.zeros(chain.outcome_count, dtype=np.int64)
         for idx in iter_chunks(gen.sample_outcomes, spec, paths, seed, chunk_base):
             counts += np.bincount(idx, minlength=len(counts))
@@ -1032,30 +1031,16 @@ def expectations(
             stats = evaluate(block[:, -1:] if terminal_only else block)
             acc.update(stats, checks, weights=counts[hits[lo : lo + tile]])
         return acc.summaries()
-    sample = _sample_terminal if terminal_only else gen.sample_paths
+    sample = gen.sample_final_sums if terminal_only else gen.sample_paths
     for block in iter_chunks(sample, spec, paths, seed, chunk_base):
+        # a view: S_n alone becomes an (m, 1) matrix, paths keep their shape
+        block = block.reshape(len(block), -1)
         for lo in range(0, len(block), tile):
             # each tile's statistics are released once reduced
             acc.update(evaluate(block[lo : lo + tile]), checks)
         # release the chunk before the next is drawn
         del block
     return acc.summaries()
-
-
-def _counted_chain(spec: gen.GeneratorSpec) -> gen.DiscreteChainSpec | None:
-    """The chain whose outcomes Monte Carlo counts instead of evaluating
-    every sampled path, or None: any chain of at most CHUNK_PATHS outcomes,
-    so its counts and one tile of its paths bound the memory, whatever
-    ``paths``; its enumerated paths are the sampled ones bit for bit."""
-    try:
-        chain = gen.to_chain(spec)
-    except ValueError:
-        return None
-    return chain if chain.outcome_count <= CHUNK_PATHS else None
-
-
-def _sample_terminal(spec: gen.GeneratorSpec, m: int, rng) -> np.ndarray:
-    return gen.sample_final_sums(spec, m, rng)[:, None]
 
 
 def _run_checkset(

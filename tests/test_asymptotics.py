@@ -31,6 +31,24 @@ from demimart.oracle import fold_expectations
 from demimart.registry import PreconditionError, verify_detailed
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: ks_distance_to_normal([]), "empty sample"),
+        (lambda: ks_critical_value(0), "need n >= 1"),
+        (lambda: ks_critical_value(10, alpha=1.0), "alpha in"),
+        (
+            lambda: clt_diagnose(iid_spec(bernoulli(0.0), 4), [4], paths=10, seed=1),
+            "sigma_n must be positive",
+        ),
+    ],
+    ids=["ks-empty", "ks-critical-n", "ks-critical-alpha", "clt-zero-variance"],
+)
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestKolmogorovSmirnov:
     def test_critical_value_formula(self):
         # sqrt(-ln(alpha/2)/2)/sqrt(n); ~ 1.628/sqrt(n) at the 1% level

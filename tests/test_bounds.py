@@ -57,6 +57,10 @@ class TestMgfLogBound:
             mgf_log_bound(3.0, 1.0, 1.0)  # lambda = 3/C excluded
         with pytest.raises(ValueError):
             mgf_log_bound(-0.1, 1.0, 1.0)
+        with pytest.raises(ValueError, match="C must be positive"):
+            mgf_log_bound(1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="EX2 must be nonnegative"):
+            mgf_log_bound(1.0, 1.0, -1.0)
 
 
 class TestH1:
@@ -74,6 +78,8 @@ class TestH1:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             h1(-0.5)
+        with pytest.raises(ValueError, match="h1_lower requires u >= 0"):
+            h1_lower(-0.5)
 
     def test_dominates_lower_even_for_tiny_u(self):
         """The conjugate form keeps the inequality exact near zero."""

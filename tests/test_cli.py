@@ -728,10 +728,17 @@ class TestPreconditionFields:
                 "generator",
                 "cannot center adversarial_sign_flip: its step means alternate",
             ),
+            (
+                "seed = 3\ntheorem_id = T4.7\nmode = exact\nparams.t = 2\n"
+                "generator.family = iid\ngenerator.law = uniform\n"
+                "generator.a = -1\ngenerator.b = 1\ngenerator.horizon = 4\n",
+                "mode",
+                "exact mode unavailable: not enumerable: continuous increment law",
+            ),
             *CONFIG_REFUSALS.values(),
         ],
         ids=["c55-gaussian", "l45-sign-flip", "sideways-direction", "step-zero", "cap-zero",
-             "c22-down-rule", "centered-sign-flip", *CONFIG_REFUSALS],
+             "c22-down-rule", "centered-sign-flip", "t47-exact-uniform", *CONFIG_REFUSALS],
     )
     def test_refusal_names_its_field(self, tmp_path, capsys, text, field, message):
         cfg = _write(tmp_path, "bad.cfg", text)

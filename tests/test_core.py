@@ -101,16 +101,15 @@ class TestRunningStats:
     )
     @settings(max_examples=200, deadline=None)
     def test_chunked_matches_whole(self, xs, cut):
-        """Merging chunk statistics reproduces the one-shot summary of each
+        """Updating with two chunks reproduces the one-shot summary of each
         of K rows."""
         arr = np.array(xs)
         rows = np.stack([arr, -2.0 * arr, arr[::-1]])
         k = cut % len(arr)
-        a, b = RunningStats(), RunningStats()
-        a.update(rows[:, :k])
-        b.update(rows[:, k:])
-        a.merge(b)
-        for got, row in zip(a.summaries(), rows):
+        acc = RunningStats()
+        acc.update(rows[:, :k])
+        acc.update(rows[:, k:])
+        for got, row in zip(acc.summaries(), rows):
             assert got.count == len(row)
             assert got.mean == pytest.approx(row.mean(), rel=1e-12, abs=1e-12)
             stderr = row.std(ddof=1) / math.sqrt(len(row))
@@ -241,12 +240,28 @@ class TestRunningStats:
             if math.isfinite(r.stderr):
                 assert g.stderr == pytest.approx(r.stderr, rel=1e-9, abs=1e-9)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_matrix_with_a_nonfinite_sample_rejected(self):
         stats = np.zeros((5, 100))
         stats[4, 99] = np.inf
         with pytest.raises(ValueError, match="finite"):
             RunningStats().update(stats)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize(
+        "row",
+        [[1.0, math.inf], [math.inf, -math.inf], [math.inf]],
+        ids=["one-inf", "inf-minus-inf", "inf"],
+    )
+    def test_infinite_sample_refused_without_a_warning(self, row, weighted):
+        """Under the suite's error::RuntimeWarning filter, an infinite
+        sample is a ValueError, not an invalid-value warning, and the
+        accumulator keeps its count."""
+        acc = RunningStats()
+        acc.update(np.zeros((1, 3)))
+        weights = np.full(len(row), 2, dtype=np.int64) if weighted else None
+        with pytest.raises(ValueError, match="finite"):
+            acc.update(np.array([row]), weights=weights)
+        assert acc.count == 3
 
 
 class TestIterChunks:
@@ -309,6 +324,34 @@ class TestDomainTypes:
         bad = SummaryStats(mean=0.0, stderr=0.5, count=8)
         with pytest.raises(ValueError):
             VerificationReport("T", bad, 0.0, "<=", None, "PASS", exact=True)
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: SummaryStats(mean=0.0, stderr=0.0, count=0), "count must be positive"),
+            (lambda: SummaryStats(mean=math.nan, stderr=0.0, count=1), "mean must be finite"),
+            (lambda: SummaryStats(mean=0.0, stderr=-1.0, count=1), "stderr must be nonnegative"),
+            (
+                lambda: VerificationReport("T", SummaryStats(0.0, 1.0, 2), 0.0,
+                                           "<", None, "PASS", False),
+                "direction must be",
+            ),
+            (
+                lambda: VerificationReport("T", SummaryStats(0.0, 1.0, 2), 0.0,
+                                           "<=", None, "OK", False),
+                "invalid verdict",
+            ),
+            (
+                lambda: RunningStats().update(iter([([0], np.zeros((1, 3)))]), 1),
+                "a statistic piece is a row slice",
+            ),
+        ],
+        ids=["zero-count", "nan-mean", "negative-stderr", "bad-direction", "bad-verdict",
+             "piece-rows-not-a-slice"],
+    )
+    def test_refusals(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
 
     def test_exact_report_cannot_be_inconclusive(self):
         s = SummaryStats(mean=0.0, stderr=0.0, count=8)

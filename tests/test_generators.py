@@ -16,6 +16,7 @@ from demimart.core import CHUNK_PATHS, derive_stream, iter_chunks
 from demimart.generators import (
     FAMILIES,
     DiscreteChainSpec,
+    IncrementLaw,
     _at_least,
     _bit_sums,
     _step_bits,
@@ -376,6 +377,41 @@ class TestSampling:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):
             GeneratorSpec("brownian", 3)
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: IncrementLaw("cauchy"), "unknown increment law 'cauchy'"),
+            (lambda: bernoulli(1.5), "bernoulli p must lie in"),
+            (lambda: uniform(1.0, 1.0), "requires a < b"),
+            (lambda: iid_spec(rademacher(), 0), "horizon must be a positive integer"),
+            (
+                lambda: GeneratorSpec("moving_sum", 3, law=rademacher(), weights=()),
+                "requires nonempty weights",
+            ),
+            (
+                lambda: GeneratorSpec("moving_sum", 3, law=rademacher(), weights=(1.0, -0.5)),
+                "weights must be nonnegative",
+            ),
+            (
+                lambda: gaussian_assoc_spec(np.array([[1.0, 0.5], [0.2, 1.0]]), 2),
+                "covariance must be symmetric",
+            ),
+            (
+                lambda: DiscreteChainSpec((((0.0,), 1.0),), (0,), horizon=0),
+                "horizon must be positive",
+            ),
+            (
+                lambda: DiscreteChainSpec((((0.0,), 1.0), ((1.0,), 0.0)), (0,), horizon=1),
+                "probabilities must be positive",
+            ),
+        ],
+        ids=["unknown-law", "bernoulli-p", "uniform-empty", "horizon-zero", "no-weights",
+             "negative-weight", "asymmetric-cov", "chain-horizon-zero", "zero-atom"],
+    )
+    def test_law_spec_and_chain_refusals(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
 
     def test_a_family_requires_the_fields_it_reads_and_refuses_the_others(self):
         """A field a family does not read would name a spec (its id) that it

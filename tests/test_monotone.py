@@ -81,6 +81,43 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="NaN"):
             MonotoneTestFunction("clipped_linear", weights=(1.0,), **bounds)
 
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: MonotoneTestFunction("sine"), "unknown kind 'sine'"),
+            (
+                lambda: MonotoneTestFunction(
+                    "clipped_linear", weights=(1.0,), floor=2.0, ceiling=1.0
+                ),
+                "floor must not exceed ceiling",
+            ),
+            (lambda: evaluate(MonotoneTestFunction("constant_one"), []), "nonempty 1-d"),
+            (lambda: evaluate(MonotoneTestFunction("constant_one"), [[1.0]]), "nonempty 1-d"),
+            (
+                lambda: evaluate_batch(MonotoneTestFunction("constant_one"), np.zeros(3)),
+                r"\(paths, j\) matrix",
+            ),
+            (lambda: sample_battery(0, 0, False), "count must be >= 1"),
+            (
+                lambda: certify_indicator_monotonicity(
+                    first_passage_up(1.0), "up", np.zeros((2, 3)), 1, 0
+                ),
+                "direction must be nondecreasing or nonincreasing",
+            ),
+            (
+                lambda: certify_indicator_monotonicity(
+                    first_passage_up(1.0), "nondecreasing", np.zeros((2, 3)), 1, 0, target="lt"
+                ),
+                "target must be 'le' or 'eq'",
+            ),
+        ],
+        ids=["unknown-kind", "floor-above-ceiling", "empty-prefix", "2d-prefix",
+             "1d-prefixes", "empty-battery", "certify-direction", "certify-target"],
+    )
+    def test_refusals(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
     def test_infinite_clip_bounds_are_the_defaults(self):
         f = MonotoneTestFunction("clipped_linear", weights=(1.0,))
         assert (f.floor, f.ceiling) == (-math.inf, math.inf)

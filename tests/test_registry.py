@@ -36,6 +36,7 @@ from demimart.generators import (
     iid_spec,
     increment_bound,
     rademacher,
+    sample_outcomes,
     sample_paths,
     shared_shock_spec,
     to_chain,
@@ -518,6 +519,16 @@ class TestVerdicts:
         assert "demisub_precheck" in extras
         assert extras["demisub_precheck"].verdict == "PASS"
 
+    def test_no_exp_stopped_precheck_at_horizon_one(self):
+        """A one-step walk has no increment for the transformed process's
+        battery to weigh, so no precheck is built or reported."""
+        spec, rule = iid_spec(rademacher(), 1), deterministic(1, "nonincreasing")
+        assert _c410_precheck(Instance(spec, rule, None, {"theta": 0.5}, 1)) == {}
+        report, _, extras = verify_detailed(
+            "C4.10", spec, rule=rule, params={"theta": 0.5}, mode="exact", seed=1
+        )
+        assert extras == {} and report.verdict == "PASS"
+
     def test_tail_hit_rule_yields_inconclusive(self):
         """Too few expected tail hits for a conclusive Monte-Carlo verdict."""
         spec = iid_spec(rademacher(), 16)
@@ -646,7 +657,7 @@ class TestBatteryMemory:
     def test_chunk_statistics_released_before_next_chunk(self):
         """A second chunk must not hold the first chunk's statistics, on a
         walk whose paths are evaluated one by one, not counted."""
-        assert registry._counted_chain(self.RAD17) is None
+        assert to_chain(self.RAD17).outcome_count > CHUNK_PATHS
         one = self._traced_peak(CHUNK_PATHS)
         two = self._traced_peak(2 * CHUNK_PATHS)
         assert two <= 1.25 * one, (one, two)
@@ -657,7 +668,7 @@ class TestBatteryMemory:
         has 2^17 outcomes, above CHUNK_PATHS, so every sampled path is
         evaluated; 18 members over 16 steps make K = 288."""
         spec = iid_spec(rademacher(), 17)
-        assert registry._counted_chain(spec) is None
+        assert to_chain(spec).outcome_count > CHUNK_PATHS
         tracemalloc.start()
         try:
             _, results, _ = verify_detailed(
@@ -685,7 +696,7 @@ class TestBatteryMemory:
             (iid_spec(rademacher(), 17), "monte_carlo", 18, 288),
             (centered(iid_spec(bernoulli(0.3), 14)), "exact", 32, 416),
         ):
-            assert mode == "exact" or registry._counted_chain(spec) is None
+            assert mode == "exact" or to_chain(spec).outcome_count > CHUNK_PATHS
             tracemalloc.start()
             try:
                 _, results, _ = verify_detailed(
@@ -820,8 +831,8 @@ class TestCountedMonteCarlo:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_estimates_equal_a_per_path_pass(self, case, paths):
         tid, spec, rule, params = self.CASES[case]
-        chain = registry._counted_chain(spec)
-        assert chain is not None and chain.outcome_count <= CHUNK_PATHS
+        chain = to_chain(spec)
+        assert chain.outcome_count <= CHUNK_PATHS
         entry = lookup(tid)
         inst = Instance(spec=spec, rule=rule, rule2=None, params=params, seed=7)
         checkset = entry.build(inst)
@@ -879,7 +890,7 @@ class TestCountedMonteCarlo:
         on the window (0.3, 0.7, 0.1) at n = 16 (2^18 outcomes, not counted)
         estimates both exact rows within 4 standard errors."""
         spec = centered(GeneratorSpec("moving_sum", 16, law=bernoulli(0.5), weights=(0.3, 0.7, 0.1)))
-        assert registry._counted_chain(spec) is None
+        assert to_chain(spec).outcome_count > CHUNK_PATHS
         _, exact, _ = verify_detailed("T4.7", spec, params={"t": 1.0}, mode="exact")
         _, mc, _ = verify_detailed(
             "T4.7", spec, params={"t": 1.0}, mode="monte_carlo", paths=2**20, seed=5
@@ -888,16 +899,27 @@ class TestCountedMonteCarlo:
         for m, e in zip(mc, exact):
             assert abs(m.stats.mean - e.stats.mean) <= 4.0 * m.stats.stderr, (m, e)
 
-    def test_chains_that_are_not_counted(self):
+    def test_chains_that_are_not_counted(self, monkeypatch):
         """Continuous laws and chains above CHUNK_PATHS outcomes keep the
-        per-path pass."""
-        for spec in (
-            iid_spec(uniform(-1.0, 1.0), 4),
-            gaussian_assoc_spec(np.eye(3), 3),
-            iid_spec(rademacher(), 17),
+        per-path pass: outcome indices are drawn only on a chain of at most
+        CHUNK_PATHS outcomes."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return sample_outcomes(*args)
+
+        monkeypatch.setattr(registry.gen, "sample_outcomes", spy)
+        for spec, counted in (
+            (iid_spec(uniform(-1.0, 1.0), 4), False),
+            (gaussian_assoc_spec(np.eye(3), 3), False),
+            (iid_spec(rademacher(), 17), False),
+            (iid_spec(rademacher(), 16), True),
         ):
-            assert registry._counted_chain(spec) is None, spec.generator_id
-        assert registry._counted_chain(iid_spec(rademacher(), 16)) is not None
+            calls.clear()
+            (got,) = expectations(spec, lambda p: p[:, -1][None], 1, "monte_carlo", 100, 1)
+            assert got.count == 100
+            assert bool(calls) == counted, spec.generator_id
 
 
 class TestTerminalEngineCost:
@@ -912,7 +934,9 @@ class TestTerminalEngineCost:
     def test_wide_draws_enumerate(self, monkeypatch):
         """Three draws of {0, 2^13}: 8 outcomes, against about 2 x 10^8
         multiply-adds of convolution."""
-        chain = DiscreteChainSpec((((0.0,), 0.5), ((8192.0,), 0.5)), (0, 1, 2), 3)
+        spec = GeneratorSpec("moving_sum", 3, law=bernoulli(0.5), weights=(8192.0,))
+        chain = to_chain(spec)
+        assert chain == DiscreteChainSpec((((0.0,), 0.5), ((8192.0,), 0.5)), (0, 1, 2), 3)
         want = registry.fold_terminal(chain, lambda p: (p[:, -1] >= 16384.0)[None] * 1.0)
 
         def refuse(*args, **kwargs):
@@ -920,7 +944,7 @@ class TestTerminalEngineCost:
 
         monkeypatch.setattr(registry, "fold_terminal", refuse)
         (got,) = expectations(
-            chain, lambda p: (p[:, -1] >= 16384.0)[None] * 1.0, 1, "exact", terminal_only=True
+            spec, lambda p: (p[:, -1] >= 16384.0)[None] * 1.0, 1, "exact", terminal_only=True
         )
         assert terminal_cost(chain) > chain.outcome_count * chain.horizon
         assert got.mean == want[0] == 0.5 and got.stderr == 0.0
@@ -1052,6 +1076,13 @@ class TestStatisticPieces:
     def test_matrix_of_another_row_count_is_refused(self, mode):
         with pytest.raises(ValueError, match="rows"):
             expectations(RAD6, lambda p: np.ones((3, len(p))), self.K, mode, paths=100, seed=1)
+
+    def test_battery_pieces_refuse_a_nan_prefix(self):
+        checkset = lookup("Def1.2-demi").build(Instance(RAD6, None, None, {"battery_size": 4}, 1))
+        paths = np.zeros((3, 6))
+        paths[1, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN in prefix"):
+            list(checkset.evaluate(paths))
 
 
 def _gather_values_at(paths, idx):

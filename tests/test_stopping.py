@@ -227,6 +227,24 @@ class TestCapping:
 
 
 class TestUserRules:
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (
+                lambda: StoppingRule("first_passage_up", 1.0, declared_direction="up"),
+                "invalid declared_direction",
+            ),
+            (lambda: StoppingRule("deterministic", step=0), "deterministic rule needs step >= 1"),
+            (lambda: StoppingRule("user"), "user rule needs a predicate"),
+            (lambda: first_passage_up(1.0).tau_batch(np.zeros(3)), r"an \(m, n\) matrix"),
+            (lambda: jump_if_high(2, 1.0, 1, 6), "need 1 <= watch_step <= early < late"),
+        ],
+        ids=["direction", "step-zero", "no-predicate", "paths-not-a-matrix", "watch-after-early"],
+    )
+    def test_refusals(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
     def test_vectorized_predicate_shape_enforced(self):
         bad = user_rule(lambda prefix: np.ones(3, dtype=bool))
         with pytest.raises(ValueError, match="one bool per path"):
