@@ -16,7 +16,8 @@ import numpy as np
 
 from . import generators as gen
 from .core import DEFAULT_TOLERANCE_Z, FAIL, SummaryStats, iter_chunks
-from .registry import Instance, _check_result, _checked_tolerance_z, expectations, family_z, lookup
+from .registry import Instance, PreconditionError, _check_result, _checked_tolerance_z
+from .registry import expectations, family_z, lookup
 
 __all__ = [
     "ECF_T_GRID",
@@ -203,14 +204,15 @@ def complete_convergence_diagnose(
         if threshold > gen.first_step_bound(sub) + (n - 1) * gen.increment_bound(sub):
             stats, exact = SummaryStats(mean=0.0, stderr=0.0, count=1), True
         else:
+            exact = True
             try:
-                gen.to_chain(sub)
-                exact = True
-            except ValueError:
+                _, stats = expectations(sub, checks.evaluate, 2, "exact", terminal_only=True)
+            except PreconditionError as exc:
+                if exc.name != "mode":
+                    raise
                 exact = False
-            mode = "exact" if exact else "monte_carlo"
-            _, stats = expectations(sub, checks.evaluate, 2, mode, paths, seed,
-                                    terminal_only=True, chunk_base=i << 32)
+                _, stats = expectations(sub, checks.evaluate, 2, "monte_carlo", paths, seed,
+                                        terminal_only=True, chunk_base=i << 32)
         result = _check_result(stats, meta, z, 0 if exact else paths)
         records.append(
             TailRecord(

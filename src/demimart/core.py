@@ -46,6 +46,8 @@ TILE_BYTES = 1 << 25
 # cache.
 _REDUCE_BLOCK_BYTES = 1 << 20
 
+_OVERFLOW = "samples overflow float64: a sum or squared deviation is infinite"
+
 # A lone Monte-Carlo check fails only when violated by more than this many
 # stderrs; a family of checks splits its one-sided level (registry.family_z).
 DEFAULT_TOLERANCE_Z = 3.0
@@ -193,12 +195,15 @@ class RunningStats:
         """Fold in one statistic evaluation over m paths: a (K, m) matrix,
         one row per statistic, or its pieces (``statistic_pieces``), each
         piece reduced before the next is asked for.  Every row is reduced
-        on its own, so pieces and the matrix they make give the same bits.
+        on its own, so without ``weights`` pieces and the matrix they make
+        give the same bits; a weighted row block is summed by a BLAS kernel
+        that follows its shape, so pieces of a few rows may not.
 
         ``weights``, a positive integer count per path, makes path i stand
         for weights[i] samples: the batch holds sum(weights) samples, and its
         mean and M2 are the weighted ones, as if each path were repeated.
-        A NaN or infinite sample raises ValueError and leaves the
+        A NaN or infinite sample, or finite samples whose sums or squared
+        deviations overflow float64, raise ValueError and leave the
         accumulator as it was.
         """
         k, pieces = statistic_pieces(stats, checks)
@@ -208,8 +213,8 @@ class RunningStats:
         bm2 = np.empty(k)
         m = 0
         scratch = None
-        # an infinite sample's deviations are inf - inf; it is refused below
-        with np.errstate(invalid="ignore"):
+        # inf - inf and overflows leave a row's M2 non-finite, refused per piece
+        with np.errstate(invalid="ignore", over="ignore"):
             for rows, block in pieces:
                 if np.ndim(block) != 2:
                     raise ValueError("update takes a (K, m) matrix of statistic rows")
@@ -220,21 +225,19 @@ class RunningStats:
                     step = max(1, _REDUCE_BLOCK_BYTES // (8 * m))
                     scratch = np.empty((min(step, k), m))
                 _reduce_row_blocks(block, bmean[rows], bm2[rows], scratch, weights)
-        if m == 0:
-            return
-        # a NaN or infinite sample makes its row's mean non-finite, so checking
-        # the K means covers every sample
-        if not np.all(np.isfinite(bmean)):
-            raise ValueError("samples must be finite")
-        n = m if weights is None else int(weights.sum())
-        if self.count == 0:
-            self.count, self.mean, self.m2 = n, bmean, bm2
-            return
-        total = self.count + n
-        delta = bmean - self.mean
-        self.mean = self.mean + delta * n / total
-        self.m2 = self.m2 + (bm2 + delta * delta * self.count * n / total)
-        self.count = total
+            if m == 0:
+                return
+            n = m if weights is None else int(weights.sum())
+            if self.count == 0:
+                self.count, self.mean, self.m2 = n, bmean, bm2
+                return
+            total = self.count + n
+            delta = bmean - self.mean
+            mean = self.mean + delta * n / total
+            m2 = self.m2 + (bm2 + delta * delta * self.count * n / total)
+        if not np.all(np.isfinite(m2)):
+            raise ValueError(_OVERFLOW)
+        self.count, self.mean, self.m2 = total, mean, m2
 
     def summaries(self) -> list[SummaryStats]:
         """One SummaryStats per statistic row; a single sample's stderr is +inf."""
@@ -260,9 +263,12 @@ def _reduce_row_blocks(
     Each block is taken as a C-contiguous float64 matrix (a view when the
     rows already are one), whose rows numpy sums pairwise along axis 1 as it
     sums a single vector, so the results equal a row-by-row reduction bit
-    for bit with a few numpy calls per block instead of two per row; the
+    for bit with a few numpy calls per block instead of two per row (with
+    ``weights``, a BLAS product whose sums follow the block's shape); the
     block's deviation pass still finds it in cache.  ``scratch`` holds the
-    deviations and is reused across blocks and pieces.
+    deviations and is reused across blocks and pieces.  A non-finite M2,
+    which any non-finite sample or overflow gives its row, raises
+    ValueError; only then are the samples read again, to say which.
     """
     step = len(scratch)
     for lo in range(0, len(rows), step):
@@ -278,6 +284,8 @@ def _reduce_row_blocks(
             dev.sum(axis=1, out=m2)
         else:
             np.matmul(dev, weights, out=m2)
+    if not np.all(np.isfinite(bm2)):
+        raise ValueError(_OVERFLOW if np.all(np.isfinite(rows)) else "samples must be finite")
 
 
 @dataclass(frozen=True)

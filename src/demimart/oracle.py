@@ -3,8 +3,10 @@
 Ground truth for every Monte-Carlo check: expectations, tail probabilities,
 and the defining projection statistic are computed by walking the full
 product space of the chain's independent draws.  Enumeration streams
-fixed-size blocks (no full outcome list is ever materialized) and combines
-probabilities with Kahan-compensated summation.  Statistics of S_n alone
+fixed-size blocks (no full outcome list is ever materialized).  A row's
+block sum is the exactly rounded ``math.fsum`` of dots over at most
+``_DOT`` outcomes and each expectation one ``math.fsum`` of its block sums,
+so no BLAS thread count changes a bit.  Statistics of S_n alone
 fold over the law of S_n instead when it is a lattice sum (on a grid of
 2**-e), convolved from each draw's law of row sums.
 """
@@ -20,7 +22,6 @@ from .core import _accumulate_rows, statistic_pieces
 from .generators import DiscreteChainSpec, _reach
 
 __all__ = [
-    "KahanSum",
     "fold_expectations",
     "fold_terminal",
     "iter_blocks",
@@ -30,22 +31,10 @@ __all__ = [
 
 _BLOCK = 1 << 16
 
-
-class KahanSum:
-    """Compensated accumulator, elementwise on arrays; 2^24 additions stay
-    well inside 1e-12."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, value: float) -> None:
-        y = value - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
+# Outcomes per np.dot: OpenBLAS splits a longer dot across threads (numpy
+# 2.4's OpenBLAS 0.3.31 from about 10**4 entries), and its sum then depends
+# on the thread count.
+_DOT = 1 << 13
 
 
 def iter_blocks(
@@ -205,12 +194,12 @@ def fold_expectations(
     ``functionals`` maps a path-matrix block of at most ``block`` outcomes to
     its K = ``checks`` statistic rows: a (K, block) matrix or its pieces
     (``core.statistic_pieces``; ``checks`` is required for pieces), each
-    piece folded before the next is asked for.  The K statistics are folded
-    together with Kahan compensation, one add per block, and the total
-    probability is verified to be 1 within 1e-12.  Blocks come from
-    ``iter_blocks``: column-major ``(block, n)`` views, as sampled chunks
-    are, and each block with its statistics is freed before the next is
-    built.
+    piece folded before the next is asked for.  Each block gives every
+    statistic one sum, kept (blocks x K floats); a statistic's expectation
+    is the ``math.fsum`` of its block sums, and the total probability is
+    verified to be 1 within 1e-12.  Blocks come from ``iter_blocks``:
+    column-major ``(block, n)`` views, as sampled chunks are, and each block
+    with its statistics is freed before the next is built.
     """
     return _fold(iter_blocks(chain, block), functionals, checks)
 
@@ -226,22 +215,22 @@ def fold_terminal(
 
 
 def _fold(outcome_blocks, functionals: Callable, checks: int | None) -> list[float]:
-    sums = KahanSum()
-    total = KahanSum()
+    sums, totals = [], []
     for paths, probs in outcome_blocks:
-        sums.add(_block_expectations(probs, functionals(paths), checks))
-        total.add(float(np.sum(probs)))
+        sums.append(_block_expectations(probs, functionals(paths), checks))
+        totals.append(float(np.sum(probs)))
         # free this block before the next one is built
         del paths, probs
-    _check_total(total.total)
-    return sums.total.tolist()
+    _check_total(math.fsum(totals))
+    return [math.fsum(col.tolist()) for col in np.array(sums).T]
 
 
 def _block_expectations(probs: np.ndarray, stats, checks: int | None) -> np.ndarray:
     """One block's probability-weighted sum of every statistic row, a piece
-    at a time."""
+    at a time: the ``math.fsum`` of one ``np.dot`` per ``_DOT`` outcomes."""
     k, pieces = statistic_pieces(stats, checks)
+    cuts = [slice(lo, lo + _DOT) for lo in range(0, len(probs), _DOT)]
     dots = np.empty(k)
     for rows, block in pieces:
-        dots[rows] = [np.dot(probs, row) for row in block]
+        dots[rows] = [math.fsum([np.dot(probs[c], row[c]) for c in cuts]) for row in block]
     return dots

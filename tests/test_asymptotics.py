@@ -162,6 +162,25 @@ class TestCompleteConvergence:
         assert all(rec.exact for rec in diag.tail_estimates)
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_one_chain_lookup_per_exact_horizon(self, monkeypatch):
+        """The sweep leaves the engine choice to registry.expectations: an
+        exact horizon looks up its chain once, and a lattice horizon above
+        the enumeration cap, refused by exact mode, is looked up again by
+        the Monte-Carlo call it falls back to."""
+        calls = []
+
+        def counted(spec):
+            calls.append(spec.horizon)
+            return to_chain(spec)
+
+        monkeypatch.setattr("demimart.registry.gen.to_chain", counted)
+        spec = iid_spec(rademacher(), 4)
+        diag = complete_convergence_diagnose(
+            spec, r=0.6, epsilon=0.5, n_grid=[10, 12, 30], paths=1000, seed=3
+        )
+        assert calls == [10, 12, 30, 30]
+        assert [rec.exact for rec in diag.tail_estimates] == [True, True, False]
+
     def test_unreachable_threshold_is_exactly_zero(self):
         """n^r eps beyond n C makes the tail impossible."""
         spec = iid_spec(rademacher(), 4)

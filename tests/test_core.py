@@ -263,6 +263,40 @@ class TestRunningStats:
             acc.update(np.array([row]), weights=weights)
         assert acc.count == 3
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize(
+        "row",
+        [[1e200, -1e200], [1e308, 1e308], [-1e308, -1e308, 1.0]],
+        ids=["square", "sum", "negative-sum"],
+    )
+    def test_finite_samples_that_overflow_are_named(self, row, weighted):
+        """Finite samples whose squared deviations or sum overflow float64
+        are a ValueError that names the overflow, not "must be finite" and
+        not an overflow warning, and the accumulator keeps its count."""
+        acc = RunningStats()
+        acc.update(np.zeros((1, 3)))
+        weights = np.full(len(row), 2, dtype=np.int64) if weighted else None
+        with pytest.raises(ValueError, match="overflow"):
+            acc.update(np.array([row]), weights=weights)
+        assert acc.count == 3
+        assert acc.mean.tolist() == [0.0]
+
+    def test_overflow_in_a_piece_after_finite_pieces_is_named(self):
+        def pieces():
+            yield slice(0, 1), np.ones((1, 2))
+            yield slice(1, 2), np.array([[1e200, -1e200]])
+
+        with pytest.raises(ValueError, match="overflow"):
+            RunningStats().update(pieces(), checks=2)
+
+    def test_batches_whose_merge_overflows_are_named(self):
+        acc = RunningStats()
+        acc.update(np.full((1, 2), 1e300))
+        with pytest.raises(ValueError, match="overflow"):
+            acc.update(np.full((1, 2), -1e300))
+        assert acc.count == 2
+        assert acc.mean.tolist() == [1e300]
+
 
 class TestIterChunks:
     @staticmethod

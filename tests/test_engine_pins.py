@@ -15,6 +15,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -384,6 +386,33 @@ def test_exact_folds_are_bit_for_bit():
     want = _recorded()["exact_folds"]
     for label, theorem_id, spec, kwargs in EXACT_FOLDS:
         assert _exact_fold(theorem_id, spec, kwargs) == want[label], label
+
+
+def test_exact_folds_do_not_depend_on_the_blas_thread_count():
+    """T3.1 and C5.2 fold two 65,536-outcome blocks of one statistic row;
+    OpenBLAS would split a dot of a whole block across threads, so each is
+    folded in two processes, with one and two BLAS threads, to the same bits."""
+    code = (
+        "import test_engine_pins as t\n"
+        "print([t._exact_fold(*case[1:]) for case in t.EXACT_FOLDS"
+        " if case[0] in ('t31-n17', 'c52-n17')])"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", code],
+            cwd=Path(__file__).resolve().parent,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for threads in ("1", "2")
+    ]
+    outs = [run.communicate(timeout=120)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert outs[0] == outs[1]
+    assert outs[0].count("means") == 2
 
 
 def test_monte_carlo_verdicts_span_several_tiles():
